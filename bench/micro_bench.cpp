@@ -23,6 +23,7 @@
 #include "geo/rng.hpp"
 #include "geo/spatial_grid.hpp"
 #include "graphx/graph.hpp"
+#include "graphx/shortest_path.hpp"
 #include "mesh/ap_network.hpp"
 #include "osmx/citygen.hpp"
 #include "qfgeo/qfgeo.hpp"
@@ -77,6 +78,50 @@ static void BM_RoutePlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoutePlan)->Unit(benchmark::kMillisecond);
+
+/// Boston downtown-hotspot flow endpoints (bias 16, as in the perfbench
+/// capacity-hotspot workload), the traffic that makes planning expensive.
+static const std::vector<citymesh::trafficx::Flow>& boston_hotspot_flows() {
+  static const auto flows = [] {
+    citymesh::trafficx::WorkloadSpec spec;
+    spec.seed = 1;
+    spec.duration_s = 20.0;
+    spec.rate_per_s = 32.0;
+    spec.spatial = citymesh::trafficx::SpatialMode::kHotspot;
+    spec.hotspot_bias = 16.0;
+    return citymesh::trafficx::compile(spec, boston()).flows;
+  }();
+  return flows;
+}
+
+// One uncached hotspot plan: a targeted Dijkstra over the planning graph
+// (essential edges), compression and header sizing.
+static void BM_RoutePlanHotspot(benchmark::State& state) {
+  const core::RoutePlanner planner{boston_map(), {}};
+  const auto& flows = boston_hotspot_flows();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planner.plan(flows[i].src, flows[i].dst));
+    if (++i == flows.size()) i = 0;
+  }
+  state.SetLabel(std::to_string(boston_map().planning_graph().edge_count()) + " of " +
+                 std::to_string(boston_map().graph().edge_count()) + " edges");
+}
+BENCHMARK(BM_RoutePlanHotspot)->Unit(benchmark::kMicrosecond);
+
+// The targeted Dijkstra alone on the same flows: /0 over the full building
+// graph, /1 over the planning graph (identical paths, fewer relaxations).
+static void BM_HotspotDijkstra(benchmark::State& state) {
+  const graphx::Graph& g =
+      state.range(0) == 0 ? boston_map().graph() : boston_map().planning_graph();
+  const auto& flows = boston_hotspot_flows();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graphx::dijkstra(g, flows[i].src, flows[i].dst));
+    if (++i == flows.size()) i = 0;
+  }
+}
+BENCHMARK(BM_HotspotDijkstra)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 static void BM_ConduitCompress(benchmark::State& state) {
   const auto& map = boston_map();

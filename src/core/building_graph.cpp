@@ -54,6 +54,8 @@ BuildingGraph::BuildingGraph(const osmx::City& city, const BuildingGraphConfig& 
     });
   }
   graph_ = builder.build();
+  planning_graph_ = graphx::essential_edges(graph_);
+  components_ = graphx::connected_components(planning_graph_);
 }
 
 }  // namespace citymesh::core

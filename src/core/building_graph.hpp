@@ -50,7 +50,22 @@ class BuildingGraph {
  public:
   BuildingGraph(const osmx::City& city, const BuildingGraphConfig& config);
 
+  /// The full predicted-connectivity graph: one edge per pair of buildings
+  /// predicted to hear each other.
   const graphx::Graph& graph() const { return graph_; }
+
+  /// The graph route planning walks: graph() minus every edge a two-hop
+  /// detour strictly beats (graphx::essential_edges). Dijkstra over it
+  /// settles the same vertices in the same order with the same parents, so
+  /// every planned route is bit-identical, at a fraction of the edges.
+  const graphx::Graph& planning_graph() const { return planning_graph_; }
+
+  /// True when the map predicts some path between the two buildings (same
+  /// connected component). Precondition: both ids are in range.
+  bool connected(BuildingId a, BuildingId b) const {
+    return components_.component_of[a] == components_.component_of[b];
+  }
+
   const BuildingGraphConfig& config() const { return config_; }
   std::size_t building_count() const { return centroids_.size(); }
 
@@ -72,6 +87,8 @@ class BuildingGraph {
   std::vector<double> radii_;
   geo::SpatialGrid centroid_grid_;
   graphx::Graph graph_;
+  graphx::Graph planning_graph_;
+  graphx::Components components_;
 };
 
 }  // namespace citymesh::core

@@ -46,7 +46,7 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
                                  NetworkConfig config)
     : compiled_(std::move(compiled)),
       config_(config),
-      spt_cache_(compiled_->map.graph()),
+      spt_cache_(compiled_->map.planning_graph()),
       planner_(compiled_->map, config.conduit, &spt_cache_),
       compiler_(compiled_->map),
       packet_pool_(config.pooled_packets

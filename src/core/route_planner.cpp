@@ -35,18 +35,16 @@ const graphx::ShortestPaths& SptCache::tree(graphx::VertexId from, graphx::Verte
 std::optional<PlannedRoute> RoutePlanner::plan_impl(BuildingId from, BuildingId to,
                                                     bool compress) const {
   if (from >= map_->building_count() || to >= map_->building_count()) return std::nullopt;
+  // Different components: no path, known without a search.
+  if (!map_->connected(from, to)) return std::nullopt;
   PlannedRoute route;
   if (from == to) {
     route.buildings = {from};
     route.waypoints = {from};
-  } else if (cache_ != nullptr) {
-    route.buildings = cache_->tree(from, to).path_to(to);
-    if (route.buildings.empty()) return std::nullopt;
-    route.waypoints = compress ? compress_route(route.buildings, *map_, conduit_)
-                               : route.buildings;
   } else {
-    const auto sp = graphx::dijkstra(map_->graph(), from, to);
-    route.buildings = sp.path_to(to);
+    route.buildings = cache_ != nullptr
+                          ? cache_->tree(from, to).path_to(to)
+                          : graphx::dijkstra(map_->planning_graph(), from, to).path_to(to);
     if (route.buildings.empty()) return std::nullopt;
     route.waypoints = compress ? compress_route(route.buildings, *map_, conduit_)
                                : route.buildings;

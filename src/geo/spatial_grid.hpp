@@ -1,16 +1,30 @@
-// A fixed-cell spatial hash over 2D points.
+// A fixed-cell spatial index over 2D points.
 //
 // CityMesh needs two geometric queries at scale: "which APs are within the
 // transmission range of this AP" (mesh construction) and "which APs fall
 // inside this conduit's bounding box" (rebroadcast simulation). A uniform
 // grid whose cell size matches the query radius answers both in O(k) for k
-// results, and builds in O(n) — adequate for millions of APs and far simpler
-// than an R-tree (P.11: encapsulate the messy construct once).
+// results, and builds in O(n log n) — adequate for millions of APs and far
+// simpler than an R-tree (P.11: encapsulate the messy construct once).
+//
+// Layout: a flat, immutable CSR over the *occupied* cells only. Cells are
+// sorted by (row, column) — row = floor(y / cell), column = floor(x / cell)
+// — and each occupied row owns a contiguous run of cells; each cell owns a
+// contiguous run of item ids, kept in insertion order. Points live in one
+// vector indexed by id. A query binary-searches the occupied rows and, in
+// each, the occupied columns of its range, so it costs O(log n + occupied
+// cells in range + hits) however large the query rectangle is, and memory is
+// O(points + occupied cells) whatever the coordinate extent (OSM input can
+// be hostile: a 100 km broadcast radius must not probe 4M empty cells).
+//
+// Visit order is part of the contract: candidates come in (row, column,
+// insertion) order, because callers draw random numbers per visited
+// candidate (mesh::place_aps under the shadowed link model).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "geo/geometry.hpp"
@@ -26,46 +40,81 @@ class SpatialGrid {
   explicit SpatialGrid(double cell_size);
 
   /// Bulk-build from a vector of points; item id i is points[i].
-  SpatialGrid(double cell_size, const std::vector<Point>& points);
+  SpatialGrid(double cell_size, std::span<const Point> points);
 
+  /// Bulk-build with explicit (possibly sparse) ids: item ids[k] sits at
+  /// points[k], and insertion order is k. Throws std::invalid_argument on a
+  /// repeated id or mismatched lengths.
+  SpatialGrid(double cell_size, std::span<const std::uint32_t> ids,
+              std::span<const Point> points);
+
+  /// Add one item. Slow path (rebuilds the index, O(n log n)); library code
+  /// bulk-builds instead.
   void insert(std::uint32_t id, Point p);
 
-  std::size_t size() const { return points_.size(); }
+  std::size_t size() const { return ids_.size(); }
   double cell_size() const { return cell_size_; }
 
-  /// Point registered for `id`. Precondition: id was inserted.
+  /// Point registered for `id`. Precondition: id was inserted; throws
+  /// std::out_of_range past the largest inserted id.
   Point position(std::uint32_t id) const { return points_.at(id); }
 
   /// Ids of all items with distance(point, center) <= radius.
   std::vector<std::uint32_t> query_radius(Point center, double radius) const;
 
-  /// Invoke `fn(id, point)` for all items within `radius` of `center`.
-  void for_each_in_radius(Point center, double radius,
-                          const std::function<void(std::uint32_t, Point)>& fn) const;
+  /// Invoke `fn(id, point)` for all items within `radius` of `center`, in
+  /// (row, column, insertion) order.
+  template <class Fn>
+  void for_each_in_radius(Point center, double radius, Fn&& fn) const {
+    if (!(radius >= 0.0)) return;
+    const double r2 = radius * radius;
+    for_each_candidate({{center.x - radius, center.y - radius},
+                        {center.x + radius, center.y + radius}},
+                       [&](std::uint32_t id) {
+                         const Point p = points_[id];
+                         if (distance2(p, center) <= r2) fn(id, p);
+                       });
+  }
 
-  /// Ids of all items inside the axis-aligned rectangle.
+  /// Ids of all items inside the axis-aligned rectangle, in (row, column,
+  /// insertion) order.
   std::vector<std::uint32_t> query_rect(const Rect& r) const;
 
  private:
-  struct CellKey {
-    std::int64_t cx;
-    std::int64_t cy;
-    bool operator==(const CellKey&) const = default;
-  };
-  struct CellHash {
-    std::size_t operator()(const CellKey& k) const {
-      // 64-bit mix of the two cell coordinates.
-      std::uint64_t h = static_cast<std::uint64_t>(k.cx) * 0x9e3779b97f4a7c15ULL;
-      h ^= static_cast<std::uint64_t>(k.cy) + 0x7f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
+  /// Cell coordinate of one axis value. Values whose cell index would not
+  /// fit (or NaN) saturate, so hostile coordinates cannot overflow the cast.
+  std::int64_t cell_coord(double v) const;
 
-  CellKey cell_of(Point p) const;
+  /// Rebuild the CSR from ids_ (taken as insertion order) and points_.
+  void build_index();
+
+  /// Invoke `visit(id)` for every item in an occupied cell overlapping the
+  /// rectangle, in (row, column, insertion) order.
+  template <class Visit>
+  void for_each_candidate(const Rect& r, Visit&& visit) const {
+    const std::int64_t lo_row = cell_coord(r.min.y);
+    const std::int64_t hi_row = cell_coord(r.max.y);
+    const std::int64_t lo_col = cell_coord(r.min.x);
+    const std::int64_t hi_col = cell_coord(r.max.x);
+    auto row = std::lower_bound(row_keys_.begin(), row_keys_.end(), lo_row);
+    for (; row != row_keys_.end() && *row <= hi_row; ++row) {
+      const auto ri = static_cast<std::size_t>(row - row_keys_.begin());
+      const auto cells_end = cell_cols_.begin() + row_begin_[ri + 1];
+      auto cell = std::lower_bound(cell_cols_.begin() + row_begin_[ri], cells_end, lo_col);
+      for (; cell != cells_end && *cell <= hi_col; ++cell) {
+        const auto ci = static_cast<std::size_t>(cell - cell_cols_.begin());
+        for (std::uint32_t k = cell_begin_[ci]; k < cell_begin_[ci + 1]; ++k) visit(ids_[k]);
+      }
+    }
+  }
 
   double cell_size_;
-  std::unordered_map<CellKey, std::vector<std::uint32_t>, CellHash> cells_;
-  std::unordered_map<std::uint32_t, Point> points_;
+  std::vector<Point> points_;              ///< by id; ids never inserted hold NaN
+  std::vector<std::int64_t> row_keys_;     ///< occupied rows, ascending
+  std::vector<std::uint32_t> row_begin_;   ///< row i's cells: [row_begin_[i], row_begin_[i+1])
+  std::vector<std::int64_t> cell_cols_;    ///< column per occupied cell, ascending per row
+  std::vector<std::uint32_t> cell_begin_;  ///< cell c's ids: [cell_begin_[c], cell_begin_[c+1])
+  std::vector<std::uint32_t> ids_;         ///< ids grouped by cell, insertion order within
 };
 
 }  // namespace citymesh::geo

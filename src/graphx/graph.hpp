@@ -150,6 +150,7 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend Graph essential_edges(const Graph& g);  // shortest_path.hpp
   std::vector<EdgeOffset> offsets_;   // vertex_count + 1 entries
   std::vector<VertexId> targets_;     // packed neighbor ids
   std::vector<double> weights_;       // packed weights, parallel to targets_

@@ -1,6 +1,8 @@
 #include "graphx/shortest_path.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -80,6 +82,84 @@ const ShortestPaths& IncrementalDijkstra::ensure(VertexId target) {
     if (v == target) break;
   }
   return sp_;
+}
+
+Graph essential_edges(const Graph& g) {
+  const std::size_t n = g.vertex_count();
+  double directed_total = 0.0;  // every edge counted twice: exactly 2·Ŵ
+  for (const double w : g.weights_) {
+    if (w < 0.0) throw std::invalid_argument{"essential_edges: negative edge weight"};
+    directed_total += w;
+  }
+  // m = 16·n·u·Ŵ = Ŵ·n·2^-49 (see the header for the derivation).
+  const double margin = 0.5 * directed_total * (static_cast<double>(n) * 0x1p-49);
+  if (!std::isfinite(margin)) return g;  // a NaN or infinite weight
+
+  // Each edge is tested once, from its lower endpoint s: load s's
+  // neighbourhood weights (lightest parallel edge per neighbour; +inf marks
+  // a non-neighbour), then look for a witness x among the neighbours of y.
+  // The backward entry (y → s) copies that verdict from a per-y chain of
+  // kept forward edges, so the result stays undirected.
+  constexpr double kAbsent = std::numeric_limits<double>::infinity();
+  constexpr std::uint32_t kEndOfChain = std::numeric_limits<std::uint32_t>::max();
+  struct KeptForward {
+    VertexId from;
+    double weight;
+    std::uint32_t next;
+  };
+  std::vector<KeptForward> kept_forward;
+  std::vector<std::uint32_t> chain_head(n, kEndOfChain);
+  std::vector<double> weight_from_s(n, kAbsent);
+  std::vector<char> keep(g.targets_.size(), 0);
+  for (VertexId s = 0; s < n; ++s) {
+    const EdgeOffset begin = g.offsets_[s];
+    const EdgeOffset end = g.offsets_[s + 1];
+    for (EdgeOffset i = begin; i < end; ++i) {
+      double& w = weight_from_s[g.targets_[i]];
+      w = std::min(w, g.weights_[i]);
+    }
+    for (EdgeOffset i = begin; i < end; ++i) {
+      const VertexId y = g.targets_[i];
+      const double c = g.weights_[i];
+      if (y < s) {
+        for (std::uint32_t k = chain_head[s]; k != kEndOfChain; k = kept_forward[k].next) {
+          if (kept_forward[k].from == y && kept_forward[k].weight == c) {
+            keep[i] = 1;
+            break;
+          }
+        }
+        continue;
+      }
+      const double limit = c - margin;
+      bool dominated = false;
+      for (EdgeOffset j = g.offsets_[y]; j < g.offsets_[y + 1]; ++j) {
+        if (weight_from_s[g.targets_[j]] + g.weights_[j] < limit) {
+          dominated = true;
+          break;
+        }
+      }
+      if (dominated) continue;
+      keep[i] = 1;
+      kept_forward.push_back({s, c, chain_head[y]});
+      chain_head[y] = static_cast<std::uint32_t>(kept_forward.size() - 1);
+    }
+    for (EdgeOffset i = begin; i < end; ++i) weight_from_s[g.targets_[i]] = kAbsent;
+  }
+
+  Graph out;
+  const auto kept = static_cast<std::size_t>(std::count(keep.begin(), keep.end(), 1));
+  out.targets_.reserve(kept);
+  out.weights_.reserve(kept);
+  out.offsets_.assign(n + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    for (EdgeOffset i = g.offsets_[v]; i < g.offsets_[v + 1]; ++i) {
+      if (keep[i] == 0) continue;
+      out.targets_.push_back(g.targets_[i]);
+      out.weights_.push_back(g.weights_[i]);
+    }
+    out.offsets_[v + 1] = static_cast<EdgeOffset>(out.targets_.size());
+  }
+  return out;
 }
 
 ShortestPaths bellman_ford(const Graph& g, VertexId source) {

@@ -15,6 +15,19 @@ PlacementConfig disc_config(double range_m) {
   return cfg;
 }
 
+/// Bulk-built index over the AP positions, in the vector's order.
+geo::SpatialGrid ap_grid(const std::vector<AccessPoint>& aps, double cell_size) {
+  std::vector<std::uint32_t> ids;
+  std::vector<geo::Point> positions;
+  ids.reserve(aps.size());
+  positions.reserve(aps.size());
+  for (const auto& ap : aps) {
+    ids.push_back(ap.id);
+    positions.push_back(ap.position);
+  }
+  return geo::SpatialGrid{cell_size, ids, positions};
+}
+
 }  // namespace
 
 ApNetwork::ApNetwork(std::vector<AccessPoint> aps, double range_m)
@@ -23,7 +36,7 @@ ApNetwork::ApNetwork(std::vector<AccessPoint> aps, double range_m)
 ApNetwork::ApNetwork(std::vector<AccessPoint> aps, const PlacementConfig& config)
     : aps_(std::move(aps)),
       range_m_(config.transmission_range_m),
-      grid_(std::max(config.transmission_range_m, 1.0)) {
+      grid_(ap_grid(aps_, std::max(config.transmission_range_m, 1.0))) {
   if (range_m_ <= 0.0) throw std::invalid_argument{"ApNetwork: range must be > 0"};
   if (config.link_model == LinkModel::kShadowed &&
       (config.shadow_certain_frac <= 0.0 ||
@@ -35,10 +48,7 @@ ApNetwork::ApNetwork(std::vector<AccessPoint> aps, const PlacementConfig& config
   for (const auto& ap : aps_) max_building = std::max(max_building, ap.building);
   by_building_.resize(aps_.empty() ? 0 : max_building + 1);
 
-  for (const auto& ap : aps_) {
-    grid_.insert(ap.id, ap.position);
-    by_building_[ap.building].push_back(ap.id);
-  }
+  for (const auto& ap : aps_) by_building_[ap.building].push_back(ap.id);
 
   // Build the connectivity graph: one edge per admitted pair. The grid
   // query returns both orderings; keep a < b to add each edge once. Link

@@ -8,6 +8,7 @@
 // throw out of the event loop — must become counted drops.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "core/ap_agent.hpp"
@@ -115,6 +116,39 @@ TEST(CompiledMembership, StaleMapWaypointCompilesToEmptyMembership) {
     EXPECT_FALSE(msg.conduit_member(b));
     EXPECT_EQ(core::should_rebroadcast(h, map, b), false);
   }
+}
+
+// The largest broadcast radius the wire format accepts (100 km) spans
+// ~2000 x 2000 grid cells; the grid visits only the occupied ones, and the
+// member set must still be exact: with the whole city inside the disc,
+// every building is a member.
+TEST(CompiledMembership, HundredKilometreBroadcastOnBostonMatchesBruteForce) {
+  const osmx::City city = osmx::generate_city(osmx::profile_by_name("boston"));
+  const core::BuildingGraph map{city, {}};
+  const core::RoutePlanner planner{map, {}};
+  const auto n = static_cast<core::BuildingId>(map.building_count());
+  std::optional<core::PlannedRoute> route;
+  for (core::BuildingId to = n / 2; !route && to < n; ++to) route = planner.plan(n / 3, to);
+  ASSERT_TRUE(route.has_value());
+
+  wire::PacketHeader h;
+  h.message_id = 4242;
+  h.conduit_width_m = route->conduit_width_m;
+  h.waypoints = route->waypoints;
+  h.set_flag(wire::PacketFlag::kBroadcast);
+  h.broadcast_radius_m = 100'000;
+  core::MessageCompiler compiler{map};
+  const auto msg = compiler.compile_bytes(wire::encode_header(h).bytes);
+  ASSERT_FALSE(msg->malformed);
+  ASSERT_EQ(msg->header.broadcast_radius_m, 100'000u);
+  std::size_t members = 0;
+  for (core::BuildingId b = 0; b < n; ++b) {
+    const bool expected = core::in_broadcast_region(h, map, b);
+    EXPECT_EQ(msg->broadcast_member(b), expected) << "building " << b;
+    EXPECT_EQ(msg->conduit_member(b), core::should_rebroadcast(h, map, b)) << "building " << b;
+    members += expected ? 1 : 0;
+  }
+  EXPECT_EQ(members, map.building_count());
 }
 
 // ------------------------------------------------------- malformed width ---

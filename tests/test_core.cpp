@@ -12,13 +12,18 @@
 #include "core/postbox.hpp"
 #include "core/route_planner.hpp"
 #include "cryptox/sealed.hpp"
+#include "geo/rng.hpp"
+#include "graphx/shortest_path.hpp"
 #include "osmx/citygen.hpp"
+#include "trafficx/workload.hpp"
 
 namespace core = citymesh::core;
 namespace osmx = citymesh::osmx;
 namespace geo = citymesh::geo;
 namespace wire = citymesh::wire;
 namespace cryptox = citymesh::cryptox;
+namespace graphx = citymesh::graphx;
+namespace trafficx = citymesh::trafficx;
 
 namespace {
 
@@ -353,6 +358,61 @@ TEST(RoutePlanner, CubedWeightsPreferShortHops) {
   ASSERT_TRUE(route.has_value());
   // Cubed: 45^3 * 2 = 182k < 90^3 = 729k, so the two-hop route wins.
   EXPECT_EQ(route->buildings, (std::vector<core::BuildingId>{0, 1, 2}));
+}
+
+// The planning graph (essential edges) must plan exactly what the full
+// building graph plans — buildings, waypoints and header bits — for every
+// built-in profile and every edge-weight policy, over hotspot flows and
+// uniform random pairs, with and without the shared shortest-path cache.
+TEST(RoutePlanner, PlanningGraphMatchesFullGraphOnEveryProfile) {
+  std::size_t compared = 0;
+  for (const auto& profile : osmx::default_profiles()) {
+    const osmx::City city = osmx::generate_city(profile);
+    trafficx::WorkloadSpec spec;
+    spec.seed = 5;
+    spec.duration_s = 1.0;
+    spec.rate_per_s = 24.0;
+    spec.spatial = trafficx::SpatialMode::kHotspot;
+    spec.hotspot_bias = 16.0;
+    std::vector<std::pair<core::BuildingId, core::BuildingId>> pairs;
+    for (const auto& flow : trafficx::compile(spec, city).flows) pairs.emplace_back(flow.src, flow.dst);
+    geo::Rng rng{profile.seed};
+    const auto n = city.building_count();
+    for (int i = 0; i < 8; ++i) {
+      pairs.emplace_back(static_cast<core::BuildingId>(rng.uniform_int(n)),
+                         static_cast<core::BuildingId>(rng.uniform_int(n)));
+    }
+
+    for (const auto policy :
+         {core::EdgeWeight::kLinear, core::EdgeWeight::kSquared, core::EdgeWeight::kCubed}) {
+      core::BuildingGraphConfig cfg;
+      cfg.weight = policy;
+      const core::BuildingGraph map{city, cfg};
+      // Linear weights obey the triangle inequality, so nothing is strictly
+      // dominated there; squared and cubed weights must actually prune.
+      if (policy != core::EdgeWeight::kLinear) {
+        EXPECT_LT(map.planning_graph().edge_count(), map.graph().edge_count()) << profile.name;
+      }
+      core::SptCache cache{map.planning_graph()};
+      const core::RoutePlanner uncached{map, {}};
+      const core::RoutePlanner cached{map, {}, &cache};
+      for (const auto& [from, to] : pairs) {
+        if (from == to) continue;
+        const auto full = graphx::dijkstra(map.graph(), from, to).path_to(to);
+        for (const core::RoutePlanner* planner : {&uncached, &cached}) {
+          const auto route = planner->plan(from, to);
+          ASSERT_EQ(route.has_value(), !full.empty()) << profile.name << ' ' << from << "->" << to;
+          if (!route) continue;
+          ASSERT_EQ(route->buildings, full) << profile.name << ' ' << from << "->" << to;
+          const auto waypoints = core::compress_route(full, map, {});
+          ASSERT_EQ(route->waypoints, waypoints) << profile.name << ' ' << from << "->" << to;
+          EXPECT_EQ(route->header_bits, core::route_header_bits(waypoints, route->conduit_width_m));
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 1000u);
 }
 
 // ------------------------------------------------------------- Postbox ----

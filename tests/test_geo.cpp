@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "geo/geometry.hpp"
 #include "geo/projection.hpp"
@@ -403,6 +404,114 @@ TEST(SpatialGrid, EmptyRadiusAndPosition) {
   grid.insert(3, {1.0, 2.0});
   EXPECT_EQ(grid.position(3), (geo::Point{1.0, 2.0}));
   EXPECT_TRUE(grid.query_radius({1.0, 2.0}, -1.0).empty());
+}
+
+namespace {
+
+/// Brute-force reference for the grid's visit order: every item passing
+/// `keep`, sorted by (row, column, insertion order) of its cell.
+template <class Keep>
+std::vector<std::uint32_t> reference_order(double cell, const std::vector<std::uint32_t>& ids,
+                                           const std::vector<geo::Point>& pts, Keep keep) {
+  struct Hit {
+    std::int64_t row, col;
+    std::size_t order;
+    std::uint32_t id;
+  };
+  std::vector<Hit> hits;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if (!keep(pts[k])) continue;
+    hits.push_back({static_cast<std::int64_t>(std::floor(pts[k].y / cell)),
+                    static_cast<std::int64_t>(std::floor(pts[k].x / cell)), k, ids[k]});
+  }
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    if (a.row != b.row) return a.row < b.row;
+    if (a.col != b.col) return a.col < b.col;
+    return a.order < b.order;
+  });
+  std::vector<std::uint32_t> out;
+  for (const Hit& h : hits) out.push_back(h.id);
+  return out;
+}
+
+}  // namespace
+
+// Visit order is load-bearing (place_aps draws link_rng per candidate), so
+// both query kinds must yield (row, column, insertion) order exactly — with
+// negative coordinates, sparse shuffled ids, and clustered points sharing
+// cells.
+TEST(SpatialGrid, VisitOrderMatchesRowColumnInsertionReference) {
+  geo::Rng rng{21};
+  std::vector<std::uint32_t> ids;
+  std::vector<geo::Point> pts;
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    ids.push_back(i * 7 + 3);  // sparse
+    // Half spread over [-400, 400)^2, half clustered into a few cells.
+    pts.push_back(i % 2 == 0 ? geo::Point{rng.uniform(-400, 400), rng.uniform(-400, 400)}
+                             : geo::Point{rng.uniform(-30, 10), rng.uniform(-10, 30)});
+  }
+  for (std::size_t k = ids.size(); k > 1; --k) std::swap(ids[k - 1], ids[rng.uniform_int(k)]);
+  const double cell = 25.0;
+  const geo::SpatialGrid grid{cell, ids, pts};
+  EXPECT_EQ(grid.size(), ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) EXPECT_EQ(grid.position(ids[k]), pts[k]);
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const geo::Point c{rng.uniform(-450, 450), rng.uniform(-450, 450)};
+    const double radius = rng.uniform(0.0, 150.0);
+    std::vector<std::uint32_t> got;
+    std::vector<geo::Point> got_pts;
+    grid.for_each_in_radius(c, radius, [&](std::uint32_t id, geo::Point p) {
+      got.push_back(id);
+      got_pts.push_back(p);
+    });
+    EXPECT_EQ(got, reference_order(cell, ids, pts, [&](geo::Point p) {
+                return geo::distance2(p, c) <= radius * radius;
+              }));
+    for (std::size_t k = 0; k < got.size(); ++k) EXPECT_EQ(got_pts[k], grid.position(got[k]));
+
+    const geo::Rect r{{c.x, c.y}, {c.x + rng.uniform(0, 300), c.y + rng.uniform(0, 300)}};
+    EXPECT_EQ(grid.query_rect(r),
+              reference_order(cell, ids, pts, [&](geo::Point p) { return r.contains(p); }));
+  }
+}
+
+// insert() is a slow path, but it must index exactly like a bulk build of
+// the same items in the same order.
+TEST(SpatialGrid, InsertMatchesBulkBuild) {
+  geo::Rng rng{5};
+  std::vector<std::uint32_t> ids;
+  std::vector<geo::Point> pts;
+  geo::SpatialGrid incremental{20.0};
+  for (std::uint32_t i = 0; i < 80; ++i) {
+    ids.push_back(200 - i);
+    pts.push_back({rng.uniform(-60, 60), rng.uniform(-60, 60)});
+    incremental.insert(ids.back(), pts.back());
+  }
+  const geo::SpatialGrid bulk{20.0, ids, pts};
+  for (int trial = 0; trial < 20; ++trial) {
+    const geo::Point c{rng.uniform(-70, 70), rng.uniform(-70, 70)};
+    EXPECT_EQ(incremental.query_radius(c, 35.0), bulk.query_radius(c, 35.0));
+  }
+  EXPECT_THROW(incremental.insert(200, {0.0, 0.0}), std::invalid_argument);
+  const std::vector<std::uint32_t> twice{1, 2, 1};
+  const std::vector<geo::Point> three(3);
+  EXPECT_THROW((geo::SpatialGrid{1.0, twice, three}), std::invalid_argument);
+}
+
+// A city-sized query rectangle over sparse points must return the brute
+// force set (the grid visits occupied cells only), and hostile coordinates
+// must neither crash nor match anything they should not.
+TEST(SpatialGrid, HugeQueriesAndHostileCoordinates) {
+  std::vector<geo::Point> pts{{0.0, 0.0}, {-5e6, 3e6}, {9e6, -9e6}, {1e300, 1e300},
+                              {std::numeric_limits<double>::infinity(), 0.0}};
+  const geo::SpatialGrid grid{50.0, pts};
+  auto all = grid.query_radius({0.0, 0.0}, 2e7);
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(grid.query_rect({{-1e7, -1e7}, {1e7, 1e7}}).size(), 3u);
+  EXPECT_EQ(grid.query_radius({1e300, 1e300}, 1.0), (std::vector<std::uint32_t>{3}));
+  EXPECT_TRUE(grid.query_radius({0.0, 0.0}, std::numeric_limits<double>::quiet_NaN()).empty());
 }
 
 // ------------------------------------------------------------------ Rng ---

@@ -192,6 +192,173 @@ TEST_P(PathReconstruction, PathWeightEqualsDistance) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, PathReconstruction, ::testing::Range(0, 10));
 
+// ------------------------------------------------------ essential_edges ---
+
+namespace {
+
+/// Random graph with small integer weights: many exact ties (a + b == c),
+/// which the prune must keep, beside strictly dominated edges it may drop.
+graphx::Graph integer_graph(std::uint64_t seed, std::size_t n, double edge_prob) {
+  Rng rng{seed};
+  graphx::GraphBuilder b{n};
+  for (graphx::VertexId i = 0; i < n; ++i) {
+    for (graphx::VertexId j = i + 1; j < n; ++j) {
+      if (rng.chance(edge_prob)) b.add_edge(i, j, static_cast<double>(1 + rng.uniform_int(6)));
+    }
+  }
+  return b.build();
+}
+
+/// Near-tie graph: a heavy edge 0-1 lifts distances from vertex 0 to ~1e12,
+/// where one ulp is ~1e-4, and the other weights are integers plus multiples
+/// of 0.05 — so two-hop detours beat direct edges by gaps on both sides of
+/// the prune's margin (~0.14 here), with rounding in every accumulated sum.
+graphx::Graph near_tie_graph(std::uint64_t seed, std::size_t n, double edge_prob) {
+  Rng rng{seed};
+  graphx::GraphBuilder b{n};
+  b.add_edge(0, 1, 1e12);
+  for (graphx::VertexId i = 1; i < n; ++i) {
+    for (graphx::VertexId j = i + 1; j < n; ++j) {
+      if (rng.chance(edge_prob)) {
+        b.add_edge(i, j, static_cast<double>(1 + rng.uniform_int(4)) +
+                             0.05 * static_cast<double>(rng.uniform_int(4)));
+      }
+    }
+  }
+  return b.build();
+}
+
+/// Every vertex's pruned slice must be a subsequence of its full slice
+/// (same CSR order), and the pruned graph must stay undirected.
+void expect_ordered_subgraph(const graphx::Graph& full, const graphx::Graph& pruned) {
+  ASSERT_EQ(pruned.vertex_count(), full.vertex_count());
+  EXPECT_EQ(pruned.directed_edge_count(), 2 * pruned.edge_count());
+  for (graphx::VertexId v = 0; v < full.vertex_count(); ++v) {
+    const auto all = full.neighbors(v);
+    std::size_t at = 0;
+    for (const graphx::Edge e : pruned.neighbors(v)) {
+      while (at < all.size() && !(all[at].to == e.to && all[at].weight == e.weight)) ++at;
+      ASSERT_LT(at, all.size()) << "vertex " << v << " gained or reordered edge to " << e.to;
+      ++at;
+      EXPECT_TRUE(pruned.has_edge(e.to, v)) << "asymmetric edge " << v << "-" << e.to;
+    }
+  }
+}
+
+/// Full trees, targeted runs and resumed runs over the pruned graph must
+/// match the full graph exactly: settled distances, parents, paths.
+void expect_same_dijkstra(const graphx::Graph& full, const graphx::Graph& pruned,
+                          std::uint64_t seed) {
+  const auto n = static_cast<graphx::VertexId>(full.vertex_count());
+  for (graphx::VertexId s = 0; s < n; s += 7) {
+    const auto a = graphx::dijkstra(full, s);
+    const auto b = graphx::dijkstra(pruned, s);
+    ASSERT_EQ(a.distance, b.distance) << "source " << s;
+    ASSERT_EQ(a.parent, b.parent) << "source " << s;
+  }
+  Rng rng{seed};
+  for (int trial = 0; trial < 10; ++trial) {
+    const auto s = static_cast<graphx::VertexId>(rng.uniform_int(n));
+    graphx::IncrementalDijkstra resumed{pruned, s};
+    for (int q = 0; q < 8; ++q) {
+      const auto t = static_cast<graphx::VertexId>(rng.uniform_int(n));
+      const auto a = graphx::dijkstra(full, s, t);
+      const auto b = graphx::dijkstra(pruned, s, t);
+      ASSERT_EQ(a.path_to(t), b.path_to(t)) << s << "->" << t;
+      ASSERT_EQ(a.distance[t], b.distance[t]) << s << "->" << t;
+      const auto& c = resumed.ensure(t);
+      ASSERT_EQ(a.path_to(t), c.path_to(t)) << s << "->" << t << " (resumed)";
+      ASSERT_EQ(a.distance[t], c.distance[t]) << s << "->" << t << " (resumed)";
+    }
+  }
+}
+
+}  // namespace
+
+TEST(EssentialEdges, DropsOnlyStrictlyDominatedEdges) {
+  graphx::GraphBuilder b{4};
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(1, 2, 1.0);
+  b.add_edge(0, 2, 2.0);  // exact tie with 0-1-2: kept
+  b.add_edge(2, 3, 1.0);
+  b.add_edge(1, 3, 3.0);  // 1-2-3 costs 2 < 3: dropped
+  const auto full = b.build();
+  const auto pruned = graphx::essential_edges(full);
+  EXPECT_EQ(pruned.edge_count(), 4u);
+  EXPECT_TRUE(pruned.has_edge(0, 2));
+  EXPECT_FALSE(pruned.has_edge(1, 3));
+  EXPECT_FALSE(pruned.has_edge(3, 1));
+  expect_ordered_subgraph(full, pruned);
+}
+
+TEST(EssentialEdges, KeepsNearTiesInsideTheMargin) {
+  // a + b beats c by one ulp of c: inside the rounding margin, kept.
+  const double c = 2e6;
+  graphx::GraphBuilder near{3};
+  near.add_edge(0, 1, 1e6);
+  near.add_edge(1, 2, 1e6);
+  near.add_edge(0, 2, std::nextafter(c, 3e6));
+  EXPECT_EQ(graphx::essential_edges(near.build()).edge_count(), 3u);
+  // Beaten by far more than the margin: dropped.
+  graphx::GraphBuilder far{3};
+  far.add_edge(0, 1, 1e6);
+  far.add_edge(1, 2, 1e6);
+  far.add_edge(0, 2, c + 1e-3);
+  EXPECT_EQ(graphx::essential_edges(far.build()).edge_count(), 2u);
+}
+
+TEST(EssentialEdges, NegativeWeightThrows) {
+  graphx::GraphBuilder b{2};
+  b.add_edge(0, 1, -1.0);
+  EXPECT_THROW(graphx::essential_edges(b.build()), std::invalid_argument);
+}
+
+TEST(EssentialEdges, EmptyAndEdgelessGraphs) {
+  EXPECT_EQ(graphx::essential_edges(graphx::Graph{}).vertex_count(), 0u);
+  const auto pruned = graphx::essential_edges(graphx::GraphBuilder{5}.build());
+  EXPECT_EQ(pruned.vertex_count(), 5u);
+  EXPECT_EQ(pruned.edge_count(), 0u);
+}
+
+// Property: on tie-heavy integer graphs and near-tie graphs, Dijkstra over
+// the pruned graph reproduces every distance, parent and path.
+class EssentialEdgesProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(EssentialEdgesProperty, IntegerWeightsPreserveEveryTree) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const auto full = integer_graph(seed, 90, 0.12);
+  const auto pruned = graphx::essential_edges(full);
+  EXPECT_LT(pruned.edge_count(), full.edge_count());
+  expect_ordered_subgraph(full, pruned);
+  expect_same_dijkstra(full, pruned, seed);
+}
+
+TEST_P(EssentialEdgesProperty, NearTiesPreserveEveryTree) {
+  const auto seed = static_cast<std::uint64_t>(GetParam()) + 500;
+  const auto full = near_tie_graph(seed, 80, 0.15);
+  const auto pruned = graphx::essential_edges(full);
+  EXPECT_LT(pruned.edge_count(), full.edge_count());
+  expect_ordered_subgraph(full, pruned);
+  expect_same_dijkstra(full, pruned, seed);
+}
+
+TEST_P(EssentialEdgesProperty, ParallelEdgesPreserveEveryTree) {
+  const auto seed = static_cast<std::uint64_t>(GetParam()) + 900;
+  auto b = graphx::GraphBuilder{40};
+  Rng rng{seed};
+  for (int i = 0; i < 300; ++i) {
+    const auto u = static_cast<graphx::VertexId>(rng.uniform_int(40));
+    const auto v = static_cast<graphx::VertexId>(rng.uniform_int(40));
+    b.add_edge(u, v, static_cast<double>(1 + rng.uniform_int(5)));
+  }
+  const auto full = b.build();
+  const auto pruned = graphx::essential_edges(full);
+  expect_ordered_subgraph(full, pruned);
+  expect_same_dijkstra(full, pruned, seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGraphs, EssentialEdgesProperty, ::testing::Range(0, 12));
+
 // ------------------------------------------------------------------ BFS ---
 
 TEST(Bfs, HopCounts) {

@@ -239,15 +239,18 @@ echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs/--shards) OK"
 # the qfgeo election timers capture per-reception state into medium
 # closures, and the scheduler/pool layer recycles event and packet blocks
 # through freelists, and the metro-memory slabs (CSR views, agent-state
-# stripes, medium transmit rings) index shared flat arrays; run all nine
-# suites under ASan+UBSan in a separate tree (skipped if that tree's
-# configure fails, e.g. no sanitizer runtime on minimal images).
+# stripes, medium transmit rings) index shared flat arrays, and the flat
+# spatial grid and essential-edge planning graph are offset-indexed CSRs
+# (geo, graphx, core); run all twelve suites under ASan+UBSan in a separate
+# tree (skipped if that tree's configure fails, e.g. no sanitizer runtime on
+# minimal images).
 san_dir="${build_dir}-asan"
 if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; then
   cmake --build "${san_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_obsx --target test_trafficx --target test_sim \
     --target test_compiled --target test_relayx --target test_shardx \
-    --target test_qfgeo --target test_scheduler --target test_metromem
+    --target test_qfgeo --target test_scheduler --target test_metromem \
+    --target test_geo --target test_graphx --target test_core
   "${san_dir}/tests/test_obsx"
   "${san_dir}/tests/test_trafficx"
   "${san_dir}/tests/test_sim"
@@ -257,7 +260,10 @@ if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; th
   "${san_dir}/tests/test_qfgeo"
   "${san_dir}/tests/test_scheduler"
   "${san_dir}/tests/test_metromem"
-  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem clean under ASan+UBSan"
+  "${san_dir}/tests/test_geo"
+  "${san_dir}/tests/test_graphx"
+  "${san_dir}/tests/test_core"
+  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_geo + test_graphx + test_core clean under ASan+UBSan"
 else
   echo "check.sh: sanitizer configure failed; skipping ASan+UBSan pass" >&2
 fi
