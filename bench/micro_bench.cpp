@@ -411,46 +411,39 @@ static void BM_EventEngineThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventEngineThroughput)->Unit(benchmark::kMillisecond);
 
-// Hold model (the classic calendar-queue benchmark): keep N events pending
+// Hold model (the classic event-queue benchmark): keep N events pending
 // and repeatedly pop-then-push, so cost per operation is measured at a
-// steady queue depth. Arg is the pending-set size; one run per scheduler
-// kind at 10^3..10^6 shows where the heap's log N starts to bite.
+// steady queue depth. Arg is the pending-set size; 10^3..10^6 shows where
+// the heap's log N starts to bite. (The simulations themselves keep far
+// fewer events pending: one batch node per transmission in flight.)
 //
-// The mean ns/op hides the calendar's occupancy-rebuild tail: a resize
-// redistributes every pending event in one push, so a single op can cost
-// O(N) while the amortized figure stays flat. A probe lap after the timed
-// loop times each op individually and keeps the worst one; the maxima land
-// in the per-run counters and, via main(), in the manifest params (outside
-// the digest — they are machine-dependent).
+// A probe lap after the timed loop times each op individually and keeps the
+// worst one; the maxima land in the per-run counters and, via main(), in the
+// manifest params (outside the digest — they are machine-dependent).
 static std::map<std::string, double> g_hold_max_ns;
 
 static void BM_SchedulerHold(benchmark::State& state) {
-  const auto kind = state.range(0) == 0 ? citymesh::sim::SchedulerKind::kHeap
-                                        : citymesh::sim::SchedulerKind::kCalendar;
-  const std::size_t pending = static_cast<std::size_t>(state.range(1));
-  citymesh::sim::EventQueue q{kind};
+  const std::size_t pending = static_cast<std::size_t>(state.range(0));
+  citymesh::sim::EventQueue q;
   geo::Rng rng{7};
-  double now = 0.0;
   std::uint64_t seq = 0;
   const double window = 2.0 / static_cast<double>(pending);
   // Prime at the equilibrium distribution (all pending within one recycling
   // window) and run one warmup lap outside the timing loop, so the measured
-  // cost is the steady state, not the adaptive width converging.
-  for (std::size_t i = 0; i < pending; ++i)
-    q.push({rng.uniform(0.0, window), seq++, nullptr, citymesh::sim::InlineFn{}});
+  // cost is the steady state.
+  for (std::size_t i = 0; i < pending; ++i) q.push({rng.uniform(0.0, window), seq++, 0});
   const auto hold_op = [&] {
-    citymesh::sim::EventRecord ev = q.pop();
-    now = ev.time;
-    ev.time = now + rng.uniform(0.0, window) + 1e-6;
+    citymesh::sim::EventQueue::Node ev = q.top();
+    q.pop();
+    ev.time += rng.uniform(0.0, window) + 1e-6;
     ev.seq = seq++;
-    q.push(std::move(ev));
+    q.push(ev);
   };
   for (std::size_t i = 0; i < pending; ++i) hold_op();
   for (auto _ : state) hold_op();
   // Probe lap: 2N ops timed one by one (outside the benchmark loop, so the
-  // clock reads never distort the ns/op figure). 2N guarantees the pending
-  // set fully recycles at least once, which is what trips a calendar
-  // rebuild if the width has drifted.
+  // clock reads never distort the ns/op figure); 2N recycles the whole
+  // pending set at least once.
   double max_ns = 0.0;
   for (std::size_t i = 0; i < 2 * pending; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -461,15 +454,11 @@ static void BM_SchedulerHold(benchmark::State& state) {
     max_ns = std::max(max_ns, ns);
   }
   state.counters["max_op_ns"] = benchmark::Counter(max_ns);
-  const std::string key = "hold_max_ns." +
-                          std::string{citymesh::sim::to_string(kind)} + "." +
-                          std::to_string(pending);
+  const std::string key = "hold_max_ns." + std::to_string(pending);
   g_hold_max_ns[key] = std::max(g_hold_max_ns[key], max_ns);
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::string{citymesh::sim::to_string(kind)});
 }
-BENCHMARK(BM_SchedulerHold)
-    ->ArgsProduct({{0, 1}, {1'000, 10'000, 100'000, 1'000'000}});
+BENCHMARK(BM_SchedulerHold)->Arg(1'000)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
 // Packet materialization: the pooled allocate_shared path each send/ack
 // takes versus the make_shared it replaced.
@@ -492,10 +481,9 @@ static void BM_PacketAlloc(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketAlloc)->Arg(0)->Arg(1);
 
-// One broadcast through the medium fan-out: per-reception scheduling versus
-// the batched single-queue-node path, on a degree-~10 star topology.
+// One broadcast through the medium fan-out (one batch node per
+// transmission, advanced in place per reception) on a degree-10 star.
 static void BM_MediumFanout(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
   graphx::GraphBuilder b{11};
   for (graphx::VertexId v = 1; v <= 10; ++v) b.add_edge(0, v, 30.0 + v);
   const graphx::Graph topo = b.build();
@@ -506,7 +494,6 @@ static void BM_MediumFanout(benchmark::State& state) {
     citymesh::sim::Simulator s;
     citymesh::sim::MediumConfig cfg;
     cfg.jitter_s = 0.0;
-    cfg.batched_delivery = batched;
     citymesh::sim::BroadcastMedium<P> medium{s, topo, cfg};
     std::size_t seen = 0;
     medium.set_delivery_handler(
@@ -521,9 +508,8 @@ static void BM_MediumFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(seen);
   }
   state.SetItemsProcessed(state.iterations() * 1000);  // 100 tx x 10 receptions
-  state.SetLabel(batched ? "batched" : "per-reception");
 }
-BENCHMARK(BM_MediumFanout)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MediumFanout)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------- shardx ---
 
@@ -738,9 +724,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Hold-model tail latencies (one param per scheduler kind x pending
-  // size). Machine-dependent, so they live in the manifest params, never in
-  // the digest row.
+  // Hold-model tail latencies (one param per pending-set size).
+  // Machine-dependent, so they live in the manifest params, never in the
+  // digest row.
   for (const auto& [key, max_ns] : g_hold_max_ns) {
     emit.manifest().set_param(key, max_ns);
   }

@@ -160,7 +160,7 @@ core::BroadcastOutcome publish_bulletin(core::CityMeshNetwork& network,
                                         std::string body) {
   const Bulletin bulletin =
       authority.issue(severity, center, radius_m, std::move(title), std::move(body),
-                      network.simulator().now());
+                      network.sim_now());
   const auto payload = bulletin.serialize();
   return network.broadcast(from_building, center, static_cast<double>(radius_m),
                            payload, severity >= Severity::kWarning);

@@ -52,7 +52,6 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
       packet_pool_(config.pooled_packets
                        ? std::make_unique<PacketPool>(config.packet_pool_capacity)
                        : nullptr),
-      sim_(config.scheduler),
       medium_(sim_, compiled_->aps.graph(), config.medium),
       trace_(trace_capacity_for(config_, compiled_->aps.ap_count())),
       ap_status_(compiled_->aps.ap_count(), ApStatus::kUp),
@@ -242,7 +241,7 @@ void CityMeshNetwork::build_tiles() {
     s->metrics = s->own_metrics.get();
     s->own_trace = std::make_unique<obsx::TraceBuffer>(trace_cap);
     s->trace = s->own_trace.get();
-    s->own_sim = std::make_unique<sim::Simulator>(config_.scheduler);
+    s->own_sim = std::make_unique<sim::Simulator>();
     s->sim = s->own_sim.get();
     s->h_latency = &s->metrics->histogram("sim.event_latency_s",
                                           obsx::exponential_buckets(1e-4, 4.0, 10));
@@ -953,14 +952,17 @@ obsx::MetricsSnapshot CityMeshNetwork::merged_metrics() const {
 }
 
 std::vector<obsx::TraceEvent> CityMeshNetwork::merged_trace_events() const {
-  if (config_.shards <= 1) return trace_.events();
-  std::vector<obsx::TraceEvent> out;
+  // Tiled runs: the network buffer holds what coordinator events recorded
+  // (faultx kApDown/kApUp/region actions); it goes first, so at equal times
+  // those land before tile events, as control events run before windows.
+  std::vector<obsx::TraceEvent> out = trace_.events();
+  if (config_.shards <= 1) return out;
   for (const auto& sp : shards_) {
     const auto events = sp->trace->events();
     out.insert(out.end(), events.begin(), events.end());
   }
-  // Each shard stream is internally time-ordered; a stable sort on time
-  // keeps tile order for equal-time events — deterministic for a fixed K.
+  // Each stream is internally time-ordered; a stable sort on time keeps
+  // buffer order for equal-time events — deterministic for a fixed K.
   std::stable_sort(out.begin(), out.end(),
                    [](const obsx::TraceEvent& a, const obsx::TraceEvent& b) {
                      return a.time_s < b.time_s;
@@ -969,10 +971,8 @@ std::vector<obsx::TraceEvent> CityMeshNetwork::merged_trace_events() const {
 }
 
 void CityMeshNetwork::set_tracing(bool on) {
-  if (config_.shards <= 1) {
-    trace_.enable(on);
-    return;
-  }
+  trace_.enable(on);
+  if (config_.shards <= 1) return;
   for (const auto& sp : shards_) sp->trace->enable(on);
 }
 

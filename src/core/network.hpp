@@ -116,8 +116,8 @@ struct NetworkConfig {
   /// windows; merged run manifests are invariant across K >= 2 (hashed link
   /// randomness, per-AP policy streams), and match K = 1 exactly in the
   /// draw-free regime (flood policy, loss_probability = 0, jitter_s = 0).
-  /// Live faultx Engine::install is unsupported with shards > 1 (it drives
-  /// the legacy simulator); ScenarioEngine::apply_all between runs is fine.
+  /// Live faultx ScenarioEngine::install schedules through schedule_control,
+  /// so fault actions fire at their times for every K.
   std::size_t shards = 1;
 
   /// How plan_tiles partitions the city when shards > 1. kGrid is the
@@ -135,11 +135,6 @@ struct NetworkConfig {
   /// manifests serialize exactly the legacy key set.
   Protocol protocol = Protocol::kConduit;
 
-  /// Event-queue implementation for this network's simulator(s) — the
-  /// coordinator loop and every shard loop. Both kinds realize the identical
-  /// (time, seq) total order (sim/scheduler.hpp), so this knob trades queue
-  /// cost only; digests never move.
-  sim::SchedulerKind scheduler = sim::kDefaultScheduler;
   /// Allocate MeshPackets from a fixed-size pool (core/packet_pool.hpp)
   /// instead of make_shared. Exhaustion falls back to the heap, counted.
   bool pooled_packets = true;
@@ -294,9 +289,6 @@ class CityMeshNetwork {
   /// The shared compiled city backing this network.
   const std::shared_ptr<const CompiledCity>& compiled() const { return compiled_; }
   const RoutePlanner& planner() const { return planner_; }
-  /// The legacy single event loop. With shards > 1 this simulator is idle
-  /// (tiles own their sims); drive tiled runs via schedule_control/run_until.
-  sim::Simulator& simulator() { return sim_; }
   const NetworkConfig& config() const { return config_; }
 
   // --- Shard-agnostic run driving (src/shardx) ---------------------------
@@ -321,8 +313,10 @@ class CityMeshNetwork {
   /// Metrics merged across the network registry and every shard registry in
   /// tile order (shards == 1: exactly metrics().snapshot()).
   obsx::MetricsSnapshot merged_metrics() const;
-  /// Trace events merged across shards, sorted by (time, tile) with each
-  /// shard's internal order preserved (shards == 1: the network trace).
+  /// Trace events merged across shards, sorted by (time, buffer) with each
+  /// buffer's internal order preserved: the network trace (coordinator
+  /// events such as faultx actions) first, then the tiles in order
+  /// (shards == 1: the network trace alone).
   std::vector<obsx::TraceEvent> merged_trace_events() const;
   /// Enable/disable tracing on whichever trace buffers are in effect.
   void set_tracing(bool on);

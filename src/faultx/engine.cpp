@@ -41,13 +41,14 @@ void ScenarioEngine::apply(const FaultAction& action) {
 }
 
 void ScenarioEngine::install() {
-  sim::Simulator& sim = net_->simulator();
+  // schedule_control is shard-agnostic: the plain schedule_at on the single
+  // event loop, a coordinator event between windows on a tiled network.
   for (std::size_t i = cursor_; i < compiled_.actions.size(); ++i) {
     const FaultAction& action = compiled_.actions[i];
-    if (action.time <= sim.now()) {
+    if (action.time <= net_->sim_now()) {
       apply(action);
     } else {
-      sim.schedule_at(action.time, [this, i] { apply(compiled_.actions[i]); });
+      net_->schedule_control(action.time, [this, i] { apply(compiled_.actions[i]); });
     }
   }
   cursor_ = compiled_.actions.size();

@@ -1,10 +1,11 @@
 // Scenario engine: drives a compiled fault timeline against a live network.
 //
 // Two replay modes over the same timeline:
-//   - install(): every action is scheduled into the network's own
-//     sim::Simulator at its absolute time, so faults unfold *during* message
-//     floods — an AP can die with packets in flight (the medium drops its
-//     rx/tx live). This is the mode the end-to-end scenario benches use.
+//   - install(): every action is scheduled at its absolute time through
+//     CityMeshNetwork::schedule_control (any shard count), so faults unfold
+//     *during* message floods — an AP can die with packets in flight (the
+//     medium drops its rx/tx live). This is the mode the end-to-end
+//     scenario benches use.
 //   - apply_until(t): a cursor that applies all actions with time <= t
 //     immediately. The checkpoint-evaluation harness uses this so the
 //     network state is frozen while a checkpoint's measurement sends run
@@ -32,7 +33,7 @@ class ScenarioEngine {
   ScenarioEngine(core::CityMeshNetwork& network, const Scenario& scenario)
       : ScenarioEngine(network, compile(scenario, network.aps())) {}
 
-  /// Live mode: schedule the whole timeline into the network's simulator.
+  /// Live mode: schedule the whole timeline into the network's event loop.
   /// Actions already due (time <= now) are applied immediately.
   void install();
 

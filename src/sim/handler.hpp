@@ -1,17 +1,17 @@
 // InlineFn: the event-handler type of the scheduler hot path.
 //
 // std::function heap-allocates for any capture larger than its small-buffer
-// (two pointers on libstdc++), and the medium's per-reception closures carry
-// ~40 bytes (this + node ids + a shared_ptr + a packet id) — so the legacy
-// event loop paid one allocation per scheduled event. InlineFn stores
-// captures up to kInlineBytes in-place inside the event record itself; the
-// rare larger closure falls back to a counted heap allocation (never UB,
-// observable via heap_fallbacks()).
+// (two pointers on libstdc++), and the hot-path closures (relayx backoff
+// timers, qfgeo elections, shardx handoff receptions) carry ~40 bytes — so
+// a std::function event loop pays one allocation per scheduled event.
+// InlineFn stores captures up to kInlineBytes in place, inside the
+// simulator's handler slab; the rare larger closure falls back to a counted
+// heap allocation (never UB, observable via heap_fallbacks()).
 //
 // Move-only by design: an event handler is scheduled once and invoked once,
 // so copyability would only force every capture to be copyable. Relocation
-// (move-construct + destroy source) is the primitive the calendar queue
-// needs when buckets resize.
+// (move-construct + destroy source) is the primitive the handler slab needs
+// when it grows, and the run loop uses to take a handler out of its slot.
 #pragma once
 
 #include <atomic>

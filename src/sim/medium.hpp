@@ -115,15 +115,6 @@ struct MediumConfig {
   /// with the queue full is dropped and counted (medium.queue_drops).
   std::size_t tx_queue_capacity = 8;
 
-  /// When true, one broadcast occupies a single queue node (a BatchEvent
-  /// cycling through its receptions in (time, seq) order) instead of one
-  /// node per reception. Sequence numbers are still consumed per reception
-  /// in neighbor order at transmit time, so the global event interleaving —
-  /// and every determinism digest — is identical to the unbatched path;
-  /// only the queue churn (N inserts -> 1 insert + N-1 reinsert-heads) and
-  /// the per-reception closure allocations go away.
-  bool batched_delivery = true;
-
   // --- Shard-invariant link randomness (src/shardx) ----------------------
   /// When true, loss and jitter draw from link_unit() — a content-keyed
   /// hash of (seed, from, to, sender tx index) — instead of the shared
@@ -453,7 +444,11 @@ class BroadcastMedium {
     }
     const std::uint32_t txn =
         config_.shard_invariant_rng ? tx_counts_[from]++ : 0;
-    DeliveryBatch* batch = config_.batched_delivery ? acquire_batch() : nullptr;
+    // One broadcast occupies a single queue node: a DeliveryBatch cycling
+    // through its receptions in (time, seq) order. Each reception still
+    // consumes its own sequence number, in neighbor order, so the global
+    // event order is that of one event per reception.
+    DeliveryBatch* batch = acquire_batch();
     // The CSR keeps neighbor ids and weights in split packed arrays; the
     // tile-membership check (and the common no-loss path) walks only the
     // 4-byte id run.
@@ -489,43 +484,34 @@ class BroadcastMedium {
                      : jitter_rng_.uniform(0.0, config_.jitter_s);
       }
       const SimTime delay = air + config_.prop_delay_s_per_m * link_weights[i] + jitter;
-      if (batch != nullptr) {
-        // Same (time, seq) key and latency recording schedule_in would have
-        // produced; the entry just lives in the batch instead of the queue.
-        const SimTime at = sim_.now() + delay;
-        sim_.record_queue_latency(at - sim_.now());
-        batch->entries.push_back({at, sim_.reserve_seq(), to});
-      } else {
-        sim_.schedule_in(delay, [this, to, from, packet, pid] {
-          deliver_one(to, from, packet, pid);
-        });
-      }
+      // Same (time, seq) key and latency recording schedule_in would have
+      // produced; the entry just lives in the batch instead of the queue.
+      const SimTime at = sim_.now() + delay;
+      sim_.record_queue_latency(at - sim_.now());
+      batch->entries.push_back({at, sim_.reserve_seq(), to});
     }
-    if (batch != nullptr) {
-      if (batch->entries.empty()) {
-        release_batch(batch);
-      } else {
-        batch->from = from;
-        batch->pid = pid;
-        batch->packet = packet;
-        // Neighbor order already sorts seqs ascending; jitter can reorder
-        // times, and delivery must follow the global (time, seq) order.
-        std::sort(batch->entries.begin(), batch->entries.end(),
-                  [](const typename DeliveryBatch::Entry& a,
-                     const typename DeliveryBatch::Entry& b) {
-                    if (a.time != b.time) return a.time < b.time;
-                    return a.seq < b.seq;
-                  });
-        sim_.schedule_batch(batch->entries.front().time, batch->entries.front().seq,
-                            batch);
-      }
+    if (batch->entries.empty()) {
+      release_batch(batch);
+    } else {
+      batch->from = from;
+      batch->pid = pid;
+      batch->packet = packet;
+      // Neighbor order already sorts seqs ascending; jitter can reorder
+      // times, and delivery must follow the global (time, seq) order.
+      std::sort(batch->entries.begin(), batch->entries.end(),
+                [](const typename DeliveryBatch::Entry& a,
+                   const typename DeliveryBatch::Entry& b) {
+                  if (a.time != b.time) return a.time < b.time;
+                  return a.seq < b.seq;
+                });
+      sim_.schedule_batch(batch->entries.front().time, batch->entries.front().seq, batch);
     }
     if (remote_fanout_) remote_fanout_(from, packet, air, txn);
   }
 
-  /// One reception: the exact body the unbatched per-reception closure runs.
-  /// Receiver status is sampled at delivery time: a node that went down
-  /// while the packet was in flight misses it.
+  /// One reception (a DeliveryBatch entry coming due). Receiver status is
+  /// sampled at delivery time: a node that went down while the packet was in
+  /// flight misses it.
   void deliver_one(NodeId to, NodeId from, const std::shared_ptr<const Packet>& packet,
                    std::uint32_t pid) {
     if (!node_up(to)) {

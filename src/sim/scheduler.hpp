@@ -1,43 +1,29 @@
-// Pending-event storage for the simulator: binary heap and calendar queue.
+// Pending-event storage for the simulator: one compact 4-ary min-heap.
 //
-// Both implementations realize the same total order — strictly increasing
-// (time, seq) — so which one runs is a performance choice, never a behavior
-// choice: the differential harness in tests/test_scheduler.cpp replays
-// randomized schedule/cancel streams through both and asserts identical pop
-// sequences, and the end-to-end golden digests are byte-identical under
-// either kind.
+// A heap node is 24 bytes — (time, seq, ref) — ordered by strictly
+// increasing (time, seq). Sequence numbers are unique, so the order is total
+// and equal times break FIFO (insertion order): runs are deterministic for a
+// given seed. The ref is opaque to the heap; Simulator tags it as either a
+// slot in its handler slab (so sifting nodes never moves a closure) or a
+// BatchEvent pointer.
 //
-// The calendar queue (Brown 1988, the ns-2 scheduler) hashes each event by
-// its "day" — floor(time / width) — into one of 2^k bucket "slots" of a
-// circular year. Pops scan forward from the current day; each bucket holds
-// its events sorted, so the scan touches O(1) buckets when the width matches
-// the observed event spacing. The width is re-derived (snapped to a power of
-// two, so day boundaries are exact in binary floating point) from the
-// spacing of the soonest quarter of pending events every time the bucket
-// count resizes; between resizes, a pop that services an over-packed bucket
-// triggers an occupancy-proportional narrowing rebuild (the signal a spacing
-// quantile cannot see on a bimodal pending set). A far-future/overflow
-// bucket catches events whose day index would not fit — including +infinity
-// timers. Equal times always land in the same bucket, so
-// the in-bucket (time, seq) sort reproduces the heap's FIFO tie-break
-// exactly.
+// A BatchEvent is a multi-shot event: the medium fans one transmission out
+// to N receptions from a single heap node (sim/medium.hpp). After each
+// firing the batch reports the (time, seq) of its next entry, and the run
+// loop re-keys the root in place (replace_top: one sift-down, no pop/push),
+// so the global interleaving is identical to N independent events at the
+// same timestamps.
 //
-// Event records carry their handler inline (sim/handler.hpp) or a pointer to
-// a BatchEvent — a multi-shot event the medium uses to fan one transmission
-// out to N receptions from a single queue node (sim/medium.hpp): after each
-// firing the batch reports the (time, seq) of its next entry and is
-// reinserted, so the global interleaving is identical to N independent
-// events at the same timestamps.
+// Four children per node halve the depth of a binary heap, and a node's
+// children sit side by side (96 bytes), so a sift-down level reads one or
+// two cache lines.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <string_view>
 #include <vector>
-
-#include "sim/handler.hpp"
 
 namespace citymesh::sim {
 
@@ -45,18 +31,6 @@ namespace citymesh::sim {
 using SimTime = double;
 
 constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
-
-enum class SchedulerKind : std::uint8_t {
-  kHeap,      ///< binary heap (the legacy std::priority_queue order)
-  kCalendar,  ///< calendar queue (identical order, O(1) at high event rates)
-};
-
-/// Default for new simulators; the differential gate proved order identity,
-/// so the calendar queue is the default and kHeap remains the reference.
-inline constexpr SchedulerKind kDefaultScheduler = SchedulerKind::kCalendar;
-
-std::string_view to_string(SchedulerKind kind);
-std::optional<SchedulerKind> scheduler_from(std::string_view name);
 
 /// What a BatchEvent::fire returns: the key of its next pending entry, or
 /// more == false when the batch is exhausted (after which the queue drops
@@ -70,119 +44,84 @@ struct BatchFire {
 class BatchEvent {
  public:
   virtual ~BatchEvent() = default;
-  /// Deliver exactly one entry (the one this record was keyed by), then
+  /// Deliver exactly one entry (the one this node was keyed by), then
   /// report the next entry's key. Entries must be (time, seq) sorted and
   /// every seq must come from Simulator::reserve_seq().
   virtual BatchFire fire(SimTime now) = 0;
 };
 
-struct EventRecord {
-  SimTime time = 0.0;
-  std::uint64_t seq = 0;
-  BatchEvent* batch = nullptr;  ///< non-null: multi-shot, fn unused
-  InlineFn fn;
-
-  bool before(const EventRecord& other) const {
-    if (time != other.time) return time < other.time;
-    return seq < other.seq;
-  }
-};
-
-/// Calendar-queue storage. Buckets hold events sorted descending (min at
-/// back() for O(1) removal); the peek cache remembers where the current
-/// minimum lives so peek-then-pop costs one scan, not two.
-class CalendarQueue {
- public:
-  CalendarQueue();
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  void push(EventRecord&& ev);
-  const EventRecord* peek() const;
-  EventRecord pop();
-
-  /// Current bucket count (tests observe resize behavior).
-  std::size_t bucket_count() const { return buckets_.size(); }
-  SimTime day_width() const { return width_; }
-
- private:
-  enum class Where : std::uint8_t { kNone, kBucket, kOverflow };
-
-  std::uint64_t day_of(SimTime t) const {
-    // Sim time is nonnegative; the guard keeps a stray negative from hitting
-    // the UB of a negative double-to-unsigned cast.
-    return t > 0.0 ? static_cast<std::uint64_t>(t * inv_width_) : 0;
-  }
-  bool in_overflow(SimTime t) const {
-    // Also catches +infinity and NaN: !(x < limit) is true for both.
-    return !(t * inv_width_ < kMaxDay);
-  }
-  std::size_t bucket_index(SimTime t) const {
-    return static_cast<std::size_t>(day_of(t)) & mask_;
-  }
-
-  static void insert_sorted(std::vector<EventRecord>& v, EventRecord&& ev);
-  void place(EventRecord&& ev, Where* where, std::size_t* bucket);
-  const EventRecord* cached_min() const;
-  void locate_min() const;
-  enum class Rederive : std::uint8_t {
-    kKeep,  ///< redistribute only, keep the current width
-    kFree,  ///< re-derive the width from pending spacing (may widen)
-  };
-  void rebuild(std::size_t bucket_count, Rederive rederive);
-  void maybe_resize();
-
-  static constexpr std::size_t kMinBuckets = 16;
-  /// Serviced-bucket occupancy beyond which the day width is declared too
-  /// wide and narrowed in one occupancy-proportional jump.
-  static constexpr std::size_t kOccupancyLimit = 64;
-  /// Largest day index stored in a bucket: 2^53 keeps the index exact as a
-  /// double and far from uint64 overflow. Anything beyond (plus inf/NaN)
-  /// goes to the overflow list.
-  static constexpr double kMaxDay = 9007199254740992.0;  // 2^53
-
-  std::vector<std::vector<EventRecord>> buckets_;
-  std::vector<EventRecord> overflow_;  ///< sorted descending, min at back()
-  std::size_t size_ = 0;
-  /// Largest occupancy seen in a bucket a pop serviced since the last
-  /// rebuild; direct evidence the width is too wide for the head density.
-  std::size_t serviced_occupancy_ = 0;
-  std::size_t mask_ = kMinBuckets - 1;
-  SimTime width_ = 1.0;  ///< power of two
-  SimTime inv_width_ = 1.0;
-  SimTime floor_time_ = 0.0;  ///< no pending event is earlier (last pop time)
-
-  // Peek cache (mutable: peek() is logically const).
-  mutable Where cached_ = Where::kNone;
-  mutable std::size_t cached_bucket_ = 0;
-};
-
-/// The simulator's pending-event set, behind a runtime SchedulerKind.
+/// The simulator's pending-event set.
 class EventQueue {
  public:
-  explicit EventQueue(SchedulerKind kind) : kind_(kind) {}
+  struct Node {
+    SimTime time;
+    std::uint64_t seq;
+    std::uintptr_t ref;  ///< owner-defined payload; the heap never reads it
+  };
 
-  SchedulerKind kind() const { return kind_; }
-  bool empty() const { return size() == 0; }
-  std::size_t size() const {
-    return kind_ == SchedulerKind::kHeap ? heap_.size() : cal_.size();
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+
+  /// Minimum (time, seq) node. Precondition: !empty().
+  const Node& top() const { return heap_.front(); }
+
+  void push(const Node& node) {
+    heap_.push_back(node);
+    sift_up(heap_.size() - 1, node);
   }
 
-  void push(EventRecord&& ev);
-  /// Minimum (time, seq) record, or nullptr when empty. The pointer is
-  /// invalidated by the next push/pop.
-  const EventRecord* peek() const;
-  EventRecord pop();
+  /// Remove the minimum. Precondition: !empty().
+  void pop() {
+    const Node last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+  }
+
+  /// Re-key the minimum (same ref) and restore heap order with one
+  /// sift-down. Precondition: !empty().
+  void replace_top(SimTime time, std::uint64_t seq) {
+    sift_down({time, seq, heap_.front().ref});
+  }
 
  private:
-  static bool heap_after(const EventRecord& a, const EventRecord& b) {
-    return b.before(a);  // max-heap comparator -> min at front
+  static constexpr std::size_t kArity = 4;
+
+  static bool before(const Node& a, const Node& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
 
-  SchedulerKind kind_;
-  std::vector<EventRecord> heap_;
-  CalendarQueue cal_;
+  void sift_up(std::size_t i, const Node& node) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(node, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = node;
+  }
+
+  /// Place `node` starting from the root's hole.
+  void sift_down(const Node& node) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) break;
+      const std::size_t last = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+      if (!before(heap_[best], node)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = node;
+  }
+
+  std::vector<Node> heap_;
 };
+
+static_assert(sizeof(EventQueue::Node) == 24, "heap nodes stay 24 bytes");
 
 }  // namespace citymesh::sim

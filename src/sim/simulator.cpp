@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <cassert>
+
 namespace citymesh::sim {
 
 bool Simulator::cancel(EventId id) {
@@ -18,34 +20,38 @@ void Simulator::advance_to(SimTime t) {
   now_ = t;
 }
 
-void Simulator::schedule_batch(SimTime t, std::uint64_t seq, BatchEvent* batch) {
-  if (t < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-  queue_.push({t, seq, batch, InlineFn{}});
-}
-
 std::size_t Simulator::run(SimTime until, std::size_t max_events) {
   std::size_t count = 0;
-  while (count < max_events) {
-    const EventRecord* top = queue_.peek();
-    if (top == nullptr || top->time > until) break;
-    // The queue owns its storage, so the pop moves the record out cleanly
-    // (the old std::priority_queue forced a copy through its const top()).
-    EventRecord ev = queue_.pop();
-    now_ = ev.time;
+  while (count < max_events && !queue_.empty()) {
+    const EventQueue::Node top = queue_.top();
+    if (top.time > until) break;
+    now_ = top.time;
     ++count;
     ++processed_;
-    if (ev.batch != nullptr) {
-      // One reception of a batched transmission; each pop counts as one
-      // processed event, exactly like the unbatched schedule would have.
-      const BatchFire next = ev.batch->fire(now_);
-      if (next.more) queue_.push({next.time, next.seq, ev.batch, InlineFn{}});
+    if (!is_handler(top.ref)) {
+      // One reception of a batched transmission, advanced in place. Exact:
+      // everything fire() schedules gets a fresh seq and a time >= now, so
+      // it sorts after this node, which is therefore still the root.
+      const BatchFire next = reinterpret_cast<BatchEvent*>(top.ref)->fire(now_);
+      assert(queue_.top().seq == top.seq && queue_.top().ref == top.ref);
+      if (next.more) {
+        queue_.replace_top(next.time, next.seq);
+      } else {
+        queue_.pop();
+      }
       continue;
     }
+    queue_.pop();
+    // Move the handler out before running it: it may schedule, and a slab
+    // growth would otherwise relocate the closure under its own feet.
+    const std::uintptr_t slot = top.ref >> 1;
+    InlineFn fn = std::move(handlers_[slot]);
+    free_slots_.push_back(slot);
     // A cancelled event advances time and counts like a no-op handler would
     // have — cancellation changes *what* runs, never the event timeline.
-    if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) continue;
-    if (!cancelable_.empty()) cancelable_.erase(ev.seq);
-    ev.fn();
+    if (!cancelled_.empty() && cancelled_.erase(top.seq) > 0) continue;
+    if (!cancelable_.empty()) cancelable_.erase(top.seq);
+    fn();
   }
   if (queue_.empty() && until != kForever && now_ < until) now_ = until;
   return count;

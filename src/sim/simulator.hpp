@@ -2,16 +2,16 @@
 //
 // Replaces the paper's SimPy harness. Events are (time, sequence) ordered —
 // ties break on insertion order, so runs are deterministic for a given seed.
-// The pending set lives in an EventQueue (sim/scheduler.hpp): a binary heap
-// or a calendar queue, selected per simulator by SchedulerKind; both realize
-// the identical total order, so the choice never affects behavior or
-// determinism digests. The engine knows nothing about radios — the broadcast
-// medium (medium.hpp) and the protocol agents are layered on top.
+// The pending set is one 4-ary heap of 24-byte nodes (sim/scheduler.hpp).
+// The engine knows nothing about radios — the broadcast medium (medium.hpp)
+// and the protocol agents are layered on top.
 //
-// Handlers are stored inline in the event record (sim/handler.hpp), so
-// scheduling an ordinary closure performs no allocation. The schedule_*
-// entry points are templates accepting any void() callable — std::function
-// still works, it is just no longer required.
+// Handlers are InlineFns (sim/handler.hpp) kept in a side slab with a LIFO
+// free list; a heap node carries only the slab slot, so sifting never moves
+// a closure and scheduling an ordinary closure performs no allocation once
+// the slab has warmed up. The schedule_* entry points are templates
+// accepting any void() callable — std::function still works, it is just no
+// longer required.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,10 @@
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "obsx/metrics.hpp"
+#include "sim/handler.hpp"
 #include "sim/scheduler.hpp"
 
 namespace citymesh::sim {
@@ -33,17 +35,14 @@ class Simulator {
   using EventId = std::uint64_t;
   static constexpr EventId kInvalidEvent = std::numeric_limits<EventId>::max();
 
-  explicit Simulator(SchedulerKind scheduler = kDefaultScheduler) : queue_(scheduler) {}
-
   SimTime now() const { return now_; }
-  SchedulerKind scheduler_kind() const { return queue_.kind(); }
 
   /// Schedule `fn` at absolute time `t` (must be >= now()).
   template <typename F>
   void schedule_at(SimTime t, F&& fn) {
     if (t < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
     if (latency_) latency_->record(t - now_);
-    queue_.push({t, next_seq_++, nullptr, InlineFn(std::forward<F>(fn))});
+    push_handler(t, InlineFn(std::forward<F>(fn)));
   }
 
   /// Schedule `fn` after `delay` seconds (must be >= 0).
@@ -90,10 +89,7 @@ class Simulator {
   /// Earliest pending event time; kForever when the queue is empty. The
   /// shardx window coordinator uses this to skip idle spans instead of
   /// stepping empty lookahead windows.
-  SimTime next_time() const {
-    const EventRecord* top = queue_.peek();
-    return top == nullptr ? kForever : top->time;
-  }
+  SimTime next_time() const { return queue_.empty() ? kForever : queue_.top().time; }
 
   /// Fast-forward to `t` without running anything (window-barrier alignment
   /// across shards). Must not skip events: throws when t > next_time().
@@ -107,16 +103,16 @@ class Simulator {
   template <typename F>
   void schedule_at_unrecorded(SimTime t, F&& fn) {
     if (t < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-    queue_.push({t, next_seq_++, nullptr, InlineFn(std::forward<F>(fn))});
+    push_handler(t, InlineFn(std::forward<F>(fn)));
   }
 
   // --- Batched events (sim/medium.hpp) -----------------------------------
   // A batched transmission consumes one sequence number per reception at
-  // schedule time — in the exact order the unbatched path would have
-  // scheduled them — then occupies a single queue node keyed by its earliest
-  // entry. The run loop fires one entry per pop and reinserts the batch at
-  // its next (time, seq), so the global event interleaving, sequence
-  // consumption, and now() trajectory are identical to N separate events.
+  // schedule time, in neighbor order, then occupies a single queue node keyed
+  // by its earliest entry. The run loop fires one entry at the root and
+  // re-keys the node in place at the batch's next (time, seq), so the global
+  // event interleaving, sequence consumption, and now() trajectory are
+  // identical to N separate events.
 
   /// Claim the next sequence number without scheduling anything.
   std::uint64_t reserve_seq() { return next_seq_++; }
@@ -131,7 +127,10 @@ class Simulator {
   /// Insert `batch` keyed by its first entry. `seq` must come from
   /// reserve_seq() and `t` must be >= now(). The batch object must stay
   /// alive until its fire() returns more == false.
-  void schedule_batch(SimTime t, std::uint64_t seq, BatchEvent* batch);
+  void schedule_batch(SimTime t, std::uint64_t seq, BatchEvent* batch) {
+    if (t < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
+    queue_.push({t, seq, reinterpret_cast<std::uintptr_t>(batch)});
+  }
 
   bool empty() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
@@ -145,12 +144,31 @@ class Simulator {
   void set_latency_histogram(obsx::Histogram* hist) { latency_ = hist; }
 
  private:
+  // Heap refs: a BatchEvent pointer (aligned, low bit clear) or a handler
+  // slab slot tagged with a set low bit.
+  static bool is_handler(std::uintptr_t ref) { return (ref & 1) != 0; }
+
+  void push_handler(SimTime t, InlineFn&& fn) {
+    std::uintptr_t slot;
+    if (free_slots_.empty()) {
+      slot = handlers_.size();
+      handlers_.push_back(std::move(fn));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      handlers_[slot] = std::move(fn);
+    }
+    queue_.push({t, next_seq_++, (slot << 1) | 1});
+  }
+
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t processed_ = 0;
   std::uint64_t cancel_misses_ = 0;
   obsx::Histogram* latency_ = nullptr;
   EventQueue queue_;
+  std::vector<InlineFn> handlers_;           ///< slab indexed by heap ref >> 1
+  std::vector<std::uintptr_t> free_slots_;   ///< LIFO: the warmest slot first
   // Cancelable-event bookkeeping; both empty unless schedule_cancelable_*
   // is used, so the run loop pays only an empty() branch per event.
   std::unordered_set<EventId> cancelable_;  ///< scheduled, not yet run/cancelled

@@ -26,6 +26,7 @@
 #include "osmx/citygen.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
+#include "trafficx/runner.hpp"
 
 namespace core = citymesh::core;
 namespace faultx = citymesh::faultx;
@@ -35,6 +36,8 @@ namespace mesh = citymesh::mesh;
 namespace osmx = citymesh::osmx;
 namespace sim = citymesh::sim;
 namespace cryptox = citymesh::cryptox;
+namespace obsx = citymesh::obsx;
+namespace trafficx = citymesh::trafficx;
 
 namespace {
 
@@ -419,8 +422,87 @@ TEST(ScenarioEngine, InstalledFaultsFireDuringSends) {
   engine.install();
 
   EXPECT_TRUE(net.send(0, info, bytes_of("first")).delivered);   // quiesces ~t<25
-  net.simulator().run(60.0);                                     // cross the edge
+  net.run_until(60.0);                                           // cross the edge
   EXPECT_FALSE(net.send(0, info, bytes_of("second")).delivered);
+}
+
+TEST(ScenarioEngine, LiveBlackoutIsShardInvariant) {
+  // A live blackout installed under a traffic workload, in the draw-free
+  // regime (flood, no loss, no jitter) where the tiled engine reproduces the
+  // single event loop: every shard count must apply every action, trace
+  // every AP going down and leave the identical outcome behind.
+  osmx::CityProfile profile;
+  profile.name = "faultx-shards";
+  profile.width_m = 800;
+  profile.height_m = 600;
+  profile.park_fraction = 0.0;
+  profile.seed = 21;
+  core::NetworkConfig base = fast_network_config();
+  base.medium.jitter_s = 0.0;
+  base.medium.bitrate_bps = 250'000.0;
+  base.trace_capacity = std::size_t{1} << 18;  // the whole run, no ring wrap
+  const auto compiled = core::compile_city(osmx::generate_city(profile), base);
+
+  trafficx::WorkloadSpec spec;
+  spec.seed = 9;
+  spec.duration_s = 4.0;
+  spec.rate_per_s = 4.0;
+  const trafficx::FlowSchedule schedule = trafficx::compile(spec, compiled->city);
+  faultx::Scenario scenario;
+  scenario.blackouts.push_back(
+      blackout_at(geo::Polygon::rectangle({{0, 0}, {400, 600}}), 1.5, 3.0));
+
+  struct Run {
+    std::size_t applied = 0;
+    std::size_t actions = 0;
+    std::size_t down_traced = 0;
+    trafficx::WorkloadResult result;
+  };
+  std::vector<Run> runs;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    core::NetworkConfig cfg = base;
+    cfg.shards = shards;
+    core::CityMeshNetwork net{compiled, cfg};
+    net.set_tracing(true);
+    faultx::ScenarioEngine engine{net, scenario};
+    engine.install();
+    Run run;
+    run.result = trafficx::run_workload(net, schedule);
+    run.applied = engine.applied();
+    run.actions = engine.scenario().actions.size();
+    EXPECT_EQ(net.trace().lost(), 0u) << "shards " << shards;
+    for (const obsx::TraceEvent& ev : net.merged_trace_events()) {
+      if (ev.kind == obsx::TraceKind::kApDown) ++run.down_traced;
+    }
+    runs.push_back(std::move(run));
+  }
+
+  ASSERT_GT(runs[0].actions, 0u);
+  EXPECT_EQ(runs[0].applied, runs[0].actions);
+  EXPECT_GT(runs[0].down_traced, 0u);
+  EXPECT_EQ(runs[0].down_traced * 2, runs[0].actions);  // each AP: down, then up
+  EXPECT_GT(runs[0].result.summary.flows_delivered, 0u);
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    const std::string label = "run " + std::to_string(k);
+    EXPECT_EQ(runs[k].applied, runs[0].applied) << label;
+    EXPECT_EQ(runs[k].down_traced, runs[0].down_traced) << label;
+    const auto& flows = runs[k].result.flows;
+    ASSERT_EQ(flows.size(), runs[0].result.flows.size()) << label;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_EQ(flows[i].delivered, runs[0].result.flows[i].delivered) << label << " flow " << i;
+      EXPECT_DOUBLE_EQ(flows[i].latency_s, runs[0].result.flows[i].latency_s) << label;
+      EXPECT_EQ(flows[i].transmissions, runs[0].result.flows[i].transmissions) << label;
+    }
+    EXPECT_EQ(runs[k].result.metrics.counters, runs[0].result.metrics.counters) << label;
+    // Histogram sums differ in the last bits only (tiles quantize them).
+    for (const auto& [name, h] : runs[0].result.metrics.histograms) {
+      const auto& other = runs[k].result.metrics.histograms.at(name);
+      EXPECT_EQ(other.counts, h.counts) << label << " " << name;
+      EXPECT_EQ(other.total, h.total) << label << " " << name;
+    }
+  }
+  // Tiled runs accumulate exactly quantized latency sums: byte-identical.
+  EXPECT_EQ(runs[1].result.metrics.to_json(), runs[2].result.metrics.to_json());
 }
 
 TEST(ScenarioEngine, DegradedRegionRaisesLoss) {

@@ -1,20 +1,25 @@
-// Differential lockdown for the allocation-free event hot path (sim/):
+// Reference-oracle lockdown for the allocation-free event hot path (sim/):
 //
-//  - the calendar-queue scheduler against the binary heap, over randomized
-//    schedule / cancel / reschedule streams (the two must realize the
-//    identical (time, seq) total order, cancel accounting included);
-//  - batched medium delivery against per-reception scheduling;
+//  - the 4-ary event heap against a sorted-vector oracle, over randomized
+//    schedule / cancel / batch streams (both must realize the identical
+//    (time, seq) total order, cancel accounting included);
+//  - batched medium delivery against a delivery log computed directly from
+//    the medium's two seeded streams;
 //  - the block/packet pools and inline handler storage;
 //  - the resumable-Dijkstra route cache against independent targeted runs;
-//  - end-to-end manifest identity across {heap, calendar} x {pooled,
-//    malloc'd} x shard counts (the golden-digest guarantee in test form).
+//  - end-to-end manifest identity across {pooled, malloc'd} packets at one
+//    and four shards (the golden-digest guarantee in test form).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "core/network.hpp"
@@ -33,7 +38,88 @@
 namespace citymesh {
 namespace {
 
-// ------------------------------------------- scheduler differential ---------
+// ------------------------------------------------ scheduler oracle ----------
+
+/// The obvious implementation of the Simulator contract the replay uses:
+/// pending events in a vector sorted descending by (time, seq), so the next
+/// event is back(). Batches pop and re-insert; cancelled events still
+/// advance time and count.
+class SortedVectorSim {
+ public:
+  using EventId = std::uint64_t;
+
+  double now() const { return now_; }
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  void schedule_at(double t, std::function<void()> fn) {
+    insert({t, next_seq_++, nullptr, std::move(fn)});
+  }
+  void schedule_in(double delay, std::function<void()> fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  EventId schedule_cancelable_at(double t, std::function<void()> fn) {
+    const EventId id = next_seq_;
+    schedule_at(t, std::move(fn));
+    cancelable_.insert(id);
+    return id;
+  }
+  void schedule_batch(double t, std::uint64_t seq, sim::BatchEvent* batch) {
+    insert({t, seq, batch, {}});
+  }
+  bool cancel(EventId id) {
+    if (cancelable_.erase(id) == 0) {
+      ++cancel_misses_;
+      return false;
+    }
+    cancelled_.insert(id);
+    return true;
+  }
+
+  std::size_t run() {
+    std::size_t count = 0;
+    while (!pending_.empty()) {
+      Event ev = std::move(pending_.back());
+      pending_.pop_back();
+      now_ = ev.time;
+      ++count;
+      if (ev.batch != nullptr) {
+        const sim::BatchFire next = ev.batch->fire(now_);
+        if (next.more) insert({next.time, next.seq, ev.batch, {}});
+        continue;
+      }
+      if (cancelled_.erase(ev.seq) > 0) continue;
+      cancelable_.erase(ev.seq);
+      ev.fn();
+    }
+    return count;
+  }
+
+  std::uint64_t cancel_misses() const { return cancel_misses_; }
+  std::size_t cancelable_pending() const { return cancelable_.size(); }
+
+ private:
+  struct Event {
+    double time;
+    std::uint64_t seq;
+    sim::BatchEvent* batch;
+    std::function<void()> fn;
+  };
+
+  void insert(Event ev) {
+    const auto pos = std::upper_bound(
+        pending_.begin(), pending_.end(), ev, [](const Event& a, const Event& b) {
+          return std::tie(a.time, a.seq) > std::tie(b.time, b.seq);
+        });
+    pending_.insert(pos, std::move(ev));
+  }
+
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t cancel_misses_ = 0;
+  std::vector<Event> pending_;
+  std::unordered_set<EventId> cancelable_;
+  std::unordered_set<EventId> cancelled_;
+};
 
 /// One fired event: when it ran and which scripted op it was.
 struct Fired {
@@ -51,32 +137,81 @@ struct Execution {
   std::size_t cancelable_pending = 0;
 };
 
-/// Replay one randomized schedule/cancel/reschedule stream on `kind`.
-/// The script is derived purely from `seed`, so both queue kinds see the
-/// byte-identical op stream. Times are drawn from a quantized grid to force
-/// frequent ties (the FIFO tie-break is the part a calendar queue gets
-/// wrong first), handlers re-schedule children mid-run, and cancellers
+/// A multi-shot event like the medium's DeliveryBatch: entries keyed by
+/// reserved seqs, fired in (time, seq) order. Every other firing schedules a
+/// child at exactly `now` — the case the in-place root advance must survive.
+template <typename Sim>
+class ProbeBatch final : public sim::BatchEvent {
+ public:
+  ProbeBatch(Sim& s, Execution& out, std::uint64_t label) : s_(s), out_(out), label_(label) {}
+
+  /// Reserve one seq per entry (creation order), sort, and enqueue.
+  void start(const std::vector<double>& times) {
+    for (const double t : times) entries_.emplace_back(t, s_.reserve_seq());
+    std::sort(entries_.begin(), entries_.end());
+    s_.schedule_batch(entries_.front().first, entries_.front().second, this);
+  }
+
+  sim::BatchFire fire(double now) override {
+    const std::uint64_t entry = head_++;
+    out_.log.push_back({now, label_ | (3ull << 32) | (entry << 48)});
+    if (entry % 2 == 0) {
+      Sim& s = s_;
+      Execution& out = out_;
+      const std::uint64_t label = label_ | (4ull << 32) | (entry << 48);
+      s_.schedule_at(now, [&s, &out, label] { out.log.push_back({s.now(), label}); });
+    }
+    if (head_ < entries_.size()) return {true, entries_[head_].first, entries_[head_].second};
+    return {};
+  }
+
+ private:
+  Sim& s_;
+  Execution& out_;
+  std::uint64_t label_;
+  std::vector<std::pair<double, std::uint64_t>> entries_;
+  std::size_t head_ = 0;
+};
+
+/// Replay one randomized schedule/cancel/batch stream derived purely from
+/// `seed`, so the heap and the oracle see the byte-identical op stream.
+/// Times come from a quantized grid to force frequent ties (the FIFO
+/// tie-break), span twelve orders of magnitude, and include +inf timers;
+/// handlers re-schedule children and start batches mid-run, and cancellers
 /// fire from inside the run so some cancels chase already-fired events.
-Execution replay(sim::SchedulerKind kind, std::uint64_t seed, std::size_t events) {
-  sim::Simulator s{kind};
+template <typename Sim>
+Execution replay(std::uint64_t seed, std::size_t events) {
+  Sim s;
   Execution out;
+  std::vector<std::unique_ptr<ProbeBatch<Sim>>> batches;
   std::uint64_t state = seed;
-  std::vector<sim::Simulator::EventId> tokens;
+  std::vector<typename Sim::EventId> tokens;
   tokens.reserve(events);
 
   const auto grid_time = [&state]() {
-    // 1e-2 grid over [0, 100): ~10k distinct instants, heavy tie traffic.
-    return static_cast<double>(geo::splitmix64(state) % 10'000) * 1e-2;
+    // A 1e-2 grid over [0, 100) (~10k distinct instants, heavy tie traffic);
+    // a quarter of the draws are scaled by 10^-6 .. 10^5, so the set spans
+    // twelve orders of magnitude.
+    const double base = static_cast<double>(geo::splitmix64(state) % 10'000) * 1e-2;
+    const std::uint64_t scale = geo::splitmix64(state) % 48;
+    return scale < 12 ? base * std::pow(10.0, static_cast<double>(scale) - 6.0) : base;
+  };
+  const auto batch_times = [&state](double t0) {
+    std::vector<double> times;
+    const std::size_t n = 1 + geo::splitmix64(state) % 6;
+    for (std::size_t k = 0; k < n; ++k)
+      times.push_back(t0 + static_cast<double>(geo::splitmix64(state) % 4) * 0.25);
+    return times;
   };
 
   for (std::uint64_t i = 0; i < events; ++i) {
     const std::uint64_t roll = geo::splitmix64(state) % 100;
     const double t = grid_time();
-    if (roll < 55) {
+    if (roll < 45) {
       const std::uint64_t label = i;
       if (roll % 7 == 0) {
         // Handler reschedules a child at now (+ quantized delay for some):
-        // insertion during the run, at and ahead of the queue's floor.
+        // insertion during the run, at and ahead of the queue's head.
         const double delay = (roll % 14 == 0) ? 0.0 : 0.25;
         s.schedule_at(t, [&s, &out, label, delay] {
           out.log.push_back({s.now(), label});
@@ -86,6 +221,17 @@ Execution replay(sim::SchedulerKind kind, std::uint64_t seed, std::size_t events
         });
       } else {
         s.schedule_at(t, [&s, &out, label] { out.log.push_back({s.now(), label}); });
+      }
+    } else if (roll < 55) {
+      // A batch: started up front, or from a handler mid-run (the way a
+      // transmission starts its receptions).
+      batches.push_back(std::make_unique<ProbeBatch<Sim>>(s, out, i));
+      ProbeBatch<Sim>* batch = batches.back().get();
+      std::vector<double> times = batch_times(t);
+      if (roll % 2 == 0) {
+        batch->start(times);
+      } else {
+        s.schedule_at(t, [batch, times] { batch->start(times); });
       }
     } else if (roll < 80) {
       const std::uint64_t label = i;
@@ -102,9 +248,11 @@ Execution replay(sim::SchedulerKind kind, std::uint64_t seed, std::size_t events
       s.schedule_at(t, [&s, &out, i] { out.log.push_back({s.now(), i}); });
     }
   }
-  // A few far-future stragglers exercise the overflow path.
+  // Far-future stragglers, including +inf timers (FIFO among themselves).
   s.schedule_at(1e12, [&s, &out] { out.log.push_back({s.now(), 1ull << 40}); });
   s.schedule_at(1e300, [&s, &out] { out.log.push_back({s.now(), 2ull << 40}); });
+  s.schedule_at(sim::kForever, [&s, &out] { out.log.push_back({s.now(), 3ull << 40}); });
+  s.schedule_at(sim::kForever, [&s, &out] { out.log.push_back({s.now(), 4ull << 40}); });
 
   out.processed = s.run();
   out.cancel_misses = s.cancel_misses();
@@ -112,54 +260,69 @@ Execution replay(sim::SchedulerKind kind, std::uint64_t seed, std::size_t events
   return out;
 }
 
-TEST(SchedulerDifferential, CalendarMatchesHeapOnRandomizedStreams) {
+TEST(SchedulerDifferential, QueueMatchesSortedVectorOnRandomizedStreams) {
   for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull, 55ull}) {
-    const Execution heap = replay(sim::SchedulerKind::kHeap, seed, 10'000);
-    const Execution cal = replay(sim::SchedulerKind::kCalendar, seed, 10'000);
-    ASSERT_EQ(heap.log.size(), cal.log.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < heap.log.size(); ++i) {
-      ASSERT_EQ(heap.log[i], cal.log[i])
-          << "seed " << seed << " divergence at pop " << i;
+    const Execution oracle = replay<SortedVectorSim>(seed, 10'000);
+    const Execution heap = replay<sim::Simulator>(seed, 10'000);
+    ASSERT_GT(oracle.log.size(), 10'000u) << "seed " << seed;
+    ASSERT_EQ(heap.log.size(), oracle.log.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < oracle.log.size(); ++i) {
+      ASSERT_EQ(heap.log[i], oracle.log[i]) << "seed " << seed << " divergence at event " << i;
     }
-    EXPECT_EQ(heap.processed, cal.processed) << "seed " << seed;
-    EXPECT_EQ(heap.cancel_misses, cal.cancel_misses) << "seed " << seed;
-    EXPECT_EQ(heap.cancelable_pending, cal.cancelable_pending) << "seed " << seed;
+    EXPECT_EQ(heap.processed, oracle.processed) << "seed " << seed;
+    EXPECT_EQ(heap.cancel_misses, oracle.cancel_misses) << "seed " << seed;
+    EXPECT_GT(oracle.cancel_misses, 0u) << "seed " << seed;
+    EXPECT_EQ(heap.cancelable_pending, oracle.cancelable_pending) << "seed " << seed;
   }
 }
 
 TEST(SchedulerDifferential, PopOrderMatchesSortedReferenceAcrossMagnitudes) {
   // Raw EventQueue check with pathological time distributions: denormal-ish,
-  // zero, identical, and overflow-bucket times in one queue.
-  for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-    sim::EventQueue q{kind};
-    std::uint64_t state = 99;
-    std::vector<std::pair<double, std::uint64_t>> reference;
-    std::uint64_t seq = 0;
-    const double magnitudes[] = {0.0,   1e-9,  1.0,   1.0,  3.5,
-                                 1e4,   1e9,   1e300, 5e-7, 2.5};
-    for (int round = 0; round < 500; ++round) {
-      const double t = magnitudes[geo::splitmix64(state) % 10];
-      q.push({t, seq, nullptr, sim::InlineFn{}});
-      reference.emplace_back(t, seq);
-      ++seq;
-      // Interleave pops so the queue's floor moves while inserts continue.
-      if (round % 5 == 4) {
-        const sim::EventRecord rec = q.pop();
-        std::sort(reference.begin(), reference.end());
-        EXPECT_EQ(rec.time, reference.front().first);
-        EXPECT_EQ(rec.seq, reference.front().second);
-        reference.erase(reference.begin());
-      }
-    }
+  // zero, identical, huge and infinite times in one queue, with pops and
+  // in-place root re-keys interleaved with the pushes.
+  sim::EventQueue q;
+  std::uint64_t state = 99;
+  /// (time, seq, ref) — sorted, the front is the expected top.
+  std::vector<std::tuple<double, std::uint64_t, std::uintptr_t>> reference;
+  std::uint64_t seq = 0;
+  const double magnitudes[] = {0.0, 1e-9,  1.0,  1.0, 3.5,           1e4,
+                               1e9, 1e300, 5e-7, 2.5, sim::kForever, 1e-300};
+  const auto expect_top = [&] {
     std::sort(reference.begin(), reference.end());
-    for (const auto& [t, expect_seq] : reference) {
-      ASSERT_FALSE(q.empty());
-      const sim::EventRecord rec = q.pop();
-      EXPECT_EQ(rec.time, t);
-      EXPECT_EQ(rec.seq, expect_seq);
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(q.top().time, std::get<0>(reference.front()));
+    EXPECT_EQ(q.top().seq, std::get<1>(reference.front()));
+    EXPECT_EQ(q.top().ref, std::get<2>(reference.front()));
+  };
+  for (int round = 0; round < 600; ++round) {
+    const double t = magnitudes[geo::splitmix64(state) % 12];
+    q.push({t, seq, static_cast<std::uintptr_t>(round)});
+    reference.emplace_back(t, seq, static_cast<std::uintptr_t>(round));
+    ++seq;
+    if (round % 5 == 4) {
+      expect_top();
+      q.pop();
+      reference.erase(reference.begin());
+    } else if (round % 7 == 6) {
+      // Re-key the root to a later time with a fresh seq (a batch advancing
+      // to its next entry); the ref travels with the node.
+      expect_top();
+      auto& [root_t, root_seq, root_ref] = reference.front();
+      root_t = std::max(root_t, magnitudes[geo::splitmix64(state) % 12]);
+      root_seq = seq++;
+      q.replace_top(root_t, root_seq);
     }
-    EXPECT_TRUE(q.empty());
+    ASSERT_EQ(q.size(), reference.size());
   }
+  std::sort(reference.begin(), reference.end());
+  for (const auto& [t, expect_seq, ref] : reference) {
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(q.top().time, t);
+    EXPECT_EQ(q.top().seq, expect_seq);
+    EXPECT_EQ(q.top().ref, ref);
+    q.pop();
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------- batched medium delivery -----
@@ -190,18 +353,29 @@ graphx::Graph probe_topology() {
   return b.build();
 }
 
-/// Fire a burst of overlapping broadcasts (with loss + jitter draws and a
-/// down node) and record every delivery the handler sees.
-std::vector<Delivery> run_medium(bool batched, sim::SchedulerKind kind) {
-  sim::Simulator s{kind};
-  const graphx::Graph topo = probe_topology();
+sim::MediumConfig probe_medium_config() {
   sim::MediumConfig cfg;
   cfg.loss_probability = 0.25;
   cfg.jitter_s = 2e-3;
   cfg.seed = 1234;
-  cfg.batched_delivery = batched;
-  sim::BroadcastMedium<ProbePacket> medium{s, topo, cfg};
-  medium.set_node_filter([](sim::NodeId node) { return node != 6; });
+  return cfg;
+}
+
+constexpr std::uint32_t kProbeBroadcasts = 40;
+constexpr sim::NodeId kProbeDownNode = 6;
+
+/// Broadcast i leaves node i % 8 at time (i / 8) ms. Clustered start times
+/// keep many broadcasts in flight at once, so batch advances interleave with
+/// other transmissions' events.
+double probe_start(std::uint32_t i) { return static_cast<double>(i / 8) * 1e-3; }
+
+/// Fire a burst of overlapping broadcasts (with loss + jitter draws and a
+/// down node) through the medium and record every delivery the handler sees.
+std::vector<Delivery> run_medium() {
+  sim::Simulator s;
+  const graphx::Graph topo = probe_topology();
+  sim::BroadcastMedium<ProbePacket> medium{s, topo, probe_medium_config()};
+  medium.set_node_filter([](sim::NodeId node) { return node != kProbeDownNode; });
 
   std::vector<Delivery> log;
   medium.set_delivery_handler(
@@ -209,13 +383,10 @@ std::vector<Delivery> run_medium(bool batched, sim::SchedulerKind kind) {
         log.push_back({s.now(), to, from, p->id});
       });
 
-  for (std::uint32_t i = 0; i < 40; ++i) {
+  for (std::uint32_t i = 0; i < kProbeBroadcasts; ++i) {
     const auto packet = std::make_shared<const ProbePacket>(ProbePacket{i});
     const sim::NodeId from = i % 8;
-    // Clustered start times: many broadcasts in flight at once, so batch
-    // reinserts interleave with other transmissions' events.
-    s.schedule_at(static_cast<double>(i / 8) * 1e-3,
-                  [&medium, from, packet] { medium.transmit(from, packet); });
+    s.schedule_at(probe_start(i), [&medium, from, packet] { medium.transmit(from, packet); });
   }
   s.run();
 
@@ -226,20 +397,53 @@ std::vector<Delivery> run_medium(bool batched, sim::SchedulerKind kind) {
   return log;
 }
 
-TEST(BatchedDelivery, MatchesPerReceptionSchedulingExactly) {
-  const std::vector<Delivery> reference =
-      run_medium(/*batched=*/false, sim::SchedulerKind::kHeap);
-  for (const bool batched : {false, true}) {
-    for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-      const std::vector<Delivery> log = run_medium(batched, kind);
-      ASSERT_EQ(log.size(), reference.size())
-          << "batched=" << batched << " kind=" << sim::to_string(kind);
-      for (std::size_t i = 0; i < log.size(); ++i) {
-        ASSERT_EQ(log[i], reference[i])
-            << "batched=" << batched << " kind=" << sim::to_string(kind)
-            << " delivery " << i;
-      }
+/// The same burst computed without a medium or a simulator: one event per
+/// reception. The broadcasts run in start order; each one from an up node
+/// draws, per neighbor in CSR order, a loss from the loss stream and (when
+/// it survives) a jitter from the jitter stream, and claims the next
+/// sequence number after the 40 transmit events'. Deliveries then happen in
+/// (time, seq) order, except at the down node.
+std::vector<Delivery> expected_deliveries() {
+  const graphx::Graph topo = probe_topology();
+  const sim::MediumConfig cfg = probe_medium_config();
+  geo::Rng loss_rng{cfg.seed};
+  geo::Rng jitter_rng{cfg.seed ^ sim::kJitterStream};
+  struct Reception {
+    double time;
+    std::uint64_t seq;
+    Delivery delivery;
+  };
+  std::vector<Reception> receptions;
+  std::uint64_t seq = kProbeBroadcasts;
+  for (std::uint32_t i = 0; i < kProbeBroadcasts; ++i) {
+    const sim::NodeId from = i % 8;
+    if (from == kProbeDownNode) continue;  // a down node never transmits
+    const auto links = topo.neighbors(from);
+    for (std::size_t k = 0; k < links.ids().size(); ++k) {
+      const sim::NodeId to = links.ids()[k];
+      if (loss_rng.chance(cfg.loss_probability)) continue;
+      const double jitter = jitter_rng.uniform(0.0, cfg.jitter_s);
+      const double delay = cfg.tx_delay_s + cfg.prop_delay_s_per_m * links.weights()[k] + jitter;
+      const double at = probe_start(i) + delay;
+      receptions.push_back({at, seq++, {at, to, from, i}});
     }
+  }
+  std::sort(receptions.begin(), receptions.end(), [](const Reception& a, const Reception& b) {
+    return std::tie(a.time, a.seq) < std::tie(b.time, b.seq);
+  });
+  std::vector<Delivery> log;
+  for (const Reception& r : receptions) {
+    if (r.delivery.to != kProbeDownNode) log.push_back(r.delivery);
+  }
+  return log;
+}
+
+TEST(BatchedDelivery, MatchesPerReceptionSchedulingExactly) {
+  const std::vector<Delivery> expected = expected_deliveries();
+  const std::vector<Delivery> log = run_medium();
+  ASSERT_EQ(log.size(), expected.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    ASSERT_EQ(log[i], expected[i]) << "delivery " << i;
   }
 }
 
@@ -390,9 +594,8 @@ TEST(IncrementalDijkstra, GrowsMonotonicallyAcrossTargets) {
 // ------------------------------------------------ end-to-end identity -------
 
 /// Manifest JSON of a tiny but full sweep (eval point over one generated
-/// city) under one scheduler/pool/shards configuration.
-std::string sweep_json(runx::CityCache& cache, sim::SchedulerKind scheduler,
-                       bool pooled, std::size_t shards) {
+/// city) under one pool/shards configuration.
+std::string sweep_json(runx::CityCache& cache, bool pooled, std::size_t shards) {
   std::string error;
   const auto spec =
       runx::parse_sweep("name sched-identity\ncities cambridge\nseeds 1 2\n"
@@ -401,7 +604,6 @@ std::string sweep_json(runx::CityCache& cache, sim::SchedulerKind scheduler,
   EXPECT_TRUE(spec) << error;
   runx::SweepRunConfig config;
   config.jobs = 1;
-  config.network.scheduler = scheduler;
   config.network.pooled_packets = pooled;
   config.network.shards = shards;
   if (shards > 1) {
@@ -414,28 +616,14 @@ std::string sweep_json(runx::CityCache& cache, sim::SchedulerKind scheduler,
   return runx::sweep_manifest(*spec, report).to_json();
 }
 
-TEST(EndToEndIdentity, ManifestsIdenticalAcrossSchedulerAndPools) {
+TEST(EndToEndIdentity, ManifestsIdenticalAcrossPools) {
   runx::CityCache cache;
-  const std::string reference =
-      sweep_json(cache, sim::SchedulerKind::kHeap, /*pooled=*/false, /*shards=*/1);
-  for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-    for (const bool pooled : {false, true}) {
-      EXPECT_EQ(reference, sweep_json(cache, kind, pooled, 1))
-          << "kind=" << sim::to_string(kind) << " pooled=" << pooled;
-    }
-  }
+  EXPECT_EQ(sweep_json(cache, /*pooled=*/false, 1), sweep_json(cache, /*pooled=*/true, 1));
 }
 
-TEST(EndToEndIdentity, ShardedManifestsIdenticalAcrossSchedulerAndPools) {
+TEST(EndToEndIdentity, ShardedManifestsIdenticalAcrossPools) {
   runx::CityCache cache;
-  const std::string reference =
-      sweep_json(cache, sim::SchedulerKind::kHeap, /*pooled=*/false, /*shards=*/4);
-  for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-    for (const bool pooled : {false, true}) {
-      EXPECT_EQ(reference, sweep_json(cache, kind, pooled, 4))
-          << "kind=" << sim::to_string(kind) << " pooled=" << pooled;
-    }
-  }
+  EXPECT_EQ(sweep_json(cache, /*pooled=*/false, 4), sweep_json(cache, /*pooled=*/true, 4));
 }
 
 }  // namespace

@@ -96,15 +96,40 @@ cmp -s "${repo_root}/tools/golden/fig6_smoke.json" "${smoke_dir}/golden.json" ||
   exit 1; }
 echo "check.sh: golden digest-identity gate OK"
 
-# --- Scheduler gate: the same golden spec through the non-default event
-# queue (--scheduler heap vs the calendar default) must produce the
-# byte-identical manifest — the two queue kinds realize one total order.
-"${cli}" sweep "${repo_root}/tools/golden/fig6_smoke.spec" --jobs 1 \
-  --scheduler heap --json "${smoke_dir}/golden_heap.json" >/dev/null || {
-  echo "check.sh: golden sweep with --scheduler heap failed" >&2; exit 1; }
-cmp -s "${smoke_dir}/golden.json" "${smoke_dir}/golden_heap.json" || {
-  echo "check.sh: golden manifest differs between schedulers" >&2; exit 1; }
-echo "check.sh: scheduler gate (heap == calendar on golden spec) OK"
+# --- Live-scenario shard gate: a faultx scenario installed live under a
+# trafficx load (draw-free: --jitter 0) must fire every action on the tiled
+# engine too — N/N applied at --shards 4 — and report the sequential
+# engine's digest. Fault actions are coordinator events (schedule_control),
+# so an action that never fires shows up here as a short count.
+cat > "${smoke_dir}/live_blackout.spec" <<'EOF'
+name live-blackout
+seed 3
+blackout rect -100000 -100000 100000 100000 at 2
+EOF
+cat > "${smoke_dir}/live_load.spec" <<'EOF'
+name live-load
+seed 11
+duration 4
+rate 4
+payload 64 128
+EOF
+for k in 1 4; do
+  "${cli}" load cambridge --spec "${smoke_dir}/live_load.spec" \
+    --scenario "${smoke_dir}/live_blackout.spec" --shards "$k" --jitter 0 \
+    > "${smoke_dir}/live_k${k}.txt" || {
+    echo "check.sh: citymesh load --scenario failed at --shards $k" >&2; exit 1; }
+  applied=$(grep -o '([0-9]*/[0-9]* actions applied)' "${smoke_dir}/live_k${k}.txt" \
+    | tr -d '()' | cut -d' ' -f1)
+  [ -n "${applied}" ] && [ "${applied%/*}" = "${applied#*/}" ] \
+    && [ "${applied%/*}" -gt 0 ] || {
+    echo "check.sh: live scenario applied '${applied}' actions at --shards $k" >&2
+    exit 1; }
+done
+live_digest() { grep -o 'determinism digest: [0-9a-f]*' "$1"; }
+[ "$(live_digest "${smoke_dir}/live_k4.txt")" = \
+  "$(live_digest "${smoke_dir}/live_k1.txt")" ] || {
+  echo "check.sh: live scenario digest differs at --shards 4" >&2; exit 1; }
+echo "check.sh: live-scenario shard gate (${applied} actions, K=4 digest == K=1) OK"
 
 # --- relayx smoke: the fig11 overhead/deliverability frontier must run its
 # quick grid and produce the same determinism digest across two same-seed
@@ -241,7 +266,8 @@ echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs/--shards) OK"
 # through freelists, and the metro-memory slabs (CSR views, agent-state
 # stripes, medium transmit rings) index shared flat arrays, and the flat
 # spatial grid and essential-edge planning graph are offset-indexed CSRs
-# (geo, graphx, core); run all twelve suites under ASan+UBSan in a separate
+# (geo, graphx, core), and faultx actions capture the scenario engine into
+# coordinator closures; run all thirteen suites under ASan+UBSan in a separate
 # tree (skipped if that tree's configure fails, e.g. no sanitizer runtime on
 # minimal images).
 san_dir="${build_dir}-asan"
@@ -250,7 +276,7 @@ if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; th
     --target test_obsx --target test_trafficx --target test_sim \
     --target test_compiled --target test_relayx --target test_shardx \
     --target test_qfgeo --target test_scheduler --target test_metromem \
-    --target test_geo --target test_graphx --target test_core
+    --target test_geo --target test_graphx --target test_core --target test_faultx
   "${san_dir}/tests/test_obsx"
   "${san_dir}/tests/test_trafficx"
   "${san_dir}/tests/test_sim"
@@ -263,7 +289,8 @@ if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; th
   "${san_dir}/tests/test_geo"
   "${san_dir}/tests/test_graphx"
   "${san_dir}/tests/test_core"
-  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_geo + test_graphx + test_core clean under ASan+UBSan"
+  "${san_dir}/tests/test_faultx"
+  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_geo + test_graphx + test_core + test_faultx clean under ASan+UBSan"
 else
   echo "check.sh: sanitizer configure failed; skipping ASan+UBSan pass" >&2
 fi
@@ -273,7 +300,8 @@ fi
 # the shardx worker pool runs tile simulators concurrently inside one run,
 # and the qfgeo sweep tests drive the protocol axis across worker threads,
 # and the tiled engine's shared agent-state slab stripes its dup filter by
-# tile (each stripe touched by exactly one worker thread); run those tests
+# tile (each stripe touched by exactly one worker thread), and live faultx
+# scenarios flip AP status between the tiles' windows; run those tests
 # (plus the event engine they drive) under TSan in a third tree to catch
 # data races the determinism digest can't see.
 tsan_dir="${build_dir}-tsan"
@@ -281,7 +309,7 @@ if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/nul
   cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_runx --target test_sim --target test_compiled \
     --target test_relayx --target test_shardx --target test_qfgeo \
-    --target test_scheduler --target test_metromem
+    --target test_scheduler --target test_metromem --target test_faultx
   "${tsan_dir}/tests/test_runx"
   "${tsan_dir}/tests/test_sim"
   "${tsan_dir}/tests/test_compiled"
@@ -290,7 +318,8 @@ if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/nul
   "${tsan_dir}/tests/test_qfgeo"
   "${tsan_dir}/tests/test_scheduler"
   "${tsan_dir}/tests/test_metromem"
-  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem clean under TSan"
+  "${tsan_dir}/tests/test_faultx"
+  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_faultx clean under TSan"
 else
   echo "check.sh: TSan configure failed; skipping thread-sanitizer pass" >&2
 fi

@@ -124,7 +124,6 @@ struct Options {
   std::size_t queue_slots = 8;
   std::size_t sweep_jobs = 1;
   std::size_t shards = 1;
-  sim::SchedulerKind scheduler = sim::kDefaultScheduler;
   std::string kind_filter;
   std::optional<std::uint32_t> node_filter;
   std::optional<std::uint32_t> packet_filter;
@@ -152,7 +151,6 @@ int usage() {
       "         --json FILE (load)\n"
       "         --jobs N --json FILE (sweep)\n"
       "         --shards N (tiled parallel engine; 1 = sequential legacy)\n"
-      "         --scheduler heap|calendar (event queue; digests identical)\n"
       "         --jitter S (per-delivery jitter seconds; 0 = draw-free)\n"
       "         --trace FILE (send/scenario/load)\n"
       "         --kind K --node N --packet P (trace)\n";
@@ -259,12 +257,6 @@ std::optional<Options> parse_options(int argc, char** argv, int first) {
       const auto v = next();
       if (!v || !parse_u64(*v, n) || n == 0) return std::nullopt;
       opts.shards = n;
-    } else if (arg == "--scheduler") {
-      const auto v = next();
-      if (!v) return std::nullopt;
-      const auto kind = sim::scheduler_from(*v);
-      if (!kind) return std::nullopt;
-      opts.scheduler = *kind;
     } else if (arg == "--svg") {
       const auto v = next();
       if (!v) return std::nullopt;
@@ -325,7 +317,6 @@ core::NetworkConfig network_config(const Options& opts) {
   cfg.conduit.width_m = opts.width_m;
   cfg.building_suppression = opts.suppression;
   cfg.shards = opts.shards;
-  cfg.scheduler = opts.scheduler;
   if (opts.jitter_s) cfg.medium.jitter_s = *opts.jitter_s;
   if (!opts.policy.empty()) {
     cfg.relay.kind = *relayx::policy_kind_from(opts.policy);
@@ -336,15 +327,17 @@ core::NetworkConfig network_config(const Options& opts) {
   return cfg;
 }
 
-// Flush a network's recorded trace to disk (send/scenario --trace FILE).
+// Flush a network's recorded trace to disk (send/scenario/load --trace FILE):
+// every buffer in effect, so a tiled run writes its tiles' events too.
 int write_trace_file(const core::CityMeshNetwork& net, const std::string& path) {
+  const std::vector<obsx::TraceEvent> events = net.merged_trace_events();
   std::ofstream out{path};
-  if (out) obsx::write_trace_jsonl(out, net.trace());
+  if (out) obsx::write_trace_jsonl(out, events);
   if (!out) {
     std::cerr << "cannot write " << path << '\n';
     return 1;
   }
-  std::cout << "wrote " << path << " (" << net.trace().size() << " trace events";
+  std::cout << "wrote " << path << " (" << events.size() << " trace events";
   if (net.trace().lost() > 0) {
     std::cout << ", " << net.trace().lost() << " oldest lost to ring wrap";
   }
@@ -485,7 +478,7 @@ int cmd_send(const Options& opts) {
     return 2;
   }
   core::CityMeshNetwork net{*city, network_config(opts)};
-  if (!opts.trace_file.empty()) net.trace().enable();
+  if (!opts.trace_file.empty()) net.set_tracing(true);
   const auto alice = cryptox::KeyPair::from_seed(opts.seed + 1);
   const auto bob = cryptox::KeyPair::from_seed(opts.seed + 2);
   const auto info = core::PostboxInfo::for_key(bob, static_cast<osmx::BuildingId>(to));
@@ -580,7 +573,7 @@ int cmd_scenario(const Options& opts) {
   cfg.snapshot.deliver_pairs = opts.deliver;
 
   core::CityMeshNetwork network{*city, network_config(opts)};
-  if (!opts.trace_file.empty()) network.trace().enable();
+  if (!opts.trace_file.empty()) network.set_tracing(true);
   const auto trace = faultx::evaluate_scenario(network, parsed.scenario, cfg);
 
   std::cout << "scenario '" << trace.scenario << "' on " << city->name() << ": "
@@ -695,7 +688,7 @@ int cmd_load(const Options& opts) {
   cfg.medium.bitrate_bps = opts.bitrate_bps;
   cfg.medium.tx_queue_capacity = opts.queue_slots;
   core::CityMeshNetwork network{*city, cfg};
-  if (!opts.trace_file.empty()) network.trace().enable();
+  if (!opts.trace_file.empty()) network.set_tracing(true);
 
   // A scenario given via --scenario runs live: its fault timeline is
   // scheduled into the same simulator the workload injections use.
