@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
                    rows);
   citymesh::benchutil::digest_rows(emit, rows);
   emit.manifest().set_param("pairs", static_cast<std::uint64_t>(done));
-  emit.add_metrics(net.metrics().snapshot());
+  emit.add_metrics(net.merged_metrics());
 
   std::cout << "\nExpected shape: flood delivers everything at the highest data\n"
             << "cost; greedy is cheapest but drops pairs at dead ends; AODV's\n"

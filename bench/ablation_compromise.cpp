@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
           reinterpret_cast<const std::uint8_t*>(kPayload.data()), kPayload.size()};
       if (net.send(a, info, payload).delivered) ++delivered;
     }
-    emit.add_metrics(net.metrics().snapshot());
+    emit.add_metrics(net.merged_metrics());
     rows.push_back({viz::fmt(fraction * 100, 0) + "%", std::to_string(compromised),
                     viz::fmt(attempted ? static_cast<double>(delivered) / attempted : 0.0,
                              2)});

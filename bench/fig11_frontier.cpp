@@ -25,9 +25,12 @@
 //
 // Everything is seeded; `--quick` shrinks the grid for smoke/CI runs and
 // the determinism digest makes the two-run comparison a one-line diff.
-// Pass city names as arguments to change the default (boston).
+// `--shards N` runs each point on N tiles (src/shardx); rows and digest are
+// the same for every N. Pass city names as arguments to change the default
+// (boston).
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <iterator>
@@ -99,8 +102,9 @@ constexpr PolicyVariant kVariants[] = {
     {relayx::PolicyKind::kEtxPriority, 0, kAssessWindowS, "etx-priority"},
 };
 
-core::NetworkConfig network_config(const PolicyVariant& variant) {
+core::NetworkConfig network_config(const PolicyVariant& variant, std::size_t shards) {
   core::NetworkConfig config;
+  config.shards = shards;
   config.placement.seed = 7;
   // The paper's 13x-overhead regime: one AP per ~50 m^2 of footprint. At
   // the default sparse placement the flood's median overhead is only ~4x
@@ -159,11 +163,15 @@ int main(int argc, char** argv) {
   citymesh::benchutil::ManifestEmitter emit{"fig11_frontier", argc, argv};
   const std::size_t n_jobs = citymesh::benchutil::parse_jobs(argc, argv);
   bool quick = false;
+  std::size_t shards = 1;
   {
     int out = 1;
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--quick") == 0) {
         quick = true;
+      } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
+        shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+        if (shards == 0) shards = 1;
       } else {
         argv[out++] = argv[i];
       }
@@ -178,7 +186,9 @@ int main(int argc, char** argv) {
   std::cout << "CityMesh extension - Figure 11 (overhead/deliverability frontier)\n"
             << "relayx rebroadcast policies under offered load, with and without\n"
             << "a downtown blackout (" << runx::resolve_jobs(n_jobs)
-            << " worker thread(s)" << (quick ? ", --quick grid" : "") << ")\n";
+            << " worker thread(s)"
+            << (shards > 1 ? ", " + std::to_string(shards) + " tiles/run" : "")
+            << (quick ? ", --quick grid" : "") << ")\n";
 
   std::vector<osmx::CityProfile> profiles;
   if (argc > 1) {
@@ -193,6 +203,8 @@ int main(int argc, char** argv) {
   emit.manifest().set_param("bitrate_bps", kBitrateBps);
   emit.manifest().set_param("blackout_fraction", kBlackoutFraction);
   emit.manifest().set_param("quick", quick ? std::uint64_t{1} : std::uint64_t{0});
+  // --jobs and --shards are deliberately NOT recorded: manifests from any
+  // worker/tile count must stay byte-identical (wall_clock_s aside).
 
   // One run per (city, policy, rate, scenario). All points of a city share
   // the compiled mesh through the cache (the relay policy is not part of the
@@ -224,7 +236,7 @@ int main(int argc, char** argv) {
     const double rate = rates[(local / n_scen) % rates.size()];
     const bool blackout = local % n_scen == 1;
 
-    const core::NetworkConfig config = network_config(variant);
+    const core::NetworkConfig config = network_config(variant, shards);
     const auto compiled = cache.get(profile, config);
     core::CityMeshNetwork network{compiled, config};
 
@@ -240,7 +252,8 @@ int main(int argc, char** argv) {
     run_config.measure_overhead = true;
     const auto run = trafficx::run_workload(network, schedule, run_config);
     const core::CapacitySummary& s = run.summary;
-    const relayx::RebroadcastPolicy& relay = network.relay_policy();
+    // Flood registers no relayx.* keys: nothing to cancel.
+    const auto cancelled = run.metrics.counters.find("relayx.cancelled");
 
     runx::RunResult result;
     result.cells = {profile.name,
@@ -251,7 +264,9 @@ int main(int argc, char** argv) {
                     viz::fmt(s.delivery_rate(), 3),
                     viz::fmt(s.overhead_median, 1),
                     std::to_string(s.transmissions),
-                    std::to_string(relay.cancelled()),
+                    std::to_string(cancelled == run.metrics.counters.end()
+                                       ? 0
+                                       : cancelled->second),
                     std::to_string(s.deferrals),
                     std::to_string(s.queue_drops),
                     viz::fmt(s.latency_p50_s * 1e3, 1)};

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Record the whole delivery into the network's trace buffer.
-  net.trace().enable();
+  // Record the whole delivery into the network's trace buffers.
+  net.set_tracing(true);
   const auto alice = cryptox::KeyPair::from_seed(2025);
   const auto sealed = cryptox::seal(alice, info.public_key, "fig7 payload", 7);
   const auto outcome = net.send(src, info, sealed.serialize());
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   const char* jsonl_path = "fig7_trace.jsonl";
   {
     std::ofstream out{jsonl_path};
-    obsx::write_trace_jsonl(out, net.trace());
+    obsx::write_trace_jsonl(out, net.merged_trace_events());
     if (!out) {
       std::cerr << "failed to write " << jsonl_path << '\n';
       return 1;
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   emit.manifest().set_param("message_id",
                             static_cast<std::uint64_t>(outcome.message_id));
   for (const auto& e : *events) emit.row(obsx::trace_line(e));
-  emit.add_metrics(net.metrics().snapshot());
+  emit.add_metrics(net.merged_metrics());
 
   // Render — from the reloaded trace roles, not from the live outcome.
   viz::SvgScene scene{city.extent(), 1100.0};

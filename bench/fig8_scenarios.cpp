@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
                     std::to_string(snap.rescues_succeeded) + "/" +
                         std::to_string(snap.rescues_attempted),
                     viz::fmt(snap.deliverability_with_rescue(), 3)};
-    result.metrics = network.metrics().snapshot();
+    result.metrics = network.merged_metrics();
     return result;
   };
   const runx::SweepReport report = runx::run_jobs(std::move(grid), fn, {n_jobs});

@@ -15,7 +15,6 @@
 #include "core/building_graph.hpp"
 #include "core/compiled_message.hpp"
 #include "core/conduit.hpp"
-#include "core/packet_pool.hpp"
 #include "core/route_planner.hpp"
 #include "cryptox/chacha20.hpp"
 #include "cryptox/sealed.hpp"
@@ -459,27 +458,6 @@ static void BM_SchedulerHold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerHold)->Arg(1'000)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
-
-// Packet materialization: the pooled allocate_shared path each send/ack
-// takes versus the make_shared it replaced.
-static void BM_PacketAlloc(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
-  citymesh::core::PacketPool pool{1024};
-  const std::vector<std::uint8_t> header(48, 0xab);
-  for (auto _ : state) {
-    std::shared_ptr<const citymesh::core::MeshPacket> p;
-    if (pooled) {
-      p = pool.make(citymesh::core::MeshPacket{header, {}, 1, nullptr});
-    } else {
-      p = std::make_shared<const citymesh::core::MeshPacket>(
-          citymesh::core::MeshPacket{header, {}, 1, nullptr});
-    }
-    benchmark::DoNotOptimize(p);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pooled ? "pooled" : "make_shared");
-}
-BENCHMARK(BM_PacketAlloc)->Arg(0)->Arg(1);
 
 // One broadcast through the medium fan-out (one batch node per
 // transmission, advanced in place per reception) on a degree-10 star.

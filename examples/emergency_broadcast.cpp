@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   const std::string profile = argc > 1 ? argv[1] : "boston";
   const auto city = osmx::generate_city(osmx::profile_by_name(profile));
   core::NetworkConfig cfg;
-  cfg.building_suppression = true;  // the reduced-overhead protocol variant
+  // The reduced-overhead protocol variant: same-building backoff suppression.
+  cfg.relay.kind = relayx::PolicyKind::kBuildingBackoff;
   core::CityMeshNetwork net{city, cfg};
   std::cout << "== emergency broadcast drill: " << city.name() << " ==\n"
             << net.aps().ap_count() << " APs, suppression on\n\n";

@@ -49,10 +49,6 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
       spt_cache_(compiled_->map.planning_graph()),
       planner_(compiled_->map, config.conduit, &spt_cache_),
       compiler_(compiled_->map),
-      packet_pool_(config.pooled_packets
-                       ? std::make_unique<PacketPool>(config.packet_pool_capacity)
-                       : nullptr),
-      medium_(sim_, compiled_->aps.graph(), config.medium),
       trace_(trace_capacity_for(config_, compiled_->aps.ap_count())),
       ap_status_(compiled_->aps.ap_count(), ApStatus::kUp),
       aps_up_(compiled_->aps.ap_count()) {
@@ -67,256 +63,152 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
     agents_.emplace_back(ap.id, ap.position, ap.building, compiled_->map, &compiler_);
     agents_.back().set_state(&agent_state_, ap.id);
   }
-  const bool tiled = config_.shards > 1;
-  if (!tiled) {
-    medium_.set_delivery_handler(
-        [this](sim::NodeId to, sim::NodeId from,
-               const std::shared_ptr<const MeshPacket>& packet) {
-          handle_delivery(*shards_.front(), to, from, packet);
-        });
-    medium_.set_node_filter([this](sim::NodeId node) { return ap_up(node); });
-    medium_.set_link_loss([this](sim::NodeId from, sim::NodeId to) {
+
+  // Coordinator registry: what happens outside the tiles. Control events
+  // record their scheduling latency here, like a Simulator::schedule_at.
+  h_control_latency_ =
+      &metrics_.histogram("sim.event_latency_s", obsx::exponential_buckets(1e-4, 4.0, 10));
+  n_sends_ = &metrics_.counter("net.sends");
+  n_delivered_ = &metrics_.counter("net.delivered");
+  n_postbox_stores_ = &metrics_.counter("net.postbox_stores");
+  n_acks_received_ = &metrics_.counter("net.acks_received");
+  h_header_bits_ = &metrics_.histogram("net.header_bits", obsx::linear_buckets(80.0, 20.0, 16));
+  h_min_hops_ = &metrics_.histogram("net.min_hops", obsx::linear_buckets(1.0, 1.0, 32));
+  h_tx_per_delivery_ =
+      &metrics_.histogram("net.tx_per_delivery", obsx::exponential_buckets(1.0, 2.0, 12));
+  build_tiles();
+}
+
+void CityMeshNetwork::bind_qfgeo_counters(Shard& shard) {
+  // Registered only under Protocol::kQfgeo, following the relayx precedent:
+  // snapshot() serializes every registered counter, and conduit manifests
+  // must stay byte-identical to the pre-qfgeo pipeline (golden digest gate).
+  if (config_.protocol != Protocol::kQfgeo) return;
+  shard.qf_candidates = &shard.metrics.counter("qfgeo.candidates");
+  shard.qf_fired = &shard.metrics.counter("qfgeo.fired");
+  shard.qf_cancelled = &shard.metrics.counter("qfgeo.cancelled");
+  shard.qf_no_progress = &shard.metrics.counter("qfgeo.no_progress");
+  shard.qf_fallback_floods = &shard.metrics.counter("qfgeo.fallback_floods");
+}
+
+void CityMeshNetwork::build_tiles() {
+  const std::size_t tiles = std::max<std::size_t>(config_.shards, 1);
+  if (tiles > 1) {
+    plan_ = shardx::plan_tiles(compiled_->map.centroid_grid(), compiled_->map.building_count(),
+                               compiled_->aps, tiles, config_.tiling);
+    // Stripe the shared dup filter by tile: an AP's receptions run only on
+    // its owning tile's thread, so per-tile stripes make the one slab
+    // TSan-clean.
+    agent_state_.set_stripes(plan_.ap_tile.data(), plan_.tile_count);
+    const double min_serialization_s =
+        config_.medium.bitrate_bps > 0.0
+            ? static_cast<double>(config_.medium.frame_overhead_bits) /
+                  config_.medium.bitrate_bps
+            : config_.medium.tx_delay_s;
+    lookahead_s_ = shardx::lookahead_s(plan_.cross, min_serialization_s,
+                                       config_.medium.prop_delay_s_per_m);
+
+    // Cross-link CSR by transmitter (counting sort keeps plan order per AP).
+    cross_base_.assign(aps().ap_count() + 1, 0);
+    for (const shardx::CrossLink& link : plan_.cross) ++cross_base_[link.from + 1];
+    for (std::size_t i = 1; i < cross_base_.size(); ++i) cross_base_[i] += cross_base_[i - 1];
+    cross_links_.resize(plan_.cross.size());
+    std::vector<std::size_t> cursor{cross_base_.begin(), cross_base_.end() - 1};
+    for (const shardx::CrossLink& link : plan_.cross) cross_links_[cursor[link.from]++] = link;
+  }
+
+  // The policy draws from the network seed, so policy draws follow the
+  // run's determinism contract.
+  relayx::PolicyConfig relay = config_.relay;
+  relay.seed = config_.seed;
+  const std::size_t trace_cap = trace_capacity_for(config_, aps().ap_count());
+
+  shards_.reserve(tiles);
+  for (shardx::TileId tile = 0; tile < tiles; ++tile) {
+    auto s = std::make_unique<Shard>(tile, aps().graph(), config_.medium, trace_cap);
+    Shard* sp = s.get();
+    s->h_latency = &s->metrics.histogram("sim.event_latency_s",
+                                         obsx::exponential_buckets(1e-4, 4.0, 10));
+    // Quantized sums make the per-shard accumulation exact, so the merged
+    // latency sum depends only on the multiset of recorded delays — not on
+    // how the tiling happened to interleave them. 2^-30 s (~1 ns) is far
+    // below the medium's delay resolution; exactness holds up to 2^23
+    // accumulated seconds.
+    s->h_latency->set_sum_quantum(0x1p-30);
+    s->sim.set_latency_histogram(s->h_latency);
+    sim::BroadcastMedium<MeshPacket>& medium = s->medium;
+    medium.set_delivery_handler([this, sp](sim::NodeId to, sim::NodeId from,
+                                           const std::shared_ptr<const MeshPacket>& packet) {
+      handle_delivery(*sp, to, from, packet);
+    });
+    medium.set_node_filter([this](sim::NodeId node) { return ap_up(node); });
+    medium.set_link_loss([this](sim::NodeId from, sim::NodeId to) {
       return extra_link_loss(from, to);
     });
     // Per-flow transmission attribution (src/trafficx): one hash probe per
     // on-air packet, and only while injected flows are being tracked — the
     // single-send paths see an empty map and pay one branch.
-    medium_.set_tx_observer([this](sim::NodeId, const MeshPacket& p) {
-      if (flows_.empty()) return;
-      if (const auto it = flows_.find(p.trace_id); it != flows_.end()) {
-        ++it->second.transmissions;
-      }
-    });
-  }
-
-  // Rebroadcast policy (src/relayx). The policy draws from the network seed;
-  // the legacy building_suppression flag maps onto building-backoff. The
-  // relayx.* counters are bound into metrics_ for non-flood policies only,
-  // mirroring the MessageCompiler precedent: snapshot() serializes every
-  // registered counter, and flood manifests must stay byte-identical to the
-  // pre-relayx pipeline. Tiled runs decide through per-shard policies; this
-  // one stays idle but keeps the relayx.* keys registered so merged
-  // snapshots serialize the same key set as the legacy path.
-  policy_ = relayx::make_policy(resolved_relay_config(), compiled_->aps);
-  if (policy_->kind() != relayx::PolicyKind::kFlood) {
-    policy_->bind_metrics(metrics_);
-  }
-
-  // Observability wiring: the medium's tally *is* the network's medium.*
-  // metric set, and the medium stamps trace events with the packet's
-  // decoded message id. The medium.* keys are registered even when tiles
-  // own the live mediums (key-set parity for merged manifests).
-  medium_.bind_metrics(metrics_);
-  if (!tiled) {
-    medium_.set_trace(&trace_, [](const MeshPacket& p) { return p.trace_id; });
-    // Airtime accounting charges the packet's wire size (contention model).
-    medium_.set_packet_bits([](const MeshPacket& p) {
-      return (p.header_bytes.size() + p.payload.size()) * 8;
-    });
-  }
-  obsx::Histogram* latency_hist =
-      &metrics_.histogram("sim.event_latency_s", obsx::exponential_buckets(1e-4, 4.0, 10));
-  sim_.set_latency_histogram(latency_hist);
-  n_sends_ = &metrics_.counter("net.sends");
-  n_delivered_ = &metrics_.counter("net.delivered");
-  n_rebroadcasts_ = &metrics_.counter("net.rebroadcasts");
-  n_dup_suppressed_ = &metrics_.counter("net.dup_suppressed");
-  n_conduit_rejects_ = &metrics_.counter("net.conduit_rejects");
-  n_postbox_stores_ = &metrics_.counter("net.postbox_stores");
-  n_acks_sent_ = &metrics_.counter("net.acks_sent");
-  n_acks_received_ = &metrics_.counter("net.acks_received");
-  n_suppression_cancelled_ = &metrics_.counter("net.suppression_cancelled");
-  h_header_bits_ = &metrics_.histogram("net.header_bits", obsx::linear_buckets(80.0, 20.0, 16));
-  h_min_hops_ = &metrics_.histogram("net.min_hops", obsx::linear_buckets(1.0, 1.0, 32));
-  h_tx_per_delivery_ =
-      &metrics_.histogram("net.tx_per_delivery", obsx::exponential_buckets(1.0, 2.0, 12));
-#ifdef CITYMESH_POOL_STATS
-  pool_packet_acquires_ = &metrics_.counter("pool.packet_acquires");
-  pool_packet_fallbacks_ = &metrics_.counter("pool.packet_fallbacks");
-  pool_packet_peak_in_use_ = &metrics_.counter("pool.packet_peak_in_use");
-  pool_inline_fn_heap_fallbacks_ = &metrics_.counter("pool.inline_fn_heap_fallbacks");
-#endif
-
-  if (tiled) {
-    // Key-set parity with K = 1: the coordinator registry carries the
-    // qfgeo.* keys (idle, like the idle relayx policy above) so merged
-    // manifests serialize the same key set for every shard count.
-    if (config_.protocol == Protocol::kQfgeo) {
-      for (const char* key : {"qfgeo.candidates", "qfgeo.fired", "qfgeo.cancelled",
-                              "qfgeo.no_progress", "qfgeo.fallback_floods"}) {
-        metrics_.counter(key);
-      }
-    }
-    build_tiles();
-  } else {
-    // The single legacy shard aliases the network singletons; `direct`
-    // routes outcome writes straight at the network-level state, so the
-    // shards == 1 code path is the pre-shardx pipeline byte for byte.
-    auto s = std::make_unique<Shard>();
-    s->tile = 0;
-    s->direct = true;
-    s->sim = &sim_;
-    s->medium = &medium_;
-    s->metrics = &metrics_;
-    s->trace = &trace_;
-    s->policy = policy_.get();
-    s->compiler = &compiler_;
-    s->n_rebroadcasts = n_rebroadcasts_;
-    s->n_dup_suppressed = n_dup_suppressed_;
-    s->n_conduit_rejects = n_conduit_rejects_;
-    s->n_postbox_stores = n_postbox_stores_;
-    s->n_acks_sent = n_acks_sent_;
-    s->n_suppression_cancelled = n_suppression_cancelled_;
-    s->medium_deliveries = &metrics_.counter("medium.deliveries");
-    s->medium_blocked_receptions = &metrics_.counter("medium.blocked_receptions");
-    s->medium_losses = &metrics_.counter("medium.losses");
-    s->h_latency = latency_hist;
-    bind_qfgeo_counters(*s, metrics_);
-    shards_.push_back(std::move(s));
-  }
-}
-
-void CityMeshNetwork::bind_qfgeo_counters(Shard& shard, obsx::MetricsRegistry& registry) {
-  // Registered only under Protocol::kQfgeo, following the relayx precedent:
-  // snapshot() serializes every registered counter, and conduit manifests
-  // must stay byte-identical to the pre-qfgeo pipeline (golden digest gate).
-  if (config_.protocol != Protocol::kQfgeo) return;
-  shard.qf_candidates = &registry.counter("qfgeo.candidates");
-  shard.qf_fired = &registry.counter("qfgeo.fired");
-  shard.qf_cancelled = &registry.counter("qfgeo.cancelled");
-  shard.qf_no_progress = &registry.counter("qfgeo.no_progress");
-  shard.qf_fallback_floods = &registry.counter("qfgeo.fallback_floods");
-}
-
-relayx::PolicyConfig CityMeshNetwork::resolved_relay_config() const {
-  relayx::PolicyConfig relay = config_.relay;
-  relay.seed = config_.seed;
-  if (config_.building_suppression && relay.kind == relayx::PolicyKind::kFlood) {
-    relay.kind = relayx::PolicyKind::kBuildingBackoff;
-    relay.backoff_s = config_.suppression_backoff_s;
-    relay.suppress_radius_m = config_.suppression_radius_m;
-  }
-  // Tiled execution makes the global election order shard-count-dependent;
-  // per-AP draw streams keep backoff draws a function of each AP's own
-  // election sequence, which is K-invariant.
-  if (config_.shards > 1) relay.per_ap_streams = true;
-  return relay;
-}
-
-void CityMeshNetwork::build_tiles() {
-  plan_ = shardx::plan_tiles(compiled_->map.centroid_grid(), compiled_->map.building_count(),
-                             compiled_->aps, config_.shards, config_.tiling);
-  // Stripe the shared dup filter by tile: an AP's receptions run only on its
-  // owning tile's thread, so per-tile stripes make the one slab TSan-clean.
-  agent_state_.set_stripes(plan_.ap_tile.data(), plan_.tile_count);
-  const double min_serialization_s =
-      config_.medium.bitrate_bps > 0.0
-          ? static_cast<double>(config_.medium.frame_overhead_bits) / config_.medium.bitrate_bps
-          : config_.medium.tx_delay_s;
-  lookahead_s_ =
-      shardx::lookahead_s(plan_.cross, min_serialization_s, config_.medium.prop_delay_s_per_m);
-
-  // Cross-link CSR by transmitter (counting sort keeps plan order per AP).
-  cross_base_.assign(aps().ap_count() + 1, 0);
-  for (const shardx::CrossLink& link : plan_.cross) ++cross_base_[link.from + 1];
-  for (std::size_t i = 1; i < cross_base_.size(); ++i) cross_base_[i] += cross_base_[i - 1];
-  cross_links_.resize(plan_.cross.size());
-  {
-    std::vector<std::size_t> cursor{cross_base_.begin(), cross_base_.end() - 1};
-    for (const shardx::CrossLink& link : plan_.cross) cross_links_[cursor[link.from]++] = link;
-  }
-
-  const relayx::PolicyConfig relay = resolved_relay_config();
-  sim::MediumConfig medium_config = config_.medium;
-  medium_config.shard_invariant_rng = true;
-  const std::size_t trace_cap = trace_capacity_for(config_, aps().ap_count());
-
-  shards_.reserve(plan_.tile_count);
-  for (shardx::TileId tile = 0; tile < plan_.tile_count; ++tile) {
-    auto s = std::make_unique<Shard>();
-    Shard* sp = s.get();
-    s->tile = tile;
-    s->direct = false;
-    s->own_metrics = std::make_unique<obsx::MetricsRegistry>();
-    s->metrics = s->own_metrics.get();
-    s->own_trace = std::make_unique<obsx::TraceBuffer>(trace_cap);
-    s->trace = s->own_trace.get();
-    s->own_sim = std::make_unique<sim::Simulator>();
-    s->sim = s->own_sim.get();
-    s->h_latency = &s->metrics->histogram("sim.event_latency_s",
-                                          obsx::exponential_buckets(1e-4, 4.0, 10));
-    // Quantized sums make the per-shard accumulation exact, so the merged
-    // latency sum depends only on the multiset of recorded delays — not on
-    // how the tiling happened to interleave them. 2^-30 s (~1 ns) is far
-    // below the medium's delay resolution; exactness holds up to 2^23
-    // accumulated seconds. K = 1 keeps the unquantized legacy sum.
-    s->h_latency->set_sum_quantum(0x1p-30);
-    s->sim->set_latency_histogram(s->h_latency);
-    // All K mediums walk the one compiled-city CSR; the tile filter skips
-    // cross-tile neighbors (remote_fanout covers exactly those cut edges).
-    // A filtered walk visits the same edges in the same order as the old
-    // per-tile tile_subgraph copies did (test_metromem pins the parity).
-    s->own_medium = std::make_unique<sim::BroadcastMedium<MeshPacket>>(
-        *s->sim, aps().graph(), medium_config);
-    s->medium = s->own_medium.get();
-    s->medium->set_tile_filter(plan_.ap_tile.data(), tile);
-    s->medium->set_delivery_handler(
-        [this, sp](sim::NodeId to, sim::NodeId from,
-                   const std::shared_ptr<const MeshPacket>& packet) {
-          handle_delivery(*sp, to, from, packet);
-        });
-    s->medium->set_node_filter([this](sim::NodeId node) { return ap_up(node); });
-    s->medium->set_link_loss([this](sim::NodeId from, sim::NodeId to) {
-      return extra_link_loss(from, to);
-    });
-    s->medium->set_tx_observer([this, sp](sim::NodeId, const MeshPacket& p) {
+    medium.set_tx_observer([this, sp](sim::NodeId, const MeshPacket& p) {
       if (flows_.empty()) return;
       if (flows_.find(p.trace_id) != flows_.end()) {
         ++sp->flow_deltas[p.trace_id].transmissions;
       }
     });
-    s->medium->set_remote_fanout(
-        [this, sp](sim::NodeId from, const std::shared_ptr<const MeshPacket>& packet,
-                   sim::SimTime air, std::uint32_t tx_index) {
-          remote_fanout(*sp, from, packet, air, tx_index);
-        });
-    s->medium->bind_metrics(*s->metrics);
-    s->medium->set_trace(s->trace, [](const MeshPacket& p) { return p.trace_id; });
-    s->medium->set_packet_bits([](const MeshPacket& p) {
+    if (tiles > 1) {
+      // The tile filter skips cross-tile neighbors; remote_fanout covers
+      // exactly those cut edges. A filtered walk visits the same edges in
+      // the same order as per-tile subgraph copies would (test_metromem
+      // pins the parity).
+      medium.set_tile_filter(plan_.ap_tile.data(), tile);
+      medium.set_remote_fanout(
+          [this, sp](sim::NodeId from, const std::shared_ptr<const MeshPacket>& packet,
+                     sim::SimTime air, std::uint32_t tx_index) {
+            remote_fanout(*sp, from, packet, air, tx_index);
+          });
+    }
+    // The medium's tally is the medium.* metric set; it stamps trace events
+    // with the packet's decoded message id and charges airtime by the
+    // packet's wire size (contention model).
+    medium.bind_metrics(s->metrics);
+    medium.set_trace(&s->trace, [](const MeshPacket& p) { return p.trace_id; });
+    medium.set_packet_bits([](const MeshPacket& p) {
       return (p.header_bytes.size() + p.payload.size()) * 8;
     });
-    s->own_policy = relayx::make_policy(relay, compiled_->aps);
-    s->policy = s->own_policy.get();
+    // Rebroadcast policy (src/relayx). The relayx.* counters are bound for
+    // non-flood policies only, mirroring the MessageCompiler precedent:
+    // snapshot() serializes every registered counter, and flood manifests
+    // must stay byte-identical to the pre-relayx pipeline.
+    s->policy = relayx::make_policy(relay, compiled_->aps);
     if (s->policy->kind() != relayx::PolicyKind::kFlood) {
-      s->policy->bind_metrics(*s->metrics);
+      s->policy->bind_metrics(s->metrics);
     }
-    // Per-tile compile service: reception-time memo lookups and counter
-    // increments stay on this tile's thread (compile.* counters live in the
-    // compiler's own registry, outside run manifests).
-    s->own_compiler = std::make_unique<MessageCompiler>(compiled_->map);
-    s->compiler = s->own_compiler.get();
-    s->n_rebroadcasts = &s->metrics->counter("net.rebroadcasts");
-    s->n_dup_suppressed = &s->metrics->counter("net.dup_suppressed");
-    s->n_conduit_rejects = &s->metrics->counter("net.conduit_rejects");
-    s->n_postbox_stores = &s->metrics->counter("net.postbox_stores");
-    s->n_acks_sent = &s->metrics->counter("net.acks_sent");
-    s->n_suppression_cancelled = &s->metrics->counter("net.suppression_cancelled");
-    s->medium_deliveries = &s->metrics->counter("medium.deliveries");
-    s->medium_blocked_receptions = &s->metrics->counter("medium.blocked_receptions");
-    s->medium_losses = &s->metrics->counter("medium.losses");
-    if (config_.protocol == Protocol::kQfgeo) {
-      s->own_compiler->set_qfgeo(config_.qfgeo_region);
+    s->compiler = &compiler_;
+    if (tiles > 1) {
+      // Per-tile compile service: reception-time memo lookups and counter
+      // increments stay on this tile's thread (compile.* counters live in
+      // the compiler's own registry, outside run manifests).
+      s->own_compiler = std::make_unique<MessageCompiler>(compiled_->map);
+      if (config_.protocol == Protocol::kQfgeo) {
+        s->own_compiler->set_qfgeo(config_.qfgeo_region);
+      }
+      s->compiler = s->own_compiler.get();
     }
-    bind_qfgeo_counters(*s, *s->metrics);
+    s->n_rebroadcasts = &s->metrics.counter("net.rebroadcasts");
+    s->n_dup_suppressed = &s->metrics.counter("net.dup_suppressed");
+    s->n_conduit_rejects = &s->metrics.counter("net.conduit_rejects");
+    s->n_postbox_stores = &s->metrics.counter("net.postbox_stores");
+    s->n_acks_sent = &s->metrics.counter("net.acks_sent");
+    s->n_suppression_cancelled = &s->metrics.counter("net.suppression_cancelled");
+    bind_qfgeo_counters(*s);
     shards_.push_back(std::move(s));
   }
+  if (tiles == 1) return;
   for (const auto& ap : aps().aps()) {
     agents_[ap.id].set_compiler(shards_[plan_.ap_tile[ap.id]]->compiler);
   }
-
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
-  pool_ = std::make_unique<shardx::WorkerPool>(std::min(plan_.tile_count, hw) - 1);
+  pool_ = std::make_unique<shardx::WorkerPool>(std::min(tiles, hw) - 1);
 }
 
 TraceRoles roles_from_trace(std::span<const obsx::TraceEvent> events,
@@ -380,12 +272,12 @@ void CityMeshNetwork::transmit_counted(Shard& shard, mesh::ApId from,
   // An AP that went down after queuing this rebroadcast (backoff, ack) stays
   // silent: the medium's node filter blocks it, counts it under
   // medium.blocked_transmissions (not transmissions), and traces the drop.
-  shard.medium->transmit(from, packet);
+  shard.medium.transmit(from, packet);
 }
 
 void CityMeshNetwork::clear_pending_relays() {
   for (const auto& sp : shards_) {
-    for (const auto& [key, relay] : sp->pending) sp->sim->cancel(relay.event);
+    for (const auto& [key, relay] : sp->pending) sp->sim.cancel(relay.event);
     sp->pending.clear();
   }
 }
@@ -445,9 +337,8 @@ void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap) {
   // The ack originates at the delivering AP, so the sent/delivered flags are
   // shard-local (building-atomic tiling puts every delivery of one message
   // on one tile); merge_shard_deltas() folds them into active_.
-  if (shard.direct) active_.ack_sent = true;
-  else shard.active.ack_sent = true;
-  const double now = shard.sim->now();
+  shard.active.ack_sent = true;
+  const double now = shard.sim.now();
   wire::PacketHeader ack;
   ack.message_id = active_.ack_message_id;
   ack.postbox_tag = active_.ack_tag;
@@ -457,21 +348,16 @@ void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap) {
   const auto encoded = wire::encode_header(ack);
   // Compile once at build time (decodes the just-encoded bytes so receivers
   // share the canonical decoded header); every reception is then a lookup.
-  auto packet = make_packet(MeshPacket{
+  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
       encoded.bytes, /*payload=*/{}, ack.message_id,
       shard.compiler->compile_bytes(encoded.bytes)});
   shard.n_acks_sent->inc();
-  shard.trace->record(obsx::TraceKind::kAck, now, ap, ack.message_id);
+  shard.trace.record(obsx::TraceKind::kAck, now, ap, ack.message_id);
   // The originating AP marks the ack as seen (it may also deliver when the
   // sender and recipient share a building) and always transmits it.
   const AgentAction action = agents_[ap].on_receive(*packet, now);
   if (action.delivered && action.message_id == active_.ack_message_id) {
-    if (shard.direct) {
-      active_.ack_delivered = true;
-      n_acks_received_->inc();
-    } else {
-      shard.active.ack_delivered = true;
-    }
+    shard.active.ack_delivered = true;
   }
   transmit_counted(shard, ap, packet);
 }
@@ -479,13 +365,13 @@ void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap) {
 void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from,
                                       const std::shared_ptr<const MeshPacket>& packet) {
   ApAgent& agent = agents_[to];
-  const double now = s.sim->now();
+  const double now = s.sim.now();
   const AgentAction action = agent.on_receive(*packet, now);
   if (action.malformed) {
     // Counted by the compiler (compile.malformed); traced here so corrupt
     // receptions are visible in the event stream instead of vanishing.
-    s.trace->record(obsx::TraceKind::kMalformed, now,
-                    static_cast<std::uint32_t>(to), packet->trace_id);
+    s.trace.record(obsx::TraceKind::kMalformed, now,
+                   static_cast<std::uint32_t>(to), packet->trace_id);
     return;
   }
 
@@ -496,8 +382,8 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
   s.policy->observe({to, from, action.message_id, now});
   if (action.duplicate) {
     s.n_dup_suppressed->inc();
-    s.trace->record(obsx::TraceKind::kDupSuppressed, now, node,
-                    action.message_id, static_cast<std::uint32_t>(from));
+    s.trace.record(obsx::TraceKind::kDupSuppressed, now, node,
+                   action.message_id, static_cast<std::uint32_t>(from));
     // Overhear-cancel: this AP holds a pending (backoff-delayed) copy of the
     // same message; the policy judges whether the overheard transmission
     // makes it redundant (same-building radius, copy counter, ...).
@@ -525,11 +411,11 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
                                                 it->second.overheard);
         }
         if (cancel) {
-          s.sim->cancel(it->second.event);
+          s.sim.cancel(it->second.event);
           s.pending.erase(it);
           s.n_suppression_cancelled->inc();
-          s.trace->record(obsx::TraceKind::kSuppressed, now, node,
-                          action.message_id, static_cast<std::uint32_t>(from));
+          s.trace.record(obsx::TraceKind::kSuppressed, now, node,
+                         action.message_id, static_cast<std::uint32_t>(from));
         }
       }
     }
@@ -538,61 +424,37 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
 
   if (action.delivered) {
     s.n_postbox_stores->inc(action.delivered_count);
-    s.trace->record(obsx::TraceKind::kPostboxStore, now, node,
-                    action.message_id,
-                    static_cast<std::uint32_t>(action.delivered_count));
-    // flows_ / active_ are read-only during tiled windows; non-direct shards
-    // write their deltas and merge_shard_deltas() folds them in afterwards
-    // (counter values are only observed after runs, so the totals agree).
-    if (const auto flow = flows_.find(action.message_id); flow != flows_.end()) {
-      if (s.direct) {
-        flow->second.postboxes_reached += action.delivered_count;
-        if (!flow->second.delivered) {
-          flow->second.delivered = true;
-          flow->second.delivery_time_s = now;
-          n_delivered_->inc();
-        }
-      } else {
-        FlowDelta& delta = s.flow_deltas[action.message_id];
-        delta.postboxes_reached += action.delivered_count;
-        if (!delta.delivered) {
-          delta.delivered = true;
-          delta.delivery_time_s = now;
-        }
+    s.trace.record(obsx::TraceKind::kPostboxStore, now, node,
+                   action.message_id,
+                   static_cast<std::uint32_t>(action.delivered_count));
+    // flows_ / active_ are read-only while windows run; shards write their
+    // deltas and merge_shard_deltas() folds them in afterwards (counter
+    // values are only observed after runs, so the totals agree).
+    if (flows_.contains(action.message_id)) {
+      FlowDelta& delta = s.flow_deltas[action.message_id];
+      delta.postboxes_reached += action.delivered_count;
+      if (!delta.delivered) {
+        delta.delivered = true;
+        delta.delivery_time_s = now;
       }
     } else if (action.message_id == active_.message_id) {
-      if (s.direct) {
-        active_.postboxes_reached += action.delivered_count;
-        if (!active_.delivered) {
-          active_.delivered = true;
-          active_.delivery_time_s = now;
-          n_delivered_->inc();
-        }
-      } else {
-        ActiveDelta& delta = s.active;
-        delta.postboxes_reached += action.delivered_count;
-        if (!delta.delivered) {
-          delta.delivered = true;
-          delta.delivery_time_s = now;
-        }
+      ActiveDelta& delta = s.active;
+      delta.postboxes_reached += action.delivered_count;
+      if (!delta.delivered) {
+        delta.delivered = true;
+        delta.delivery_time_s = now;
       }
-      const bool ack_sent = s.direct ? active_.ack_sent : s.active.ack_sent;
-      if (active_.ack_message_id != 0 && !ack_sent) {
+      if (active_.ack_message_id != 0 && !delta.ack_sent) {
         send_ack_from(s, to);
       }
     } else if (action.message_id == active_.ack_message_id) {
-      if (s.direct) {
-        if (!active_.ack_delivered) n_acks_received_->inc();
-        active_.ack_delivered = true;
-      } else {
-        s.active.ack_delivered = true;
-      }
+      s.active.ack_delivered = true;
     }
   }
 
   if (action.rebroadcast) {
     s.n_rebroadcasts->inc();
-    s.trace->record(obsx::TraceKind::kRebroadcast, now, node, action.message_id);
+    s.trace.record(obsx::TraceKind::kRebroadcast, now, node, action.message_id);
     // QF-Geo networks route in-region receptions through the greedy
     // forwarding election; geo-broadcast floods stay on the policy path
     // (suppression applies only to flood-mode receptions).
@@ -604,7 +466,7 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
     }
   } else {
     s.n_conduit_rejects->inc();
-    s.trace->record(obsx::TraceKind::kConduitReject, now, node, action.message_id);
+    s.trace.record(obsx::TraceKind::kConduitReject, now, node, action.message_id);
   }
 }
 
@@ -619,10 +481,10 @@ void CityMeshNetwork::policy_relay(Shard& s, mesh::ApId to, std::uint32_t messag
       break;
     case relayx::Decision::Kind::kDelay: {
       const std::uint64_t key = (std::uint64_t{message_id} << 32) | to;
-      s.trace->record(obsx::TraceKind::kElected, now, node, message_id);
+      s.trace.record(obsx::TraceKind::kElected, now, node, message_id);
       Shard* sp = &s;
       const auto event =
-          s.sim->schedule_cancelable_in(decision.delay_s, [this, sp, to, packet, key] {
+          s.sim.schedule_cancelable_in(decision.delay_s, [this, sp, to, packet, key] {
             sp->pending.erase(key);
             sp->policy->count_fired();
             transmit_counted(*sp, to, packet);
@@ -631,7 +493,7 @@ void CityMeshNetwork::policy_relay(Shard& s, mesh::ApId to, std::uint32_t messag
       break;
     }
     case relayx::Decision::Kind::kSuppress:
-      s.trace->record(obsx::TraceKind::kSuppressed, now, node, message_id);
+      s.trace.record(obsx::TraceKind::kSuppressed, now, node, message_id);
       break;
   }
 }
@@ -673,12 +535,12 @@ void CityMeshNetwork::qfgeo_forward(Shard& s, mesh::ApId to, mesh::ApId from,
     // tiled runs stay shard-invariant. The closest (least-loaded) receiver
     // fires first; everyone else cancels on overhearing its copy.
     const double delay = qfgeo::forward_delay(config_.qfgeo_forward, my_d, from_d,
-                                              s.medium->queued(to));
+                                              s.medium.queued(to));
     const std::uint64_t key = (std::uint64_t{action.message_id} << 32) | to;
-    s.trace->record(obsx::TraceKind::kElected, now, node, action.message_id);
+    s.trace.record(obsx::TraceKind::kElected, now, node, action.message_id);
     s.qf_candidates->inc();
     Shard* sp = &s;
-    const auto event = s.sim->schedule_cancelable_in(delay, [this, sp, to, packet, key] {
+    const auto event = s.sim.schedule_cancelable_in(delay, [this, sp, to, packet, key] {
       sp->pending.erase(key);
       sp->qf_fired->inc();
       transmit_counted(*sp, to, packet);
@@ -699,39 +561,22 @@ void CityMeshNetwork::qfgeo_forward(Shard& s, mesh::ApId to, mesh::ApId from,
     return;
   }
   s.qf_no_progress->inc();
-  s.trace->record(obsx::TraceKind::kSuppressed, now, node, action.message_id);
+  s.trace.record(obsx::TraceKind::kSuppressed, now, node, action.message_id);
 }
 
-// --- Shard-agnostic run driving (src/shardx) -------------------------------
-
-sim::SimTime CityMeshNetwork::sim_now() const {
-  return config_.shards > 1 ? shard_now_ : sim_.now();
-}
-
-std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_events) {
-  if (config_.shards <= 1) return sim_.run(until, max_events);
-  return run_tiled(until, max_events);
-}
+// --- Run driving (src/shardx) ---------------------------------------------
 
 void CityMeshNetwork::schedule_control(sim::SimTime at, std::function<void()> fn) {
-  if (config_.shards <= 1) {
-    sim_.schedule_at(at, std::move(fn));
-    return;
-  }
   if (at < shard_now_) {
     throw std::runtime_error("schedule_control: time is in the past");
   }
-  // Latency-record parity with Simulator::schedule_at, into the network
-  // registry (the tiled histogram multiset must match the legacy one).
-  metrics_.histogram("sim.event_latency_s", obsx::exponential_buckets(1e-4, 4.0, 10))
-      .record(at - shard_now_);
+  h_control_latency_->record(at - shard_now_);
   control_.push_back({at, control_seq_++, std::move(fn)});
   std::push_heap(control_.begin(), control_.end(), control_after);
 }
 
-std::size_t CityMeshNetwork::run_tiled(sim::SimTime until, std::size_t max_events) {
+std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_events) {
   std::size_t executed = 0;
-  std::vector<std::size_t> counts(shards_.size(), 0);
   while (executed < max_events) {
     // Barrier exchange first: outboxes may hold handoffs created outside any
     // window — by the synchronous source transmission in run_send/inject, by
@@ -742,14 +587,14 @@ std::size_t CityMeshNetwork::run_tiled(sim::SimTime until, std::size_t max_event
     exchange_handoffs();
     const sim::SimTime control_t = control_.empty() ? sim::kForever : control_.front().time;
     sim::SimTime earliest = sim::kForever;
-    for (const auto& sp : shards_) earliest = std::min(earliest, sp->sim->next_time());
+    for (const auto& sp : shards_) earliest = std::min(earliest, sp->sim.next_time());
     const sim::SimTime next = std::min(control_t, earliest);
     if (next > until || next >= sim::kForever) {
       // Quiesced before the horizon (or nothing left at all): advance every
       // tile clock to the horizon, mirroring Simulator::run on an empty
       // queue, so a later schedule_control lands in the present.
       if (until < sim::kForever) {
-        for (const auto& sp : shards_) sp->sim->advance_to(until);
+        for (const auto& sp : shards_) sp->sim.advance_to(until);
         if (until > shard_now_) shard_now_ = until;
       }
       break;
@@ -758,7 +603,7 @@ std::size_t CityMeshNetwork::run_tiled(sim::SimTime until, std::size_t max_event
       // Coordinator events run between windows with every tile synchronized
       // to exactly their time: the handler may touch any network state
       // (inject flows, flip AP status, read merged outcomes).
-      for (const auto& sp : shards_) sp->sim->advance_to(control_t);
+      for (const auto& sp : shards_) sp->sim.advance_to(control_t);
       shard_now_ = control_t;
       merge_shard_deltas();
       while (!control_.empty() && control_.front().time <= control_t) {
@@ -777,20 +622,25 @@ std::size_t CityMeshNetwork::run_tiled(sim::SimTime until, std::size_t max_event
     const sim::SimTime end =
         lookahead_s_ >= sim::kForever ? cap : std::min(cap, earliest + lookahead_s_);
     const std::size_t budget = max_events - executed;
-    window_busy_s_.assign(shards_.size(), 0.0);
-    pool_->run(shards_.size(), [&](std::size_t i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      counts[i] = shards_[i]->sim->run(end, budget);
-      window_busy_s_[i] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    });
-    for (const std::size_t c : counts) executed += c;
-    // Barrier-idle accounting: every tile waits for the slowest one before
-    // the handoff exchange, so the window's idle cost is the gap each tile
-    // leaves to the maximum.
-    double slowest = 0.0;
-    for (const double b : window_busy_s_) slowest = std::max(slowest, b);
-    for (const double b : window_busy_s_) barrier_idle_s_ += slowest - b;
+    if (shards_.size() == 1) {
+      executed += shards_.front()->sim.run(end, budget);
+    } else {
+      window_events_.assign(shards_.size(), 0);
+      window_busy_s_.assign(shards_.size(), 0.0);
+      pool_->run(shards_.size(), [&](std::size_t i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        window_events_[i] = shards_[i]->sim.run(end, budget);
+        window_busy_s_[i] =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      });
+      for (const std::size_t c : window_events_) executed += c;
+      // Barrier-idle accounting: every tile waits for the slowest one before
+      // the handoff exchange, so the window's idle cost is the gap each tile
+      // leaves to the maximum.
+      double slowest = 0.0;
+      for (const double b : window_busy_s_) slowest = std::max(slowest, b);
+      for (const double b : window_busy_s_) barrier_idle_s_ += slowest - b;
+    }
     if (end > shard_now_) shard_now_ = end;
   }
   merge_shard_deltas();
@@ -824,24 +674,10 @@ void CityMeshNetwork::exchange_handoffs() {
     const sim::NodeId from = h.from;
     // Latency was recorded on the transmitting shard (remote_fanout), like a
     // local delivery's schedule_in; unrecorded here avoids double counting.
-    dsp->sim->schedule_at_unrecorded(
-        h.time, [this, dsp, to, from, packet = std::move(h.packet)] {
-          // Mirrors the medium's delivery closure: receiver status sampled at
-          // delivery time, then the deliveries counter + kRx trace.
-          const std::uint32_t pid = packet->trace_id;
-          if (!ap_up(to)) {
-            dsp->medium_blocked_receptions->inc();
-            dsp->trace->record(obsx::TraceKind::kDropFaulted, dsp->sim->now(),
-                               static_cast<std::uint32_t>(to), pid,
-                               static_cast<std::uint32_t>(from));
-            return;
-          }
-          dsp->medium_deliveries->inc();
-          dsp->trace->record(obsx::TraceKind::kRx, dsp->sim->now(),
-                             static_cast<std::uint32_t>(to), pid,
-                             static_cast<std::uint32_t>(from));
-          handle_delivery(*dsp, to, from, packet);
-        });
+    // The receiving medium delivers it like one of its own batch entries.
+    dsp->sim.schedule_at_unrecorded(h.time, [dsp, to, from, packet = std::move(h.packet)] {
+      dsp->medium.deliver(to, from, packet);
+    });
   }
   handoff_scratch_.clear();
 }
@@ -849,38 +685,21 @@ void CityMeshNetwork::exchange_handoffs() {
 void CityMeshNetwork::remote_fanout(Shard& shard, sim::NodeId from,
                                     const std::shared_ptr<const MeshPacket>& packet,
                                     sim::SimTime air, std::uint32_t tx_index) {
-  const double now = shard.sim->now();
-  const sim::MediumConfig& mc = shard.medium->config();
-  const std::uint32_t pid = packet->trace_id;
+  const double now = shard.sim.now();
   for (std::size_t i = cross_base_[from]; i < cross_base_[from + 1]; ++i) {
     const shardx::CrossLink& link = cross_links_[i];
-    // Same loss/jitter math as BroadcastMedium::begin_transmission, keyed on
-    // the identical link_unit inputs — a cut edge suffers exactly the fate
-    // it would as a tile-local edge, whatever K is.
-    double loss = mc.loss_probability;
-    const double extra = extra_link_loss(from, link.to);
-    if (extra > 0.0) loss = 1.0 - (1.0 - loss) * (1.0 - extra);
-    if (loss > 0.0 && sim::link_unit(mc.seed, from, link.to, tx_index, 0) < loss) {
-      shard.medium_losses->inc();
-      shard.trace->record(obsx::TraceKind::kDropLoss, now,
-                          static_cast<std::uint32_t>(link.to), pid,
-                          static_cast<std::uint32_t>(from));
-      continue;
-    }
-    sim::SimTime jitter = 0.0;
-    if (mc.jitter_s > 0.0) {
-      jitter = sim::link_unit(mc.seed ^ sim::kJitterStream, from, link.to, tx_index, 1) *
-               mc.jitter_s;
-    }
-    const sim::SimTime delay = air + mc.prop_delay_s_per_m * link.length_m + jitter;
-    if (shard.h_latency != nullptr) shard.h_latency->record(delay);
-    shard.outbox.push_back({now + delay, shard.tile, shard.handoff_seq++, link.to,
-                            from, packet});
+    // The medium's own link_fate, keyed on the sender's tx index: a cut edge
+    // suffers exactly the fate it would as a tile-local edge, whatever K is.
+    const std::optional<sim::SimTime> delay =
+        shard.medium.link_fate(from, link.to, link.length_m, air, tx_index, packet->trace_id);
+    if (!delay) continue;
+    shard.h_latency->record(*delay);
+    shard.outbox.push_back({now + *delay, shard.tile, shard.handoff_seq++, link.to, from,
+                            packet});
   }
 }
 
 void CityMeshNetwork::merge_shard_deltas() {
-  if (config_.shards <= 1) return;
   for (const auto& sp : shards_) {
     ActiveDelta& d = sp->active;
     active_.postboxes_reached += d.postboxes_reached;
@@ -922,43 +741,26 @@ void CityMeshNetwork::merge_shard_deltas() {
 }
 
 obsx::MetricsSnapshot CityMeshNetwork::merged_metrics() const {
-#ifdef CITYMESH_POOL_STATS
-  // Publish the pools' live tallies right before serialization (the caches
-  // are plain Counter cells, so "set" is reset + inc).
-  const auto set = [](obsx::Counter* c, std::uint64_t v) {
-    c->reset();
-    c->inc(v);
-  };
-  const sim::PoolStats ps =
-      packet_pool_ != nullptr ? packet_pool_->stats() : sim::PoolStats{};
-  set(pool_packet_acquires_, ps.acquires);
-  set(pool_packet_fallbacks_, ps.fallbacks);
-  set(pool_packet_peak_in_use_, ps.peak_in_use);
-  set(pool_inline_fn_heap_fallbacks_, sim::InlineFn::heap_fallbacks());
-#endif
+  // Tile order: merge() sums counters and bucket-wise histograms, and every
+  // tile registers the same keys, so the merged key set is the same for
+  // every K. Shard snapshots are combined with each other first: their
+  // quantized histogram sums add exactly, so the cross-shard total is
+  // identical for every K, and only then is that one exact total added to
+  // the coordinator's sum.
   obsx::MetricsSnapshot snap = metrics_.snapshot();
-  if (config_.shards > 1) {
-    // Tile order: merge() sums counters and bucket-wise histograms, and the
-    // shard registries only register keys the network registry also has, so
-    // the merged key set equals the legacy one. Shard snapshots are combined
-    // with each other first: their quantized histogram sums add exactly, so
-    // the cross-shard total is identical for every K >= 2, and only then is
-    // that one exact total added to the coordinator's sum.
-    obsx::MetricsSnapshot across;
-    for (const auto& sp : shards_) across.merge(sp->metrics->snapshot());
-    snap.merge(across);
-  }
+  obsx::MetricsSnapshot across;
+  for (const auto& sp : shards_) across.merge(sp->metrics.snapshot());
+  snap.merge(across);
   return snap;
 }
 
 std::vector<obsx::TraceEvent> CityMeshNetwork::merged_trace_events() const {
-  // Tiled runs: the network buffer holds what coordinator events recorded
-  // (faultx kApDown/kApUp/region actions); it goes first, so at equal times
-  // those land before tile events, as control events run before windows.
+  // The coordinator buffer holds what control events recorded (faultx
+  // kApDown/kApUp/region actions); it goes first, so at equal times those
+  // land before tile events, as control events run before windows.
   std::vector<obsx::TraceEvent> out = trace_.events();
-  if (config_.shards <= 1) return out;
   for (const auto& sp : shards_) {
-    const auto events = sp->trace->events();
+    const auto events = sp->trace.events();
     out.insert(out.end(), events.begin(), events.end());
   }
   // Each stream is internally time-ordered; a stable sort on time keeps
@@ -970,32 +772,27 @@ std::vector<obsx::TraceEvent> CityMeshNetwork::merged_trace_events() const {
   return out;
 }
 
-void CityMeshNetwork::set_tracing(bool on) {
-  trace_.enable(on);
-  if (config_.shards <= 1) return;
-  for (const auto& sp : shards_) sp->trace->enable(on);
+std::uint64_t CityMeshNetwork::trace_lost() const {
+  std::uint64_t lost = trace_.lost();
+  for (const auto& sp : shards_) lost += sp->trace.lost();
+  return lost;
 }
 
-bool CityMeshNetwork::tracing_enabled() const {
-  return config_.shards > 1 ? shards_.front()->trace->enabled() : trace_.enabled();
+void CityMeshNetwork::set_tracing(bool on) {
+  trace_.enable(on);
+  for (const auto& sp : shards_) sp->trace.enable(on);
 }
+
+bool CityMeshNetwork::tracing_enabled() const { return shards_.front()->trace.enabled(); }
 
 CityMeshNetwork::MediumTotals CityMeshNetwork::medium_totals() const {
   MediumTotals totals;
-  if (config_.shards <= 1) {
-    totals.transmissions = medium_.transmissions();
-    totals.deliveries = medium_.deliveries();
-    totals.deferrals = medium_.deferrals();
-    totals.queue_drops = medium_.queue_drops();
-    totals.airtime_s = medium_.total_airtime_s();
-    return totals;
-  }
   for (const auto& sp : shards_) {
-    totals.transmissions += sp->medium->transmissions();
-    totals.deliveries += sp->medium->deliveries();
-    totals.deferrals += sp->medium->deferrals();
-    totals.queue_drops += sp->medium->queue_drops();
-    totals.airtime_s += sp->medium->total_airtime_s();
+    totals.transmissions += sp->medium.transmissions();
+    totals.deliveries += sp->medium.deliveries();
+    totals.deferrals += sp->medium.deferrals();
+    totals.queue_drops += sp->medium.queue_drops();
+    totals.airtime_s += sp->medium.total_airtime_s();
   }
   return totals;
 }
@@ -1049,7 +846,7 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   const auto encoded = wire::encode_header(header);
   outcome.header_bits = encoded.bit_count;
 
-  auto packet = make_packet(MeshPacket{
+  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
       encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
       header.message_id, compiler_.compile_bytes(encoded.bytes)});
 
@@ -1075,15 +872,14 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   // for this send when the caller didn't already turn it on.
   const bool borrow_trace = opts.collect_trace && !tracing_enabled();
   if (borrow_trace) set_tracing(true);
-  const std::uint64_t trace_mark = trace_.recorded();
   const std::size_t tx_before = medium_totals().transmissions;
 
   // Origination happens at the source AP's shard, so the trace stream and
   // the ack flood stay on that tile (coordinator context: no worker runs).
   Shard& src_shard = shard_for(*src_ap);
   const double t0 = sim_now();
-  src_shard.trace->record(obsx::TraceKind::kOriginate, t0,
-                          static_cast<std::uint32_t>(*src_ap), header.message_id);
+  src_shard.trace.record(obsx::TraceKind::kOriginate, t0,
+                         static_cast<std::uint32_t>(*src_ap), header.message_id);
 
   // The source AP processes its own packet (marks it seen, may deliver when
   // sender and recipient share a building) and always performs the initial
@@ -1092,15 +888,15 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   const AgentAction first = src_agent.on_receive(*packet, t0);
   if (first.delivered) {
     // Pre-run self-delivery runs in coordinator context, so it writes the
-    // network-level state directly in both modes.
+    // network-level state directly.
     active_.delivered = true;
     active_.delivery_time_s = t0;
     active_.postboxes_reached += first.delivered_count;
     n_delivered_->inc();
     n_postbox_stores_->inc(first.delivered_count);
-    src_shard.trace->record(obsx::TraceKind::kPostboxStore, t0,
-                            static_cast<std::uint32_t>(*src_ap), header.message_id,
-                            static_cast<std::uint32_t>(first.delivered_count));
+    src_shard.trace.record(obsx::TraceKind::kPostboxStore, t0,
+                           static_cast<std::uint32_t>(*src_ap), header.message_id,
+                           static_cast<std::uint32_t>(first.delivered_count));
     if (active_.ack_message_id != 0) send_ack_from(src_shard, *src_ap);
   }
   transmit_counted(src_shard, *src_ap, packet);
@@ -1115,24 +911,10 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   outcome.ack_received = active_.ack_delivered;
 
   if (opts.collect_trace) {
-    TraceRoles roles;
-    if (config_.shards > 1) {
-      // Tiled runs: merge every shard's stream (deterministic order) and
-      // filter by message id — the per-send tail optimization below assumes
-      // one ring.
-      const auto merged = merged_trace_events();
-      roles = roles_from_trace({merged.data(), merged.size()}, header.message_id);
-    } else {
-      // Events this send appended: the tail of the ring. A wrap can only
-      // lose the oldest of them (capacity is sized generously above).
-      const auto events = trace_.events();
-      const std::uint64_t fresh = trace_.recorded() - trace_mark;
-      const std::size_t take =
-          static_cast<std::size_t>(std::min<std::uint64_t>(fresh, events.size()));
-      roles = roles_from_trace(
-          std::span<const obsx::TraceEvent>{events.data() + (events.size() - take), take},
-          header.message_id);
-    }
+    // Merge every shard's stream (deterministic order) and filter by
+    // message id.
+    const auto merged = merged_trace_events();
+    TraceRoles roles = roles_from_trace({merged.data(), merged.size()}, header.message_id);
     outcome.rebroadcast_aps = std::move(roles.rebroadcast);
     outcome.received_only_aps = std::move(roles.received_only);
     if (borrow_trace) set_tracing(false);
@@ -1198,7 +980,7 @@ InjectResult CityMeshNetwork::inject(BuildingId from_building, const PostboxInfo
   result.message_id = header.message_id;
   result.header_bits = encoded.bit_count;
 
-  auto packet = make_packet(MeshPacket{
+  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
       encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
       header.message_id, compiler_.compile_bytes(encoded.bytes)});
 
@@ -1209,14 +991,14 @@ InjectResult CityMeshNetwork::inject(BuildingId from_building, const PostboxInfo
   Shard& src_shard = shard_for(*src_ap);
   n_sends_->inc();
   h_header_bits_->record(static_cast<double>(encoded.bit_count));
-  src_shard.trace->record(obsx::TraceKind::kOriginate, t0,
-                          static_cast<std::uint32_t>(*src_ap), header.message_id);
+  src_shard.trace.record(obsx::TraceKind::kOriginate, t0,
+                         static_cast<std::uint32_t>(*src_ap), header.message_id);
 
   // The source AP processes its own packet (marks it seen, may deliver when
   // sender and recipient share a building) and performs the initial
   // broadcast; the caller runs the simulator. Injection happens in
   // coordinator context (between windows), so flow state is written
-  // directly in both modes.
+  // directly.
   ApAgent& src_agent = agents_[*src_ap];
   const AgentAction first = src_agent.on_receive(*packet, t0);
   if (first.delivered) {
@@ -1225,9 +1007,9 @@ InjectResult CityMeshNetwork::inject(BuildingId from_building, const PostboxInfo
     flow.postboxes_reached += first.delivered_count;
     n_delivered_->inc();
     n_postbox_stores_->inc(first.delivered_count);
-    src_shard.trace->record(obsx::TraceKind::kPostboxStore, t0,
-                            static_cast<std::uint32_t>(*src_ap), header.message_id,
-                            static_cast<std::uint32_t>(first.delivered_count));
+    src_shard.trace.record(obsx::TraceKind::kPostboxStore, t0,
+                           static_cast<std::uint32_t>(*src_ap), header.message_id,
+                           static_cast<std::uint32_t>(first.delivered_count));
   }
   transmit_counted(src_shard, *src_ap, packet);
   return result;

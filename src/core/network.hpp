@@ -18,9 +18,7 @@
 //     pluggable relayx::RebroadcastPolicy (NetworkConfig::relay) — flood
 //     reproduces the paper byte-for-byte, the suppression policies implement
 //     the "currently all the APs within a building rebroadcast ... this
-//     overhead can be reduced" reduction. The legacy
-//     NetworkConfig::building_suppression flag maps onto the
-//     building-backoff policy.
+//     overhead can be reduced" reduction.
 #pragma once
 
 #include <memory>
@@ -33,7 +31,6 @@
 #include "core/building_graph.hpp"
 #include "core/compiled_message.hpp"
 #include "core/postbox.hpp"
-#include "core/packet_pool.hpp"
 #include "core/route_planner.hpp"
 #include "mesh/ap_network.hpp"
 #include "obsx/metrics.hpp"
@@ -97,27 +94,20 @@ struct NetworkConfig {
   /// construction so policy draws follow the run's determinism contract.
   relayx::PolicyConfig relay;
 
-  /// Legacy alias (overhead reduction, §4/§6): true selects the
-  /// building-backoff policy with the two parameters below, unless `relay`
-  /// already names a non-flood policy. Kept so existing configs, the
-  /// --suppression CLI flag, and the suppression tests keep working.
-  bool building_suppression = false;
-  sim::SimTime suppression_backoff_s = 0.02;
-  double suppression_radius_m = 15.0;
-
   /// Capacity of the network's trace ring (events). 0 = auto-size from the
   /// AP count. The ring keeps the latest window when a run outgrows it.
   std::size_t trace_capacity = 0;
 
-  /// Tile shards for intra-run parallelism (src/shardx). 1 (default) is the
-  /// legacy single event loop, byte-identical to the pre-shardx pipeline.
-  /// K >= 2 partitions the city into K building-atomic tiles, each with its
-  /// own simulator/medium/policy, synchronized by conservative-lookahead
-  /// windows; merged run manifests are invariant across K >= 2 (hashed link
-  /// randomness, per-AP policy streams), and match K = 1 exactly in the
-  /// draw-free regime (flood policy, loss_probability = 0, jitter_s = 0).
-  /// Live faultx ScenarioEngine::install schedules through schedule_control,
-  /// so fault actions fire at their times for every K.
+  /// Tile shards for intra-run parallelism (src/shardx). Every network runs
+  /// the one tiled engine: K = 1 (default) is a single tile with no cut
+  /// edges and no worker threads; K >= 2 partitions the city into K
+  /// building-atomic tiles, each with its own simulator/medium/policy,
+  /// synchronized by conservative-lookahead windows. Link randomness is
+  /// hashed per link and policy draws come from per-AP streams, so merged
+  /// run manifests are byte-identical for every K: the shard count changes
+  /// speed, never what is simulated. Live faultx ScenarioEngine::install
+  /// schedules through schedule_control, so fault actions fire at their
+  /// times for every K.
   std::size_t shards = 1;
 
   /// How plan_tiles partitions the city when shards > 1. kGrid is the
@@ -134,11 +124,6 @@ struct NetworkConfig {
   /// The qfgeo.* counters are registered only under kQfgeo, so conduit
   /// manifests serialize exactly the legacy key set.
   Protocol protocol = Protocol::kConduit;
-
-  /// Allocate MeshPackets from a fixed-size pool (core/packet_pool.hpp)
-  /// instead of make_shared. Exhaustion falls back to the heap, counted.
-  bool pooled_packets = true;
-  std::size_t packet_pool_capacity = 4096;
 
   /// Forwarding-region shape (kQfgeo only).
   qfgeo::RegionConfig qfgeo_region;
@@ -291,38 +276,42 @@ class CityMeshNetwork {
   const RoutePlanner& planner() const { return planner_; }
   const NetworkConfig& config() const { return config_; }
 
-  // --- Shard-agnostic run driving (src/shardx) ---------------------------
-  // These are the only ways trafficx/faultx-style drivers should advance
-  // simulated time: with shards == 1 they forward to the legacy simulator
-  // verbatim; with shards > 1 they run the tiled window engine.
+  // --- Run driving (src/shardx) ------------------------------------------
+  // These are the only ways trafficx/faultx-style drivers advance simulated
+  // time and read what a run did: every network runs its tiles in
+  // conservative-lookahead windows, and every result lives in the tiles.
 
-  /// Number of tile shards (1 = legacy single event loop).
+  /// Number of tile shards (1 = a single tile).
   std::size_t shard_count() const { return shards_.size(); }
-  /// Current simulated time (tiled runs: the synchronized window frontier).
-  sim::SimTime sim_now() const;
-  /// Run the event loop(s) until `until` (inclusive) or `max_events` events.
-  /// Returns the number of events executed. Tiled runs merge per-shard
-  /// delivery deltas into the network-level outcome state before returning.
+  /// Current simulated time: the synchronized window frontier.
+  sim::SimTime sim_now() const { return shard_now_; }
+  /// Run the tiles until `until` (inclusive) or `max_events` events.
+  /// Returns the number of events executed (control events included), after
+  /// merging the per-tile delivery deltas into the network-level outcome
+  /// state.
   std::size_t run_until(sim::SimTime until,
                         std::size_t max_events = std::numeric_limits<std::size_t>::max());
   /// Schedule a coordinator-level event (workload injection, fault action).
-  /// Legacy: plain Simulator::schedule_at. Tiled: runs between windows at
-  /// exactly `at`, when no worker is active — the handler may safely touch
-  /// any network state (inject flows, flip AP status, read flow states).
+  /// It runs between windows at exactly `at`, before any tile event at that
+  /// time and when no worker is active — the handler may safely touch any
+  /// network state (inject flows, flip AP status, read flow states).
   void schedule_control(sim::SimTime at, std::function<void()> fn);
-  /// Metrics merged across the network registry and every shard registry in
-  /// tile order (shards == 1: exactly metrics().snapshot()).
+  /// The run's metrics: the coordinator registry (sends, deliveries, header
+  /// and hop histograms) merged with every tile registry (medium.*, the
+  /// per-reception net.* tallies, relayx.*, qfgeo.*). The key set and the
+  /// bytes of to_json() are the same for every shard count.
   obsx::MetricsSnapshot merged_metrics() const;
-  /// Trace events merged across shards, sorted by (time, buffer) with each
-  /// buffer's internal order preserved: the network trace (coordinator
-  /// events such as faultx actions) first, then the tiles in order
-  /// (shards == 1: the network trace alone).
+  /// Trace events merged across buffers, sorted by (time, buffer) with each
+  /// buffer's internal order preserved: the coordinator trace (faultx
+  /// actions) first, then the tiles in order.
   std::vector<obsx::TraceEvent> merged_trace_events() const;
-  /// Enable/disable tracing on whichever trace buffers are in effect.
+  /// Events lost to ring wrap, summed over every trace buffer.
+  std::uint64_t trace_lost() const;
+  /// Enable/disable tracing on every trace buffer.
   void set_tracing(bool on);
   bool tracing_enabled() const;
 
-  /// Medium counters summed across shards (legacy: the single medium's).
+  /// Medium counters summed across shards.
   struct MediumTotals {
     std::size_t transmissions = 0;
     std::size_t deliveries = 0;
@@ -332,18 +321,18 @@ class CityMeshNetwork {
   };
   MediumTotals medium_totals() const;
 
-  /// The tile plan driving a sharded network; nullptr when shards == 1.
+  /// The tile plan driving a sharded network; nullptr with a single tile.
   const shardx::TilePlan* tile_plan() const {
-    return config_.shards > 1 ? &plan_ : nullptr;
+    return shards_.size() > 1 ? &plan_ : nullptr;
   }
-  /// Conservative lookahead window width (tiled runs only; kForever when
-  /// the tiles are radio-isolated or shards == 1).
+  /// Conservative lookahead window width (kForever when the tiles are
+  /// radio-isolated or there is a single tile).
   double lookahead_s() const { return lookahead_s_; }
 
-  /// Cumulative worker idle time at window barriers (tiled runs): per
-  /// window, the sum over tiles of (slowest tile's wall clock - own wall
-  /// clock). High values mean the tile plan is unbalanced — the number
-  /// adaptive tiling exists to shrink. Always 0 with shards == 1.
+  /// Cumulative worker idle time at window barriers: per window, the sum
+  /// over tiles of (slowest tile's wall clock - own wall clock). High values
+  /// mean the tile plan is unbalanced — the number adaptive tiling exists to
+  /// shrink. Always 0 with a single tile.
   double barrier_idle_s() const { return barrier_idle_s_; }
 
   /// One cross-tile reception exchanged at a window barrier, in the
@@ -451,19 +440,10 @@ class CityMeshNetwork {
   /// (independent events; 0 when the link avoids every region).
   double extra_link_loss(mesh::ApId from, mesh::ApId to) const;
 
-  /// The broadcast medium (fault-injection tests read its counters).
-  sim::BroadcastMedium<MeshPacket>& medium() { return medium_; }
-
-  /// The network's metrics registry: the medium's authoritative counters
-  /// (medium.*) plus the protocol-level tallies and histograms (net.*,
-  /// sim.*). Snapshot it for evaluation rows and run manifests.
-  obsx::MetricsRegistry& metrics() { return metrics_; }
-  const obsx::MetricsRegistry& metrics() const { return metrics_; }
-
-  /// The packet-lifecycle trace. Disabled by default; enable() before a
-  /// send to record its event stream, then write_trace_jsonl it.
+  /// The coordinator trace: events recorded outside any tile (faultx
+  /// actions). Packet events live in the tile traces; read a run through
+  /// merged_trace_events() after set_tracing(true).
   obsx::TraceBuffer& trace() { return trace_; }
-  const obsx::TraceBuffer& trace() const { return trace_; }
 
   /// The shared compile-once service: every send/inject/ack compiles its
   /// message here and attaches the result to the packet; agents fall back to
@@ -476,12 +456,6 @@ class CityMeshNetwork {
 
   /// Direct agent access for tests.
   ApAgent& agent(mesh::ApId id) { return agents_.at(id); }
-
-  /// The active rebroadcast policy (src/relayx). Its relayx.* counters are
-  /// bound into metrics() for non-flood policies only — flood manifests must
-  /// serialize exactly the legacy key set (golden digest gate).
-  relayx::RebroadcastPolicy& relay_policy() { return *policy_; }
-  const relayx::RebroadcastPolicy& relay_policy() const { return *policy_; }
 
   static constexpr double kDefaultWidthValues[3] = {50.0, 80.0, 120.0};
   static constexpr std::span<const double> kDefaultWidths{kDefaultWidthValues};
@@ -502,8 +476,7 @@ class CityMeshNetwork {
   };
 
   /// Shard-local slice of the in-flight send's outcome, merged (and
-  /// consumed) by merge_shard_deltas() after every tiled run. The legacy
-  /// shard never uses it — it writes the network-level state directly.
+  /// consumed) by merge_shard_deltas() after every run.
   struct ActiveDelta {
     bool delivered = false;
     double delivery_time_s = 0.0;
@@ -519,45 +492,36 @@ class CityMeshNetwork {
     std::size_t transmissions = 0;
   };
 
-  /// One execution shard: the event loop plus every piece of mutable
-  /// simulation state a window touches, so a worker thread running the
-  /// shard shares nothing writable with the others. With shards == 1 the
-  /// single Shard merely aliases the network's legacy singletons (own_*
-  /// stay null) and `direct` routes outcome writes straight to the
-  /// network-level state — the pre-shardx code path, byte for byte.
+  /// One execution shard (a tile): the event loop plus every piece of
+  /// mutable simulation state a window touches, so a worker thread running
+  /// the shard shares nothing writable with the others. Every shard's medium
+  /// walks the one shared compiled-city CSR (with a tile filter when there
+  /// are several tiles) — there is no per-tile topology copy.
   struct Shard {
-    shardx::TileId tile = 0;
-    bool direct = true;  ///< legacy aliasing shard?
+    Shard(shardx::TileId tile_id, const graphx::Graph& topology,
+          const sim::MediumConfig& medium_config, std::size_t trace_capacity)
+        : tile(tile_id), trace(trace_capacity), medium(sim, topology, medium_config) {}
 
-    // Owning storage (tiled shards only). Every shard's medium runs over
-    // the one shared compiled-city CSR with a tile filter — there is no
-    // per-tile topology copy.
-    std::unique_ptr<sim::Simulator> own_sim;
-    std::unique_ptr<sim::BroadcastMedium<MeshPacket>> own_medium;
-    std::unique_ptr<obsx::MetricsRegistry> own_metrics;
-    std::unique_ptr<obsx::TraceBuffer> own_trace;
-    std::unique_ptr<relayx::RebroadcastPolicy> own_policy;
+    shardx::TileId tile;
+    sim::Simulator sim;
+    obsx::MetricsRegistry metrics;
+    obsx::TraceBuffer trace;
+    sim::BroadcastMedium<MeshPacket> medium;
+    std::unique_ptr<relayx::RebroadcastPolicy> policy;
+    /// Tiled runs give each tile its own compile service, so reception-time
+    /// memo lookups stay on the tile's thread; a single tile uses the
+    /// network's (own_compiler stays null).
     std::unique_ptr<MessageCompiler> own_compiler;
-
-    // The instances in effect (owned above, or the network singletons).
-    sim::Simulator* sim = nullptr;
-    sim::BroadcastMedium<MeshPacket>* medium = nullptr;
-    obsx::MetricsRegistry* metrics = nullptr;
-    obsx::TraceBuffer* trace = nullptr;
-    relayx::RebroadcastPolicy* policy = nullptr;
     MessageCompiler* compiler = nullptr;
 
-    // Cached counter handles. Tiled shards register the same names as the
-    // network registry, so merged snapshots sum into the legacy key set.
+    // Cached counter handles. Every tile registers the same names, so merged
+    // snapshots sum into one key set.
     obsx::Counter* n_rebroadcasts = nullptr;
     obsx::Counter* n_dup_suppressed = nullptr;
     obsx::Counter* n_conduit_rejects = nullptr;
     obsx::Counter* n_postbox_stores = nullptr;
     obsx::Counter* n_acks_sent = nullptr;
     obsx::Counter* n_suppression_cancelled = nullptr;
-    obsx::Counter* medium_deliveries = nullptr;
-    obsx::Counter* medium_blocked_receptions = nullptr;
-    obsx::Counter* medium_losses = nullptr;
     obsx::Histogram* h_latency = nullptr;
 
     // qfgeo.* counters, registered (and non-null) only when the network
@@ -599,9 +563,9 @@ class CityMeshNetwork {
   /// flips only in coordinator context, so reading it here is shard-safe.
   bool qfgeo_local_minimum(mesh::ApId from, const CompiledMessage& msg,
                            geo::Point dst) const;
-  /// Register (or alias) the qfgeo.* counters in `registry` when this
+  /// Register the qfgeo.* counters in the shard's registry when this
   /// network runs Protocol::kQfgeo; leaves the pointers null otherwise.
-  void bind_qfgeo_counters(Shard& shard, obsx::MetricsRegistry& registry);
+  void bind_qfgeo_counters(Shard& shard);
   /// Cancel every pending backoff-delayed rebroadcast (per-send reset).
   void clear_pending_relays();
   void send_ack_from(Shard& shard, mesh::ApId ap);
@@ -609,20 +573,17 @@ class CityMeshNetwork {
                        std::span<const std::uint8_t> payload, const SendOptions& opts,
                        std::uint8_t extra_flags, std::uint32_t broadcast_radius_m);
 
-  /// The resolved relayx config (seed + legacy building_suppression alias).
-  relayx::PolicyConfig resolved_relay_config() const;
-  /// Build the K tile shards, cross-link index, and worker pool.
+  /// Build the tile shards; with K >= 2 also the tile plan, the cross-link
+  /// index and the worker pool.
   void build_tiles();
   Shard& shard_for(mesh::ApId ap) {
-    return *shards_[config_.shards > 1 ? plan_.ap_tile[ap] : 0];
+    return *shards_[shards_.size() > 1 ? plan_.ap_tile[ap] : 0];
   }
-  /// Deliver one on-air packet over this shard's cut edges: hashed
-  /// loss/jitter per link, arrival recorded as a Handoff in the outbox.
+  /// Deliver one on-air packet over this shard's cut edges: the medium's
+  /// link_fate per link, arrival recorded as a Handoff in the outbox.
   void remote_fanout(Shard& shard, sim::NodeId from,
                      const std::shared_ptr<const MeshPacket>& packet, sim::SimTime air,
                      std::uint32_t tx_index);
-  /// The tiled window loop behind run_until (shards > 1).
-  std::size_t run_tiled(sim::SimTime until, std::size_t max_events);
   /// Barrier exchange: drain every outbox, sort (time, src_tile, seq),
   /// schedule each handoff into its receiving tile.
   void exchange_handoffs();
@@ -633,13 +594,6 @@ class CityMeshNetwork {
   static std::size_t trace_capacity_for(const NetworkConfig& config,
                                         std::size_t ap_count);
 
-  /// Materialize a packet from the pool (or the heap when pooling is off).
-  /// Thread-safe: the tiled ack path builds packets on worker threads.
-  std::shared_ptr<const MeshPacket> make_packet(MeshPacket&& fields) const {
-    if (packet_pool_ != nullptr) return packet_pool_->make(std::move(fields));
-    return std::make_shared<const MeshPacket>(std::move(fields));
-  }
-
   std::shared_ptr<const CompiledCity> compiled_;
   NetworkConfig config_;
   /// Resumable-Dijkstra cache shared by every planner this network builds
@@ -648,42 +602,23 @@ class CityMeshNetwork {
   SptCache spt_cache_;
   RoutePlanner planner_;
   MessageCompiler compiler_;  ///< declared before agents_, which point at it
-  /// Declared before sim_/medium_/shards_: packets it allocated live in
-  /// their queues, and the shared_ptr deleters return blocks to this pool,
-  /// so it must be destroyed last. Null when config.pooled_packets is off.
-  std::unique_ptr<PacketPool> packet_pool_;
-#ifdef CITYMESH_POOL_STATS
-  // Allocator counters (compiled in by -DCITYMESH_POOL_STATS=ON only: the
-  // extra registered keys would otherwise change every run manifest).
-  // Refreshed from the pool's live stats on merged_metrics().
-  obsx::Counter* pool_packet_acquires_ = nullptr;
-  obsx::Counter* pool_packet_fallbacks_ = nullptr;
-  obsx::Counter* pool_packet_peak_in_use_ = nullptr;
-  obsx::Counter* pool_inline_fn_heap_fallbacks_ = nullptr;
-#endif
-  sim::Simulator sim_;
-  sim::BroadcastMedium<MeshPacket> medium_;
   /// Every agent's mutable state, struct-of-arrays by AP id (core/ap_state).
   /// One slab serves all tile shards; the dup filter is striped by tile.
   AgentStateSlab agent_state_{0};
   std::vector<ApAgent> agents_;
-  std::unique_ptr<relayx::RebroadcastPolicy> policy_;
 
-  // Observability (src/obsx): the registry holds the authoritative counters
-  // for the whole stack; the trace ring receives the packet-lifecycle
-  // stream. Handles are cached once — the hot path pays one increment.
+  // Observability (src/obsx): the coordinator registry holds what happens
+  // outside the tiles (originations, merged deliveries, per-send
+  // histograms); the coordinator trace receives faultx actions. Handles are
+  // cached once — the hot path pays one increment.
   obsx::MetricsRegistry metrics_;
   obsx::TraceBuffer trace_;
   std::uint64_t send_seq_ = 0;  ///< feeds wire::derive_message_id
   obsx::Counter* n_sends_ = nullptr;
   obsx::Counter* n_delivered_ = nullptr;
-  obsx::Counter* n_rebroadcasts_ = nullptr;
-  obsx::Counter* n_dup_suppressed_ = nullptr;
-  obsx::Counter* n_conduit_rejects_ = nullptr;
   obsx::Counter* n_postbox_stores_ = nullptr;
-  obsx::Counter* n_acks_sent_ = nullptr;
   obsx::Counter* n_acks_received_ = nullptr;
-  obsx::Counter* n_suppression_cancelled_ = nullptr;
+  obsx::Histogram* h_control_latency_ = nullptr;
   obsx::Histogram* h_header_bits_ = nullptr;
   obsx::Histogram* h_min_hops_ = nullptr;
   obsx::Histogram* h_tx_per_delivery_ = nullptr;
@@ -701,8 +636,7 @@ class CityMeshNetwork {
   std::unordered_map<std::string, std::shared_ptr<Postbox>> primary_postboxes_;
 
   // Per-message bookkeeping for the in-flight send. Transmission counts and
-  // per-AP roles live in the medium's counters / the trace stream now, not
-  // here.
+  // per-AP roles live in the medium counters / the trace stream, not here.
   struct ActiveSend {
     std::uint32_t message_id = 0;
     bool delivered = false;
@@ -720,23 +654,23 @@ class CityMeshNetwork {
   ActiveSend active_;
 
   // Injected-flow bookkeeping (src/trafficx), keyed by message id. The
-  // single-send path never touches this map. Read-only while a tiled window
-  // is running (workers probe it for per-flow attribution); mutated only by
-  // the coordinator between windows.
+  // single-send path never touches this map. Read-only while a window is
+  // running (tiles probe it for per-flow attribution); mutated only by the
+  // coordinator between windows.
   std::unordered_map<std::uint32_t, FlowState> flows_;
 
   // --- Tiled execution (src/shardx) --------------------------------------
-  // shards_ holds exactly one legacy aliasing shard (config_.shards <= 1)
-  // or the K owned tile shards. The coordinator (run_tiled) advances them
-  // in conservative-lookahead windows on the worker pool and exchanges
-  // handoffs at the barriers; cross-thread communication happens only
-  // through the fork/join edges, so the engine is TSan-clean by
-  // construction.
+  // shards_ holds the K tile shards (one when shards <= 1). run_until
+  // advances them in conservative-lookahead windows — on the worker pool
+  // when K >= 2 — and exchanges handoffs at the barriers; cross-thread
+  // communication happens only through the fork/join edges, so the engine
+  // is TSan-clean by construction. A single tile has no plan, no cut edges,
+  // no pool, and one window per control-event gap.
   shardx::TilePlan plan_;
   double lookahead_s_ = sim::kForever;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<shardx::WorkerPool> pool_;
-  sim::SimTime shard_now_ = 0.0;  ///< synchronized frontier (tiled runs)
+  std::unique_ptr<shardx::WorkerPool> pool_;  ///< null with a single tile
+  sim::SimTime shard_now_ = 0.0;  ///< synchronized window frontier
   // Cross-link CSR: cross_links_[cross_base_[ap] .. cross_base_[ap+1]) are
   // the cut edges leaving `ap`, in plan order.
   std::vector<std::size_t> cross_base_;
@@ -758,7 +692,8 @@ class CityMeshNetwork {
   std::vector<HandoffRecord> handoff_log_;
   std::uint64_t handoffs_exchanged_ = 0;
   double barrier_idle_s_ = 0.0;
-  std::vector<double> window_busy_s_;  ///< per-tile wall clock, scratch
+  std::vector<std::size_t> window_events_;  ///< per-tile events, scratch
+  std::vector<double> window_busy_s_;       ///< per-tile wall clock, scratch
 };
 
 }  // namespace citymesh::core

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <vector>
 
@@ -59,7 +60,10 @@ class GraphBuilder {
     double weight;
   };
   std::size_t vertex_count_;
-  std::vector<RawEdge> edges_;
+  // Chunked, not contiguous: a metro-scale AP graph has ~2M edges (30 MB),
+  // and a doubling vector would copy them on every growth and end in one
+  // allocation too large for the allocator ever to place in freed heap.
+  std::deque<RawEdge> edges_;
 };
 
 class Graph {

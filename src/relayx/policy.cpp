@@ -64,26 +64,20 @@ class FloodPolicy final : public RebroadcastPolicy {
 // ------------------------------------------------------- building-backoff ---
 
 /// Random backoff; cancel on an overheard same-building copy within the
-/// suppress radius. Promoted from the former inline
-/// NetworkConfig::building_suppression path — draws come from one shared
-/// stream seeded with the network seed, in election order, reproducing the
-/// legacy draw sequence exactly (bench/ablation_suppression rows are
-/// byte-equivalent).
+/// suppress radius. Each AP draws from its own deterministic stream, so the
+/// draw an election makes depends only on which AP elects for the
+/// how-many-th time — not on the global election order, which tiled
+/// execution (src/shardx) interleaves differently for every tile count.
 class BuildingBackoffPolicy final : public RebroadcastPolicy {
  public:
   BuildingBackoffPolicy(const PolicyConfig& config, const mesh::ApNetwork& aps)
-      : RebroadcastPolicy(config), aps_(aps), rng_(config.seed) {
-    // Per-AP streams (config.per_ap_streams): each AP draws from its own
-    // deterministic stream, so the draw an election makes depends only on
-    // which AP elects for the how-many-th time — not on the global election
-    // order, which tiled execution (src/shardx) makes shard-count-dependent.
-    if (config.per_ap_streams) streams_ = make_streams(config.seed, aps.ap_count());
-  }
+      : RebroadcastPolicy(config),
+        aps_(aps),
+        streams_(make_streams(config.seed, aps.ap_count())) {}
 
   Decision elect(const Reception& rx) override {
     count_scheduled();
-    geo::Rng& rng = streams_.empty() ? rng_ : streams_[rx.ap];
-    return {Decision::Kind::kDelay, rng.uniform(0.0, config_.backoff_s)};
+    return {Decision::Kind::kDelay, streams_[rx.ap].uniform(0.0, config_.backoff_s)};
   }
 
   bool cancel_on_overhear(const Reception& rx, std::uint32_t) override {
@@ -94,8 +88,7 @@ class BuildingBackoffPolicy final : public RebroadcastPolicy {
 
  private:
   const mesh::ApNetwork& aps_;
-  geo::Rng rng_;  ///< shared backoff stream (legacy message_rng_ order)
-  std::vector<geo::Rng> streams_;  ///< per-AP streams (per_ap_streams only)
+  std::vector<geo::Rng> streams_;  ///< one stream per AP
 };
 
 // --------------------------------------------------------- counter-gossip ---

@@ -18,9 +18,8 @@
 //                    stay byte-identical to the pre-relayx pipeline (the
 //                    golden digest gate verifies this).
 //   building-backoff random backoff, cancel when a copy is overheard from an
-//                    AP of the same building within suppress_radius_m (the
-//                    former NetworkConfig::building_suppression path,
-//                    promoted from bench/ablation_suppression.cpp).
+//                    AP of the same building within suppress_radius_m
+//                    (promoted from bench/ablation_suppression.cpp).
 //   counter-gossip   probabilistic rebroadcast (probability gossip_p) plus a
 //                    copy counter: cancel after cancel_copies overheard
 //                    duplicates inside the backoff window, building-blind.
@@ -100,12 +99,6 @@ struct PolicyConfig {
   /// coasting on stale mass forever. 0 (default) disables decay — counts
   /// only grow, the pre-decay behavior exactly.
   double decay_half_life_s = 0.0;
-  /// Building-backoff draw streams. false (default): one shared stream
-  /// consumed in election order — the legacy draw sequence, byte-identical
-  /// manifests. true: an independent deterministic stream per AP, required
-  /// under tiled execution (src/shardx) where the global election order is
-  /// shard-count-dependent but each AP's own election sequence is not.
-  bool per_ap_streams = false;
   /// Base seed of the per-AP RNG streams (the network passes its own seed
   /// so policy draws follow the run's determinism contract).
   std::uint64_t seed = 99;
@@ -130,8 +123,8 @@ struct Decision {
   double delay_s = 0.0;  ///< valid when kind == kDelay
 };
 
-/// Strategy interface. One instance per network; the network serializes all
-/// calls (single-threaded event loop), so implementations keep plain state.
+/// Strategy interface. One instance per tile shard of a network; the tile's
+/// event loop serializes all calls, so implementations keep plain state.
 class RebroadcastPolicy {
  public:
   explicit RebroadcastPolicy(const PolicyConfig& config);

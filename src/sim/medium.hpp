@@ -23,11 +23,13 @@
 // free. bitrate_bps == 0 keeps the paper's §4 regime: airtime is free and
 // transmissions never defer.
 //
-// Determinism: loss and jitter draw from *independent* seeded streams, so
-// toggling jitter_s on or off never changes which deliveries are lost, and a
-// zero jitter_s performs no jitter draws at all — packet-level loss draw
-// counts (and thus determinism digests) are identical between jittered and
-// unjittered configs.
+// Determinism: every loss and jitter draw is link_unit() — a hash of (seed,
+// from, to, the sender's on-air transmission index) — so a link's fate is a
+// pure function of what was transmitted, never of how events interleave.
+// Loss and jitter use independent salts: toggling jitter_s never changes
+// which deliveries are lost, and a zero jitter_s or loss_probability draws
+// nothing. link_fate() is the one place that math lives; the tiled engine
+// calls it for the cut edges a tile's medium does not walk (src/shardx).
 //
 // Observability: the medium's tally is the authoritative transmission /
 // delivery count (src/obsx) — bind_metrics() repoints the counters into a
@@ -51,6 +53,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -66,17 +69,15 @@ namespace citymesh::sim {
 
 using NodeId = graphx::VertexId;
 
-/// Decorrelates the jitter stream/hash from the loss stream/hash
-/// (sqrt(2) bits).
+/// Decorrelates the jitter hash from the loss hash (sqrt(2) bits).
 inline constexpr std::uint64_t kJitterStream = 0x6a09e667f3bcc909ULL;
 
-/// Content-keyed unit draw in [0, 1) for shard-invariant link randomness:
-/// hashing (seed, from, to, the sender's on-air transmission index, salt)
-/// instead of consuming a shared sequential stream makes loss and jitter
-/// outcomes a pure function of *what* was transmitted, independent of which
-/// tile shard processes the link or how events interleave globally — the
-/// property that keeps determinism digests identical across shard counts
-/// (src/shardx).
+/// Content-keyed unit draw in [0, 1), the medium's only source of link
+/// randomness: hashing (seed, from, to, the sender's on-air transmission
+/// index, salt) makes loss and jitter outcomes a pure function of *what* was
+/// transmitted, independent of which tile shard processes the link or how
+/// events interleave globally — the property that keeps determinism digests
+/// identical across shard counts (src/shardx).
 inline double link_unit(std::uint64_t seed, NodeId from, NodeId to,
                         std::uint32_t tx_index, std::uint64_t salt) {
   std::uint64_t state = seed;
@@ -114,17 +115,6 @@ struct MediumConfig {
   /// Transmit-queue slots behind the in-flight packet; a transmit arriving
   /// with the queue full is dropped and counted (medium.queue_drops).
   std::size_t tx_queue_capacity = 8;
-
-  // --- Shard-invariant link randomness (src/shardx) ----------------------
-  /// When true, loss and jitter draw from link_unit() — a content-keyed
-  /// hash of (seed, from, to, sender tx index) — instead of the shared
-  /// sequential streams, so outcomes do not depend on event interleaving
-  /// across tile shards. The hashed draws differ from the sequential
-  /// streams' values, so this is a distinct (still fully deterministic)
-  /// regime: the tiled engine enables it for every shard count K >= 2,
-  /// which is what makes digests K-invariant, while K = 1 keeps the legacy
-  /// streams and the golden digests.
-  bool shard_invariant_rng = false;
 };
 
 template <typename Packet>
@@ -148,9 +138,7 @@ class BroadcastMedium {
   /// Cross-shard fan-out hook (src/shardx): invoked once per on-air packet
   /// with (from, packet, serialization delay, sender tx index) AFTER the
   /// local neighbor loop, so the owning network can deliver the packet over
-  /// topology edges that leave this medium's tile. The tx index is the one
-  /// link_unit() draws keyed on, letting the remote side reproduce the
-  /// exact loss/jitter outcome for its links.
+  /// topology edges that leave this medium's tile through link_fate().
   using RemoteFanoutFn =
       std::function<void(NodeId from, const std::shared_ptr<const Packet>&, SimTime air,
                          std::uint32_t tx_index)>;
@@ -159,12 +147,10 @@ class BroadcastMedium {
       : sim_(simulator),
         topology_(topology),
         config_(config),
-        loss_rng_(config.seed),
-        jitter_rng_(config.seed ^ kJitterStream),
         busy_until_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, 0.0),
         airtime_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, 0.0),
         node_ring_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, kNoRing),
-        tx_counts_(config.shard_invariant_rng ? topology.vertex_count() : 0) {
+        tx_counts_(topology.vertex_count(), 0) {
     transmissions_ = &own_.counter("transmissions");
     deliveries_ = &own_.counter("deliveries");
     losses_ = &own_.counter("losses");
@@ -202,11 +188,10 @@ class BroadcastMedium {
   /// Restrict local fan-out to neighbors whose tile equals `tile` in the
   /// external per-node table `node_tile` (one entry per topology vertex;
   /// must outlive the medium). This lets K tile shards share the one
-  /// compiled-city CSR instead of each copying its subgraph. Cross-tile
-  /// neighbors are skipped before any loss/jitter draw, which is outcome-
-  /// preserving only under shard_invariant_rng (draws are keyed per link,
-  /// not consumed from a shared stream) — the tiled engine always runs in
-  /// that regime. Pass nullptr to clear.
+  /// compiled-city CSR instead of each copying its subgraph. Skipping a
+  /// cross-tile neighbor changes no other link's fate: draws are keyed per
+  /// link (link_unit), not consumed from a shared stream. Pass nullptr to
+  /// clear.
   void set_tile_filter(const std::uint32_t* node_tile, std::uint32_t tile) {
     tile_filter_ = node_tile;
     tile_ = tile;
@@ -264,6 +249,38 @@ class BroadcastMedium {
       }
     }
     begin_transmission(from, std::move(packet));
+  }
+
+  /// The fate of one link for one on-air transmission (`tx_index` is the
+  /// sender's, as passed to the remote fan-out hook): the arrival delay
+  /// after the transmission started (serialization `air` + propagation over
+  /// `length_m` + jitter), or nullopt when the reception is lost — counted
+  /// under losses and traced as kDropLoss at the receiver. Used for every
+  /// link, tile-local or cut, so both sides of a cut draw identically.
+  std::optional<SimTime> link_fate(NodeId from, NodeId to, double length_m, SimTime air,
+                                   std::uint32_t tx_index, std::uint32_t pid) {
+    double loss = config_.loss_probability;
+    if (link_loss_) {
+      const double extra = link_loss_(from, to);
+      if (extra > 0.0) loss = 1.0 - (1.0 - loss) * (1.0 - extra);
+    }
+    if (loss > 0.0 && link_unit(config_.seed, from, to, tx_index, 0) < loss) {
+      losses_->inc();
+      trace(obsx::TraceKind::kDropLoss, to, pid, static_cast<std::uint32_t>(from));
+      return std::nullopt;
+    }
+    SimTime jitter = 0.0;
+    if (config_.jitter_s > 0.0) {
+      jitter = link_unit(config_.seed ^ kJitterStream, from, to, tx_index, 1) * config_.jitter_s;
+    }
+    return air + config_.prop_delay_s_per_m * length_m + jitter;
+  }
+
+  /// One reception coming due now. Receiver status is sampled at delivery
+  /// time: a node that went down while the packet was in flight misses it.
+  /// Cross-tile handoffs arrive here too (src/shardx).
+  void deliver(NodeId to, NodeId from, const std::shared_ptr<const Packet>& packet) {
+    deliver_one(to, from, packet, trace_id(*packet));
   }
 
   /// Total broadcasts initiated (the paper's "number of packet broadcasts").
@@ -442,8 +459,7 @@ class BroadcastMedium {
       airtime_us_->inc(static_cast<std::uint64_t>(std::llround(air * 1e6)));
       sim_.schedule_in(air, [this, from] { complete_transmission(from); });
     }
-    const std::uint32_t txn =
-        config_.shard_invariant_rng ? tx_counts_[from]++ : 0;
+    const std::uint32_t txn = tx_counts_[from]++;
     // One broadcast occupies a single queue node: a DeliveryBatch cycling
     // through its receptions in (time, seq) order. Each reception still
     // consumes its own sequence number, in neighbor order, so the global
@@ -457,36 +473,13 @@ class BroadcastMedium {
     const std::span<const double> link_weights = links.weights();
     for (std::size_t i = 0; i < link_ids.size(); ++i) {
       const NodeId to = link_ids[i];
-      // Cross-tile neighbors are handled by remote_fanout_; skipping them
-      // before any draw is outcome-preserving because tiled runs always use
-      // the per-link hashed draws (see set_tile_filter).
+      // Cross-tile neighbors are handled by remote_fanout_.
       if (tile_filter_ != nullptr && tile_filter_[to] != tile_) continue;
-      double loss = config_.loss_probability;
-      if (link_loss_) {
-        const double extra = link_loss_(from, to);
-        if (extra > 0.0) loss = 1.0 - (1.0 - loss) * (1.0 - extra);
-      }
-      if (loss > 0.0) {
-        const bool lost = config_.shard_invariant_rng
-                              ? link_unit(config_.seed, from, to, txn, 0) < loss
-                              : loss_rng_.chance(loss);
-        if (lost) {
-          losses_->inc();
-          trace(obsx::TraceKind::kDropLoss, to, pid, static_cast<std::uint32_t>(from));
-          continue;
-        }
-      }
-      SimTime jitter = 0.0;
-      if (config_.jitter_s > 0.0) {
-        jitter = config_.shard_invariant_rng
-                     ? link_unit(config_.seed ^ kJitterStream, from, to, txn, 1) *
-                           config_.jitter_s
-                     : jitter_rng_.uniform(0.0, config_.jitter_s);
-      }
-      const SimTime delay = air + config_.prop_delay_s_per_m * link_weights[i] + jitter;
+      const std::optional<SimTime> delay = link_fate(from, to, link_weights[i], air, txn, pid);
+      if (!delay) continue;
       // Same (time, seq) key and latency recording schedule_in would have
       // produced; the entry just lives in the batch instead of the queue.
-      const SimTime at = sim_.now() + delay;
+      const SimTime at = sim_.now() + *delay;
       sim_.record_queue_latency(at - sim_.now());
       batch->entries.push_back({at, sim_.reserve_seq(), to});
     }
@@ -509,9 +502,7 @@ class BroadcastMedium {
     if (remote_fanout_) remote_fanout_(from, packet, air, txn);
   }
 
-  /// One reception (a DeliveryBatch entry coming due). Receiver status is
-  /// sampled at delivery time: a node that went down while the packet was in
-  /// flight misses it.
+  /// One reception (a DeliveryBatch entry or a handoff coming due).
   void deliver_one(NodeId to, NodeId from, const std::shared_ptr<const Packet>& packet,
                    std::uint32_t pid) {
     if (!node_up(to)) {
@@ -555,8 +546,6 @@ class BroadcastMedium {
   Simulator& sim_;
   const graphx::Graph& topology_;
   MediumConfig config_;
-  geo::Rng loss_rng_;    ///< per-link loss draws only
-  geo::Rng jitter_rng_;  ///< jitter draws only (untouched when jitter_s == 0)
   DeliveryFn deliver_;
   NodeUpFn node_up_;
   LinkLossFn link_loss_;
@@ -572,7 +561,7 @@ class BroadcastMedium {
   std::vector<Ring> rings_;
   std::vector<std::shared_ptr<const Packet>> ring_slots_;  ///< tx_queue_capacity per ring
   std::vector<std::uint32_t> free_rings_;
-  std::vector<std::uint32_t> tx_counts_;  ///< empty unless shard_invariant_rng
+  std::vector<std::uint32_t> tx_counts_;  ///< per-node on-air count (link_unit key)
   const std::uint32_t* tile_filter_ = nullptr;  ///< per-node tile table (shardx)
   std::uint32_t tile_ = 0;
   obsx::MetricsRegistry own_;  ///< fallback registry until bind_metrics()

@@ -304,7 +304,7 @@ TEST(CompiledPinned, ThreeApEventSequenceIdenticalToLegacyPipeline) {
   const auto info = core::PostboxInfo::for_key(keys, 2);
   ASSERT_NE(net.register_postbox(info), nullptr);
 
-  net.trace().enable();
+  net.set_tracing(true);
   const auto outcome = net.send(0, info, bytes_of("ping"));
   ASSERT_TRUE(outcome.delivered);
 
@@ -316,7 +316,7 @@ TEST(CompiledPinned, ThreeApEventSequenceIdenticalToLegacyPipeline) {
       {K::kRx, 2},        {K::kPostboxStore, 2}, {K::kRebroadcast, 2}, {K::kTx, 2},
       {K::kRx, 1},        {K::kDupSuppressed, 1},
   };
-  const auto events = net.trace().events();
+  const auto events = net.merged_trace_events();
   ASSERT_EQ(events.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(events[i].kind, expected[i].first) << "event " << i;

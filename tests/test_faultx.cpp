@@ -470,7 +470,7 @@ TEST(ScenarioEngine, LiveBlackoutIsShardInvariant) {
     run.result = trafficx::run_workload(net, schedule);
     run.applied = engine.applied();
     run.actions = engine.scenario().actions.size();
-    EXPECT_EQ(net.trace().lost(), 0u) << "shards " << shards;
+    EXPECT_EQ(net.trace_lost(), 0u) << "shards " << shards;
     for (const obsx::TraceEvent& ev : net.merged_trace_events()) {
       if (ev.kind == obsx::TraceKind::kApDown) ++run.down_traced;
     }

@@ -382,11 +382,11 @@ TEST(TraceIntegration, ThreeApDeliveryEventSequence) {
   const auto info = core::PostboxInfo::for_key(keys, 2);
   ASSERT_NE(net.register_postbox(info), nullptr);
 
-  net.trace().enable();
+  net.set_tracing(true);
   const auto outcome = net.send(0, info, bytes_of("ping"));
   ASSERT_TRUE(outcome.delivered);
 
-  const auto events = net.trace().events();
+  const auto events = net.merged_trace_events();
   using K = obsx::TraceKind;
   struct Expected {
     K kind;
@@ -413,7 +413,7 @@ TEST(TraceIntegration, ThreeApDeliveryEventSequence) {
   EXPECT_DOUBLE_EQ(events[7].time_s, 2e-3);
 
   // The trace agrees with the authoritative counters.
-  EXPECT_EQ(net.medium().transmissions(), 3u);
+  EXPECT_EQ(net.medium_totals().transmissions, 3u);
   EXPECT_EQ(outcome.transmissions, 3u);
   const auto roles = core::roles_from_trace(events, outcome.message_id);
   EXPECT_EQ(roles.rebroadcast, (std::vector<citymesh::mesh::ApId>{0, 1, 2}));
@@ -426,17 +426,17 @@ TEST(TraceIntegration, JsonlRoundTripPreservesSequence) {
   const auto keys = cryptox::KeyPair::from_seed(12);
   const auto info = core::PostboxInfo::for_key(keys, 2);
   ASSERT_NE(net.register_postbox(info), nullptr);
-  net.trace().enable();
+  net.set_tracing(true);
   const auto outcome = net.send(0, info, bytes_of("x"));
   ASSERT_TRUE(outcome.delivered);
 
   std::ostringstream os;
-  obsx::write_trace_jsonl(os, net.trace());
+  const auto original = net.merged_trace_events();
+  obsx::write_trace_jsonl(os, original);
   std::istringstream is{os.str()};
   std::string error;
   const auto back = obsx::read_trace_jsonl(is, &error);
   ASSERT_TRUE(back.has_value()) << error;
-  const auto original = net.trace().events();
   ASSERT_EQ(back->size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ((*back)[i], original[i]) << "event " << i;
@@ -452,7 +452,7 @@ TEST(TraceIntegration, SameSeedGivesByteIdenticalMetricsSnapshot) {
     net.register_postbox(info);
     net.send(0, info, bytes_of("abc"));
     net.send(0, info, bytes_of("def"));
-    return net.metrics().snapshot().to_json();
+    return net.merged_metrics().to_json();
   };
   EXPECT_EQ(run(), run());
 }
@@ -466,7 +466,7 @@ TEST(TraceIntegration, MetricsCountTheSequence) {
   const auto outcome = net.send(0, info, bytes_of("count me"));
   ASSERT_TRUE(outcome.delivered);
 
-  const auto snap = net.metrics().snapshot();
+  const auto snap = net.merged_metrics();
   EXPECT_EQ(snap.counters.at("medium.transmissions"), 3u);
   EXPECT_EQ(snap.counters.at("net.sends"), 1u);
   EXPECT_EQ(snap.counters.at("net.delivered"), 1u);

@@ -25,6 +25,7 @@
 namespace core = citymesh::core;
 namespace geo = citymesh::geo;
 namespace mesh = citymesh::mesh;
+namespace obsx = citymesh::obsx;
 namespace osmx = citymesh::osmx;
 namespace qfgeo = citymesh::qfgeo;
 namespace runx = citymesh::runx;
@@ -251,15 +252,14 @@ TEST(QfgeoLive, LocalMinimumTriggersFallbackFlood) {
   ASSERT_NE(net.register_postbox(info), nullptr);
   net.send(*west, info, bytes_of("void-crossing"));
 
-  const auto* fallback = net.metrics().find_counter("qfgeo.fallback_floods");
-  ASSERT_NE(fallback, nullptr);
-  EXPECT_GT(fallback->value(), 0u)
+  const obsx::MetricsSnapshot snap = net.merged_metrics();
+  ASSERT_TRUE(snap.counters.contains("qfgeo.fallback_floods"));
+  EXPECT_GT(snap.counters.at("qfgeo.fallback_floods"), 0u)
       << "a void wider than the radio range must trip the local-minimum "
          "fallback";
   // The greedy path ran before stalling.
-  const auto* fired = net.metrics().find_counter("qfgeo.fired");
-  ASSERT_NE(fired, nullptr);
-  EXPECT_GT(fired->value(), 0u);
+  ASSERT_TRUE(snap.counters.contains("qfgeo.fired"));
+  EXPECT_GT(snap.counters.at("qfgeo.fired"), 0u);
 }
 
 // --------------------------------------------- conduit byte-identity gate ---

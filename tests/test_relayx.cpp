@@ -1,9 +1,8 @@
-// Tests for the relayx rebroadcast-suppression subsystem (PR 6): policy
-// decision semantics against synthetic receptions, seeded determinism,
-// flood's byte-identity guarantees (no extra metrics keys, no trace events,
-// no policy state), the legacy building_suppression alias, cancelable
-// simulator events, and sweep-digest invariance across worker counts with a
-// non-flood policy active.
+// Tests for the relayx rebroadcast-suppression subsystem: policy decision
+// semantics against synthetic receptions, seeded determinism, flood's
+// byte-identity guarantees (no extra metrics keys, no trace events, no
+// policy state), cancelable simulator events, and sweep-digest invariance
+// across worker counts with a non-flood policy active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -395,13 +394,12 @@ TEST(EtxPriorityPolicy, ZeroHalfLifeIgnoresTime) {
 }
 
 TEST(BuildingBackoffPolicy, PerApStreamsIndependentOfElectionOrder) {
-  // per_ap_streams decouples each AP's draw sequence from the global
+  // Per-AP streams decouple each AP's draw sequence from the global
   // election order — the property tiled execution (src/shardx) needs, since
   // the interleaving of elections across tiles is shard-count-dependent.
   const auto& aps = dense_aps();
   relayx::PolicyConfig cfg;
   cfg.kind = relayx::PolicyKind::kBuildingBackoff;
-  cfg.per_ap_streams = true;
   const auto fwd = relayx::make_policy(cfg, aps);
   const auto rev = relayx::make_policy(cfg, aps);
   const mesh::ApId a = ap_with_degree(aps, 2);
@@ -495,11 +493,11 @@ std::vector<std::pair<obsx::TraceKind, std::uint32_t>> line_delivery_events(
   const auto keys = cryptox::KeyPair::from_seed(11);
   const auto info = core::PostboxInfo::for_key(keys, 2);
   EXPECT_NE(net.register_postbox(info), nullptr);
-  net.trace().enable();
+  net.set_tracing(true);
   const auto outcome = net.send(0, info, bytes_of("ping"));
   EXPECT_TRUE(outcome.delivered) << relayx::to_string(kind);
   std::vector<std::pair<obsx::TraceKind, std::uint32_t>> seq;
-  for (const auto& e : net.trace().events()) seq.emplace_back(e.kind, e.node);
+  for (const auto& e : net.merged_trace_events()) seq.emplace_back(e.kind, e.node);
   return seq;
 }
 
@@ -542,19 +540,18 @@ TEST(PinnedSequences, ThreeApLinePerPolicy) {
 TEST(NetworkRelay, FloodManifestHasNoRelayxKeysOrTraceEvents) {
   const auto city = row_city(12);
   core::CityMeshNetwork net{city, fast_config()};
-  net.trace().enable();
+  net.set_tracing(true);
   const auto keys = cryptox::KeyPair::from_seed(7);
   const auto info = core::PostboxInfo::for_key(keys, 11);
   net.register_postbox(info);
   const auto out = net.send(0, info, bytes_of("x"));
   ASSERT_TRUE(out.delivered);
 
-  EXPECT_FALSE(has_relayx_keys(net.metrics().snapshot()));
-  for (const auto& e : net.trace().events()) {
+  EXPECT_FALSE(has_relayx_keys(net.merged_metrics()));
+  for (const auto& e : net.merged_trace_events()) {
     EXPECT_NE(e.kind, obsx::TraceKind::kElected);
     EXPECT_NE(e.kind, obsx::TraceKind::kSuppressed);
   }
-  EXPECT_EQ(net.relay_policy().kind(), relayx::PolicyKind::kFlood);
 }
 
 TEST(NetworkRelay, SuppressionPolicyBindsCountersAndEmitsTrace) {
@@ -563,7 +560,7 @@ TEST(NetworkRelay, SuppressionPolicyBindsCountersAndEmitsTrace) {
   cfg.placement.density_per_m2 = 1.0 / 40.0;
   cfg.relay.kind = relayx::PolicyKind::kBuildingBackoff;
   core::CityMeshNetwork net{city, cfg};
-  net.trace().enable();
+  net.set_tracing(true);
   const auto dst = static_cast<core::BuildingId>(city.building_count() - 6);
   const auto keys = cryptox::KeyPair::from_seed(7);
   const auto info = core::PostboxInfo::for_key(keys, dst);
@@ -571,51 +568,22 @@ TEST(NetworkRelay, SuppressionPolicyBindsCountersAndEmitsTrace) {
   const auto out = net.send(2, info, bytes_of("x"));
   ASSERT_TRUE(out.delivered);
 
-  const auto snap = net.metrics().snapshot();
+  const auto snap = net.merged_metrics();
   EXPECT_TRUE(has_relayx_keys(snap));
-  const auto& policy = net.relay_policy();
-  EXPECT_GT(policy.scheduled(), 0u);
-  EXPECT_GT(policy.cancelled(), 0u);  // dense town: siblings cancel
-  EXPECT_EQ(snap.counters.at("relayx.scheduled"), policy.scheduled());
-  EXPECT_EQ(snap.counters.at("relayx.cancelled"), policy.cancelled());
+  const std::uint64_t scheduled = snap.counters.at("relayx.scheduled");
+  const std::uint64_t cancelled = snap.counters.at("relayx.cancelled");
+  EXPECT_GT(scheduled, 0u);
+  EXPECT_GT(cancelled, 0u);  // dense town: siblings cancel
   // Every scheduled rebroadcast either aired or was suppressed.
-  EXPECT_EQ(policy.scheduled(), policy.fired() + policy.cancelled());
+  EXPECT_EQ(scheduled, snap.counters.at("relayx.fired") + cancelled);
 
   std::size_t elected = 0, suppressed = 0;
-  for (const auto& e : net.trace().events()) {
+  for (const auto& e : net.merged_trace_events()) {
     if (e.kind == obsx::TraceKind::kElected) ++elected;
     if (e.kind == obsx::TraceKind::kSuppressed) ++suppressed;
   }
-  EXPECT_EQ(elected, policy.scheduled());
-  EXPECT_EQ(suppressed, policy.cancelled());
-}
-
-TEST(NetworkRelay, LegacyAliasMatchesExplicitBuildingBackoff) {
-  const auto city = dense_town();
-  auto base = fast_config();
-  base.placement.density_per_m2 = 1.0 / 40.0;
-  const auto dst = static_cast<core::BuildingId>(city.building_count() - 6);
-
-  auto run_one = [&](const core::NetworkConfig& cfg) {
-    core::CityMeshNetwork net{city, cfg};
-    const auto keys = cryptox::KeyPair::from_seed(7);
-    const auto info = core::PostboxInfo::for_key(keys, dst);
-    net.register_postbox(info);
-    const auto out = net.send(2, info, bytes_of("x"));
-    return std::pair{out, net.metrics().snapshot()};
-  };
-
-  auto legacy_cfg = base;
-  legacy_cfg.building_suppression = true;
-  auto explicit_cfg = base;
-  explicit_cfg.relay.kind = relayx::PolicyKind::kBuildingBackoff;
-
-  const auto [legacy, legacy_snap] = run_one(legacy_cfg);
-  const auto [direct, direct_snap] = run_one(explicit_cfg);
-  EXPECT_EQ(legacy.delivered, direct.delivered);
-  EXPECT_EQ(legacy.delivery_time_s, direct.delivery_time_s);
-  EXPECT_EQ(legacy.transmissions, direct.transmissions);
-  EXPECT_EQ(legacy_snap, direct_snap);
+  EXPECT_EQ(elected, scheduled);
+  EXPECT_EQ(suppressed, cancelled);
 }
 
 TEST(NetworkRelay, CounterGossipStillDeliversWithFewerTransmissions) {
@@ -666,9 +634,9 @@ TEST(NetworkRelay, SweepDigestInvariantAcrossWorkerCounts) {
     net.register_postbox(info);
     const auto out = net.send(0, info, bytes_of("x"));
     runx::RunResult result;
+    result.metrics = net.merged_metrics();
     result.cells = {out.delivered ? "1" : "0", std::to_string(out.transmissions),
-                    std::to_string(net.relay_policy().cancelled())};
-    result.metrics = net.metrics().snapshot();
+                    std::to_string(result.metrics.counters.at("relayx.cancelled"))};
     return result;
   };
 

@@ -4,14 +4,16 @@
 //    schedule / cancel / batch streams (both must realize the identical
 //    (time, seq) total order, cancel accounting included);
 //  - batched medium delivery against a delivery log computed directly from
-//    the medium's two seeded streams;
-//  - the block/packet pools and inline handler storage;
+//    the medium's per-link hashed draws (sim::link_unit);
+//  - inline handler storage;
 //  - the resumable-Dijkstra route cache against independent targeted runs;
-//  - end-to-end manifest identity across {pooled, malloc'd} packets at one
-//    and four shards (the golden-digest guarantee in test form).
+//  - end-to-end manifest identity across worker pools of one and two
+//    threads, at one and four shards (the golden-digest guarantee in test
+//    form).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -22,8 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/network.hpp"
-#include "core/packet_pool.hpp"
 #include "core/route_planner.hpp"
 #include "geo/rng.hpp"
 #include "graphx/graph.hpp"
@@ -31,7 +31,6 @@
 #include "runx/city_cache.hpp"
 #include "runx/sweep.hpp"
 #include "sim/medium.hpp"
-#include "sim/pool.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 
@@ -399,15 +398,15 @@ std::vector<Delivery> run_medium() {
 
 /// The same burst computed without a medium or a simulator: one event per
 /// reception. The broadcasts run in start order; each one from an up node
-/// draws, per neighbor in CSR order, a loss from the loss stream and (when
-/// it survives) a jitter from the jitter stream, and claims the next
-/// sequence number after the 40 transmit events'. Deliveries then happen in
-/// (time, seq) order, except at the down node.
+/// is its sender's n-th transmission, and per neighbor in CSR order draws
+/// its loss and (when it survives) its jitter from the link hash keyed on
+/// (seed, from, to, n), then claims the next sequence number after the 40
+/// transmit events'. Deliveries then happen in (time, seq) order, except at
+/// the down node.
 std::vector<Delivery> expected_deliveries() {
   const graphx::Graph topo = probe_topology();
   const sim::MediumConfig cfg = probe_medium_config();
-  geo::Rng loss_rng{cfg.seed};
-  geo::Rng jitter_rng{cfg.seed ^ sim::kJitterStream};
+  std::vector<std::uint32_t> tx_index(topo.vertex_count(), 0);
   struct Reception {
     double time;
     std::uint64_t seq;
@@ -418,11 +417,13 @@ std::vector<Delivery> expected_deliveries() {
   for (std::uint32_t i = 0; i < kProbeBroadcasts; ++i) {
     const sim::NodeId from = i % 8;
     if (from == kProbeDownNode) continue;  // a down node never transmits
+    const std::uint32_t n = tx_index[from]++;
     const auto links = topo.neighbors(from);
     for (std::size_t k = 0; k < links.ids().size(); ++k) {
       const sim::NodeId to = links.ids()[k];
-      if (loss_rng.chance(cfg.loss_probability)) continue;
-      const double jitter = jitter_rng.uniform(0.0, cfg.jitter_s);
+      if (sim::link_unit(cfg.seed, from, to, n, 0) < cfg.loss_probability) continue;
+      const double jitter =
+          sim::link_unit(cfg.seed ^ sim::kJitterStream, from, to, n, 1) * cfg.jitter_s;
       const double delay = cfg.tx_delay_s + cfg.prop_delay_s_per_m * links.weights()[k] + jitter;
       const double at = probe_start(i) + delay;
       receptions.push_back({at, seq++, {at, to, from, i}});
@@ -447,67 +448,7 @@ TEST(BatchedDelivery, MatchesPerReceptionSchedulingExactly) {
   }
 }
 
-// --------------------------------------------------------------- pools ------
-
-TEST(BlockPool, ExhaustionFallsBackToHeapCounted) {
-  sim::BlockPool pool{64, 4};
-  std::vector<void*> blocks;
-  for (int i = 0; i < 6; ++i) blocks.push_back(pool.acquire(48));
-  const sim::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.acquires, 6u);
-  EXPECT_EQ(stats.fallbacks, 2u);  // capacity 4, requests 6
-  EXPECT_EQ(stats.in_use, 6u);
-  EXPECT_EQ(stats.peak_in_use, 6u);
-  for (void* b : blocks) pool.release(b);
-  EXPECT_EQ(pool.stats().in_use, 0u);
-  EXPECT_EQ(pool.stats().releases, 6u);
-}
-
-TEST(BlockPool, OversizeRequestsUseHeap) {
-  sim::BlockPool pool{64, 4};
-  void* big = pool.acquire(4096);
-  EXPECT_FALSE(pool.owns(big));
-  EXPECT_EQ(pool.stats().fallbacks, 1u);
-  pool.release(big);
-  EXPECT_EQ(pool.stats().in_use, 0u);
-}
-
-TEST(BlockPool, DoubleReleaseThrows) {
-  sim::BlockPool pool{64, 2};
-  void* b = pool.acquire(16);
-  pool.release(b);
-  EXPECT_THROW(pool.release(b), std::logic_error);
-}
-
-TEST(BlockPool, SlotsAreRecycledLifo) {
-  sim::BlockPool pool{64, 2};
-  void* first = pool.acquire(16);
-  pool.release(first);
-  void* second = pool.acquire(16);
-  EXPECT_EQ(first, second);  // freelist is LIFO: warm block comes back first
-  pool.release(second);
-}
-
-TEST(PacketPool, ReusesBlocksAcrossPacketLifetimes) {
-  core::PacketPool pool{8};
-  {
-    std::vector<std::shared_ptr<const core::MeshPacket>> live;
-    for (std::uint32_t i = 0; i < 8; ++i) {
-      live.push_back(pool.make(core::MeshPacket{{1, 2, 3}, {4, 5}, i, nullptr}));
-      EXPECT_EQ(live.back()->trace_id, i);
-    }
-    EXPECT_EQ(pool.stats().fallbacks, 0u);
-  }
-  EXPECT_EQ(pool.stats().in_use, 0u);
-  // A second wave reuses the same slots; a wave past capacity falls back.
-  std::vector<std::shared_ptr<const core::MeshPacket>> wave;
-  for (std::uint32_t i = 0; i < 12; ++i)
-    wave.push_back(pool.make(core::MeshPacket{{}, {}, i, nullptr}));
-  const sim::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.acquires, 20u);
-  EXPECT_EQ(stats.fallbacks, 4u);
-  EXPECT_EQ(stats.in_use, 12u);
-}
+// ------------------------------------------------------- inline handlers ---
 
 TEST(InlineFn, SmallCapturesStayInline) {
   const std::uint64_t before = sim::InlineFn::heap_fallbacks();
@@ -594,8 +535,9 @@ TEST(IncrementalDijkstra, GrowsMonotonicallyAcrossTargets) {
 // ------------------------------------------------ end-to-end identity -------
 
 /// Manifest JSON of a tiny but full sweep (eval point over one generated
-/// city) under one pool/shards configuration.
-std::string sweep_json(runx::CityCache& cache, bool pooled, std::size_t shards) {
+/// city, default lossy, jittered medium) run on a worker pool of `jobs`
+/// threads at `shards` shards.
+std::string sweep_json(runx::CityCache& cache, std::size_t jobs, std::size_t shards) {
   std::string error;
   const auto spec =
       runx::parse_sweep("name sched-identity\ncities cambridge\nseeds 1 2\n"
@@ -603,14 +545,8 @@ std::string sweep_json(runx::CityCache& cache, bool pooled, std::size_t shards) 
                         &error);
   EXPECT_TRUE(spec) << error;
   runx::SweepRunConfig config;
-  config.jobs = 1;
-  config.network.pooled_packets = pooled;
+  config.jobs = jobs;
   config.network.shards = shards;
-  if (shards > 1) {
-    // Draw-free regime, where K = 1 and K >= 2 share digests (src/shardx).
-    config.network.medium.jitter_s = 0.0;
-    config.network.medium.loss_probability = 0.0;
-  }
   const runx::SweepReport report = runx::run_sweep(*spec, cache, config);
   EXPECT_EQ(report.errors, 0u);
   return runx::sweep_manifest(*spec, report).to_json();
@@ -618,12 +554,15 @@ std::string sweep_json(runx::CityCache& cache, bool pooled, std::size_t shards) 
 
 TEST(EndToEndIdentity, ManifestsIdenticalAcrossPools) {
   runx::CityCache cache;
-  EXPECT_EQ(sweep_json(cache, /*pooled=*/false, 1), sweep_json(cache, /*pooled=*/true, 1));
+  EXPECT_EQ(sweep_json(cache, /*jobs=*/1, 1), sweep_json(cache, /*jobs=*/2, 1));
 }
 
 TEST(EndToEndIdentity, ShardedManifestsIdenticalAcrossPools) {
   runx::CityCache cache;
-  EXPECT_EQ(sweep_json(cache, /*pooled=*/false, 4), sweep_json(cache, /*pooled=*/true, 4));
+  const std::string sharded = sweep_json(cache, /*jobs=*/1, 4);
+  EXPECT_EQ(sharded, sweep_json(cache, /*jobs=*/2, 4));
+  // Per-link hashed draws: loss and jitter leave K = 4 equal to K = 1.
+  EXPECT_EQ(sharded, sweep_json(cache, /*jobs=*/1, 1));
 }
 
 }  // namespace

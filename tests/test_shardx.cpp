@@ -1,9 +1,10 @@
-// Tests for the shardx tiled parallel execution engine (PR 7): digest
-// identity between the legacy single event loop and tiled runs in the
-// draw-free regime, shard-count invariance of merged manifests for K >= 2
-// under jitter and loss, the deterministic cross-tile handoff sequence,
-// boundary-AP membership against a brute-force recomputation, empty-tile /
-// single-tile edge cases, and coordinator control events.
+// Tests for the shardx tiled execution engine, the only engine a network
+// runs (K = 1 is one tile): byte-identical merged manifests, flow states and
+// send outcomes for every shard count under loss, jitter and randomized
+// relay policies; the draw-free identity across cities and seeds; the
+// deterministic cross-tile handoff sequence; boundary-AP membership against
+// a brute-force recomputation; empty-tile / single-tile edge cases; and
+// coordinator control events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,8 +55,7 @@ osmx::City town(std::uint64_t seed, double w = 800, double h = 600) {
   return osmx::generate_city(p);
 }
 
-/// Draw-free regime: flood policy, zero loss, zero jitter — the only
-/// configuration where K = 1 and K >= 2 runs are digest-identical (jitter_s
+/// Draw-free regime: flood policy, zero loss, zero jitter (jitter_s
 /// defaults to 2e-3, which is why it is explicitly zeroed here).
 core::NetworkConfig draw_free_config(std::size_t shards, std::uint64_t seed = 99) {
   core::NetworkConfig cfg;
@@ -98,38 +98,132 @@ SendRun exercise(const std::shared_ptr<const core::CompiledCity>& compiled,
   return run;
 }
 
-/// Counters, histogram bounds/counts/totals must match exactly. Histogram
-/// sums are compared within the shard-side quantization error (2^-30 per
-/// record): the legacy loop accumulates raw doubles in global event order,
-/// tiled shards accumulate exact quantized multiples — same multiset of
-/// values, sub-microsecond sum difference.
-void expect_metrics_close(const obsx::MetricsSnapshot& a, const obsx::MetricsSnapshot& b,
-                          const std::string& label) {
-  EXPECT_EQ(a.counters, b.counters) << label;
-  ASSERT_EQ(a.histograms.size(), b.histograms.size()) << label;
-  for (const auto& [name, ha] : a.histograms) {
-    const auto it = b.histograms.find(name);
-    ASSERT_NE(it, b.histograms.end()) << label << " missing " << name;
-    const obsx::HistogramSnapshot& hb = it->second;
-    EXPECT_EQ(ha.bounds, hb.bounds) << label << " " << name;
-    EXPECT_EQ(ha.counts, hb.counts) << label << " " << name;
-    EXPECT_EQ(ha.total, hb.total) << label << " " << name;
-    const double tol = static_cast<double>(ha.total + 1) * 0x1p-30;
-    EXPECT_NEAR(ha.sum, hb.sum, tol) << label << " " << name;
-  }
-}
-
 void expect_same_run(const SendRun& a, const SendRun& b, const std::string& label) {
   EXPECT_EQ(a.outcome.delivered, b.outcome.delivered) << label;
-  EXPECT_DOUBLE_EQ(a.outcome.delivery_time_s, b.outcome.delivery_time_s) << label;
+  EXPECT_EQ(a.outcome.delivery_time_s, b.outcome.delivery_time_s) << label;
   EXPECT_EQ(a.outcome.transmissions, b.outcome.transmissions) << label;
   EXPECT_EQ(a.acked.delivered, b.acked.delivered) << label;
   EXPECT_EQ(a.acked.ack_received, b.acked.ack_received) << label;
   EXPECT_EQ(a.acked.transmissions, b.acked.transmissions) << label;
-  expect_metrics_close(a.metrics, b.metrics, label);
+  EXPECT_EQ(a.metrics.to_json(), b.metrics.to_json()) << label;
+}
+
+/// Everything one run reports: the merged manifest JSON, the FlowState of
+/// every injected flow, and the outcome of one acked send after the load.
+struct EngineRun {
+  std::string metrics_json;
+  std::vector<core::FlowState> flows;
+  core::SendOutcome acked;
+};
+
+EngineRun run_load_then_acked_send(const std::shared_ptr<const core::CompiledCity>& compiled,
+                                   const core::NetworkConfig& cfg,
+                                   const trafficx::FlowSchedule& schedule) {
+  core::CityMeshNetwork net{compiled, cfg};
+  std::vector<std::uint32_t> ids(schedule.flows.size(), 0);
+  const std::vector<std::uint8_t> payload(128, 0x5a);
+  for (std::size_t i = 0; i < schedule.flows.size(); ++i) {
+    const trafficx::Flow& flow = schedule.flows[i];
+    const auto info =
+        core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(1000 + flow.dst), flow.dst);
+    net.register_postbox(info);
+    net.schedule_control(flow.start_s, [&net, &ids, &payload, &flow, info, i] {
+      ids[i] = net.inject(flow.src, info, {payload.data(), flow.payload_bytes}).message_id;
+    });
+  }
+  net.run_until(schedule.spec.duration_s + 10.0);
+
+  EngineRun run;
+  for (const std::uint32_t id : ids) {
+    if (id == 0) continue;
+    const core::FlowState* state = net.flow_state(id);
+    EXPECT_NE(state, nullptr);
+    if (state != nullptr) run.flows.push_back(*state);
+  }
+  const osmx::BuildingId last =
+      static_cast<osmx::BuildingId>(compiled->city.building_count() - 1);
+  const auto to = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(7), last);
+  const auto back = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(8), 0);
+  net.register_postbox(to);
+  net.register_postbox(back);
+  core::SendOptions opts;
+  opts.request_ack = true;
+  opts.ack_to = back;
+  opts.collect_trace = true;
+  run.acked = net.send(0, to, bytes_of("k-invariance"), opts);
+  run.metrics_json = net.merged_metrics().to_json();
+  return run;
+}
+
+void expect_same_flow(const core::FlowState& a, const core::FlowState& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.injected_at_s, b.injected_at_s) << label;
+  EXPECT_EQ(a.delivered, b.delivered) << label;
+  EXPECT_EQ(a.delivery_time_s, b.delivery_time_s) << label;
+  EXPECT_EQ(a.postboxes_reached, b.postboxes_reached) << label;
+  EXPECT_EQ(a.transmissions, b.transmissions) << label;
+}
+
+void expect_same_outcome(const core::SendOutcome& a, const core::SendOutcome& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.route_found, b.route_found) << label;
+  EXPECT_EQ(a.source_has_ap, b.source_has_ap) << label;
+  EXPECT_EQ(a.delivered, b.delivered) << label;
+  EXPECT_EQ(a.delivery_time_s, b.delivery_time_s) << label;
+  EXPECT_EQ(a.message_id, b.message_id) << label;
+  EXPECT_EQ(a.route.waypoints, b.route.waypoints) << label;
+  EXPECT_EQ(a.header_bits, b.header_bits) << label;
+  EXPECT_EQ(a.transmissions, b.transmissions) << label;
+  EXPECT_EQ(a.min_hops, b.min_hops) << label;
+  EXPECT_EQ(a.ack_received, b.ack_received) << label;
+  EXPECT_EQ(a.ack_message_id, b.ack_message_id) << label;
+  EXPECT_EQ(a.rebroadcast_aps, b.rebroadcast_aps) << label;
+  EXPECT_EQ(a.received_only_aps, b.received_only_aps) << label;
 }
 
 }  // namespace
+
+// ------------------------------------------------------------ one engine ---
+
+TEST(ShardxInvariance, LossyRandomizedRunsAreByteIdenticalForEveryShardCount) {
+  // Loss, jitter and randomized relay policies draw on every link and every
+  // election: the shard count may change speed, never what is simulated.
+  const auto compiled = core::compile_city(town(63), draw_free_config(1));
+  trafficx::WorkloadSpec spec;
+  spec.seed = 17;
+  spec.duration_s = 3.0;
+  spec.rate_per_s = 4.0;
+  spec.payload_min_bytes = 64;
+  spec.payload_max_bytes = 128;
+  const trafficx::FlowSchedule schedule = trafficx::compile(spec, compiled->city);
+  ASSERT_GT(schedule.flows.size(), 4u);
+
+  for (const auto kind :
+       {relayx::PolicyKind::kBuildingBackoff, relayx::PolicyKind::kEtxPriority}) {
+    std::vector<EngineRun> runs;
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      auto cfg = draw_free_config(shards, 909);
+      cfg.medium.loss_probability = 0.1;
+      cfg.medium.jitter_s = 2e-3;
+      cfg.medium.bitrate_bps = 250'000.0;
+      cfg.relay.kind = kind;
+      runs.push_back(run_load_then_acked_send(compiled, cfg, schedule));
+    }
+    const std::string policy{relayx::to_string(kind)};
+    ASSERT_FALSE(runs[0].flows.empty()) << policy;
+    EXPECT_TRUE(runs[0].acked.delivered) << policy;
+    EXPECT_NE(runs[0].metrics_json.find("\"medium.losses\""), std::string::npos);
+    for (std::size_t k = 1; k < runs.size(); ++k) {
+      const std::string label = policy + " shards index " + std::to_string(k);
+      EXPECT_EQ(runs[k].metrics_json, runs[0].metrics_json) << label;
+      ASSERT_EQ(runs[k].flows.size(), runs[0].flows.size()) << label;
+      for (std::size_t i = 0; i < runs[0].flows.size(); ++i) {
+        expect_same_flow(runs[k].flows[i], runs[0].flows[i], label + " flow " + std::to_string(i));
+      }
+      expect_same_outcome(runs[k].acked, runs[0].acked, label);
+    }
+  }
+}
 
 // ----------------------------------------------------- digest identity ------
 
@@ -152,8 +246,8 @@ TEST(ShardxDigest, TiledMatchesLegacyAcrossCitiesAndSeeds) {
 }
 
 TEST(ShardxDigest, ShardCountInvariantUnderJitterAndLoss) {
-  // Outside the draw-free regime K = 1 differs (sequential RNG streams), but
-  // every K >= 2 must agree: hashed link randomness + per-AP policy streams.
+  // Hashed link randomness + per-AP policy streams: every K agrees, up to
+  // eight tiles.
   const auto compiled = core::compile_city(town(55), draw_free_config(1));
   auto cfg2 = draw_free_config(2, 404);
   cfg2.medium.jitter_s = 2e-3;
@@ -191,11 +285,9 @@ TEST(ShardxDigest, WorkloadMatchesLegacyInDrawFreeRegime) {
       EXPECT_DOUBLE_EQ(results[k].flows[i].latency_s, results[0].flows[i].latency_s) << i;
       EXPECT_EQ(results[k].flows[i].transmissions, results[0].flows[i].transmissions) << i;
     }
-    expect_metrics_close(results[k].metrics, results[0].metrics,
-                         "shards index " + std::to_string(k));
+    EXPECT_EQ(results[k].metrics.to_json(), results[0].metrics.to_json())
+        << "shards index " << k;
   }
-  // Between tiled runs the quantized sums are exact, so byte-identical JSON.
-  EXPECT_EQ(results[1].metrics.to_json(), results[2].metrics.to_json());
 }
 
 // ------------------------------------------------------ handoff sequence ----
@@ -292,7 +384,7 @@ TEST(ShardxTiling, BoundaryMembershipMatchesBruteForce) {
 
 TEST(ShardxTiling, EmptyTilesDegradeGracefully) {
   // 3 buildings, 8 requested shards: most tiles own nothing. The run must
-  // still match the legacy pipeline in the draw-free regime.
+  // still match the single-tile run.
   const osmx::City city = row_city(3);
   const auto compiled = core::compile_city(city, draw_free_config(1));
   const SendRun legacy = exercise(compiled, draw_free_config(1, 606));

@@ -19,7 +19,6 @@
 //   --pairs N             reachability pairs        (default 1000)
 //   --deliver N           deliverability pairs      (default 50)
 //   --seed N              placement seed            (default 1)
-//   --suppression         enable same-building rebroadcast suppression
 //   --policy NAME         rebroadcast policy: flood (default),
 //                         building-backoff, counter-gossip, etx-priority
 //   --protocol NAME       live protocol family: conduit (default, the
@@ -52,9 +51,8 @@
 //                         partition the city into N tiles with their own
 //                         event queues, synchronized by conservative
 //                         lookahead. Composes with --jobs (N tiles per run x
-//                         --jobs concurrent runs). Digests are invariant
-//                         across every N >= 2; N=1 is the sequential legacy
-//                         engine.
+//                         --jobs concurrent runs). Manifests are
+//                         byte-identical for every N; N=1 is a single tile.
 //   --json FILE           write the merged sweep manifest to FILE
 //
 // Trace options:
@@ -109,7 +107,6 @@ struct Options {
   std::size_t pairs = 1000;
   std::size_t deliver = 50;
   std::uint64_t seed = 1;
-  bool suppression = false;
   std::string policy;  // relayx policy name; empty = flood (paper default)
   std::string protocol;  // core protocol name; empty = conduit (paper default)
   bool shadowed = false;
@@ -144,13 +141,13 @@ int usage() {
       "  sweep <spec-file>          run an experiment sweep grid (runx)\n"
       "  trace <file.jsonl>         validate / summarize / filter a trace\n"
       "options: --range M --density M2 --width M --pairs N --deliver N\n"
-      "         --seed N --suppression --policy NAME --protocol NAME\n"
+      "         --seed N --policy NAME --protocol NAME\n"
       "         --shadowed --osm FILE\n"
       "         --spec FILE --svg FILE (scenario)\n"
       "         --spec FILE --scenario FILE --bitrate BPS --queue N\n"
       "         --json FILE (load)\n"
       "         --jobs N --json FILE (sweep)\n"
-      "         --shards N (tiled parallel engine; 1 = sequential legacy)\n"
+      "         --shards N (tiled parallel engine; 1 = a single tile)\n"
       "         --jitter S (per-delivery jitter seconds; 0 = draw-free)\n"
       "         --trace FILE (send/scenario/load)\n"
       "         --kind K --node N --packet P (trace)\n";
@@ -199,8 +196,6 @@ std::optional<Options> parse_options(int argc, char** argv, int first) {
       if (!v || !parse_u64(*v, opts.seed)) return std::nullopt;
     } else if (arg == "--bridge") {
       opts.positional.push_back("bridge");
-    } else if (arg == "--suppression") {
-      opts.suppression = true;
     } else if (arg == "--policy") {
       const auto v = next();
       if (!v || !relayx::policy_kind_from(*v)) {
@@ -315,7 +310,6 @@ core::NetworkConfig network_config(const Options& opts) {
       opts.shadowed ? mesh::LinkModel::kShadowed : mesh::LinkModel::kDisc;
   cfg.graph.transmission_range_m = opts.range_m;
   cfg.conduit.width_m = opts.width_m;
-  cfg.building_suppression = opts.suppression;
   cfg.shards = opts.shards;
   if (opts.jitter_s) cfg.medium.jitter_s = *opts.jitter_s;
   if (!opts.policy.empty()) {
@@ -338,8 +332,8 @@ int write_trace_file(const core::CityMeshNetwork& net, const std::string& path) 
     return 1;
   }
   std::cout << "wrote " << path << " (" << events.size() << " trace events";
-  if (net.trace().lost() > 0) {
-    std::cout << ", " << net.trace().lost() << " oldest lost to ring wrap";
+  if (net.trace_lost() > 0) {
+    std::cout << ", " << net.trace_lost() << " oldest lost to ring wrap";
   }
   std::cout << ")\n";
   return 0;
