@@ -41,15 +41,9 @@ std::optional<BuildingId> parse_location_update(std::span<const std::uint8_t> pa
 
 }  // namespace
 
-MessageCompiler& ApAgent::compiler() {
-  if (compiler_ != nullptr) return *compiler_;
-  if (!own_compiler_) own_compiler_ = std::make_shared<MessageCompiler>(*map_);
-  return *own_compiler_;
-}
-
 AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
   AgentAction action;
-  MessageCompiler& comp = compiler();
+  MessageCompiler& comp = *compiler_;
   std::shared_ptr<const CompiledMessage> msg = packet.compiled;
   if (!msg) {
     try {
@@ -71,7 +65,7 @@ AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
   action.message_id = header.message_id;
   action.flags = header.flags;
 
-  AgentStateSlab& st = state();
+  AgentStateSlab& st = *slab_;
   if (!st.mark_seen(slot_, header.message_id)) {
     action.duplicate = true;
     return action;

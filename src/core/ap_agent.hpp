@@ -72,83 +72,51 @@ struct AgentAction {
 
 class ApAgent {
  public:
-  /// `compiler` is the shared per-network compile service; agents built
-  /// without one (standalone tests, benches) lazily grow a private compiler
-  /// so packets lacking a precompiled message still compile exactly once.
-  /// Mutable state likewise: network-wired agents share the network's
-  /// AgentStateSlab via set_state(); standalone agents lazily grow a
-  /// private single-slot slab.
+  /// `compiler` is the compile service packets lacking a precompiled
+  /// message go through (so they still compile exactly once); the agent's
+  /// mutable state lives in `slab` at index `slot` (the AP id, for
+  /// network-owned slabs). Both must outlive the agent.
   ApAgent(mesh::ApId id, geo::Point position, BuildingId building,
-          const BuildingGraph& map, MessageCompiler* compiler = nullptr)
+          const BuildingGraph& map, MessageCompiler& compiler, AgentStateSlab& slab,
+          std::uint32_t slot)
       : id_(id), position_(position), building_(building), map_(&map),
-        compiler_(compiler) {}
+        compiler_(&compiler), slab_(&slab), slot_(slot) {}
 
   mesh::ApId id() const { return id_; }
   geo::Point position() const { return position_; }
   BuildingId building() const { return building_; }
 
-  void set_behavior(AgentBehavior b) { state().set_behavior(slot_, b); }
-  AgentBehavior behavior() const {
-    const AgentStateSlab* st = state_if_any();
-    return st != nullptr ? st->behavior(slot_) : AgentBehavior::kNormal;
-  }
+  void set_behavior(AgentBehavior b) { slab_->set_behavior(slot_, b); }
+  AgentBehavior behavior() const { return slab_->behavior(slot_); }
 
   /// Repoint the compile service (tiled runs, src/shardx: each tile's agents
   /// share that tile's compiler so reception-time memo lookups and counter
-  /// increments never cross threads). nullptr reverts to a lazy private one.
-  void set_compiler(MessageCompiler* compiler) { compiler_ = compiler; }
-
-  /// Repoint the mutable state into a shared slab at `slot` (the AP id, for
-  /// network-owned slabs). The slab must outlive the agent.
-  void set_state(AgentStateSlab* slab, std::uint32_t slot) {
-    slab_ = slab;
-    slot_ = slab != nullptr ? slot : 0;
-  }
+  /// increments never cross threads).
+  void set_compiler(MessageCompiler& compiler) { compiler_ = &compiler; }
 
   /// Host a postbox at this AP. The agent matches incoming packets against
   /// hosted postbox tags.
   void host_postbox(std::shared_ptr<Postbox> postbox) {
-    state().host_postbox(slot_, std::move(postbox));
+    slab_->host_postbox(slot_, std::move(postbox));
   }
   std::shared_ptr<Postbox> postbox_for_tag(std::uint32_t tag) const {
-    const AgentStateSlab* st = state_if_any();
-    return st != nullptr ? st->postbox_for_tag(slot_, tag) : nullptr;
+    return slab_->postbox_for_tag(slot_, tag);
   }
 
   /// Process one received packet at simulation time `now_s`.
   AgentAction on_receive(const MeshPacket& packet, double now_s);
 
   /// Number of distinct messages seen (diagnostics).
-  std::size_t seen_count() const {
-    const AgentStateSlab* st = state_if_any();
-    return st != nullptr ? st->seen_count(slot_) : 0;
-  }
+  std::size_t seen_count() const { return slab_->seen_count(slot_); }
 
  private:
-  /// The compile service in effect: the network's shared one, or a lazily
-  /// created private one for standalone agents.
-  MessageCompiler& compiler();
-
-  /// The state slab in effect, creating the private single-slot fallback on
-  /// first use.
-  AgentStateSlab& state() {
-    if (slab_ != nullptr) return *slab_;
-    if (!own_slab_) own_slab_ = std::make_shared<AgentStateSlab>(1);
-    return *own_slab_;
-  }
-  const AgentStateSlab* state_if_any() const {
-    return slab_ != nullptr ? slab_ : own_slab_.get();
-  }
-
   mesh::ApId id_;
   geo::Point position_;
   BuildingId building_;
   const BuildingGraph* map_;
-  MessageCompiler* compiler_ = nullptr;
-  std::shared_ptr<MessageCompiler> own_compiler_;  ///< lazily created fallback
-  AgentStateSlab* slab_ = nullptr;  ///< shared slab (network-owned) or null
-  std::uint32_t slot_ = 0;          ///< this agent's index in the slab
-  std::shared_ptr<AgentStateSlab> own_slab_;  ///< lazily created fallback
+  MessageCompiler* compiler_;
+  AgentStateSlab* slab_;
+  std::uint32_t slot_;  ///< this agent's index in the slab
 };
 
 }  // namespace citymesh::core

@@ -60,8 +60,8 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
   agent_state_ = AgentStateSlab(aps().ap_count());
   agents_.reserve(aps().ap_count());
   for (const auto& ap : aps().aps()) {
-    agents_.emplace_back(ap.id, ap.position, ap.building, compiled_->map, &compiler_);
-    agents_.back().set_state(&agent_state_, ap.id);
+    agents_.emplace_back(ap.id, ap.position, ap.building, compiled_->map, compiler_,
+                         agent_state_, ap.id);
   }
 
   // Coordinator registry: what happens outside the tiles. Control events
@@ -70,7 +70,6 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
       &metrics_.histogram("sim.event_latency_s", obsx::exponential_buckets(1e-4, 4.0, 10));
   n_sends_ = &metrics_.counter("net.sends");
   n_delivered_ = &metrics_.counter("net.delivered");
-  n_postbox_stores_ = &metrics_.counter("net.postbox_stores");
   n_acks_received_ = &metrics_.counter("net.acks_received");
   h_header_bits_ = &metrics_.histogram("net.header_bits", obsx::linear_buckets(80.0, 20.0, 16));
   h_min_hops_ = &metrics_.histogram("net.min_hops", obsx::linear_buckets(1.0, 1.0, 32));
@@ -145,9 +144,8 @@ void CityMeshNetwork::build_tiles() {
     medium.set_link_loss([this](sim::NodeId from, sim::NodeId to) {
       return extra_link_loss(from, to);
     });
-    // Per-flow transmission attribution (src/trafficx): one hash probe per
-    // on-air packet, and only while injected flows are being tracked — the
-    // single-send paths see an empty map and pay one branch.
+    // Per-message transmission attribution: one hash probe per on-air
+    // packet while any record is open (an idle network pays one branch).
     medium.set_tx_observer([this, sp](sim::NodeId, const MeshPacket& p) {
       if (flows_.empty()) return;
       if (flows_.find(p.trace_id) != flows_.end()) {
@@ -204,7 +202,7 @@ void CityMeshNetwork::build_tiles() {
   }
   if (tiles == 1) return;
   for (const auto& ap : aps().aps()) {
-    agents_[ap.id].set_compiler(shards_[plan_.ap_tile[ap.id]]->compiler);
+    agents_[ap.id].set_compiler(*shards_[plan_.ap_tile[ap.id]]->compiler);
   }
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
@@ -333,17 +331,18 @@ double CityMeshNetwork::extra_link_loss(mesh::ApId from, mesh::ApId to) const {
   return 1.0 - pass;
 }
 
-void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap) {
+void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap, std::uint32_t message_id,
+                                    const Flow& flow) {
   // The ack originates at the delivering AP, so the sent/delivered flags are
   // shard-local (building-atomic tiling puts every delivery of one message
-  // on one tile); merge_shard_deltas() folds them into active_.
-  shard.active.ack_sent = true;
+  // on one tile); merge_shard_deltas() folds them into the records.
+  shard.flow_deltas[message_id].ack_sent = true;
   const double now = shard.sim.now();
   wire::PacketHeader ack;
-  ack.message_id = active_.ack_message_id;
-  ack.postbox_tag = active_.ack_tag;
-  ack.conduit_width_m = active_.conduit_width_m;
-  ack.waypoints = active_.ack_waypoints;
+  ack.message_id = flow.state.ack_message_id;
+  ack.postbox_tag = flow.ack_tag;
+  ack.conduit_width_m = flow.ack_width_m;
+  ack.waypoints = flow.ack_waypoints;
   ack.set_flag(wire::PacketFlag::kAck);
   const auto encoded = wire::encode_header(ack);
   // Compile once at build time (decodes the just-encoded bytes so receivers
@@ -356,10 +355,27 @@ void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap) {
   // The originating AP marks the ack as seen (it may also deliver when the
   // sender and recipient share a building) and always transmits it.
   const AgentAction action = agents_[ap].on_receive(*packet, now);
-  if (action.delivered && action.message_id == active_.ack_message_id) {
-    shard.active.ack_delivered = true;
+  if (action.delivered && action.message_id == ack.message_id) {
+    shard.flow_deltas[ack.message_id].deliver(action.delivered_count, now);
   }
   transmit_counted(shard, ap, packet);
+}
+
+void CityMeshNetwork::record_delivery(Shard& s, mesh::ApId ap, const AgentAction& action,
+                                      double now) {
+  s.n_postbox_stores->inc(action.delivered_count);
+  s.trace.record(obsx::TraceKind::kPostboxStore, now, static_cast<std::uint32_t>(ap),
+                 action.message_id, static_cast<std::uint32_t>(action.delivered_count));
+  // flows_ is read-only while windows run; shards write their deltas and
+  // merge_shard_deltas() folds them in afterwards (counter values are only
+  // observed after runs, so the totals agree).
+  const auto it = flows_.find(action.message_id);
+  if (it == flows_.end()) return;
+  FlowDelta& delta = s.flow_deltas[action.message_id];
+  delta.deliver(action.delivered_count, now);
+  if (it->second.state.ack_message_id != 0 && !delta.ack_sent) {
+    send_ack_from(s, ap, action.message_id, it->second);
+  }
 }
 
 void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from,
@@ -422,35 +438,7 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
     return;
   }
 
-  if (action.delivered) {
-    s.n_postbox_stores->inc(action.delivered_count);
-    s.trace.record(obsx::TraceKind::kPostboxStore, now, node,
-                   action.message_id,
-                   static_cast<std::uint32_t>(action.delivered_count));
-    // flows_ / active_ are read-only while windows run; shards write their
-    // deltas and merge_shard_deltas() folds them in afterwards (counter
-    // values are only observed after runs, so the totals agree).
-    if (flows_.contains(action.message_id)) {
-      FlowDelta& delta = s.flow_deltas[action.message_id];
-      delta.postboxes_reached += action.delivered_count;
-      if (!delta.delivered) {
-        delta.delivered = true;
-        delta.delivery_time_s = now;
-      }
-    } else if (action.message_id == active_.message_id) {
-      ActiveDelta& delta = s.active;
-      delta.postboxes_reached += action.delivered_count;
-      if (!delta.delivered) {
-        delta.delivered = true;
-        delta.delivery_time_s = now;
-      }
-      if (active_.ack_message_id != 0 && !delta.ack_sent) {
-        send_ack_from(s, to);
-      }
-    } else if (action.message_id == active_.ack_message_id) {
-      s.active.ack_delivered = true;
-    }
-  }
+  if (action.delivered) record_delivery(s, to, action, now);
 
   if (action.rebroadcast) {
     s.n_rebroadcasts->inc();
@@ -579,7 +567,7 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
   std::size_t executed = 0;
   while (executed < max_events) {
     // Barrier exchange first: outboxes may hold handoffs created outside any
-    // window — by the synchronous source transmission in run_send/inject, by
+    // window — by the synchronous source transmission in originate, by
     // a control-event handler, or by the last window before a max_events
     // exit. They must be scheduled into their receiving tiles before
     // `earliest` is computed (they may BE the earliest event) and before the
@@ -701,39 +689,29 @@ void CityMeshNetwork::remote_fanout(Shard& shard, sim::NodeId from,
 
 void CityMeshNetwork::merge_shard_deltas() {
   for (const auto& sp : shards_) {
-    ActiveDelta& d = sp->active;
-    active_.postboxes_reached += d.postboxes_reached;
-    if (d.delivered) {
-      if (!active_.delivered) {
-        active_.delivered = true;
-        active_.delivery_time_s = d.delivery_time_s;
-        n_delivered_->inc();
-      } else if (d.delivery_time_s < active_.delivery_time_s) {
-        // Geo-broadcasts deliver on several tiles; first delivery wins, as
-        // in global event order.
-        active_.delivery_time_s = d.delivery_time_s;
-      }
-    }
-    if (d.ack_sent) active_.ack_sent = true;
-    if (d.ack_delivered && !active_.ack_delivered) {
-      active_.ack_delivered = true;
-      n_acks_received_->inc();
-    }
-    d = ActiveDelta{};
-    for (auto& [id, fd] : sp->flow_deltas) {
+    for (const auto& [id, fd] : sp->flow_deltas) {
       const auto it = flows_.find(id);
       if (it == flows_.end()) continue;
-      FlowState& fs = it->second;
+      FlowState& fs = it->second.state;
       fs.postboxes_reached += fd.postboxes_reached;
       fs.transmissions += fd.transmissions;
-      if (fd.delivered) {
-        if (!fs.delivered) {
-          fs.delivered = true;
-          fs.delivery_time_s = fd.delivery_time_s;
-          n_delivered_->inc();
-        } else if (fd.delivery_time_s < fs.delivery_time_s) {
-          fs.delivery_time_s = fd.delivery_time_s;
-        }
+      if (!fd.delivered) continue;
+      if (fs.delivered) {
+        // Geo-broadcasts deliver on several tiles; first delivery wins, as
+        // in global event order.
+        fs.delivery_time_s = std::min(fs.delivery_time_s, fd.delivery_time_s);
+        continue;
+      }
+      fs.delivered = true;
+      fs.delivery_time_s = fd.delivery_time_s;
+      const std::uint32_t acked = it->second.ack_of;
+      if (acked == 0) {
+        n_delivered_->inc();
+        continue;
+      }
+      n_acks_received_->inc();
+      if (const auto msg = flows_.find(acked); msg != flows_.end()) {
+        msg->second.state.ack_received = true;
       }
     }
     sp->flow_deltas.clear();
@@ -797,12 +775,10 @@ CityMeshNetwork::MediumTotals CityMeshNetwork::medium_totals() const {
   return totals;
 }
 
-SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInfo& to,
-                                      std::span<const std::uint8_t> payload,
-                                      const SendOptions& opts, std::uint8_t extra_flags,
-                                      std::uint32_t broadcast_radius_m) {
-  SendOutcome outcome;
-
+std::optional<mesh::ApId> CityMeshNetwork::originate(
+    BuildingId from_building, const PostboxInfo& to, std::span<const std::uint8_t> payload,
+    const SendOptions& opts, std::uint8_t extra_flags, std::uint32_t broadcast_radius_m,
+    SendOutcome& out) {
   const ConduitConfig conduit{opts.conduit_width.value_or(config_.conduit.width_m)};
   std::optional<PlannedRoute> route;
   if (config_.protocol == Protocol::kQfgeo) {
@@ -821,15 +797,15 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
     route = opts.compress ? planner.plan(from_building, to.building)
                           : planner.plan_uncompressed(from_building, to.building);
   }
-  if (!route) return outcome;
-  outcome.route_found = true;
-  outcome.route = *route;
+  if (!route) return std::nullopt;
+  out.route_found = true;
+  out.route = std::move(*route);
 
   // The sender's device associates with a *live* AP of its building; when
-  // every AP there is down (blackout at the source) the send fails upfront.
+  // every AP there is down (blackout at the source) origination fails.
   const auto src_ap = live_ap(from_building);
-  if (!src_ap) return outcome;
-  outcome.source_has_ap = true;
+  if (!src_ap) return std::nullopt;
+  out.source_has_ap = true;
 
   // Build the packet. Message ids derive from (seed, sequence) — stable
   // across runs and independent of unrelated RNG draws, so trace packet ids
@@ -837,84 +813,98 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   wire::PacketHeader header;
   header.message_id = wire::derive_message_id(config_.seed, ++send_seq_);
   header.postbox_tag = to.id.tag();
-  header.conduit_width_m = route->conduit_width_m;
-  header.waypoints = route->waypoints;
+  header.conduit_width_m = out.route.conduit_width_m;
+  header.waypoints = out.route.waypoints;
   header.flags |= extra_flags;
   header.broadcast_radius_m = broadcast_radius_m;
   if (opts.urgent) header.set_flag(wire::PacketFlag::kUrgent);
   if (opts.request_ack) header.set_flag(wire::PacketFlag::kAckRequest);
   const auto encoded = wire::encode_header(header);
-  outcome.header_bits = encoded.bit_count;
+  out.message_id = header.message_id;
+  out.header_bits = encoded.bit_count;
 
   auto packet = std::make_shared<const MeshPacket>(MeshPacket{
       encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
       header.message_id, compiler_.compile_bytes(encoded.bytes)});
 
-  outcome.message_id = header.message_id;
-
-  // Reset per-send bookkeeping.
-  active_ = ActiveSend{};
-  clear_pending_relays();
-  for (const auto& sp : shards_) sp->active = ActiveDelta{};
-  active_.message_id = header.message_id;
-  active_.conduit_width_m = route->conduit_width_m;
+  // Open the record (and the ack's) before the first transmission: tiles
+  // only read flows_, so everything they attribute must exist up front.
+  const double t0 = sim_now();
+  Flow& flow = flows_[header.message_id];
+  flow.state.injected_at_s = t0;
   if (opts.request_ack && opts.ack_to) {
-    active_.ack_message_id = wire::derive_message_id(config_.seed, ++send_seq_);
-    active_.ack_tag = opts.ack_to->id.tag();
-    active_.ack_waypoints.assign(route->waypoints.rbegin(), route->waypoints.rend());
-    outcome.ack_message_id = active_.ack_message_id;
+    const std::uint32_t ack_id = wire::derive_message_id(config_.seed, ++send_seq_);
+    flow.state.ack_message_id = ack_id;
+    flow.ack_tag = opts.ack_to->id.tag();
+    flow.ack_waypoints.assign(header.waypoints.rbegin(), header.waypoints.rend());
+    flow.ack_width_m = header.conduit_width_m;
+    Flow& ack = flows_[ack_id];
+    ack.state.injected_at_s = t0;
+    ack.ack_of = header.message_id;
+    out.ack_message_id = ack_id;
   }
 
   n_sends_->inc();
   h_header_bits_->record(static_cast<double>(encoded.bit_count));
 
-  // Per-AP roles are reconstructed from the trace stream; borrow the trace
-  // for this send when the caller didn't already turn it on.
-  const bool borrow_trace = opts.collect_trace && !tracing_enabled();
-  if (borrow_trace) set_tracing(true);
-  const std::size_t tx_before = medium_totals().transmissions;
-
   // Origination happens at the source AP's shard, so the trace stream and
-  // the ack flood stay on that tile (coordinator context: no worker runs).
+  // an ack flood stay on that tile (coordinator context: no worker runs).
   Shard& src_shard = shard_for(*src_ap);
-  const double t0 = sim_now();
   src_shard.trace.record(obsx::TraceKind::kOriginate, t0,
                          static_cast<std::uint32_t>(*src_ap), header.message_id);
 
   // The source AP processes its own packet (marks it seen, may deliver when
   // sender and recipient share a building) and always performs the initial
   // broadcast.
-  ApAgent& src_agent = agents_[*src_ap];
-  const AgentAction first = src_agent.on_receive(*packet, t0);
-  if (first.delivered) {
-    // Pre-run self-delivery runs in coordinator context, so it writes the
-    // network-level state directly.
-    active_.delivered = true;
-    active_.delivery_time_s = t0;
-    active_.postboxes_reached += first.delivered_count;
-    n_delivered_->inc();
-    n_postbox_stores_->inc(first.delivered_count);
-    src_shard.trace.record(obsx::TraceKind::kPostboxStore, t0,
-                           static_cast<std::uint32_t>(*src_ap), header.message_id,
-                           static_cast<std::uint32_t>(first.delivered_count));
-    if (active_.ack_message_id != 0) send_ack_from(src_shard, *src_ap);
-  }
+  const AgentAction first = agents_[*src_ap].on_receive(*packet, t0);
+  if (first.delivered) record_delivery(src_shard, *src_ap, first, t0);
   transmit_counted(src_shard, *src_ap, packet);
+  return src_ap;
+}
 
+SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInfo& to,
+                                      std::span<const std::uint8_t> payload,
+                                      const SendOptions& opts, std::uint8_t extra_flags,
+                                      std::uint32_t broadcast_radius_m,
+                                      std::size_t* postboxes_reached) {
+  // Per-AP roles are reconstructed from the trace stream; borrow the trace
+  // for this send when the caller didn't already turn it on.
+  const bool borrow_trace = opts.collect_trace && !tracing_enabled();
+  if (borrow_trace) set_tracing(true);
+  const std::size_t tx_before = medium_totals().transmissions;
+  const double t0 = sim_now();
+
+  SendOutcome outcome;
+  const std::optional<mesh::ApId> src_ap =
+      originate(from_building, to, payload, opts, extra_flags, broadcast_radius_m, outcome);
+  if (!src_ap) {
+    if (borrow_trace) set_tracing(false);
+    return outcome;
+  }
+  // Relays an earlier send left pending die here; originate arms none.
+  clear_pending_relays();
   run_until(t0 + config_.max_sim_time_s, config_.max_events_per_send);
 
-  outcome.delivered = active_.delivered;
-  outcome.delivery_time_s = active_.delivery_time_s;
+  // Read the record, then drop it and its ack's: flows_ holds only what is
+  // still open after a send.
+  if (const auto record = flows_.find(outcome.message_id); record != flows_.end()) {
+    const FlowState& flow = record->second.state;
+    outcome.delivered = flow.delivered;
+    outcome.delivery_time_s = flow.delivery_time_s;
+    outcome.ack_received = flow.ack_received;
+    if (postboxes_reached != nullptr) *postboxes_reached = flow.postboxes_reached;
+    flows_.erase(record);
+  }
+  if (outcome.ack_message_id != 0) flows_.erase(outcome.ack_message_id);
   // The medium's counter is the single source of truth for transmissions;
-  // this send's share is the delta (includes the ack's flood, like before).
+  // this send's share is the delta (includes the ack's flood).
   outcome.transmissions = medium_totals().transmissions - tx_before;
-  outcome.ack_received = active_.ack_delivered;
 
   if (opts.collect_trace) {
     // Merge every shard's stream (deterministic order) and filter by
     // message id.
     const auto merged = merged_trace_events();
-    TraceRoles roles = roles_from_trace({merged.data(), merged.size()}, header.message_id);
+    TraceRoles roles = roles_from_trace({merged.data(), merged.size()}, outcome.message_id);
     outcome.rebroadcast_aps = std::move(roles.rebroadcast);
     outcome.received_only_aps = std::move(roles.received_only);
     if (borrow_trace) set_tracing(false);
@@ -947,77 +937,15 @@ SendOutcome CityMeshNetwork::send(BuildingId from_building, const PostboxInfo& t
 InjectResult CityMeshNetwork::inject(BuildingId from_building, const PostboxInfo& to,
                                      std::span<const std::uint8_t> payload,
                                      const SendOptions& opts) {
-  InjectResult result;
-
-  const ConduitConfig conduit{opts.conduit_width.value_or(config_.conduit.width_m)};
-  std::optional<PlannedRoute> route;
-  if (config_.protocol == Protocol::kQfgeo) {
-    PlannedRoute r;
-    r.buildings = {from_building, to.building};
-    r.waypoints = {from_building, to.building};
-    r.conduit_width_m = conduit.width_m;
-    r.header_bits = route_header_bits(r.waypoints, r.conduit_width_m);
-    route = std::move(r);
-  } else {
-    const RoutePlanner planner{compiled_->map, conduit, &spt_cache_};
-    route = opts.compress ? planner.plan(from_building, to.building)
-                          : planner.plan_uncompressed(from_building, to.building);
-  }
-  if (!route) return result;
-  result.route_found = true;
-
-  const auto src_ap = live_ap(from_building);
-  if (!src_ap) return result;
-  result.source_has_ap = true;
-
-  wire::PacketHeader header;
-  header.message_id = wire::derive_message_id(config_.seed, ++send_seq_);
-  header.postbox_tag = to.id.tag();
-  header.conduit_width_m = route->conduit_width_m;
-  header.waypoints = route->waypoints;
-  if (opts.urgent) header.set_flag(wire::PacketFlag::kUrgent);
-  const auto encoded = wire::encode_header(header);
-  result.message_id = header.message_id;
-  result.header_bits = encoded.bit_count;
-
-  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
-      encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
-      header.message_id, compiler_.compile_bytes(encoded.bytes)});
-
-  FlowState& flow = flows_[header.message_id];
-  const double t0 = sim_now();
-  flow.injected_at_s = t0;
-
-  Shard& src_shard = shard_for(*src_ap);
-  n_sends_->inc();
-  h_header_bits_->record(static_cast<double>(encoded.bit_count));
-  src_shard.trace.record(obsx::TraceKind::kOriginate, t0,
-                         static_cast<std::uint32_t>(*src_ap), header.message_id);
-
-  // The source AP processes its own packet (marks it seen, may deliver when
-  // sender and recipient share a building) and performs the initial
-  // broadcast; the caller runs the simulator. Injection happens in
-  // coordinator context (between windows), so flow state is written
-  // directly.
-  ApAgent& src_agent = agents_[*src_ap];
-  const AgentAction first = src_agent.on_receive(*packet, t0);
-  if (first.delivered) {
-    flow.delivered = true;
-    flow.delivery_time_s = t0;
-    flow.postboxes_reached += first.delivered_count;
-    n_delivered_->inc();
-    n_postbox_stores_->inc(first.delivered_count);
-    src_shard.trace.record(obsx::TraceKind::kPostboxStore, t0,
-                           static_cast<std::uint32_t>(*src_ap), header.message_id,
-                           static_cast<std::uint32_t>(first.delivered_count));
-  }
-  transmit_counted(src_shard, *src_ap, packet);
-  return result;
+  SendOutcome out;
+  originate(from_building, to, payload, opts, /*extra_flags=*/0, /*broadcast_radius_m=*/0,
+            out);
+  return {out.route_found, out.source_has_ap, out.message_id, out.header_bits};
 }
 
 const FlowState* CityMeshNetwork::flow_state(std::uint32_t message_id) const {
   const auto it = flows_.find(message_id);
-  return it == flows_.end() ? nullptr : &it->second;
+  return it == flows_.end() ? nullptr : &it->second.state;
 }
 
 ReliableOutcome CityMeshNetwork::send_reliable(BuildingId from_building,
@@ -1056,16 +984,16 @@ BroadcastOutcome CityMeshNetwork::broadcast(BuildingId from_building,
   opts.urgent = urgent;
   const auto radius =
       static_cast<std::uint32_t>(std::max(0.0, std::min(radius_m, 100'000.0)));
-  const SendOutcome raw =
-      run_send(from_building, region, payload, opts,
-               static_cast<std::uint8_t>(wire::PacketFlag::kBroadcast), radius);
   BroadcastOutcome outcome;
+  SendOutcome raw =
+      run_send(from_building, region, payload, opts,
+               static_cast<std::uint8_t>(wire::PacketFlag::kBroadcast), radius,
+               &outcome.postboxes_reached);
   outcome.route_found = raw.route_found;
   outcome.source_has_ap = raw.source_has_ap;
   outcome.message_id = raw.message_id;
   outcome.transmissions = raw.transmissions;
-  outcome.postboxes_reached = active_.postboxes_reached;
-  outcome.route = raw.route;
+  outcome.route = std::move(raw.route);
   return outcome;
 }
 

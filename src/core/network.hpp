@@ -2,9 +2,10 @@
 //
 // Owns the full stack for one city: the building graph (map-derived routing
 // state), the realized AP placement (ground truth), one ApAgent per AP, the
-// discrete-event broadcast medium, and the postbox registry. `send` runs one
-// message through the whole pipeline — plan, compress, encode, inject,
-// event-simulate the conduit flood — and reports the paper's metrics
+// discrete-event broadcast medium, and the postbox registry. Every message
+// takes one pipeline — plan, compress, encode, originate at the source AP —
+// and gets one record of its fate. `inject` originates and returns; `send`
+// is an inject run to quiescence that reports the paper's metrics
 // (delivery, transmission overhead vs. the ideal unicast path, header bits).
 //
 // Beyond the paper's baseline, the facade implements three §6/future-work
@@ -110,13 +111,14 @@ struct NetworkConfig {
   /// times for every K.
   std::size_t shards = 1;
 
-  /// How plan_tiles partitions the city when shards > 1. kGrid is the
-  /// original uniform centroid grid; kAdaptive balances tiles by estimated
-  /// event rate (AP count + radio degree per building) so dense downtown
-  /// tiles stop dominating the window barrier. Digests are invariant across
-  /// modes for every K >= 2 — tiled behavior depends only on hashed
-  /// per-link draws and per-AP streams, never on which tile hosts an AP.
-  shardx::TilingMode tiling = shardx::TilingMode::kGrid;
+  /// How plan_tiles partitions the city when shards > 1. kAdaptive (the
+  /// default) balances tiles by estimated event rate (AP count + radio
+  /// degree per building) so dense downtown tiles stop dominating the window
+  /// barrier; kGrid is the original uniform centroid grid. Digests are
+  /// invariant across modes for every K >= 2 — tiled behavior depends only
+  /// on hashed per-link draws and per-AP streams, never on which tile hosts
+  /// an AP.
+  shardx::TilingMode tiling = shardx::TilingMode::kAdaptive;
 
   /// Which protocol family this network runs. kConduit (default) leaves
   /// every code path byte-identical to the pre-qfgeo pipeline; kQfgeo
@@ -160,8 +162,9 @@ struct SendOptions {
   bool collect_trace = false;    ///< record per-AP roles for Figure 7
   /// Override the conduit width for this send (multiple of 10 m, <= 150).
   std::optional<double> conduit_width;
-  /// Ask the destination to send an ack back along the reversed route.
-  /// Requires ack_to: the sender's own postbox (must be registered).
+  /// Ask the destination to send an ack back along the reversed route
+  /// (send and inject alike). Requires ack_to: the sender's own postbox
+  /// (must be registered).
   bool request_ack = false;
   std::optional<PostboxInfo> ack_to;
 };
@@ -218,9 +221,9 @@ struct ReliableOutcome {
 };
 
 /// Immediate result of injecting one flow into the live simulation
-/// (src/trafficx workloads). Unlike `send`, injection does not run the
-/// event loop: many flows coexist in flight and contend for airtime; the
-/// caller runs the simulator once and reads each flow's FlowState after.
+/// (src/trafficx workloads). Injection does not run the event loop: many
+/// flows coexist in flight and contend for airtime; the caller runs the
+/// simulator once and reads each flow's FlowState after.
 struct InjectResult {
   bool route_found = false;
   bool source_has_ap = false;
@@ -230,17 +233,23 @@ struct InjectResult {
   bool accepted() const { return message_id != 0; }
 };
 
-/// Delivery bookkeeping of one injected flow, updated live as the
-/// simulation progresses.
+/// The record of one message's fate, merged from the tiles after every
+/// run. Every message has one: an injected flow keeps it until
+/// clear_flow_states(); a send reads it into its outcome and erases it.
 struct FlowState {
   double injected_at_s = 0.0;
   bool delivered = false;
   double delivery_time_s = 0.0;
   std::size_t postboxes_reached = 0;
-  /// Broadcasts of this flow's message actually put on the air (counted by
-  /// the medium's tx observer; deferred-then-aired counts, queue-dropped
-  /// does not).
+  /// Broadcasts of this message actually put on the air (counted by the
+  /// medium's tx observer; deferred-then-aired counts, queue-dropped does
+  /// not).
   std::size_t transmissions = 0;
+  /// The ack's message id when SendOptions::request_ack named an ack_to
+  /// (0 = no ack); the ack has a record of its own under that id.
+  std::uint32_t ack_message_id = 0;
+  /// The ack reached the ack_to postbox.
+  bool ack_received = false;
 };
 
 /// Result of a geo-broadcast.
@@ -375,16 +384,18 @@ class CityMeshNetwork {
   /// Inject one flow at the current simulated time without running the
   /// event loop: plan, encode, and broadcast from the source AP, then
   /// return. Concurrent injected flows share the medium and contend for
-  /// airtime (sim::MediumConfig::bitrate_bps). Ack options are ignored.
-  /// Read the flow's fate with flow_state() after running the simulator.
+  /// airtime (sim::MediumConfig::bitrate_bps). An ack request is honoured
+  /// as in `send`; collect_trace applies to `send` only. Read the flow's
+  /// fate with flow_state() after running the simulator.
   InjectResult inject(BuildingId from_building, const PostboxInfo& to,
                       std::span<const std::uint8_t> payload, const SendOptions& opts = {});
 
-  /// Live bookkeeping of an injected flow; nullptr for unknown ids.
+  /// Record of an injected flow (or of its ack); nullptr for unknown ids.
   const FlowState* flow_state(std::uint32_t message_id) const;
-  /// Number of injected flows being tracked.
+  /// Number of message records held: injected flows and their acks. A
+  /// send erases its own records before returning.
   std::size_t flow_count() const { return flows_.size(); }
-  /// Forget all injected-flow bookkeeping (between workload runs).
+  /// Forget every injected flow's record (between workload runs).
   void clear_flow_states() { flows_.clear(); }
 
   /// Retry with escalating conduit widths until the sender's postbox
@@ -463,9 +474,9 @@ class CityMeshNetwork {
  private:
   // Pending (backoff-delayed) rebroadcasts, keyed by (message_id, ap): the
   // cancelable simulator event plus the overheard-duplicate tally the policy
-  // judges cancellation by. Shared by the single-send path (cleared per
-  // send) and injected flows. Lives per shard — an AP's timers always run on
-  // its own tile's simulator.
+  // judges cancellation by. Every send cancels what the previous run left
+  // behind (clear_pending_relays); injected flows share them. Lives per
+  // shard — an AP's timers always run on its own tile's simulator.
   struct PendingRelay {
     sim::Simulator::EventId event = sim::Simulator::kInvalidEvent;
     std::uint32_t overheard = 0;
@@ -475,21 +486,35 @@ class CityMeshNetwork {
     bool greedy = false;
   };
 
-  /// Shard-local slice of the in-flight send's outcome, merged (and
-  /// consumed) by merge_shard_deltas() after every run.
-  struct ActiveDelta {
-    bool delivered = false;
-    double delivery_time_s = 0.0;
-    std::size_t postboxes_reached = 0;
-    bool ack_sent = false;
-    bool ack_delivered = false;
+  /// One message's entry in flows_: its public record plus what the
+  /// delivering AP reads to build the ack.
+  struct Flow {
+    FlowState state;
+    /// Nonzero when this record is an ack: the message it acknowledges. An
+    /// ack counts under net.acks_received, never net.delivered.
+    std::uint32_t ack_of = 0;
+    std::uint32_t ack_tag = 0;              ///< ack_to's postbox tag
+    std::vector<BuildingId> ack_waypoints;  ///< the message's route, reversed
+    double ack_width_m = 0.0;               ///< the message's conduit width
   };
-  /// Shard-local slice of one injected flow's bookkeeping (src/trafficx).
+  /// Shard-local slice of one message's record, merged (and consumed) by
+  /// merge_shard_deltas() after every run.
   struct FlowDelta {
     bool delivered = false;
     double delivery_time_s = 0.0;
     std::size_t postboxes_reached = 0;
     std::size_t transmissions = 0;
+    /// This tile already sent the ack (building-atomic tiling puts every
+    /// delivery of a unicast on one tile).
+    bool ack_sent = false;
+
+    void deliver(std::size_t postboxes, double now) {
+      postboxes_reached += postboxes;
+      if (!delivered) {
+        delivered = true;
+        delivery_time_s = now;
+      }
+    }
   };
 
   /// One execution shard (a tile): the event loop plus every piece of
@@ -533,7 +558,6 @@ class CityMeshNetwork {
     obsx::Counter* qf_fallback_floods = nullptr; ///< local-minimum recoveries
 
     std::unordered_map<std::uint64_t, PendingRelay> pending;
-    ActiveDelta active;
     std::unordered_map<std::uint32_t, FlowDelta> flow_deltas;
 
     // Cross-tile receptions created this window, drained at the barrier.
@@ -543,6 +567,9 @@ class CityMeshNetwork {
 
   void handle_delivery(Shard& shard, sim::NodeId to, sim::NodeId from,
                        const std::shared_ptr<const MeshPacket>& packet);
+  /// A store into `ap`'s postboxes: count and trace it, update the
+  /// message's record delta, and send the ack on its first delivery here.
+  void record_delivery(Shard& shard, mesh::ApId ap, const AgentAction& action, double now);
   void transmit_counted(Shard& shard, mesh::ApId from,
                         const std::shared_ptr<const MeshPacket>& packet);
   /// The relayx-policy election at the membership-check->rebroadcast point
@@ -568,10 +595,26 @@ class CityMeshNetwork {
   void bind_qfgeo_counters(Shard& shard);
   /// Cancel every pending backoff-delayed rebroadcast (per-send reset).
   void clear_pending_relays();
-  void send_ack_from(Shard& shard, mesh::ApId ap);
+  /// Originate the ack of `message_id` (record `flow`) at the delivering AP.
+  void send_ack_from(Shard& shard, mesh::ApId ap, std::uint32_t message_id,
+                     const Flow& flow);
+  /// The one origination path (§3 steps 2-4): plan the route (conduit
+  /// planner, or qfgeo's endpoints), encode and compile the packet, open
+  /// the message's record (and its ack's) in flows_, let the source AP
+  /// process its own packet, and put it on the air. Fills the origination
+  /// fields of `out`; returns the source AP, nullopt when there is no route
+  /// or no live AP in the source building.
+  std::optional<mesh::ApId> originate(BuildingId from_building, const PostboxInfo& to,
+                                      std::span<const std::uint8_t> payload,
+                                      const SendOptions& opts, std::uint8_t extra_flags,
+                                      std::uint32_t broadcast_radius_m, SendOutcome& out);
+  /// originate, run to quiescence, read the record into the outcome and
+  /// erase it (and its ack's). `postboxes_reached` receives the record's
+  /// count when non-null.
   SendOutcome run_send(BuildingId from_building, const PostboxInfo& to,
                        std::span<const std::uint8_t> payload, const SendOptions& opts,
-                       std::uint8_t extra_flags, std::uint32_t broadcast_radius_m);
+                       std::uint8_t extra_flags, std::uint32_t broadcast_radius_m,
+                       std::size_t* postboxes_reached = nullptr);
 
   /// Build the tile shards; with K >= 2 also the tile plan, the cross-link
   /// index and the worker pool.
@@ -587,8 +630,8 @@ class CityMeshNetwork {
   /// Barrier exchange: drain every outbox, sort (time, src_tile, seq),
   /// schedule each handoff into its receiving tile.
   void exchange_handoffs();
-  /// Fold every shard's Active/Flow deltas into the network-level outcome
-  /// state (tile order; consumes the deltas).
+  /// Fold every shard's record deltas into flows_ (tile order; consumes
+  /// the deltas).
   void merge_shard_deltas();
 
   static std::size_t trace_capacity_for(const NetworkConfig& config,
@@ -616,7 +659,6 @@ class CityMeshNetwork {
   std::uint64_t send_seq_ = 0;  ///< feeds wire::derive_message_id
   obsx::Counter* n_sends_ = nullptr;
   obsx::Counter* n_delivered_ = nullptr;
-  obsx::Counter* n_postbox_stores_ = nullptr;
   obsx::Counter* n_acks_received_ = nullptr;
   obsx::Histogram* h_control_latency_ = nullptr;
   obsx::Histogram* h_header_bits_ = nullptr;
@@ -635,29 +677,11 @@ class CityMeshNetwork {
   std::unordered_map<std::string, std::shared_ptr<Postbox>> postboxes_;
   std::unordered_map<std::string, std::shared_ptr<Postbox>> primary_postboxes_;
 
-  // Per-message bookkeeping for the in-flight send. Transmission counts and
-  // per-AP roles live in the medium counters / the trace stream, not here.
-  struct ActiveSend {
-    std::uint32_t message_id = 0;
-    bool delivered = false;
-    double delivery_time_s = 0.0;
-    std::size_t postboxes_reached = 0;
-
-    // Ack machinery.
-    std::uint32_t ack_message_id = 0;  ///< 0 = no ack expected
-    std::uint32_t ack_tag = 0;
-    std::vector<BuildingId> ack_waypoints;
-    double conduit_width_m = 50.0;
-    bool ack_sent = false;
-    bool ack_delivered = false;
-  };
-  ActiveSend active_;
-
-  // Injected-flow bookkeeping (src/trafficx), keyed by message id. The
-  // single-send path never touches this map. Read-only while a window is
-  // running (tiles probe it for per-flow attribution); mutated only by the
+  // Every message's record, keyed by message id: injected flows, the
+  // in-flight send, and their acks. Read-only while a window is running
+  // (tiles probe it for attribution and ack data); mutated only by the
   // coordinator between windows.
-  std::unordered_map<std::uint32_t, FlowState> flows_;
+  std::unordered_map<std::uint32_t, Flow> flows_;
 
   // --- Tiled execution (src/shardx) --------------------------------------
   // shards_ holds the K tile shards (one when shards <= 1). run_until

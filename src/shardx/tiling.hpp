@@ -53,8 +53,8 @@ struct TilePlan {
 
 /// How plan_tiles assigns buildings to tiles.
 enum class TilingMode : std::uint8_t {
-  /// Uniform cols x rows grid over the centroid bounding box. Simple and
-  /// the historical default, but downtown cells carry far more APs (and
+  /// Uniform cols x rows grid over the centroid bounding box. Simple, but
+  /// downtown cells carry far more APs (and
   /// radio edges, and therefore events) than suburban ones, so the densest
   /// tile dominates every window barrier.
   kGrid,
@@ -64,6 +64,7 @@ enum class TilingMode : std::uint8_t {
   /// 1 + its APs' radio degrees — a static proxy for the event rate its
   /// receptions generate. Same cols x rows topology as kGrid, boundaries
   /// placed where the load is. Deterministic for a given city + shards.
+  /// The default.
   kAdaptive,
 };
 
@@ -72,7 +73,7 @@ enum class TilingMode : std::uint8_t {
 /// shards > 1.
 TilePlan plan_tiles(const geo::SpatialGrid& centroid_grid, std::size_t building_count,
                     const mesh::ApNetwork& net, std::size_t shards,
-                    TilingMode mode = TilingMode::kGrid);
+                    TilingMode mode = TilingMode::kAdaptive);
 
 /// The tile-internal subgraph over the FULL AP id space: vertices keep their
 /// global ids (so one packet's node ids mean the same thing everywhere);

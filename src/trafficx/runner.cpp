@@ -61,7 +61,7 @@ WorkloadResult run_workload(core::CityMeshNetwork& network,
 
   // Overhead denominator: ideal unicast hops from the flow's source AP to
   // the closest AP of the destination building, over the *static* AP graph
-  // (the same baseline the single-send path uses). BFS results are memoized
+  // (the same baseline `send` uses). BFS results are memoized
   // per source AP — hotspot workloads reuse a handful of sources.
   std::unordered_map<mesh::ApId, graphx::ShortestPaths> hops_from;
   const auto min_hops = [&](osmx::BuildingId src,

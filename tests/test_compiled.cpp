@@ -19,6 +19,7 @@
 #include "geo/rng.hpp"
 #include "osmx/citygen.hpp"
 #include "wire/packet.hpp"
+#include "lone_agent.hpp"
 
 namespace core = citymesh::core;
 namespace geo = citymesh::geo;
@@ -175,8 +176,9 @@ TEST(CompiledMalformed, CorruptWidthIsDroppedNotThrown) {
   EXPECT_TRUE(msg.members.empty());
 
   // Through the agent: a counted malformed drop, exactly like bad bytes.
-  core::MessageCompiler compiler{map};
-  core::ApAgent agent{0, map.centroid(0), 0, map, &compiler};
+  LoneAgent lone{0, map.centroid(0), 0, map};
+  core::ApAgent& agent = lone.agent;
+  const core::MessageCompiler& compiler = lone.compiler;
   core::MeshPacket packet;
   packet.trace_id = bad.message_id;
   packet.compiled = std::make_shared<const core::CompiledMessage>(msg);
@@ -189,8 +191,9 @@ TEST(CompiledMalformed, CorruptWidthIsDroppedNotThrown) {
 TEST(CompiledMalformed, UndecodableBytesCountedAndThrownToAgentOnly) {
   const auto city = test_city("compiled-b", 202);
   const core::BuildingGraph map{city, {}};
-  core::MessageCompiler compiler{map};
-  core::ApAgent agent{0, map.centroid(0), 0, map, &compiler};
+  LoneAgent lone{0, map.centroid(0), 0, map};
+  core::ApAgent& agent = lone.agent;
+  const core::MessageCompiler& compiler = lone.compiler;
   core::MeshPacket packet;
   packet.header_bytes = {0x01, 0x02};  // truncated garbage
   const auto action = agent.on_receive(packet, 0.0);

@@ -16,6 +16,7 @@
 #include "graphx/shortest_path.hpp"
 #include "osmx/citygen.hpp"
 #include "trafficx/workload.hpp"
+#include "lone_agent.hpp"
 
 namespace core = citymesh::core;
 namespace osmx = citymesh::osmx;
@@ -495,18 +496,18 @@ TEST(ApAgent, RebroadcastKeyedOnBuildingMembership) {
   h.waypoints = {0, 7};
   h.conduit_width_m = 50.0;
   // An AP in building 4 (mid-arm): its building centroid is on the line.
-  core::ApAgent inside{0, map.centroid(4), 4, map};
-  EXPECT_TRUE(inside.on_receive(make_packet(h), 0.0).rebroadcast);
+  LoneAgent inside{0, map.centroid(4), 4, map};
+  EXPECT_TRUE(inside.agent.on_receive(make_packet(h), 0.0).rebroadcast);
   // The decision follows the *building*, not the AP's own position (§3: all
   // APs of an in-conduit building rebroadcast): an AP of building 4 standing
   // 60 m off the line still rebroadcasts ...
-  core::ApAgent offset{1, map.centroid(4) + geo::Point{0, 60}, 4, map};
-  EXPECT_TRUE(offset.on_receive(make_packet(h), 0.0).rebroadcast);
+  LoneAgent offset{1, map.centroid(4) + geo::Point{0, 60}, 4, map};
+  EXPECT_TRUE(offset.agent.on_receive(make_packet(h), 0.0).rebroadcast);
   // ... while an AP of a vertical-arm building (far from the conduit) does
   // not, even though the packet reached it.
   const auto far_building = static_cast<core::BuildingId>(city.building_count() - 1);
-  core::ApAgent outside{2, map.centroid(far_building), far_building, map};
-  EXPECT_FALSE(outside.on_receive(make_packet(h), 0.0).rebroadcast);
+  LoneAgent outside{2, map.centroid(far_building), far_building, map};
+  EXPECT_FALSE(outside.agent.on_receive(make_packet(h), 0.0).rebroadcast);
   // Free-function form agrees.
   EXPECT_TRUE(core::should_rebroadcast(h, map, 4));
   EXPECT_FALSE(core::should_rebroadcast(h, map, far_building));
@@ -518,7 +519,8 @@ TEST(ApAgent, DuplicateSuppression) {
   wire::PacketHeader h;
   h.message_id = 9;
   h.waypoints = {0, 3};
-  core::ApAgent agent{0, map.centroid(1), 1, map};
+  LoneAgent lone{0, map.centroid(1), 1, map};
+  core::ApAgent& agent = lone.agent;
   const auto first = agent.on_receive(make_packet(h), 0.0);
   EXPECT_FALSE(first.duplicate);
   const auto second = agent.on_receive(make_packet(h), 1.0);
@@ -530,7 +532,8 @@ TEST(ApAgent, DuplicateSuppression) {
 TEST(ApAgent, MalformedPacketIgnored) {
   const auto city = row_city(4);
   const core::BuildingGraph map{city, {}};
-  core::ApAgent agent{0, map.centroid(1), 1, map};
+  LoneAgent lone{0, map.centroid(1), 1, map};
+  core::ApAgent& agent = lone.agent;
   const core::MeshPacket garbage{{0xFF, 0xFF}, {}};
   const auto action = agent.on_receive(garbage, 0.0);
   EXPECT_TRUE(action.malformed);
@@ -544,7 +547,8 @@ TEST(ApAgent, StaleMapBuildingIdRejected) {
   wire::PacketHeader h;
   h.message_id = 1;
   h.waypoints = {0, 999999};  // id beyond this map
-  core::ApAgent agent{0, map.centroid(1), 1, map};
+  LoneAgent lone{0, map.centroid(1), 1, map};
+  core::ApAgent& agent = lone.agent;
   EXPECT_FALSE(agent.on_receive(make_packet(h), 0.0).rebroadcast);
 }
 
@@ -554,7 +558,8 @@ TEST(ApAgent, DeliversToHostedPostbox) {
   const auto keys = cryptox::KeyPair::from_seed(9);
   auto box = std::make_shared<core::Postbox>(keys.id());
 
-  core::ApAgent agent{0, map.centroid(3), 3, map};
+  LoneAgent lone{0, map.centroid(3), 3, map};
+  core::ApAgent& agent = lone.agent;
   agent.host_postbox(box);
   EXPECT_EQ(agent.postbox_for_tag(keys.id().tag()), box);
   EXPECT_EQ(agent.postbox_for_tag(keys.id().tag() + 1), nullptr);
@@ -576,7 +581,8 @@ TEST(ApAgent, NoDeliveryOutsideDestinationBuilding) {
   const core::BuildingGraph map{city, {}};
   const auto keys = cryptox::KeyPair::from_seed(9);
   auto box = std::make_shared<core::Postbox>(keys.id());
-  core::ApAgent agent{0, map.centroid(2), 2, map};  // wrong building
+  LoneAgent lone{0, map.centroid(2), 2, map};  // wrong building
+  core::ApAgent& agent = lone.agent;
   agent.host_postbox(box);
   wire::PacketHeader h;
   h.message_id = 11;
@@ -592,7 +598,8 @@ TEST(ApAgent, CompromisedNodeSwallowsPackets) {
   wire::PacketHeader h;
   h.message_id = 5;
   h.waypoints = {0, 9};
-  core::ApAgent agent{0, map.centroid(5), 5, map};
+  LoneAgent lone{0, map.centroid(5), 5, map};
+  core::ApAgent& agent = lone.agent;
   agent.set_behavior(core::AgentBehavior::kCompromisedDrop);
   const auto action = agent.on_receive(make_packet(h), 0.0);
   EXPECT_FALSE(action.rebroadcast);

@@ -7,6 +7,8 @@
 #include "cryptox/sealed.hpp"
 #include "geo/stats.hpp"
 #include "osmx/citygen.hpp"
+#include "trafficx/runner.hpp"
+#include "lone_agent.hpp"
 
 namespace core = citymesh::core;
 namespace osmx = citymesh::osmx;
@@ -14,6 +16,8 @@ namespace geo = citymesh::geo;
 namespace wire = citymesh::wire;
 namespace cryptox = citymesh::cryptox;
 namespace relayx = citymesh::relayx;
+namespace trafficx = citymesh::trafficx;
+namespace obsx = citymesh::obsx;
 
 namespace {
 
@@ -304,6 +308,119 @@ TEST(Acks, AckDoubleCountsIntoTransmissions) {
   EXPECT_LT(with_ack, one_way * 3);
 }
 
+TEST(Acks, InjectedFlowGetsItsAckAtEveryShardCount) {
+  // inject honours request_ack like send: the ack floods back, counts under
+  // net.acks_received (never net.delivered), and the run is identical at
+  // one and four tiles. The flow's and its ack's records add up to what
+  // the same message costs as a send.
+  const auto city = row_city(10, 20.0);
+  const auto alice_info = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(1), 0);
+  const auto bob_info = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(2), 9);
+  core::SendOptions opts;
+  opts.request_ack = true;
+  opts.ack_to = alice_info;
+
+  const auto run = [&](std::size_t shards) {
+    auto cfg = fast_config();
+    cfg.shards = shards;
+    core::CityMeshNetwork net{city, cfg};
+    net.register_postbox(alice_info);
+    net.register_postbox(bob_info);
+    const auto injected = net.inject(0, bob_info, bytes_of("ping"), opts);
+    EXPECT_TRUE(injected.accepted());
+    net.run_until(60.0);
+
+    const core::FlowState* flow = net.flow_state(injected.message_id);
+    const core::FlowState* ack =
+        flow != nullptr ? net.flow_state(flow->ack_message_id) : nullptr;
+    EXPECT_NE(flow, nullptr);
+    EXPECT_NE(ack, nullptr);
+    if (flow == nullptr || ack == nullptr) return std::string{};
+    EXPECT_TRUE(flow->delivered);
+    EXPECT_TRUE(flow->ack_received);
+    EXPECT_TRUE(ack->delivered);
+    EXPECT_EQ(ack->ack_message_id, 0u);  // an ack asks for no ack
+    EXPECT_EQ(net.flow_count(), 2u);
+    const obsx::MetricsSnapshot metrics = net.merged_metrics();
+    EXPECT_EQ(metrics.counters.at("net.delivered"), 1u);
+    EXPECT_EQ(metrics.counters.at("net.acks_sent"), 1u);
+    EXPECT_EQ(metrics.counters.at("net.acks_received"), 1u);
+
+    core::CityMeshNetwork fresh{city, cfg};
+    fresh.register_postbox(alice_info);
+    fresh.register_postbox(bob_info);
+    const core::SendOutcome sent = fresh.send(0, bob_info, bytes_of("ping"), opts);
+    EXPECT_TRUE(sent.ack_received);
+    EXPECT_EQ(sent.message_id, injected.message_id);
+    EXPECT_EQ(sent.transmissions, flow->transmissions + ack->transmissions);
+    return metrics.to_json();
+  };
+  const std::string one_tile = run(1);
+  EXPECT_FALSE(one_tile.empty());
+  EXPECT_EQ(run(4), one_tile);
+}
+
+// -------------------------------------------------------------- lifecycle --
+
+TEST(Lifecycle, SendsLeaveNoRecordsBehind) {
+  // Every send path erases its message's record (and its ack's) before it
+  // returns, so a network that served sends runs a workload exactly like a
+  // fresh one. The medium is draw-free, so the workload's fate does not
+  // depend on which message ids it gets.
+  core::NetworkConfig cfg = fast_config();
+  cfg.medium.jitter_s = 0.0;
+  cfg.medium.loss_probability = 0.0;
+  const auto compiled =
+      core::compile_city(osmx::generate_city(osmx::profile_by_name("boston")), cfg);
+  core::CityMeshNetwork net{compiled, cfg};
+  const core::BuildingId here = 10;
+  const auto home = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(1), 200);
+  const auto away = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(1), 300);
+  const auto sender = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(2), here);
+  ASSERT_NE(net.register_postbox(home), nullptr);
+  ASSERT_NE(net.register_postbox(away), nullptr);
+  ASSERT_NE(net.register_postbox(sender), nullptr);
+
+  EXPECT_TRUE(net.send(here, home, bytes_of("mail")).delivered);
+  for (const double width : core::CityMeshNetwork::kDefaultWidths) {
+    net.send_reliable(here, home, bytes_of("reliable"), sender, {&width, 1});
+  }
+  EXPECT_GT(net.broadcast(here, 200, 150.0, bytes_of("notice")).postboxes_reached, 0u);
+  net.send_location_update(home, 300);
+  EXPECT_GT(net.forward_pending(home, away), 0u);
+  EXPECT_EQ(net.flow_count(), 0u);
+
+  trafficx::WorkloadSpec spec;
+  spec.seed = 11;
+  spec.duration_s = 4.0;
+  spec.rate_per_s = 2.0;
+  const trafficx::FlowSchedule schedule = trafficx::compile(spec, compiled->city);
+  const trafficx::WorkloadResult used = trafficx::run_workload(net, schedule);
+  core::CityMeshNetwork fresh_net{compiled, cfg};
+  const trafficx::WorkloadResult fresh = trafficx::run_workload(fresh_net, schedule);
+  EXPECT_EQ(net.flow_count(), 0u);
+
+  const core::CapacitySummary& a = used.summary;
+  const core::CapacitySummary& b = fresh.summary;
+  EXPECT_GT(b.flows_delivered, 0u);
+  EXPECT_EQ(a.flows_offered, b.flows_offered);
+  EXPECT_EQ(a.flows_injected, b.flows_injected);
+  EXPECT_EQ(a.flows_delivered, b.flows_delivered);
+  EXPECT_EQ(a.queue_drops, b.queue_drops);
+  EXPECT_EQ(a.deferrals, b.deferrals);
+  EXPECT_EQ(a.transmissions, b.transmissions);
+  EXPECT_EQ(a.goodput_bytes_per_s, b.goodput_bytes_per_s);
+  // The used network's clock starts later, so times differ by rounding.
+  EXPECT_NEAR(a.latency_p50_s, b.latency_p50_s, 1e-9);
+  EXPECT_NEAR(a.latency_p99_s, b.latency_p99_s, 1e-9);
+  EXPECT_NEAR(a.airtime_s, b.airtime_s, 1e-9);
+  ASSERT_EQ(used.flows.size(), fresh.flows.size());
+  for (std::size_t i = 0; i < used.flows.size(); ++i) {
+    EXPECT_EQ(used.flows[i].delivered, fresh.flows[i].delivered) << i;
+    EXPECT_EQ(used.flows[i].transmissions, fresh.flows[i].transmissions) << i;
+  }
+}
+
 // -------------------------------------------------------- location update --
 
 TEST(LocationUpdate, PostboxCachesOwnerLocation) {
@@ -378,7 +495,8 @@ TEST(LocationUpdate, ShortPayloadIgnored) {
   const core::BuildingGraph map{city, {}};
   const auto keys = cryptox::KeyPair::from_seed(6);
   auto box = std::make_shared<core::Postbox>(keys.id());
-  core::ApAgent agent{0, map.centroid(3), 3, map};
+  LoneAgent lone{0, map.centroid(3), 3, map};
+  core::ApAgent& agent = lone.agent;
   agent.host_postbox(box);
   wire::PacketHeader h;
   h.message_id = 9;

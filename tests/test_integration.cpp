@@ -10,6 +10,7 @@
 #include "mesh/islands.hpp"
 #include "osmx/citygen.hpp"
 #include "routing/baselines.hpp"
+#include "lone_agent.hpp"
 
 namespace core = citymesh::core;
 namespace osmx = citymesh::osmx;
@@ -256,9 +257,9 @@ TEST(Integration, StaleMapDegradesGracefully) {
   h.message_id = 77;
   h.waypoints = {static_cast<core::BuildingId>(city.building_count() - 1),
                  static_cast<core::BuildingId>(city.building_count() - 2)};
-  core::ApAgent agent{0, city.building(0).centroid, 0, stale};
+  LoneAgent lone{0, city.building(0).centroid, 0, stale};
   const auto enc = citymesh::wire::encode_header(h);
-  const auto action = agent.on_receive({enc.bytes, {}}, 0.0);
+  const auto action = lone.agent.on_receive({enc.bytes, {}}, 0.0);
   EXPECT_FALSE(action.rebroadcast);
   EXPECT_FALSE(action.malformed);
 }

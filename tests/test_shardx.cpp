@@ -68,6 +68,13 @@ core::NetworkConfig draw_free_config(std::size_t shards, std::uint64_t seed = 99
   return cfg;
 }
 
+/// draw_free_config on the uniform grid tiler (the ShardxTiling cases).
+core::NetworkConfig grid_config(std::size_t shards, std::uint64_t seed) {
+  core::NetworkConfig cfg = draw_free_config(shards, seed);
+  cfg.tiling = shardx::TilingMode::kGrid;
+  return cfg;
+}
+
 struct SendRun {
   core::SendOutcome outcome;
   core::SendOutcome acked;
@@ -342,8 +349,9 @@ TEST(ShardxHandoffs, SequenceIsDeterministicAndCrossesTiles) {
 
 TEST(ShardxTiling, BoundaryMembershipMatchesBruteForce) {
   const auto compiled = core::compile_city(town(21), draw_free_config(1));
-  const shardx::TilePlan plan = shardx::plan_tiles(
-      compiled->map.centroid_grid(), compiled->map.building_count(), compiled->aps, 4);
+  const shardx::TilePlan plan =
+      shardx::plan_tiles(compiled->map.centroid_grid(), compiled->map.building_count(),
+                         compiled->aps, 4, shardx::TilingMode::kGrid);
 
   // Brute force: an AP is boundary iff any topology edge leaves its tile;
   // the cut-edge list is exactly the directed edges whose endpoints differ.
@@ -388,7 +396,7 @@ TEST(ShardxTiling, EmptyTilesDegradeGracefully) {
   const osmx::City city = row_city(3);
   const auto compiled = core::compile_city(city, draw_free_config(1));
   const SendRun legacy = exercise(compiled, draw_free_config(1, 606));
-  const SendRun tiled = exercise(compiled, draw_free_config(8, 606));
+  const SendRun tiled = exercise(compiled, grid_config(8, 606));
   ASSERT_TRUE(legacy.outcome.delivered);
   expect_same_run(legacy, tiled, "empty tiles");
 }
@@ -398,8 +406,7 @@ TEST(ShardxTiling, SingleOccupiedTileRunsOneWindow) {
   // one window on one occupied tile.
   const osmx::City city = row_city(1);
   const auto compiled = core::compile_city(city, draw_free_config(1));
-  auto cfg = draw_free_config(4, 707);
-  core::CityMeshNetwork net{compiled, cfg};
+  core::CityMeshNetwork net{compiled, grid_config(4, 707)};
   EXPECT_EQ(net.lookahead_s(), sim::kForever);
   const auto keys = cryptox::KeyPair::from_seed(7);
   const auto info = core::PostboxInfo::for_key(keys, 0);
@@ -411,7 +418,7 @@ TEST(ShardxTiling, SingleOccupiedTileRunsOneWindow) {
 
 TEST(ShardxTiling, LookaheadIsMinCutEdgeDelay) {
   const auto compiled = core::compile_city(town(21), draw_free_config(1));
-  auto cfg = draw_free_config(4, 1);
+  const auto cfg = grid_config(4, 1);
   core::CityMeshNetwork net{compiled, cfg};
   const shardx::TilePlan* plan = net.tile_plan();
   ASSERT_NE(plan, nullptr);

@@ -252,16 +252,19 @@ echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs/--shards) OK"
 # stripes, medium transmit rings) index shared flat arrays, and the flat
 # spatial grid and essential-edge planning graph are offset-indexed CSRs
 # (geo, graphx, core), and faultx actions capture the scenario engine into
-# coordinator closures; run all thirteen suites under ASan+UBSan in a separate
-# tree (skipped if that tree's configure fails, e.g. no sanitizer runtime on
-# minimal images).
+# coordinator closures, and every message's record (acks, send_reliable,
+# geo-broadcast, forward_pending) opens, merges and erases through the one
+# origination path (extensions, apps, integration); run all sixteen suites
+# under ASan+UBSan in a separate tree (skipped if that tree's configure
+# fails, e.g. no sanitizer runtime on minimal images).
 san_dir="${build_dir}-asan"
 if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; then
   cmake --build "${san_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_obsx --target test_trafficx --target test_sim \
     --target test_compiled --target test_relayx --target test_shardx \
     --target test_qfgeo --target test_scheduler --target test_metromem \
-    --target test_geo --target test_graphx --target test_core --target test_faultx
+    --target test_geo --target test_graphx --target test_core --target test_faultx \
+    --target test_extensions --target test_apps --target test_integration
   "${san_dir}/tests/test_obsx"
   "${san_dir}/tests/test_trafficx"
   "${san_dir}/tests/test_sim"
@@ -275,7 +278,10 @@ if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; th
   "${san_dir}/tests/test_graphx"
   "${san_dir}/tests/test_core"
   "${san_dir}/tests/test_faultx"
-  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_geo + test_graphx + test_core + test_faultx clean under ASan+UBSan"
+  "${san_dir}/tests/test_extensions"
+  "${san_dir}/tests/test_apps"
+  "${san_dir}/tests/test_integration"
+  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_geo + test_graphx + test_core + test_faultx + test_extensions + test_apps + test_integration clean under ASan+UBSan"
 else
   echo "check.sh: sanitizer configure failed; skipping ASan+UBSan pass" >&2
 fi
@@ -286,7 +292,9 @@ fi
 # and the qfgeo sweep tests drive the protocol axis across worker threads,
 # and the tiled engine's shared agent-state slab stripes its dup filter by
 # tile (each stripe touched by exactly one worker thread), and live faultx
-# scenarios flip AP status between the tiles' windows; run those tests
+# scenarios flip AP status between the tiles' windows, and tiles read the
+# message records (acks included) that the coordinator opens and merges
+# between windows (extensions, trafficx); run those tests
 # (plus the event engine they drive) under TSan in a third tree to catch
 # data races the determinism digest can't see.
 tsan_dir="${build_dir}-tsan"
@@ -294,7 +302,8 @@ if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/nul
   cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_runx --target test_sim --target test_compiled \
     --target test_relayx --target test_shardx --target test_qfgeo \
-    --target test_scheduler --target test_metromem --target test_faultx
+    --target test_scheduler --target test_metromem --target test_faultx \
+    --target test_extensions --target test_trafficx
   "${tsan_dir}/tests/test_runx"
   "${tsan_dir}/tests/test_sim"
   "${tsan_dir}/tests/test_compiled"
@@ -304,7 +313,9 @@ if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/nul
   "${tsan_dir}/tests/test_scheduler"
   "${tsan_dir}/tests/test_metromem"
   "${tsan_dir}/tests/test_faultx"
-  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_faultx clean under TSan"
+  "${tsan_dir}/tests/test_extensions"
+  "${tsan_dir}/tests/test_trafficx"
+  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_faultx + test_extensions + test_trafficx clean under TSan"
 else
   echo "check.sh: TSan configure failed; skipping thread-sanitizer pass" >&2
 fi
