@@ -775,7 +775,7 @@ CityMeshNetwork::MediumTotals CityMeshNetwork::medium_totals() const {
   return totals;
 }
 
-std::optional<mesh::ApId> CityMeshNetwork::originate(
+bool CityMeshNetwork::originate(
     BuildingId from_building, const PostboxInfo& to, std::span<const std::uint8_t> payload,
     const SendOptions& opts, std::uint8_t extra_flags, std::uint32_t broadcast_radius_m,
     SendOutcome& out) {
@@ -797,14 +797,14 @@ std::optional<mesh::ApId> CityMeshNetwork::originate(
     route = opts.compress ? planner.plan(from_building, to.building)
                           : planner.plan_uncompressed(from_building, to.building);
   }
-  if (!route) return std::nullopt;
+  if (!route) return false;
   out.route_found = true;
   out.route = std::move(*route);
 
   // The sender's device associates with a *live* AP of its building; when
   // every AP there is down (blackout at the source) origination fails.
   const auto src_ap = live_ap(from_building);
-  if (!src_ap) return std::nullopt;
+  if (!src_ap) return false;
   out.source_has_ap = true;
 
   // Build the packet. Message ids derive from (seed, sequence) — stable
@@ -832,6 +832,7 @@ std::optional<mesh::ApId> CityMeshNetwork::originate(
   const double t0 = sim_now();
   Flow& flow = flows_[header.message_id];
   flow.state.injected_at_s = t0;
+  flow.state.source_ap = *src_ap;
   if (opts.request_ack && opts.ack_to) {
     const std::uint32_t ack_id = wire::derive_message_id(config_.seed, ++send_seq_);
     flow.state.ack_message_id = ack_id;
@@ -859,7 +860,7 @@ std::optional<mesh::ApId> CityMeshNetwork::originate(
   const AgentAction first = agents_[*src_ap].on_receive(*packet, t0);
   if (first.delivered) record_delivery(src_shard, *src_ap, first, t0);
   transmit_counted(src_shard, *src_ap, packet);
-  return src_ap;
+  return true;
 }
 
 SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInfo& to,
@@ -875,9 +876,8 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   const double t0 = sim_now();
 
   SendOutcome outcome;
-  const std::optional<mesh::ApId> src_ap =
-      originate(from_building, to, payload, opts, extra_flags, broadcast_radius_m, outcome);
-  if (!src_ap) {
+  if (!originate(from_building, to, payload, opts, extra_flags, broadcast_radius_m,
+                 outcome)) {
     if (borrow_trace) set_tracing(false);
     return outcome;
   }
@@ -886,15 +886,15 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   run_until(t0 + config_.max_sim_time_s, config_.max_events_per_send);
 
   // Read the record, then drop it and its ack's: flows_ holds only what is
-  // still open after a send.
-  if (const auto record = flows_.find(outcome.message_id); record != flows_.end()) {
-    const FlowState& flow = record->second.state;
-    outcome.delivered = flow.delivered;
-    outcome.delivery_time_s = flow.delivery_time_s;
-    outcome.ack_received = flow.ack_received;
-    if (postboxes_reached != nullptr) *postboxes_reached = flow.postboxes_reached;
-    flows_.erase(record);
-  }
+  // still open after a send. originate opened it, so it is there.
+  const auto record = flows_.find(outcome.message_id);
+  const FlowState& flow = record->second.state;
+  const mesh::ApId src_ap = flow.source_ap;
+  outcome.delivered = flow.delivered;
+  outcome.delivery_time_s = flow.delivery_time_s;
+  outcome.ack_received = flow.ack_received;
+  if (postboxes_reached != nullptr) *postboxes_reached = flow.postboxes_reached;
+  flows_.erase(record);
   if (outcome.ack_message_id != 0) flows_.erase(outcome.ack_message_id);
   // The medium's counter is the single source of truth for transmissions;
   // this send's share is the delta (includes the ack's flood).
@@ -910,17 +910,13 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
     if (borrow_trace) set_tracing(false);
   }
 
-  // Ideal unicast hop count: shortest AP path from the source AP to the
-  // closest AP in the destination building.
-  const auto sp = graphx::bfs(aps().graph(), *src_ap);
-  double best = graphx::kInfiniteDistance;
-  for (const mesh::ApId dst : aps().aps_of_building(to.building)) {
-    best = std::min(best, sp.distance[dst]);
-  }
-  if (best < graphx::kInfiniteDistance) {
-    outcome.min_hops = static_cast<std::size_t>(best);
-    h_min_hops_->record(best);
-  }
+  // Ideal unicast hop count: fewest hops on the static AP graph from the AP
+  // the message left from to the closest AP of the destination building.
+  // The query stops at the first BFS level that reaches the building, so
+  // it visits the ball of that radius around the source AP, not the whole
+  // graph (its mark buffer is still one byte per AP).
+  outcome.min_hops = aps().min_hops(src_ap, aps().aps_of_building(to.building));
+  if (outcome.min_hops) h_min_hops_->record(static_cast<double>(*outcome.min_hops));
   if (outcome.delivered) {
     h_tx_per_delivery_->record(static_cast<double>(outcome.transmissions));
   }

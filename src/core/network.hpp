@@ -238,6 +238,10 @@ struct InjectResult {
 /// clear_flow_states(); a send reads it into its outcome and erases it.
 struct FlowState {
   double injected_at_s = 0.0;
+  /// The live AP the message left from (originate's `live_ap` of the
+  /// source building); the origin of the ideal-hop baseline. An ack's
+  /// record leaves it 0: the ack leaves from the delivering AP.
+  mesh::ApId source_ap = 0;
   bool delivered = false;
   double delivery_time_s = 0.0;
   std::size_t postboxes_reached = 0;
@@ -602,12 +606,12 @@ class CityMeshNetwork {
   /// planner, or qfgeo's endpoints), encode and compile the packet, open
   /// the message's record (and its ack's) in flows_, let the source AP
   /// process its own packet, and put it on the air. Fills the origination
-  /// fields of `out`; returns the source AP, nullopt when there is no route
-  /// or no live AP in the source building.
-  std::optional<mesh::ApId> originate(BuildingId from_building, const PostboxInfo& to,
-                                      std::span<const std::uint8_t> payload,
-                                      const SendOptions& opts, std::uint8_t extra_flags,
-                                      std::uint32_t broadcast_radius_m, SendOutcome& out);
+  /// fields of `out`; returns false when there is no route or no live AP
+  /// in the source building (no record is opened then).
+  bool originate(BuildingId from_building, const PostboxInfo& to,
+                 std::span<const std::uint8_t> payload, const SendOptions& opts,
+                 std::uint8_t extra_flags, std::uint32_t broadcast_radius_m,
+                 SendOutcome& out);
   /// originate, run to quiescence, read the record into the outcome and
   /// erase it (and its ack's). `postboxes_reached` receives the record's
   /// count when non-null.

@@ -105,11 +105,39 @@ std::optional<ApId> ApNetwork::representative_ap(const osmx::City& city,
   return best;
 }
 
-std::optional<std::size_t> ApNetwork::min_hops(ApId from, ApId to) const {
-  if (!connected(from, to)) return std::nullopt;
-  const auto sp = graphx::bfs(graph_, from, to);
-  if (!sp.reachable(to)) return std::nullopt;
-  return static_cast<std::size_t>(sp.distance[to]);
+std::optional<std::size_t> ApNetwork::min_hops(ApId from,
+                                               std::span<const ApId> targets) const {
+  const std::uint32_t component = components_.component_of.at(from);
+  bool reachable = false;
+  for (const ApId t : targets) {
+    if (t == from) return 0;
+    reachable |= components_.component_of.at(t) == component;
+  }
+  if (!reachable) return std::nullopt;
+
+  // A BFS from `from`, one whole level at a time, that returns on the
+  // first target it reaches: every vertex of the levels before is closer,
+  // and none of them was a target.
+  enum : std::uint8_t { kUnseen, kSeen, kTarget };
+  std::vector<std::uint8_t> mark(aps_.size(), kUnseen);
+  for (const ApId t : targets) mark[t] = kTarget;
+  mark[from] = kSeen;
+  std::vector<ApId> frontier{from};
+  std::vector<ApId> next;
+  for (std::size_t depth = 1; !frontier.empty(); ++depth) {
+    next.clear();
+    for (const ApId v : frontier) {
+      for (const graphx::VertexId u : graph_.neighbors(v).ids()) {
+        if (mark[u] == kTarget) return depth;
+        if (mark[u] == kUnseen) {
+          mark[u] = kSeen;
+          next.push_back(u);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return std::nullopt;  // unreachable: the component labels said connected
 }
 
 ApNetwork place_aps(const osmx::City& city, const PlacementConfig& config) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geo/rng.hpp"
@@ -86,9 +87,17 @@ class ApNetwork {
     return components_.component_of[a] == components_.component_of[b];
   }
 
-  /// Minimum hop count between APs (BFS); nullopt when disconnected. This is
-  /// the denominator of the paper's transmission-overhead metric.
-  std::optional<std::size_t> min_hops(ApId from, ApId to) const;
+  /// Fewest AP hops from `from` to the nearest of `targets` (a building is
+  /// `aps_of_building(b)`): the denominator of the paper's transmission-
+  /// overhead metric. 0 when `from` is a target; nullopt when no target
+  /// shares `from`'s component (an empty span included), answered from the
+  /// component labels without a search. Otherwise a BFS from `from` that
+  /// returns on the first target it reaches, so a send
+  /// visits the ball of radius min_hops around `from`, not the whole graph;
+  /// its one-byte-per-AP mark buffer is still O(ap_count()). Buffers are per
+  /// call: the network is shared read-only across threads. Throws
+  /// std::out_of_range for an AP id past ap_count().
+  std::optional<std::size_t> min_hops(ApId from, std::span<const ApId> targets) const;
 
  private:
   std::vector<AccessPoint> aps_;

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "cryptox/identity.hpp"
-#include "graphx/shortest_path.hpp"
 
 namespace citymesh::trafficx {
 
@@ -59,27 +58,6 @@ WorkloadResult run_workload(core::CityMeshNetwork& network,
   }
   network.run_until(t0 + schedule.spec.duration_s + config.tail_s, config.max_events);
 
-  // Overhead denominator: ideal unicast hops from the flow's source AP to
-  // the closest AP of the destination building, over the *static* AP graph
-  // (the same baseline `send` uses). BFS results are memoized
-  // per source AP — hotspot workloads reuse a handful of sources.
-  std::unordered_map<mesh::ApId, graphx::ShortestPaths> hops_from;
-  const auto min_hops = [&](osmx::BuildingId src,
-                            osmx::BuildingId dst) -> std::size_t {
-    const auto src_ap = network.aps().representative_ap(network.city(), src);
-    if (!src_ap) return 0;
-    auto it = hops_from.find(*src_ap);
-    if (it == hops_from.end()) {
-      it = hops_from.emplace(*src_ap, graphx::bfs(network.aps().graph(), *src_ap)).first;
-    }
-    double best = graphx::kInfiniteDistance;
-    for (const mesh::ApId ap : network.aps().aps_of_building(dst)) {
-      best = std::min(best, it->second.distance[ap]);
-    }
-    if (best >= graphx::kInfiniteDistance || best <= 0.0) return 0;
-    return static_cast<std::size_t>(best);
-  };
-
   for (std::size_t i = 0; i < schedule.flows.size(); ++i) {
     if (message_ids[i] == 0) continue;
     const core::FlowState* state = network.flow_state(message_ids[i]);
@@ -89,8 +67,15 @@ WorkloadResult run_workload(core::CityMeshNetwork& network,
     result.flows[i].delivered = true;
     result.flows[i].latency_s = state->delivery_time_s - state->injected_at_s;
     if (config.measure_overhead) {
+      // Overhead denominator: ideal unicast hops over the *static* AP graph
+      // from the AP the flow left from (a live fault may have moved it off
+      // the building's representative) to the closest AP of the destination
+      // building, the same query `send` uses. 0 when unreachable or when
+      // the source AP sits in the destination building.
       result.flows[i].min_hops =
-          min_hops(schedule.flows[i].src, schedule.flows[i].dst);
+          network.aps()
+              .min_hops(state->source_ap, network.aps().aps_of_building(schedule.flows[i].dst))
+              .value_or(0);
     }
   }
   network.clear_flow_states();

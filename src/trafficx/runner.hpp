@@ -26,11 +26,12 @@ struct RunConfig {
   std::size_t max_events = 50'000'000;
   /// Seed for the destination postbox identities (key derivation).
   std::uint64_t postbox_seed = 77;
-  /// Also compute each delivered flow's ideal unicast hop count (BFS over
-  /// the static AP graph, memoized per source AP) so the summary carries the
-  /// paper's transmissions/min_hops overhead ratio under concurrent load
+  /// Also compute each delivered flow's ideal unicast hop count
+  /// (mesh::ApNetwork::min_hops over the static AP graph, from the AP the
+  /// flow left from) so the summary carries the paper's
+  /// transmissions/min_hops overhead ratio under concurrent load
   /// (bench/fig11_frontier). Off by default: fig9-style capacity sweeps
-  /// don't pay for BFS they don't read.
+  /// don't pay for searches they don't read.
   bool measure_overhead = false;
 };
 

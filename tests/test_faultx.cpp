@@ -505,6 +505,72 @@ TEST(ScenarioEngine, LiveBlackoutIsShardInvariant) {
   EXPECT_EQ(runs[1].result.metrics.to_json(), runs[2].result.metrics.to_json());
 }
 
+TEST(ScenarioEngine, OverheadMeasuredFromTheApThatTransmitted) {
+  // A live blackout downs exactly the representative AP of a multi-AP source
+  // building, so the flow leaves from another AP of that building. The
+  // workload's ideal-hop baseline must be measured from that AP, not from
+  // the (down) representative.
+  core::NetworkConfig cfg = fast_network_config();
+  cfg.medium.jitter_s = 0.0;
+  cfg.medium.loss_probability = 0.0;
+  const auto compiled =
+      core::compile_city(osmx::generate_city(osmx::profile_by_name("cambridge")), cfg);
+  const mesh::ApNetwork& aps = compiled->aps;
+  const osmx::City& city = compiled->city;
+
+  std::size_t checked = 0;
+  for (osmx::BuildingId src = 0; src < city.building_count() && checked == 0; ++src) {
+    const auto& own = aps.aps_of_building(src);
+    if (own.size() < 2) continue;
+    const mesh::ApId rep = *aps.representative_ap(city, src);
+    const geo::Point at = aps.ap(rep).position;
+    const geo::Polygon region =
+        geo::Polygon::rectangle({{at.x - 0.01, at.y - 0.01}, {at.x + 0.01, at.y + 0.01}});
+    faultx::Scenario scenario;
+    scenario.blackouts.push_back(blackout_at(region, 0.5));
+    if (faultx::compile(scenario, aps).aps_affected != 1) continue;
+    // The AP live_ap falls back to: the next closest to the centroid.
+    const geo::Point centroid = city.building(src).centroid;
+    mesh::ApId alt = rep;
+    for (const mesh::ApId id : own) {
+      if (id == rep) continue;
+      if (alt == rep || geo::distance2(aps.ap(id).position, centroid) <
+                            geo::distance2(aps.ap(alt).position, centroid)) {
+        alt = id;
+      }
+    }
+    for (osmx::BuildingId dst = 0; dst < city.building_count() && checked == 0; ++dst) {
+      const auto& targets = aps.aps_of_building(dst);
+      const auto from_rep = aps.min_hops(rep, targets);
+      const auto from_alt = aps.min_hops(alt, targets);
+      if (!from_rep || !from_alt || *from_alt == 0 || *from_alt > 4 || *from_rep == *from_alt) {
+        continue;
+      }
+      trafficx::FlowSchedule schedule;
+      schedule.spec.duration_s = 2.0;
+      schedule.flows.push_back({1.0, src, dst, 64});
+      core::CityMeshNetwork net{compiled, cfg};
+      net.set_tracing(true);
+      faultx::ScenarioEngine engine{net, scenario};
+      engine.install();
+      trafficx::RunConfig run_cfg;
+      run_cfg.measure_overhead = true;
+      const auto result = trafficx::run_workload(net, schedule, run_cfg);
+      ASSERT_EQ(engine.applied(), 1u);
+      if (!result.flows[0].delivered) continue;
+      std::optional<std::uint32_t> origin;
+      for (const obsx::TraceEvent& ev : net.merged_trace_events()) {
+        if (ev.kind == obsx::TraceKind::kOriginate) origin = ev.node;
+      }
+      ASSERT_EQ(origin, std::optional<std::uint32_t>{alt}) << "src " << src << " dst " << dst;
+      EXPECT_EQ(result.flows[0].min_hops, *from_alt) << "src " << src << " dst " << dst;
+      EXPECT_NE(result.flows[0].min_hops, *from_rep) << "src " << src << " dst " << dst;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 1u);
+}
+
 TEST(ScenarioEngine, DegradedRegionRaisesLoss) {
   const auto city = row_city(3, 20.0);
   core::CityMeshNetwork net{city, fast_network_config()};

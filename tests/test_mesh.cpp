@@ -2,6 +2,12 @@
 // gap bridging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "graphx/shortest_path.hpp"
 #include "mesh/ap_network.hpp"
 #include "mesh/islands.hpp"
 #include "osmx/citygen.hpp"
@@ -123,7 +129,7 @@ TEST(ApNetwork, DisconnectionOfFarPair) {
   const auto b = net.representative_ap(city, 1);
   ASSERT_TRUE(a && b);
   EXPECT_FALSE(net.connected(*a, *b));
-  EXPECT_FALSE(net.min_hops(*a, *b).has_value());
+  EXPECT_FALSE(net.min_hops(*a, net.aps_of_building(1)).has_value());
   EXPECT_GE(net.components().count, 2u);
 }
 
@@ -134,9 +140,95 @@ TEST(ApNetwork, MinHopsOnKnownTopology) {
     aps.push_back({i, {i * 40.0, 0.0}, i});
   }
   const mesh::ApNetwork net{std::move(aps), 50.0};
-  const auto hops = net.min_hops(0, 4);
+  const mesh::ApId last = 4;
+  const auto hops = net.min_hops(0, {&last, 1});
   ASSERT_TRUE(hops.has_value());
   EXPECT_EQ(*hops, 4u);
+}
+
+namespace {
+
+/// The whole-graph oracle: one full BFS from `from`, then the minimum of
+/// its distances over the targets.
+std::optional<std::size_t> bfs_min_hops(const mesh::ApNetwork& net, mesh::ApId from,
+                                        std::span<const mesh::ApId> targets) {
+  const auto sp = citymesh::graphx::bfs(net.graph(), from);
+  double best = citymesh::graphx::kInfiniteDistance;
+  for (const mesh::ApId t : targets) best = std::min(best, sp.distance[t]);
+  if (best >= citymesh::graphx::kInfiniteDistance) return std::nullopt;
+  return static_cast<std::size_t>(best);
+}
+
+}  // namespace
+
+TEST(ApNetwork, MinHopsMatchesWholeGraphBfsOnEveryProfile) {
+  // 200 seeded (source AP, destination building) pairs per profile, each
+  // checked against its own full BFS.
+  for (const auto& profile : osmx::default_profiles()) {
+    SCOPED_TRACE(profile.name);
+    const auto city = osmx::generate_city(profile);
+    const auto net = mesh::place_aps(city, mesh::PlacementConfig{});
+    ASSERT_GT(net.ap_count(), 0u);
+    geo::Rng rng{0xb1d1 ^ profile.seed};
+    std::size_t reachable = 0, unreachable = 0;
+    for (int pair = 0; pair < 200; ++pair) {
+      const auto from = static_cast<mesh::ApId>(rng.uniform_int(net.ap_count()));
+      const auto b = static_cast<osmx::BuildingId>(rng.uniform_int(city.building_count()));
+      const auto& targets = net.aps_of_building(b);
+      const auto expected = bfs_min_hops(net, from, targets);
+      EXPECT_EQ(net.min_hops(from, targets), expected) << "from " << from << " to building " << b;
+      ++(expected ? reachable : unreachable);
+    }
+    // Both answers occur: islands (the paper's Fig 4) and AP-less buildings
+    // leave some pairs unreachable.
+    EXPECT_GT(reachable, 0u);
+    EXPECT_GT(unreachable, 0u);
+  }
+}
+
+TEST(ApNetwork, MinHopsEdgeCases) {
+  const auto city = osmx::generate_city(osmx::profile_by_name("cambridge"));
+  const auto net = mesh::place_aps(city, mesh::PlacementConfig{});
+  const auto& comp = net.components().component_of;
+
+  // `from` inside the target set: 0, whatever else the set holds.
+  const mesh::ApId from = 0;
+  const auto& own = net.aps_of_building(net.ap(from).building);
+  EXPECT_EQ(net.min_hops(from, own), std::optional<std::size_t>{0});
+  EXPECT_EQ(bfs_min_hops(net, from, own), std::optional<std::size_t>{0});
+
+  // Empty targets and a building id past building_count(): nullopt.
+  EXPECT_FALSE(net.min_hops(from, {}).has_value());
+  EXPECT_FALSE(net.min_hops(from, net.aps_of_building(
+                                      static_cast<osmx::BuildingId>(city.building_count() + 7)))
+                   .has_value());
+
+  // Cross-component pair: nullopt, agreeing with the oracle; adding a
+  // reachable target to the same span makes it answer that target's hops.
+  mesh::ApId other = 0;
+  while (other < net.ap_count() && comp[other] == comp[from]) ++other;
+  ASSERT_LT(other, net.ap_count());
+  const std::vector<mesh::ApId> cross{other};
+  EXPECT_FALSE(net.min_hops(from, cross).has_value());
+  EXPECT_FALSE(bfs_min_hops(net, from, cross).has_value());
+  mesh::ApId near = 1;
+  while (near < net.ap_count() && (comp[near] != comp[from] || near == from)) ++near;
+  ASSERT_LT(near, net.ap_count());
+  const std::vector<mesh::ApId> mixed{other, near, other};
+  EXPECT_EQ(net.min_hops(from, mixed), bfs_min_hops(net, from, mixed));
+  EXPECT_TRUE(net.min_hops(from, mixed).has_value());
+
+  // An AP out of everyone's range: reaches only itself.
+  std::vector<mesh::AccessPoint> aps;
+  aps.push_back({0, {0.0, 0.0}, 0});
+  aps.push_back({1, {30.0, 0.0}, 0});
+  aps.push_back({2, {500.0, 0.0}, 1});
+  const mesh::ApNetwork islanded{std::move(aps), 50.0};
+  EXPECT_FALSE(islanded.min_hops(2, islanded.aps_of_building(0)).has_value());
+  EXPECT_FALSE(islanded.min_hops(0, islanded.aps_of_building(1)).has_value());
+  EXPECT_EQ(islanded.min_hops(2, islanded.aps_of_building(1)), std::optional<std::size_t>{0});
+  const mesh::ApId second = 1;
+  EXPECT_EQ(islanded.min_hops(0, {&second, 1}), std::optional<std::size_t>{1});
 }
 
 TEST(ApNetwork, RepresentativeApNearCentroid) {

@@ -12,14 +12,22 @@
 #include <vector>
 
 #include "core/network.hpp"
+#include "core/postbox.hpp"
+#include "cryptox/identity.hpp"
+#include "faultx/engine.hpp"
+#include "faultx/scenario.hpp"
 #include "osmx/citygen.hpp"
 #include "runx/city_cache.hpp"
 #include "runx/engine.hpp"
 #include "runx/sweep.hpp"
+#include "trafficx/runner.hpp"
+#include "trafficx/workload.hpp"
 
 namespace runx = citymesh::runx;
 namespace core = citymesh::core;
 namespace osmx = citymesh::osmx;
+namespace faultx = citymesh::faultx;
+namespace trafficx = citymesh::trafficx;
 
 namespace {
 
@@ -259,6 +267,68 @@ TEST(RunxSweepRun, DigestAndManifestIdenticalAcrossJobCounts) {
   EXPECT_EQ(digests[0], digests[2]);
   EXPECT_EQ(manifests[0], manifests[1]);  // byte-identical, not just digest
   EXPECT_EQ(manifests[0], manifests[2]);
+}
+
+TEST(RunxSweepRun, OverheadSweepOverSharedCityIdenticalAcrossJobCounts) {
+  // Every job measures ideal hop counts (trafficx measure_overhead, plus
+  // one send) on its own network over one shared read-only CompiledCity;
+  // half the jobs ride a live blackout, so flows leave from fallback APs.
+  core::NetworkConfig config;
+  config.medium.jitter_s = 0.0;
+  const auto compiled =
+      core::compile_city(osmx::generate_city(osmx::profile_by_name("cambridge")), config);
+  faultx::Scenario blackout;
+  faultx::BlackoutEvent event;
+  event.region = citymesh::geo::Polygon::rectangle({{400, 400}, {1400, 1400}});
+  event.at_s = 0.5;
+  blackout.blackouts.push_back(event);
+
+  const runx::RunFn fn = [&](const runx::RunJob& job) {
+    core::CityMeshNetwork network{compiled, config};
+    faultx::ScenarioEngine engine{network, blackout};
+    if (job.index % 2 == 1) engine.install();
+    trafficx::WorkloadSpec spec;
+    spec.seed = job.seed;
+    spec.duration_s = 2.0;
+    spec.rate_per_s = 4.0;
+    const auto schedule = trafficx::compile(spec, compiled->city);
+    trafficx::RunConfig run_cfg;
+    run_cfg.measure_overhead = true;
+    const auto run = trafficx::run_workload(network, schedule, run_cfg);
+    runx::RunResult result;
+    std::string hops;
+    for (const auto& flow : run.flows) hops += std::to_string(flow.min_hops) + " ";
+    const core::PostboxInfo to = core::PostboxInfo::for_key(
+        citymesh::cryptox::KeyPair::from_seed(job.seed), schedule.flows.front().dst);
+    network.register_postbox(to);
+    const std::vector<std::uint8_t> payload{1, 2, 3};
+    const auto sent = network.send(schedule.flows.back().src, to, payload);
+    result.cells = {hops, std::to_string(run.summary.overhead_median),
+                    sent.min_hops ? std::to_string(*sent.min_hops) : "-"};
+    result.metrics = network.merged_metrics();
+    return result;
+  };
+  std::vector<runx::RunJob> grid;
+  for (std::size_t i = 0; i < 8; ++i) {
+    runx::RunJob job;
+    job.city = "cambridge";
+    job.seed = 40 + i;
+    job.point = i % 2 ? "blackout" : "clear";
+    grid.push_back(std::move(job));
+  }
+  const auto one = runx::run_jobs(grid, fn, {1});
+  const auto four = runx::run_jobs(grid, fn, {4});
+  EXPECT_EQ(one.errors, 0u);
+  EXPECT_EQ(four.errors, 0u);
+  EXPECT_EQ(four.digest, one.digest);
+  EXPECT_EQ(four.rows(), one.rows());
+  EXPECT_EQ(four.metrics.to_json(), one.metrics.to_json());
+  // The sweep measured something: some flow has a nonzero ideal hop count.
+  std::size_t measured = 0;
+  for (const auto& r : one.results) {
+    if (r.cells[0].find_first_of("123456789") != std::string::npos) ++measured;
+  }
+  EXPECT_GT(measured, 0u);
 }
 
 TEST(RunxSweepRun, UnknownCityBecomesPerRowErrorNotFatal) {

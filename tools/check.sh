@@ -254,34 +254,28 @@ echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs/--shards) OK"
 # (geo, graphx, core), and faultx actions capture the scenario engine into
 # coordinator closures, and every message's record (acks, send_reliable,
 # geo-broadcast, forward_pending) opens, merges and erases through the one
-# origination path (extensions, apps, integration); run all sixteen suites
-# under ASan+UBSan in a separate tree (skipped if that tree's configure
-# fails, e.g. no sanitizer runtime on minimal images).
+# origination path (extensions, apps, integration), and the ideal-hop
+# query indexes per-call frontier and mark buffers (mesh), and the
+# remaining suites parse and encode bytes (wire, osmx, cryptox) or index
+# flat tables (routing, runx, measure, viz); run every test suite under
+# ASan+UBSan in a separate tree (skipped if that tree's configure fails,
+# e.g. no sanitizer runtime on minimal images).
+san_suites="test_obsx test_trafficx test_sim test_compiled test_relayx test_shardx
+  test_qfgeo test_scheduler test_metromem test_geo test_graphx test_core test_faultx
+  test_extensions test_apps test_integration test_mesh test_routing test_runx
+  test_cryptox test_wire test_osmx test_measure test_viz"
 san_dir="${build_dir}-asan"
 if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; then
-  cmake --build "${san_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
-    --target test_obsx --target test_trafficx --target test_sim \
-    --target test_compiled --target test_relayx --target test_shardx \
-    --target test_qfgeo --target test_scheduler --target test_metromem \
-    --target test_geo --target test_graphx --target test_core --target test_faultx \
-    --target test_extensions --target test_apps --target test_integration
-  "${san_dir}/tests/test_obsx"
-  "${san_dir}/tests/test_trafficx"
-  "${san_dir}/tests/test_sim"
-  "${san_dir}/tests/test_compiled"
-  "${san_dir}/tests/test_relayx"
-  "${san_dir}/tests/test_shardx"
-  "${san_dir}/tests/test_qfgeo"
-  "${san_dir}/tests/test_scheduler"
-  "${san_dir}/tests/test_metromem"
-  "${san_dir}/tests/test_geo"
-  "${san_dir}/tests/test_graphx"
-  "${san_dir}/tests/test_core"
-  "${san_dir}/tests/test_faultx"
-  "${san_dir}/tests/test_extensions"
-  "${san_dir}/tests/test_apps"
-  "${san_dir}/tests/test_integration"
-  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_geo + test_graphx + test_core + test_faultx + test_extensions + test_apps + test_integration clean under ASan+UBSan"
+  san_targets=""
+  for t in ${san_suites}; do san_targets="${san_targets} --target ${t}"; done
+  # shellcheck disable=SC2086  # one --target flag pair per suite
+  cmake --build "${san_dir}" -j "$(nproc 2>/dev/null || echo 4)" ${san_targets}
+  san_count=0
+  for t in ${san_suites}; do
+    "${san_dir}/tests/${t}"
+    san_count=$((san_count + 1))
+  done
+  echo "check.sh: all ${san_count} test suites clean under ASan+UBSan"
 else
   echo "check.sh: sanitizer configure failed; skipping ASan+UBSan pass" >&2
 fi
@@ -294,7 +288,8 @@ fi
 # tile (each stripe touched by exactly one worker thread), and live faultx
 # scenarios flip AP status between the tiles' windows, and tiles read the
 # message records (acks included) that the coordinator opens and merges
-# between windows (extensions, trafficx); run those tests
+# between windows (extensions, trafficx), and sweep jobs run the ideal-hop
+# query concurrently on one shared compiled city (runx); run those tests
 # (plus the event engine they drive) under TSan in a third tree to catch
 # data races the determinism digest can't see.
 tsan_dir="${build_dir}-tsan"
