@@ -43,11 +43,10 @@ std::optional<BuildingId> parse_location_update(std::span<const std::uint8_t> pa
 
 AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
   AgentAction action;
-  MessageCompiler& comp = *compiler_;
   std::shared_ptr<const CompiledMessage> msg = packet.compiled;
   if (!msg) {
     try {
-      msg = comp.compile_bytes(packet.header_bytes);
+      msg = compiler_->compile_bytes(packet.header_bytes);
     } catch (const wire::DecodeError&) {
       action.malformed = true;
       return action;
@@ -57,7 +56,7 @@ AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
     // Decodable bytes carrying a corrupt conduit width: same per-reception
     // malformed drop as undecodable bytes (count it — compile_bytes only
     // counts the decode failure case).
-    comp.count_malformed();
+    compiler_->count_malformed();
     action.malformed = true;
     return action;
   }
@@ -118,13 +117,8 @@ AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
   // The collapsed rebroadcast predicate: was decode + ConduitPath rebuild +
   // point-in-rect per reception, now hash-set lookups against the compiled
   // member sets (bit-identical membership — see compile_message).
-  comp.count_membership_lookup();
-  bool rebroadcast = msg->conduit_member(building_);
-  if (!rebroadcast && is_broadcast) {
-    comp.count_membership_lookup();
-    rebroadcast = msg->broadcast_member(building_);
-  }
-  action.rebroadcast = rebroadcast;
+  action.rebroadcast = msg->conduit_member(building_) ||
+                       (is_broadcast && msg->broadcast_member(building_));
   return action;
 }
 

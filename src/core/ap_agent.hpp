@@ -6,8 +6,10 @@
 // position lies inside a conduit reconstructed from the header's waypoint
 // buildings and its cached building map. No routing tables, no neighbor
 // state — the seen-set is the agent's only mutable state, and it lives in a
-// shared struct-of-arrays AgentStateSlab (core/ap_state) indexed by AP id;
-// the agent object itself holds only immutable identity.
+// shared struct-of-arrays AgentStateSlab (core/ap_state) indexed by AP id.
+// The agent object itself is a view: immutable identity plus references to
+// the slab and the compile service, cheap enough that a network builds one
+// per call instead of storing one per AP.
 #pragma once
 
 #include <memory>
@@ -48,9 +50,10 @@ struct MeshPacket {
   /// of the wire format.
   std::uint32_t trace_id = 0;
   /// Compile-once state shared by every reception of this message
-  /// (core/compiled_message). Attached at send/inject time by
-  /// CityMeshNetwork; when null (hand-built test packets, wire round-trips)
-  /// the receiving agent compiles lazily through its MessageCompiler, so the
+  /// (core/compiled_message). CityMeshNetwork attaches it to every packet
+  /// it builds, acks included, on its coordinator thread, so a tile never
+  /// compiles. When null (hand-built test packets, wire round-trips) the
+  /// receiving agent compiles lazily through its MessageCompiler, so the
   /// work still happens once per distinct message, not per reception.
   std::shared_ptr<const CompiledMessage> compiled;
 };
@@ -88,11 +91,6 @@ class ApAgent {
 
   void set_behavior(AgentBehavior b) { slab_->set_behavior(slot_, b); }
   AgentBehavior behavior() const { return slab_->behavior(slot_); }
-
-  /// Repoint the compile service (tiled runs, src/shardx: each tile's agents
-  /// share that tile's compiler so reception-time memo lookups and counter
-  /// increments never cross threads).
-  void set_compiler(MessageCompiler& compiler) { compiler_ = &compiler; }
 
   /// Host a postbox at this AP. The agent matches incoming packets against
   /// hosted postbox tags.

@@ -9,22 +9,20 @@
 // indexed by AP id:
 //
 //   - behavior:   one byte per AP
-//   - seen count: one uint32 per AP (diagnostics; the membership test lives
-//                 in the striped dup filter below)
-//   - dup filter: hash sets of (message_id << 32 | ap) keys, striped by
-//                 tile so each shardx worker thread only ever touches its
-//                 own stripe — the cross-AP sharing that makes the set
-//                 cheap is also what would make a single set a data race
+//   - seen set:   one sorted vector of message ids per AP; its size is the
+//                 AP's seen count
 //   - postboxes:  intrusive chains through one shared entry slab; APs
 //                 hosting nothing (almost all of them) pay 4 bytes
 //
-// One slab serves the whole network across all tile shards; ApAgent keeps
-// only immutable identity plus a (slab, slot) reference.
+// One slab serves the whole network across all tile shards. Tiled runs
+// share it without locks because an AP's receptions run only on its own
+// tile's thread: mark_seen(ap, ...) touches only `ap`'s vector. Postboxes
+// and behaviors change only in coordinator context, between windows.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/postbox.hpp"
@@ -41,9 +39,8 @@ class AgentStateSlab {
  public:
   explicit AgentStateSlab(std::size_t ap_count)
       : behavior_(ap_count, AgentBehavior::kNormal),
-        seen_counts_(ap_count, 0),
-        postbox_head_(ap_count, kNone),
-        stripes_(1) {}
+        seen_(ap_count),
+        postbox_head_(ap_count, kNone) {}
 
   std::size_t ap_count() const { return behavior_.size(); }
 
@@ -53,35 +50,15 @@ class AgentStateSlab {
   /// Duplicate suppression: records the sighting and returns true on the
   /// first time (ap, message_id) is seen, false for a duplicate.
   bool mark_seen(std::uint32_t ap, std::uint32_t message_id) {
-    auto& stripe = stripes_[ap_stripe_ != nullptr ? ap_stripe_[ap] : 0];
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(message_id) << 32) | ap;
-    if (!stripe.insert(key).second) return false;
-    ++seen_counts_[ap];
+    std::vector<std::uint32_t>& seen = seen_[ap];
+    const auto it = std::lower_bound(seen.begin(), seen.end(), message_id);
+    if (it != seen.end() && *it == message_id) return false;
+    seen.insert(it, message_id);
     return true;
   }
 
   /// Number of distinct messages this AP has seen (diagnostics).
-  std::size_t seen_count(std::uint32_t ap) const { return seen_counts_[ap]; }
-
-  /// Stripe the dup filter for tiled runs: `ap_stripe[ap]` names the stripe
-  /// (tile) whose owning thread is the only one that ever processes that
-  /// AP's receptions. The table must outlive the slab (shardx's TilePlan
-  /// does). Must be called before any mark_seen in the tiled regime, and
-  /// carries existing sightings over so a mid-run re-stripe cannot
-  /// un-duplicate messages.
-  void set_stripes(const std::uint32_t* ap_stripe, std::size_t stripe_count) {
-    std::vector<std::unordered_set<std::uint64_t>> fresh(
-        stripe_count > 0 ? stripe_count : 1);
-    for (const auto& stripe : stripes_) {
-      for (const std::uint64_t key : stripe) {
-        const std::uint32_t ap = static_cast<std::uint32_t>(key);
-        fresh[ap_stripe != nullptr ? ap_stripe[ap] : 0].insert(key);
-      }
-    }
-    stripes_ = std::move(fresh);
-    ap_stripe_ = ap_stripe;
-  }
+  std::size_t seen_count(std::uint32_t ap) const { return seen_[ap].size(); }
 
   /// Host a postbox at `ap`; a box with an already-hosted tag replaces the
   /// previous one (matching the old per-agent map semantics).
@@ -112,11 +89,9 @@ class AgentStateSlab {
   };
 
   std::vector<AgentBehavior> behavior_;
-  std::vector<std::uint32_t> seen_counts_;
+  std::vector<std::vector<std::uint32_t>> seen_;  ///< per AP, sorted message ids
   std::vector<std::uint32_t> postbox_head_;  ///< entry index or kNone
   std::vector<PostboxEntry> entries_;
-  std::vector<std::unordered_set<std::uint64_t>> stripes_;
-  const std::uint32_t* ap_stripe_ = nullptr;  ///< nullptr: everything in stripe 0
 };
 
 }  // namespace citymesh::core

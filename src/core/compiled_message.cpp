@@ -1,7 +1,5 @@
 #include "core/compiled_message.hpp"
 
-#include <string>
-
 #include "geo/spatial_grid.hpp"
 
 namespace citymesh::core {
@@ -126,31 +124,16 @@ CompiledMessage compile_message_qfgeo(const wire::PacketHeader& header,
   return msg;
 }
 
-MessageCompiler::MessageCompiler(const BuildingGraph& map) : map_(&map) {
-  header_decodes_ = &own_.counter("header_decodes");
-  msg_compiles_ = &own_.counter("msg_compiles");
-  membership_lookups_ = &own_.counter("membership_lookups");
-  malformed_ = &own_.counter("malformed");
-}
-
-void MessageCompiler::bind_metrics(obsx::MetricsRegistry& registry,
-                                   std::string_view prefix) {
-  registry_ = &registry;
-  const std::string p{prefix};
-  header_decodes_ = &registry.counter(p + ".header_decodes");
-  msg_compiles_ = &registry.counter(p + ".msg_compiles");
-  membership_lookups_ = &registry.counter(p + ".membership_lookups");
-  malformed_ = &registry.counter(p + ".malformed");
-}
+MessageCompiler::MessageCompiler(const BuildingGraph& map) : map_(&map) {}
 
 std::shared_ptr<const CompiledMessage> MessageCompiler::compile_bytes(
     std::span<const std::uint8_t> header_bytes) {
-  header_decodes_->inc();
+  ++header_decodes_;
   wire::PacketHeader header;
   try {
     header = wire::decode_header(header_bytes);
   } catch (const wire::DecodeError&) {
-    malformed_->inc();
+    ++malformed_;
     throw;
   }
   return compile(header);
@@ -163,7 +146,7 @@ std::shared_ptr<const CompiledMessage> MessageCompiler::compile(
     // different waypoints) must not inherit another message's geometry.
     if (it->second->header == header) return it->second;
   }
-  msg_compiles_->inc();
+  ++msg_compiles_;
   auto compiled = std::make_shared<const CompiledMessage>(
       qfgeo_ ? compile_message_qfgeo(header, *map_, *qfgeo_)
              : compile_message(header, *map_));

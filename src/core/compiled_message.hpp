@@ -29,21 +29,22 @@
 // shared_ptr<const CompiledMessage> travels inside core::MeshPacket through
 // sim::BroadcastMedium fan-out, transmit queues, and backoff closures.
 //
-// Counters (own registry by default; bind_metrics() repoints them):
-//   compile.header_decodes      full header decodes (scales with distinct
-//                               messages on the network path, not receptions)
-//   compile.msg_compiles        CompiledMessages built
-//   compile.membership_lookups  hash-set membership tests (per reception)
-//   compile.malformed           malformed headers dropped (bad bytes or a
-//                               corrupt conduit width)
-// They live in their *own* registry — not the network's — so run manifests
-// and sweep digests are byte-identical to the pre-compile pipeline.
+// Counters, read through the accessors of the same names:
+//   header_decodes   full header decodes (scales with distinct messages on
+//                    the network path, not receptions)
+//   msg_compiles     CompiledMessages built
+//   malformed_drops  malformed headers dropped (bad bytes or a corrupt
+//                    conduit width)
+// They live in no metrics registry, so run manifests and sweep digests are
+// byte-identical to the pre-compile pipeline. A network compiles only on its
+// coordinator thread (every packet it builds, acks included, carries its
+// compiled message), so one compiler serves every tile of a tiled run and
+// the counts do not depend on the tile count.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -51,7 +52,6 @@
 
 #include "core/building_graph.hpp"
 #include "core/conduit.hpp"
-#include "obsx/metrics.hpp"
 #include "qfgeo/qfgeo.hpp"
 #include "wire/packet.hpp"
 
@@ -101,15 +101,16 @@ CompiledMessage compile_message_qfgeo(const wire::PacketHeader& header,
                                       const qfgeo::RegionConfig& region);
 
 /// Per-network compile service: decodes, compiles, memoizes by message id,
-/// and counts. Not thread-safe — one per CityMeshNetwork (runx workers each
-/// own their network and therefore their compiler; only the immutable
-/// CompiledMessages they produce are shared).
+/// and counts. Not thread-safe — one per CityMeshNetwork, used only on its
+/// coordinator thread (runx workers each own their network and therefore
+/// their compiler; only the immutable CompiledMessages they produce are
+/// shared).
 class MessageCompiler {
  public:
   explicit MessageCompiler(const BuildingGraph& map);
 
   /// Decode + compile + memoize. Throws wire::DecodeError on undecodable
-  /// bytes (counted under compile.malformed); a decodable header with a
+  /// bytes (counted under malformed_drops()); a decodable header with a
   /// corrupt width compiles into a CompiledMessage with malformed = true.
   std::shared_ptr<const CompiledMessage> compile_bytes(
       std::span<const std::uint8_t> header_bytes);
@@ -127,28 +128,15 @@ class MessageCompiler {
     qfgeo_ = region;
     memo_.clear();
   }
-  bool qfgeo_enabled() const { return qfgeo_.has_value(); }
 
-  /// One hash-set membership test happened (hot-path tally, inlined cheap).
-  void count_membership_lookup() { membership_lookups_->inc(); }
   /// One malformed reception was dropped.
-  void count_malformed() { malformed_->inc(); }
+  void count_malformed() { ++malformed_; }
 
-  /// Repoint the counters into `registry` under `<prefix>.*`. The registry
-  /// must outlive the compiler; prior counts are not carried over.
-  void bind_metrics(obsx::MetricsRegistry& registry, std::string_view prefix = "compile");
-
-  /// Snapshot of the registry currently holding the compile counters (the
-  /// private one unless bind_metrics() repointed them elsewhere).
-  obsx::MetricsSnapshot snapshot() const { return registry_->snapshot(); }
-
-  std::uint64_t header_decodes() const { return header_decodes_->value(); }
-  std::uint64_t msg_compiles() const { return msg_compiles_->value(); }
-  std::uint64_t membership_lookups() const { return membership_lookups_->value(); }
-  std::uint64_t malformed_drops() const { return malformed_->value(); }
+  std::uint64_t header_decodes() const { return header_decodes_; }
+  std::uint64_t msg_compiles() const { return msg_compiles_; }
+  std::uint64_t malformed_drops() const { return malformed_; }
 
   const BuildingGraph& map() const { return *map_; }
-  std::size_t memo_size() const { return memo_.size(); }
   void clear_memo() { memo_.clear(); }
 
  private:
@@ -161,12 +149,9 @@ class MessageCompiler {
   /// Engaged = compile with QF-Geo bounded-region membership.
   std::optional<qfgeo::RegionConfig> qfgeo_;
   std::unordered_map<std::uint32_t, std::shared_ptr<const CompiledMessage>> memo_;
-  obsx::MetricsRegistry own_;  ///< fallback registry until bind_metrics()
-  obsx::MetricsRegistry* registry_ = &own_;  ///< where the counters live now
-  obsx::Counter* header_decodes_;
-  obsx::Counter* msg_compiles_;
-  obsx::Counter* membership_lookups_;
-  obsx::Counter* malformed_;
+  std::uint64_t header_decodes_ = 0;
+  std::uint64_t msg_compiles_ = 0;
+  std::uint64_t malformed_ = 0;
 };
 
 }  // namespace citymesh::core

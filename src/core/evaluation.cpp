@@ -73,7 +73,6 @@ CityEvaluation evaluate_with_network(CityMeshNetwork& network,
     }
   }
   eval.metrics = network.merged_metrics();
-  eval.compile_metrics = network.compiler().snapshot();
   return eval;
 }
 

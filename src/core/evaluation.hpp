@@ -62,13 +62,6 @@ struct CityEvaluation {
   /// authoritative medium.* counters plus the net.*/sim.* protocol metrics.
   /// Mergeable across cities/seeds; serializes into run manifests.
   obsx::MetricsSnapshot metrics;
-
-  /// Snapshot of the compile-once pipeline's counters (header_decodes,
-  /// msg_compiles, membership_lookups, malformed). Kept SEPARATE from
-  /// `metrics` on purpose: manifests serialize `metrics` and must stay
-  /// byte-identical to the pre-compile pipeline; this field is diagnostic
-  /// (asserting decodes scale with distinct messages, not receptions).
-  obsx::MetricsSnapshot compile_metrics;
 };
 
 /// Run the full §4 protocol on a city.

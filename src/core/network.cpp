@@ -49,6 +49,7 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
       spt_cache_(compiled_->map.planning_graph()),
       planner_(compiled_->map, config.conduit, &spt_cache_),
       compiler_(compiled_->map),
+      agent_state_(compiled_->aps.ap_count()),
       trace_(trace_capacity_for(config_, compiled_->aps.ap_count())),
       ap_status_(compiled_->aps.ap_count(), ApStatus::kUp),
       aps_up_(compiled_->aps.ap_count()) {
@@ -56,12 +57,6 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
   // forwarding region, before any message compiles (src/qfgeo).
   if (config_.protocol == Protocol::kQfgeo) {
     compiler_.set_qfgeo(config_.qfgeo_region);
-  }
-  agent_state_ = AgentStateSlab(aps().ap_count());
-  agents_.reserve(aps().ap_count());
-  for (const auto& ap : aps().aps()) {
-    agents_.emplace_back(ap.id, ap.position, ap.building, compiled_->map, compiler_,
-                         agent_state_, ap.id);
   }
 
   // Coordinator registry: what happens outside the tiles. Control events
@@ -95,10 +90,6 @@ void CityMeshNetwork::build_tiles() {
   if (tiles > 1) {
     plan_ = shardx::plan_tiles(compiled_->map.centroid_grid(), compiled_->map.building_count(),
                                compiled_->aps, tiles, config_.tiling);
-    // Stripe the shared dup filter by tile: an AP's receptions run only on
-    // its owning tile's thread, so per-tile stripes make the one slab
-    // TSan-clean.
-    agent_state_.set_stripes(plan_.ap_tile.data(), plan_.tile_count);
     const double min_serialization_s =
         config_.medium.bitrate_bps > 0.0
             ? static_cast<double>(config_.medium.frame_overhead_bits) /
@@ -180,17 +171,6 @@ void CityMeshNetwork::build_tiles() {
     if (s->policy->kind() != relayx::PolicyKind::kFlood) {
       s->policy->bind_metrics(s->metrics);
     }
-    s->compiler = &compiler_;
-    if (tiles > 1) {
-      // Per-tile compile service: reception-time memo lookups and counter
-      // increments stay on this tile's thread (compile.* counters live in
-      // the compiler's own registry, outside run manifests).
-      s->own_compiler = std::make_unique<MessageCompiler>(compiled_->map);
-      if (config_.protocol == Protocol::kQfgeo) {
-        s->own_compiler->set_qfgeo(config_.qfgeo_region);
-      }
-      s->compiler = s->own_compiler.get();
-    }
     s->n_rebroadcasts = &s->metrics.counter("net.rebroadcasts");
     s->n_dup_suppressed = &s->metrics.counter("net.dup_suppressed");
     s->n_conduit_rejects = &s->metrics.counter("net.conduit_rejects");
@@ -201,9 +181,6 @@ void CityMeshNetwork::build_tiles() {
     shards_.push_back(std::move(s));
   }
   if (tiles == 1) return;
-  for (const auto& ap : aps().aps()) {
-    agents_[ap.id].set_compiler(*shards_[plan_.ap_tile[ap.id]]->compiler);
-  }
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   pool_ = std::make_unique<shardx::WorkerPool>(std::min(tiles, hw) - 1);
@@ -245,9 +222,7 @@ std::shared_ptr<Postbox> CityMeshNetwork::register_postbox(const PostboxInfo& in
   if (const auto it = postboxes_.find(key); it != postboxes_.end()) return it->second;
 
   auto box = std::make_shared<Postbox>(info.id);
-  for (const mesh::ApId id : building_aps) {
-    agents_[id].host_postbox(box);
-  }
+  for (const mesh::ApId id : building_aps) agent_state_.host_postbox(id, box);
   postboxes_[key] = box;
   primary_postboxes_.try_emplace(info.id.hex(), box);
   return box;
@@ -338,27 +313,16 @@ void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap, std::uint32_t m
   // on one tile); merge_shard_deltas() folds them into the records.
   shard.flow_deltas[message_id].ack_sent = true;
   const double now = shard.sim.now();
-  wire::PacketHeader ack;
-  ack.message_id = flow.state.ack_message_id;
-  ack.postbox_tag = flow.ack_tag;
-  ack.conduit_width_m = flow.ack_width_m;
-  ack.waypoints = flow.ack_waypoints;
-  ack.set_flag(wire::PacketFlag::kAck);
-  const auto encoded = wire::encode_header(ack);
-  // Compile once at build time (decodes the just-encoded bytes so receivers
-  // share the canonical decoded header); every reception is then a lookup.
-  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
-      encoded.bytes, /*payload=*/{}, ack.message_id,
-      shard.compiler->compile_bytes(encoded.bytes)});
+  const std::uint32_t ack_id = flow.state.ack_message_id;
   shard.n_acks_sent->inc();
-  shard.trace.record(obsx::TraceKind::kAck, now, ap, ack.message_id);
+  shard.trace.record(obsx::TraceKind::kAck, now, ap, ack_id);
   // The originating AP marks the ack as seen (it may also deliver when the
   // sender and recipient share a building) and always transmits it.
-  const AgentAction action = agents_[ap].on_receive(*packet, now);
-  if (action.delivered && action.message_id == ack.message_id) {
-    shard.flow_deltas[ack.message_id].deliver(action.delivered_count, now);
+  const AgentAction action = agent_at(ap).on_receive(*flow.ack, now);
+  if (action.delivered && action.message_id == ack_id) {
+    shard.flow_deltas[ack_id].deliver(action.delivered_count, now);
   }
-  transmit_counted(shard, ap, packet);
+  transmit_counted(shard, ap, flow.ack);
 }
 
 void CityMeshNetwork::record_delivery(Shard& s, mesh::ApId ap, const AgentAction& action,
@@ -380,11 +344,10 @@ void CityMeshNetwork::record_delivery(Shard& s, mesh::ApId ap, const AgentAction
 
 void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from,
                                       const std::shared_ptr<const MeshPacket>& packet) {
-  ApAgent& agent = agents_[to];
   const double now = s.sim.now();
-  const AgentAction action = agent.on_receive(*packet, now);
+  const AgentAction action = agent_at(to).on_receive(*packet, now);
   if (action.malformed) {
-    // Counted by the compiler (compile.malformed); traced here so corrupt
+    // Counted by the compiler (malformed_drops()); traced here so corrupt
     // receptions are visible in the event stream instead of vanishing.
     s.trace.record(obsx::TraceKind::kMalformed, now,
                    static_cast<std::uint32_t>(to), packet->trace_id);
@@ -418,8 +381,8 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
           if (msg != nullptr && !msg->header.waypoints.empty()) {
             const geo::Point dst =
                 compiled_->map.centroid(msg->header.waypoints.back());
-            cancel = geo::distance(agents_[from].position(), dst) <=
-                     geo::distance(agents_[to].position(), dst);
+            cancel = geo::distance(aps().ap(from).position, dst) <=
+                     geo::distance(aps().ap(to).position, dst);
           }
           if (cancel && s.qf_cancelled != nullptr) s.qf_cancelled->inc();
         } else {
@@ -488,12 +451,12 @@ void CityMeshNetwork::policy_relay(Shard& s, mesh::ApId to, std::uint32_t messag
 
 bool CityMeshNetwork::qfgeo_local_minimum(mesh::ApId from, const CompiledMessage& msg,
                                           geo::Point dst) const {
-  const double from_d = geo::distance(agents_[from].position(), dst);
+  const double from_d = geo::distance(aps().ap(from).position, dst);
   for (const graphx::Edge& edge : aps().graph().neighbors(from)) {
-    const auto n = static_cast<mesh::ApId>(edge.to);
-    if (!ap_up(n)) continue;
-    if (!msg.conduit_member(agents_[n].building())) continue;
-    if (geo::distance(agents_[n].position(), dst) < from_d) return false;
+    const mesh::AccessPoint& n = aps().ap(static_cast<mesh::ApId>(edge.to));
+    if (!ap_up(n.id)) continue;
+    if (!msg.conduit_member(n.building)) continue;
+    if (geo::distance(n.position, dst) < from_d) return false;
   }
   return true;
 }
@@ -502,19 +465,13 @@ void CityMeshNetwork::qfgeo_forward(Shard& s, mesh::ApId to, mesh::ApId from,
                                     const AgentAction& action, double now,
                                     const std::shared_ptr<const MeshPacket>& packet) {
   const auto node = static_cast<std::uint32_t>(to);
-  // Network-built packets always carry their compiled message; hand-built
-  // ones compile (memoized) through this shard's service.
-  std::shared_ptr<const CompiledMessage> lazily;
-  const CompiledMessage* msg = packet->compiled.get();
-  if (msg == nullptr) {
-    lazily = s.compiler->compile_bytes(packet->header_bytes);
-    msg = lazily.get();
-  }
+  // Network-built packets always carry their compiled message, and
   // action.rebroadcast implies in-region membership, which implies valid,
   // non-empty waypoints — the destination is always resolvable here.
-  const geo::Point dst = compiled_->map.centroid(msg->header.waypoints.back());
-  const double my_d = geo::distance(agents_[to].position(), dst);
-  const double from_d = geo::distance(agents_[from].position(), dst);
+  const CompiledMessage& msg = *packet->compiled;
+  const geo::Point dst = compiled_->map.centroid(msg.header.waypoints.back());
+  const double my_d = geo::distance(aps().ap(to).position, dst);
+  const double from_d = geo::distance(aps().ap(from).position, dst);
 
   if (my_d < from_d) {
     // Positive progress: arm the contention-based greedy election. The
@@ -543,7 +500,7 @@ void CityMeshNetwork::qfgeo_forward(Shard& s, mesh::ApId to, mesh::ApId from,
   // the relayx policy (one recovery ring; greedy resumes at any receiver
   // that makes progress relative to the ring's transmitters). Otherwise
   // some sibling made progress and this copy dies here.
-  if (qfgeo_local_minimum(from, *msg, dst)) {
+  if (qfgeo_local_minimum(from, msg, dst)) {
     s.qf_fallback_floods->inc();
     policy_relay(s, to, action.message_id, from, now, packet);
     return;
@@ -834,11 +791,19 @@ bool CityMeshNetwork::originate(
   flow.state.injected_at_s = t0;
   flow.state.source_ap = *src_ap;
   if (opts.request_ack && opts.ack_to) {
-    const std::uint32_t ack_id = wire::derive_message_id(config_.seed, ++send_seq_);
+    // The ack goes back along the reversed route at the same width. It is
+    // compiled here, like the message, so the tile that sends it only reads.
+    wire::PacketHeader ack_header;
+    ack_header.message_id = wire::derive_message_id(config_.seed, ++send_seq_);
+    ack_header.postbox_tag = opts.ack_to->id.tag();
+    ack_header.conduit_width_m = header.conduit_width_m;
+    ack_header.waypoints.assign(header.waypoints.rbegin(), header.waypoints.rend());
+    ack_header.set_flag(wire::PacketFlag::kAck);
+    const auto ack_encoded = wire::encode_header(ack_header);
+    const std::uint32_t ack_id = ack_header.message_id;
+    flow.ack = std::make_shared<const MeshPacket>(MeshPacket{
+        ack_encoded.bytes, /*payload=*/{}, ack_id, compiler_.compile_bytes(ack_encoded.bytes)});
     flow.state.ack_message_id = ack_id;
-    flow.ack_tag = opts.ack_to->id.tag();
-    flow.ack_waypoints.assign(header.waypoints.rbegin(), header.waypoints.rend());
-    flow.ack_width_m = header.conduit_width_m;
     Flow& ack = flows_[ack_id];
     ack.state.injected_at_s = t0;
     ack.ack_of = header.message_id;
@@ -857,7 +822,7 @@ bool CityMeshNetwork::originate(
   // The source AP processes its own packet (marks it seen, may deliver when
   // sender and recipient share a building) and always performs the initial
   // broadcast.
-  const AgentAction first = agents_[*src_ap].on_receive(*packet, t0);
+  const AgentAction first = agent_at(*src_ap).on_receive(*packet, t0);
   if (first.delivered) record_delivery(src_shard, *src_ap, first, t0);
   transmit_counted(src_shard, *src_ap, packet);
   return true;
@@ -1027,7 +992,7 @@ std::size_t CityMeshNetwork::forward_pending(const PostboxInfo& home,
 
 void CityMeshNetwork::compromise_building(BuildingId building, AgentBehavior behavior) {
   for (const mesh::ApId id : aps().aps_of_building(building)) {
-    agents_[id].set_behavior(behavior);
+    agent_state_.set_behavior(id, behavior);
   }
 }
 

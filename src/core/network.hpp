@@ -1,8 +1,8 @@
 // End-to-end CityMesh network facade (§3 steps 1-4 over the §4 simulator).
 //
 // Owns the full stack for one city: the building graph (map-derived routing
-// state), the realized AP placement (ground truth), one ApAgent per AP, the
-// discrete-event broadcast medium, and the postbox registry. Every message
+// state), the realized AP placement (ground truth), every AP agent's state,
+// the discrete-event broadcast medium, and the postbox registry. Every message
 // takes one pipeline — plan, compress, encode, originate at the source AP —
 // and gets one record of its fate. `inject` originates and returns; `send`
 // is an inject run to quiescence that reports the paper's metrics
@@ -460,17 +460,14 @@ class CityMeshNetwork {
   /// merged_trace_events() after set_tracing(true).
   obsx::TraceBuffer& trace() { return trace_; }
 
-  /// The shared compile-once service: every send/inject/ack compiles its
-  /// message here and attaches the result to the packet; agents fall back to
-  /// it for packets without one. Its compile.* counters live in the
-  /// compiler's own registry — NOT metrics() — so run manifests stay
-  /// byte-identical to the pre-compile pipeline (snapshot() serializes every
-  /// registered counter).
+  /// The network's one compile service. originate compiles every message
+  /// here on the coordinator thread, its ack included, and attaches the
+  /// result to the packet, so no tile ever compiles and the counters read
+  /// the same for every shard count. The counters live outside
+  /// merged_metrics(), so run manifests stay byte-identical to the
+  /// pre-compile pipeline.
   MessageCompiler& compiler() { return compiler_; }
   const MessageCompiler& compiler() const { return compiler_; }
-
-  /// Direct agent access for tests.
-  ApAgent& agent(mesh::ApId id) { return agents_.at(id); }
 
   static constexpr double kDefaultWidthValues[3] = {50.0, 80.0, 120.0};
   static constexpr std::span<const double> kDefaultWidths{kDefaultWidthValues};
@@ -490,16 +487,17 @@ class CityMeshNetwork {
     bool greedy = false;
   };
 
-  /// One message's entry in flows_: its public record plus what the
-  /// delivering AP reads to build the ack.
+  /// One message's entry in flows_: its public record plus the ack the
+  /// delivering AP sends.
   struct Flow {
     FlowState state;
     /// Nonzero when this record is an ack: the message it acknowledges. An
     /// ack counts under net.acks_received, never net.delivered.
     std::uint32_t ack_of = 0;
-    std::uint32_t ack_tag = 0;              ///< ack_to's postbox tag
-    std::vector<BuildingId> ack_waypoints;  ///< the message's route, reversed
-    double ack_width_m = 0.0;               ///< the message's conduit width
+    /// The ack packet, built and compiled by originate on the coordinator;
+    /// null when no ack was requested. It goes back along the message's
+    /// route, reversed, at the message's conduit width.
+    std::shared_ptr<const MeshPacket> ack;
   };
   /// Shard-local slice of one message's record, merged (and consumed) by
   /// merge_shard_deltas() after every run.
@@ -521,11 +519,12 @@ class CityMeshNetwork {
     }
   };
 
-  /// One execution shard (a tile): the event loop plus every piece of
-  /// mutable simulation state a window touches, so a worker thread running
-  /// the shard shares nothing writable with the others. Every shard's medium
-  /// walks the one shared compiled-city CSR (with a tile filter when there
-  /// are several tiles) — there is no per-tile topology copy.
+  /// One execution shard (a tile): the event loop plus the mutable
+  /// simulation state a window touches. The one thing tiles share writably
+  /// is the agent slab, and an AP's entries there are written only by its
+  /// own tile's thread. Every shard's medium walks the one shared
+  /// compiled-city CSR (with a tile filter when there are several tiles) —
+  /// there is no per-tile topology copy.
   struct Shard {
     Shard(shardx::TileId tile_id, const graphx::Graph& topology,
           const sim::MediumConfig& medium_config, std::size_t trace_capacity)
@@ -537,11 +536,6 @@ class CityMeshNetwork {
     obsx::TraceBuffer trace;
     sim::BroadcastMedium<MeshPacket> medium;
     std::unique_ptr<relayx::RebroadcastPolicy> policy;
-    /// Tiled runs give each tile its own compile service, so reception-time
-    /// memo lookups stay on the tile's thread; a single tile uses the
-    /// network's (own_compiler stays null).
-    std::unique_ptr<MessageCompiler> own_compiler;
-    MessageCompiler* compiler = nullptr;
 
     // Cached counter handles. Every tile registers the same names, so merged
     // snapshots sum into one key set.
@@ -597,6 +591,12 @@ class CityMeshNetwork {
   /// Register the qfgeo.* counters in the shard's registry when this
   /// network runs Protocol::kQfgeo; leaves the pointers null otherwise.
   void bind_qfgeo_counters(Shard& shard);
+  /// The agent of AP `id`: a view over its placement, the slab and the
+  /// compile service, built per call.
+  ApAgent agent_at(mesh::ApId id) {
+    const mesh::AccessPoint& ap = aps().ap(id);
+    return {id, ap.position, ap.building, compiled_->map, compiler_, agent_state_, id};
+  }
   /// Cancel every pending backoff-delayed rebroadcast (per-send reset).
   void clear_pending_relays();
   /// Originate the ack of `message_id` (record `flow`) at the delivering AP.
@@ -648,11 +648,11 @@ class CityMeshNetwork {
   /// is coordinator-thread-only, so one unlocked cache serves them all.
   SptCache spt_cache_;
   RoutePlanner planner_;
-  MessageCompiler compiler_;  ///< declared before agents_, which point at it
+  MessageCompiler compiler_;
   /// Every agent's mutable state, struct-of-arrays by AP id (core/ap_state).
-  /// One slab serves all tile shards; the dup filter is striped by tile.
-  AgentStateSlab agent_state_{0};
-  std::vector<ApAgent> agents_;
+  /// One slab serves all tile shards: an AP's receptions run only on its own
+  /// tile's thread, so tiles never write the same AP's state.
+  AgentStateSlab agent_state_;
 
   // Observability (src/obsx): the coordinator registry holds what happens
   // outside the tiles (originations, merged deliveries, per-send

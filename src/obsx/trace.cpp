@@ -75,8 +75,7 @@ const char* payload_key(TraceKind kind) {
 
 // ----------------------------------------------------------- TraceBuffer ---
 
-TraceBuffer::TraceBuffer(std::size_t capacity, TraceOverflow overflow)
-    : capacity_(capacity == 0 ? 1 : capacity), overflow_(overflow) {}
+TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TraceBuffer::enable(bool on) {
   enabled_ = on && compiled_in;
@@ -92,11 +91,7 @@ void TraceBuffer::clear() {
 
 void TraceBuffer::push(const TraceEvent& event) {
   if (size_ == capacity_) {
-    if (overflow_ == TraceOverflow::kDropNewest) {
-      ++lost_;
-      return;
-    }
-    // Ring: overwrite the oldest slot.
+    // Overwrite the oldest slot.
     buffer_[head_] = event;
     head_ = (head_ + 1) % capacity_;
     ++recorded_;

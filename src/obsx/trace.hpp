@@ -9,7 +9,7 @@
 // stream replaces the per-bench bespoke instrumentation (Figure 7 renders
 // straight from a recorded trace).
 //
-// Cost discipline: events land in a preallocated ring/append buffer — no
+// Cost discipline: events land in a preallocated ring buffer — no
 // per-event allocation — and the whole layer has a "disabled = near-zero
 // cost" path: a disabled buffer rejects events on one branch, and building
 // with CITYMESH_DISABLE_TRACE (-DCITYMESH_DISABLE_TRACE=ON at configure
@@ -76,25 +76,18 @@ struct TraceEvent {
 /// JSONL key the payload serializes under; nullptr when the kind carries none.
 const char* payload_key(TraceKind kind);
 
-/// What to do when the buffer is full.
-enum class TraceOverflow : std::uint8_t {
-  kWrap,        ///< ring: overwrite the oldest event (keep the latest window)
-  kDropNewest,  ///< append: reject new events once full
-};
-
-/// Preallocated trace collector. Disabled (the default) it costs one branch
-/// per record() call and holds no storage; enable() allocates the buffer
-/// once and reuses it across clear() calls.
+/// Preallocated trace ring. Disabled (the default) it costs one branch per
+/// record() call and holds no storage; enable() allocates the buffer once
+/// and reuses it across clear() calls. When full, a new event overwrites
+/// the oldest one, so the buffer keeps the latest window.
 class TraceBuffer {
  public:
-  explicit TraceBuffer(std::size_t capacity = 1u << 16,
-                       TraceOverflow overflow = TraceOverflow::kWrap);
+  explicit TraceBuffer(std::size_t capacity = 1u << 16);
 
   bool enabled() const { return enabled_; }
   void enable(bool on = true);
 
   std::size_t capacity() const { return capacity_; }
-  TraceOverflow overflow() const { return overflow_; }
 
 #ifdef CITYMESH_DISABLE_TRACE
   static constexpr bool compiled_in = false;
@@ -124,7 +117,7 @@ class TraceBuffer {
   std::size_t size() const { return size_; }
   /// Total events accepted, including ones a wrap overwrote.
   std::uint64_t recorded() const { return recorded_; }
-  /// Events rejected (kDropNewest) or overwritten (kWrap).
+  /// Events a wrap overwrote.
   std::uint64_t lost() const { return lost_; }
 
   /// Drop held events; keeps the allocation and the enabled state.
@@ -137,10 +130,9 @@ class TraceBuffer {
   void push(const TraceEvent& event);
 
   std::size_t capacity_;
-  TraceOverflow overflow_;
   bool enabled_ = false;
   std::vector<TraceEvent> buffer_;  ///< allocated on first enable()
-  std::size_t head_ = 0;            ///< next write slot (kWrap)
+  std::size_t head_ = 0;            ///< oldest held event
   std::size_t size_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t lost_ = 0;

@@ -1,7 +1,6 @@
 #include "relayx/policy.hpp"
 
 #include <array>
-#include <cmath>
 #include <string>
 
 #include "geo/point.hpp"
@@ -138,7 +137,7 @@ class CounterGossipPolicy final : public RebroadcastPolicy {
 /// progresses.
 class EtxPriorityPolicy final : public RebroadcastPolicy {
  public:
-  // The per-directed-link tables are indexed by the topology CSR's own
+  // The per-directed-link table is indexed by the topology CSR's own
   // edge_offset(), so the policy carries no duplicate offset array — its
   // rows align one-to-one with the graph's packed adjacency.
   EtxPriorityPolicy(const PolicyConfig& config, const mesh::ApNetwork& aps)
@@ -146,7 +145,6 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
         aps_(aps),
         streams_(make_streams(config.seed, aps.ap_count())) {
     rx_counts_.assign(aps.graph().directed_edge_count(), 0.0);
-    last_rx_s_.assign(aps.graph().directed_edge_count(), 0.0);
   }
 
   void observe(const Reception& rx) override {
@@ -154,13 +152,9 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
     const auto links = graph.neighbors(rx.ap).ids();
     for (std::size_t i = 0; i < links.size(); ++i) {
       if (links[i] != rx.from) continue;
-      const std::size_t slot = graph.edge_offset(rx.ap) + i;
-      // Lazy exponential decay: age the accumulated mass to `now`, then add
-      // this reception. Commutative for equal-time receptions, so the
-      // estimate is a pure function of the link's reception *times*, never
-      // of event-processing order (shard-count invariance, src/shardx).
-      rx_counts_[slot] = aged(rx_counts_[slot], last_rx_s_[slot], rx.now_s) + 1.0;
-      last_rx_s_[slot] = rx.now_s;
+      // A count per link is commutative, so the estimate never depends on
+      // event-processing order (shard-count invariance, src/shardx).
+      rx_counts_[graph.edge_offset(rx.ap) + i] += 1.0;
       count_etx_update();
       return;
     }
@@ -168,7 +162,7 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
 
   Decision elect(const Reception& rx) override {
     count_scheduled();
-    const double s = score(rx.ap, rx.now_s);
+    const double s = score(rx.ap);
     const double quality = s / (s + config_.etx_pivot);
     // Priority shapes a quarter of the window, jitter the rest: enough skew
     // that hubs fire earlier on average, enough randomness that a
@@ -185,7 +179,7 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
     // them too strands the flood exactly at the cluster exits they guard —
     // they always fire (possibly redundantly; that residue is the price of
     // keeping the frontier alive).
-    const double s = score(rx.ap, rx.now_s);
+    const double s = score(rx.ap);
     const double quality = s / (s + config_.etx_pivot);
     if (quality < 0.5) return false;
     if (overheard < config_.cancel_copies &&
@@ -197,24 +191,15 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
   }
 
  private:
-  /// A link count aged from its last-update time to `now`; identity when
-  /// decay is off or time has not advanced.
-  double aged(double count, double last_s, double now_s) const {
-    if (config_.decay_half_life_s <= 0.0 || count == 0.0 || now_s <= last_s)
-      return count;
-    return count * std::exp2(-(now_s - last_s) / config_.decay_half_life_s);
-  }
-
-  /// Saturating link-quality mass of one AP at time `now_s`: sum of c/(c+1)
-  /// over its links, with each c aged to now (read-only; observe() owns the
-  /// stored values).
-  double score(mesh::ApId ap, double now_s) const {
+  /// Saturating link-quality mass of one AP: sum of c/(c+1) over its links
+  /// (read-only; observe() owns the stored values).
+  double score(mesh::ApId ap) const {
     const graphx::Graph& graph = aps_.graph();
     const std::size_t begin = graph.edge_offset(ap);
     const std::size_t end = graph.edge_offset(ap + 1);
     double total = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
-      const double c = aged(rx_counts_[i], last_rx_s_[i], now_s);
+      const double c = rx_counts_[i];
       total += c / (c + 1.0);
     }
     return total;
@@ -223,7 +208,6 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
   const mesh::ApNetwork& aps_;
   std::vector<geo::Rng> streams_;
   std::vector<double> rx_counts_;  ///< per directed link (ap <- from), CSR order
-  std::vector<double> last_rx_s_;  ///< last reception time per link
 };
 
 }  // namespace

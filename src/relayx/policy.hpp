@@ -92,13 +92,6 @@ struct PolicyConfig {
   /// score/(score+pivot) with score = sum over incident links of c/(c+1)
   /// reception counts.
   double etx_pivot = 2.0;
-  /// Half-life, seconds, of the etx-priority link-quality counts. With
-  /// decay on, each count ages as c * 2^(-(now - last_rx)/half_life), so a
-  /// link that fell silent (faultx churn: its AP went down, the region
-  /// degraded) stops looking well-heard within a few half-lives instead of
-  /// coasting on stale mass forever. 0 (default) disables decay — counts
-  /// only grow, the pre-decay behavior exactly.
-  double decay_half_life_s = 0.0;
   /// Base seed of the per-AP RNG streams (the network passes its own seed
   /// so policy draws follow the run's determinism contract).
   std::uint64_t seed = 99;

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <sstream>
+#include <string>
 
 #include "core/ap_agent.hpp"
 #include "core/compiled_message.hpp"
@@ -257,13 +258,63 @@ TEST(CompiledFlood, HeaderDecodesEqualDistinctMessagesNotReceptions) {
   ASSERT_TRUE(outcome.route_found && outcome.source_has_ap);
   EXPECT_EQ(net.compiler().header_decodes(), 1u);
   EXPECT_EQ(net.compiler().msg_compiles(), 1u);
-  // The flood really did fan out: many receptions served by that one decode.
-  EXPECT_GT(net.compiler().membership_lookups(), net.compiler().header_decodes());
+  // The flood really did fan out: many receptions served by that one decode,
+  // and more than one of them was a fresh reception that ran the membership
+  // test (a rebroadcast or a conduit reject).
+  const auto counters = net.merged_metrics().counters;
+  EXPECT_GT(counters.at("medium.deliveries"), net.compiler().header_decodes());
+  EXPECT_GT(counters.at("net.rebroadcasts") + counters.at("net.conduit_rejects"),
+            net.compiler().header_decodes());
 
   // A second distinct message costs exactly one more decode.
   net.send(0, *info, bytes_of("flood-2"));
   EXPECT_EQ(net.compiler().header_decodes(), 2u);
   EXPECT_EQ(net.compiler().msg_compiles(), 2u);
+}
+
+// ------------------------------------------ compile counters across shards ---
+
+// A network compiles only on its coordinator: originate compiles every
+// message and its ack before any tile sees them, so the compile counters
+// count distinct messages whatever the tile count, and the tile count
+// changes nothing in the run's metrics.
+TEST(CompiledShards, CompileCountersMatchAcrossShardCounts) {
+  core::NetworkConfig base;
+  base.medium.jitter_s = 0.0;
+  base.medium.loss_probability = 0.0;
+  const auto compiled =
+      core::compile_city(osmx::generate_city(osmx::profile_by_name("boston")), base);
+  const auto alice = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(1), 10);
+  const auto bob = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(2), 400);
+  core::SendOptions opts;
+  opts.request_ack = true;
+  opts.ack_to = alice;
+
+  std::string one_tile;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    core::NetworkConfig cfg = base;
+    cfg.shards = shards;
+    core::CityMeshNetwork net{compiled, cfg};
+    ASSERT_NE(net.register_postbox(alice), nullptr);
+    ASSERT_NE(net.register_postbox(bob), nullptr);
+    EXPECT_TRUE(net.send(10, bob, bytes_of("sent"), opts).ack_received) << shards;
+    const core::InjectResult injected = net.inject(10, bob, bytes_of("injected"), opts);
+    ASSERT_TRUE(injected.accepted());
+    net.run_until(net.sim_now() + cfg.max_sim_time_s);
+    const core::FlowState* flow = net.flow_state(injected.message_id);
+    ASSERT_NE(flow, nullptr);
+    EXPECT_TRUE(flow->ack_received) << shards;
+
+    // Two messages and two acks: four distinct messages.
+    EXPECT_EQ(net.compiler().header_decodes(), 4u) << shards;
+    EXPECT_EQ(net.compiler().msg_compiles(), 4u) << shards;
+    const std::string metrics = net.merged_metrics().to_json();
+    if (shards == 1) {
+      one_tile = metrics;
+    } else {
+      EXPECT_EQ(metrics, one_tile) << shards;
+    }
+  }
 }
 
 // ------------------------------------------------- pinned event sequence ---
@@ -328,7 +379,11 @@ TEST(CompiledPinned, ThreeApEventSequenceIdenticalToLegacyPipeline) {
   // One distinct message end to end: one decode, one compile, receptions > 1.
   EXPECT_EQ(net.compiler().header_decodes(), 1u);
   EXPECT_EQ(net.compiler().msg_compiles(), 1u);
-  EXPECT_EQ(net.compiler().membership_lookups(), 3u);  // one per fresh reception
+  // Four receptions; the two fresh ones away from the source ran the
+  // membership test (the source's own copy at originate is not a reception).
+  const auto counters = net.merged_metrics().counters;
+  EXPECT_EQ(counters.at("medium.deliveries"), 4u);
+  EXPECT_EQ(counters.at("net.rebroadcasts") + counters.at("net.conduit_rejects"), 2u);
 }
 
 // ------------------------------------------ compress_route optimization ---

@@ -176,26 +176,19 @@ TEST(AgentStateSlab, MarkSeenDeduplicatesPerApAndMessage) {
   EXPECT_EQ(slab.seen_count(1), 1u);
   EXPECT_EQ(slab.seen_count(2), 0u);
 
+  // Message ids arrive in any order; the sorted per-AP set still finds
+  // each one, before and after the insertion point.
+  EXPECT_TRUE(slab.mark_seen(2, 9));
+  EXPECT_TRUE(slab.mark_seen(2, 3));
+  EXPECT_TRUE(slab.mark_seen(2, 7));
+  EXPECT_FALSE(slab.mark_seen(2, 3));
+  EXPECT_FALSE(slab.mark_seen(2, 9));
+  EXPECT_FALSE(slab.mark_seen(2, 7));
+  EXPECT_EQ(slab.seen_count(2), 3u);
+
   EXPECT_EQ(slab.behavior(2), core::AgentBehavior::kNormal);
   slab.set_behavior(2, core::AgentBehavior::kCompromisedDrop);
   EXPECT_EQ(slab.behavior(2), core::AgentBehavior::kCompromisedDrop);
-}
-
-TEST(AgentStateSlab, RestripingCarriesSightingsOver) {
-  core::AgentStateSlab slab{4};
-  EXPECT_TRUE(slab.mark_seen(0, 100));
-  EXPECT_TRUE(slab.mark_seen(3, 100));
-
-  // Stripe by tile: APs 0,1 -> stripe 0; APs 2,3 -> stripe 1. Sightings
-  // recorded before striping must survive the move (a re-stripe can never
-  // un-duplicate a message).
-  const std::uint32_t stripes[] = {0, 0, 1, 1};
-  slab.set_stripes(stripes, 2);
-  EXPECT_FALSE(slab.mark_seen(0, 100));
-  EXPECT_FALSE(slab.mark_seen(3, 100));
-  EXPECT_TRUE(slab.mark_seen(2, 100));
-  EXPECT_EQ(slab.seen_count(0), 1u);
-  EXPECT_EQ(slab.seen_count(3), 1u);
 }
 
 TEST(AgentStateSlab, PostboxChainsReplaceByTagAndVisitAll) {

@@ -49,7 +49,7 @@ TEST(TraceBuffer, DisabledRecordsNothing) {
 }
 
 TEST(TraceBuffer, RingWrapKeepsLatestWindow) {
-  obsx::TraceBuffer buf{4, obsx::TraceOverflow::kWrap};
+  obsx::TraceBuffer buf{4};
   buf.enable();
   for (std::uint32_t i = 0; i < 6; ++i) {
     buf.record(obsx::TraceKind::kTx, static_cast<double>(i), i, 100 + i);
@@ -64,20 +64,6 @@ TEST(TraceBuffer, RingWrapKeepsLatestWindow) {
     EXPECT_EQ(events[i].node, i + 2);
     EXPECT_EQ(events[i].packet, 102 + i);
   }
-}
-
-TEST(TraceBuffer, DropNewestRejectsOnceFull) {
-  obsx::TraceBuffer buf{4, obsx::TraceOverflow::kDropNewest};
-  buf.enable();
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    buf.record(obsx::TraceKind::kTx, static_cast<double>(i), i, 0);
-  }
-  EXPECT_EQ(buf.size(), 4u);
-  EXPECT_EQ(buf.recorded(), 4u);
-  EXPECT_EQ(buf.lost(), 2u);
-  const auto events = buf.events();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].node, i);
 }
 
 TEST(TraceBuffer, ClearKeepsEnabledAndCapacity) {

@@ -341,38 +341,8 @@ TEST(EtxPriorityPolicy, ObserveIgnoresNonNeighborTransmitters) {
   EXPECT_EQ(policy->etx_updates(), 0u);
 }
 
-TEST(EtxPriorityPolicy, DecayAgesLinkQuality) {
-  const auto& aps = dense_aps();
-  relayx::PolicyConfig base;
-  base.kind = relayx::PolicyKind::kEtxPriority;
-  relayx::PolicyConfig decaying = base;
-  decaying.decay_half_life_s = 5.0;
-  const auto fresh = relayx::make_policy(base, aps);
-  const auto aged = relayx::make_policy(decaying, aps);
-  const mesh::ApId ap = ap_with_degree(aps, 2);
-
-  // Identical warm-up at t = 0; observe() draws no randomness, so the two
-  // policies' streams stay aligned and the delay comparison isolates decay.
-  for (int round = 0; round < 10; ++round) {
-    for (const auto& edge : aps.graph().neighbors(ap)) {
-      fresh->observe(rx_at(ap, edge.to, 0.0));
-      aged->observe(rx_at(ap, edge.to, 0.0));
-    }
-  }
-
-  // 100 s = 20 half-lives later the decayed counts are dust: the link looks
-  // cold again and the backoff stretches. Without decay the mass coasts.
-  const mesh::ApId peer = aps.graph().neighbors(ap)[0].to;
-  const auto d_fresh = fresh->elect(rx_at(ap, peer, 100.0));
-  const auto d_aged = aged->elect(rx_at(ap, peer, 100.0));
-  ASSERT_EQ(d_fresh.kind, relayx::Decision::Kind::kDelay);
-  ASSERT_EQ(d_aged.kind, relayx::Decision::Kind::kDelay);
-  EXPECT_GT(d_aged.delay_s, d_fresh.delay_s);
-}
-
 TEST(EtxPriorityPolicy, ZeroHalfLifeIgnoresTime) {
-  // decay_half_life_s = 0 (the default) is the pre-decay behavior exactly:
-  // counts only grow, and elapsed silence never changes a decision.
+  // Link counts only grow: elapsed silence never changes a decision.
   const auto& aps = dense_aps();
   relayx::PolicyConfig cfg;
   cfg.kind = relayx::PolicyKind::kEtxPriority;

@@ -37,6 +37,18 @@ for key in '"schema"' '"citymesh-manifest-v1"' '"digest"' '"metrics"' \
 done
 echo "check.sh: obsx smoke (trace round-trip + bench manifest) OK"
 
+# --- Compile-service gate: a network compiles every message, acks included,
+# on its coordinator, so `citymesh send` prints the same bytes, compile
+# counters included, at every shard count.
+for k in 1 2 4; do
+  "${cli}" send boston 10 400 --shards "$k" > "${smoke_dir}/send_k${k}.txt" || {
+    echo "check.sh: citymesh send failed at --shards $k" >&2; exit 1; }
+  cmp -s "${smoke_dir}/send_k1.txt" "${smoke_dir}/send_k${k}.txt" || {
+    echo "check.sh: citymesh send stdout at --shards $k differs from K=1" >&2
+    exit 1; }
+done
+echo "check.sh: compile-service gate (citymesh send identical at --shards 1, 2, 4) OK"
+
 # --- trafficx smoke: a tiny workload must run through `citymesh load` and
 # two same-seed runs must emit byte-identical manifests (the determinism
 # digest covers the schedule and the capacity summary).
@@ -248,8 +260,8 @@ echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs/--shards) OK"
 # shardx tiles hand shared immutable packets across thread boundaries, and
 # the qfgeo election timers capture per-reception state into medium
 # closures, and the scheduler layer recycles event and batch blocks
-# through freelists, and the metro-memory slabs (CSR views, agent-state
-# stripes, medium transmit rings) index shared flat arrays, and the flat
+# through freelists, and the metro-memory slabs (CSR views, per-AP seen
+# sets, medium transmit rings) index shared flat arrays, and the flat
 # spatial grid and essential-edge planning graph are offset-indexed CSRs
 # (geo, graphx, core), and faultx actions capture the scenario engine into
 # coordinator closures, and every message's record (acks, send_reliable,
@@ -284,8 +296,9 @@ fi
 # compile-once refactor additionally shares immutable CompiledMessages, and
 # the shardx worker pool runs tile simulators concurrently inside one run,
 # and the qfgeo sweep tests drive the protocol axis across worker threads,
-# and the tiled engine's shared agent-state slab stripes its dup filter by
-# tile (each stripe touched by exactly one worker thread), and live faultx
+# and the tiles share one agent-state slab whose per-AP seen sets only the
+# AP's own tile thread writes, and one compile service that only the
+# coordinator calls (acks are compiled at origination), and live faultx
 # scenarios flip AP status between the tiles' windows, and tiles read the
 # message records (acks included) that the coordinator opens and merges
 # between windows (extensions, trafficx), and sweep jobs run the ideal-hop

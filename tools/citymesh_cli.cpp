@@ -499,8 +499,7 @@ int cmd_send(const Options& opts) {
     // here, two with an ack), not the per-AP receptions of the flood.
     std::cout << "  hot path: " << net.compiler().header_decodes()
               << " header decodes, " << net.compiler().msg_compiles()
-              << " msg compiles, " << net.compiler().membership_lookups()
-              << " membership lookups\n";
+              << " msg compiles, " << net.medium_totals().deliveries << " receptions\n";
   }
   if (!opts.trace_file.empty() && write_trace_file(net, opts.trace_file) != 0) {
     return 1;
