@@ -21,6 +21,7 @@
 #include "cryptox/sha256.hpp"
 #include "geo/rng.hpp"
 #include "geo/spatial_grid.hpp"
+#include "graphx/alt.hpp"
 #include "graphx/graph.hpp"
 #include "graphx/shortest_path.hpp"
 #include "mesh/ap_network.hpp"
@@ -93,8 +94,8 @@ static const std::vector<citymesh::trafficx::Flow>& boston_hotspot_flows() {
   return flows;
 }
 
-// One uncached hotspot plan: a targeted Dijkstra over the planning graph
-// (essential edges), compression and header sizing.
+// One hotspot plan on a fresh workspace: the ALT search over the planning
+// graph (essential edges), compression and header sizing.
 static void BM_RoutePlanHotspot(benchmark::State& state) {
   const core::RoutePlanner planner{boston_map(), {}};
   const auto& flows = boston_hotspot_flows();
@@ -108,19 +109,40 @@ static void BM_RoutePlanHotspot(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutePlanHotspot)->Unit(benchmark::kMicrosecond);
 
-// The targeted Dijkstra alone on the same flows: /0 over the full building
-// graph, /1 over the planning graph (identical paths, fewer relaxations).
+// The path search alone on the same flows: /0 the targeted Dijkstra over
+// the full building graph, /1 over the planning graph (identical paths,
+// fewer relaxations), /2 the planner's ALT query over the planning graph
+// (identical paths, a reused workspace, far fewer settled vertices).
 static void BM_HotspotDijkstra(benchmark::State& state) {
-  const graphx::Graph& g =
-      state.range(0) == 0 ? boston_map().graph() : boston_map().planning_graph();
+  const core::BuildingGraph& map = boston_map();
+  const graphx::Graph& g = state.range(0) == 0 ? map.graph() : map.planning_graph();
+  const graphx::LandmarkTable& table = map.landmarks();  // built before timing
+  graphx::AltSearch search;
   const auto& flows = boston_hotspot_flows();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graphx::dijkstra(g, flows[i].src, flows[i].dst));
+    if (state.range(0) == 2) {
+      benchmark::DoNotOptimize(search.path(g, table, flows[i].src, flows[i].dst));
+    } else {
+      benchmark::DoNotOptimize(graphx::dijkstra(g, flows[i].src, flows[i].dst));
+    }
     if (++i == flows.size()) i = 0;
   }
 }
-BENCHMARK(BM_HotspotDijkstra)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HotspotDijkstra)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+// The one-time landmark table build a map pays on its first plan: four
+// full Dijkstras over boston's planning graph.
+static void BM_LandmarkTable(benchmark::State& state) {
+  for (auto _ : state) {
+    const core::BuildingGraph map{boston(), {}};
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(map.landmarks());
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+  }
+}
+BENCHMARK(BM_LandmarkTable)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 static void BM_ConduitCompress(benchmark::State& state) {
   const auto& map = boston_map();

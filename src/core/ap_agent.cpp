@@ -43,14 +43,20 @@ std::optional<BuildingId> parse_location_update(std::span<const std::uint8_t> pa
 
 AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
   AgentAction action;
-  std::shared_ptr<const CompiledMessage> msg = packet.compiled;
-  if (!msg) {
+  // Read the shared compiled form through a raw pointer: copying the
+  // shared_ptr would cost an atomic increment and decrement per reception
+  // on a control block every tile's receptions share. Only a header this
+  // reception compiles itself needs a local owner.
+  std::shared_ptr<const CompiledMessage> compiled_here;
+  const CompiledMessage* msg = packet.compiled.get();
+  if (msg == nullptr) {
     try {
-      msg = compiler_->compile_bytes(packet.header_bytes);
+      compiled_here = compiler_->compile_bytes(packet.header_bytes);
     } catch (const wire::DecodeError&) {
       action.malformed = true;
       return action;
     }
+    msg = compiled_here.get();
   }
   if (msg->malformed) {
     // Decodable bytes carrying a corrupt conduit width: same per-reception

@@ -1,6 +1,9 @@
 #include "core/building_graph.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "geo/spatial_grid.hpp"
@@ -56,6 +59,33 @@ BuildingGraph::BuildingGraph(const osmx::City& city, const BuildingGraphConfig& 
   graph_ = builder.build();
   planning_graph_ = graphx::essential_edges(graph_);
   components_ = graphx::connected_components(planning_graph_);
+}
+
+const graphx::LandmarkTable& BuildingGraph::landmarks() const {
+  std::call_once(landmarks_once_, [this] {
+    const std::uint32_t largest = components_.largest();
+    // Extreme building per direction: the largest projection of its
+    // centroid onto (north, east, south, west).
+    constexpr std::array<geo::Point, kLandmarks> directions{
+        {{0.0, 1.0}, {1.0, 0.0}, {0.0, -1.0}, {-1.0, 0.0}}};
+    std::vector<graphx::VertexId> chosen;
+    for (const geo::Point dir : directions) {
+      std::optional<BuildingId> best;
+      double best_score = 0.0;
+      for (BuildingId b = 0; b < centroids_.size(); ++b) {
+        if (components_.component_of[b] != largest) continue;
+        const double score = centroids_[b].x * dir.x + centroids_[b].y * dir.y;
+        if (!best || score > best_score) {
+          best = b;
+          best_score = score;
+        }
+      }
+      if (best && std::find(chosen.begin(), chosen.end(), *best) == chosen.end())
+        chosen.push_back(*best);
+    }
+    landmarks_ = graphx::LandmarkTable{planning_graph_, chosen};
+  });
+  return landmarks_;
 }
 
 }  // namespace citymesh::core

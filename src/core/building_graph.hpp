@@ -13,9 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "geo/spatial_grid.hpp"
+#include "graphx/alt.hpp"
 #include "graphx/graph.hpp"
 #include "graphx/shortest_path.hpp"
 #include "osmx/building.hpp"
@@ -60,6 +62,16 @@ class BuildingGraph {
   /// every planned route is bit-identical, at a fraction of the edges.
   const graphx::Graph& planning_graph() const { return planning_graph_; }
 
+  /// One landmark per compass direction (graphx/alt.hpp).
+  static constexpr std::size_t kLandmarks = 4;
+
+  /// The ALT landmark table over planning_graph(). The landmarks are the
+  /// northmost, eastmost, southmost and westmost buildings of the largest
+  /// planning component (lowest id on a tie; duplicates dropped). Built on
+  /// the first call, once per map and thread-safely, so every network on a
+  /// CompiledCity shares it and a city that never plans never pays for it.
+  const graphx::LandmarkTable& landmarks() const;
+
   /// True when the map predicts some path between the two buildings (same
   /// connected component). Precondition: both ids are in range.
   bool connected(BuildingId a, BuildingId b) const {
@@ -89,6 +101,8 @@ class BuildingGraph {
   graphx::Graph graph_;
   graphx::Graph planning_graph_;
   graphx::Components components_;
+  mutable std::once_flag landmarks_once_;
+  mutable graphx::LandmarkTable landmarks_;
 };
 
 }  // namespace citymesh::core

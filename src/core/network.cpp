@@ -46,11 +46,10 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
                                  NetworkConfig config)
     : compiled_(std::move(compiled)),
       config_(config),
-      spt_cache_(compiled_->map.planning_graph()),
-      planner_(compiled_->map, config.conduit, &spt_cache_),
+      planner_(compiled_->map, config.conduit, &route_search_),
       compiler_(compiled_->map),
       agent_state_(compiled_->aps.ap_count()),
-      trace_(trace_capacity_for(config_, compiled_->aps.ap_count())),
+      trace_(trace_capacity_for(config_, 0)),  // faultx actions only: the floor
       ap_status_(compiled_->aps.ap_count(), ApStatus::kUp),
       aps_up_(compiled_->aps.ap_count()) {
   // QF-Geo mode swaps the compile-once membership machinery to the bounded
@@ -111,11 +110,12 @@ void CityMeshNetwork::build_tiles() {
   // run's determinism contract.
   relayx::PolicyConfig relay = config_.relay;
   relay.seed = config_.seed;
-  const std::size_t trace_cap = trace_capacity_for(config_, aps().ap_count());
 
   shards_.reserve(tiles);
   for (shardx::TileId tile = 0; tile < tiles; ++tile) {
-    auto s = std::make_unique<Shard>(tile, aps().graph(), config_.medium, trace_cap);
+    const std::size_t tile_aps = tiles > 1 ? plan_.tile_aps[tile].size() : aps().ap_count();
+    auto s = std::make_unique<Shard>(tile, aps().graph(), config_.medium,
+                                     trace_capacity_for(config_, tile_aps));
     Shard* sp = s.get();
     s->h_latency = &s->metrics.histogram("sim.event_latency_s",
                                          obsx::exponential_buckets(1e-4, 4.0, 10));
@@ -750,7 +750,7 @@ bool CityMeshNetwork::originate(
     r.header_bits = route_header_bits(r.waypoints, r.conduit_width_m);
     route = std::move(r);
   } else {
-    const RoutePlanner planner{compiled_->map, conduit, &spt_cache_};
+    const RoutePlanner planner{compiled_->map, conduit, &route_search_};
     route = opts.compress ? planner.plan(from_building, to.building)
                           : planner.plan_uncompressed(from_building, to.building);
   }

@@ -95,8 +95,10 @@ struct NetworkConfig {
   /// construction so policy draws follow the run's determinism contract.
   relayx::PolicyConfig relay;
 
-  /// Capacity of the network's trace ring (events). 0 = auto-size from the
-  /// AP count. The ring keeps the latest window when a run outgrows it.
+  /// Capacity of each of the network's trace rings (events). 0 = auto-size:
+  /// each tile's ring from its AP count, the coordinator's (faultx actions
+  /// only) at the 2^16 floor. A ring keeps the latest window when a run
+  /// outgrows it.
   std::size_t trace_capacity = 0;
 
   /// Tile shards for intra-run parallelism (src/shardx). Every network runs
@@ -638,15 +640,16 @@ class CityMeshNetwork {
   /// the deltas).
   void merge_shard_deltas();
 
+  /// Ring capacity for `ap_count` APs' events (config.trace_capacity wins).
   static std::size_t trace_capacity_for(const NetworkConfig& config,
                                         std::size_t ap_count);
 
   std::shared_ptr<const CompiledCity> compiled_;
   NetworkConfig config_;
-  /// Resumable-Dijkstra cache shared by every planner this network builds
-  /// (the member planner_ and the per-send/inject locals) — route planning
-  /// is coordinator-thread-only, so one unlocked cache serves them all.
-  SptCache spt_cache_;
+  /// Route-search workspace shared by every planner this network builds
+  /// (the member planner_ and the per-send/inject locals): route planning
+  /// is coordinator-thread-only, so one unlocked workspace serves them all.
+  graphx::AltSearch route_search_;
   RoutePlanner planner_;
   MessageCompiler compiler_;
   /// Every agent's mutable state, struct-of-arrays by AP id (core/ap_state).

@@ -10,28 +10,6 @@ std::size_t route_header_bits(const std::vector<BuildingId>& waypoints,
   return wire::header_bits(h);
 }
 
-const graphx::ShortestPaths& SptCache::tree(graphx::VertexId from, graphx::VertexId to) {
-  for (Entry& entry : entries_) {
-    if (entry.search->source() == from) {
-      entry.stamp = ++stamp_;
-      ++hits_;
-      return entry.search->ensure(to);
-    }
-  }
-  ++misses_;
-  Entry* slot = nullptr;
-  if (entries_.size() < kCapacity) {
-    slot = &entries_.emplace_back();
-  } else {
-    slot = &entries_.front();
-    for (Entry& entry : entries_)
-      if (entry.stamp < slot->stamp) slot = &entry;
-  }
-  slot->stamp = ++stamp_;
-  slot->search = std::make_unique<graphx::IncrementalDijkstra>(*graph_, from);
-  return slot->search->ensure(to);
-}
-
 std::optional<PlannedRoute> RoutePlanner::plan_impl(BuildingId from, BuildingId to,
                                                     bool compress) const {
   if (from >= map_->building_count() || to >= map_->building_count()) return std::nullopt;
@@ -42,9 +20,9 @@ std::optional<PlannedRoute> RoutePlanner::plan_impl(BuildingId from, BuildingId 
     route.buildings = {from};
     route.waypoints = {from};
   } else {
-    route.buildings = cache_ != nullptr
-                          ? cache_->tree(from, to).path_to(to)
-                          : graphx::dijkstra(map_->planning_graph(), from, to).path_to(to);
+    graphx::AltSearch local;
+    graphx::AltSearch& search = search_ != nullptr ? *search_ : local;
+    route.buildings = search.path(map_->planning_graph(), map_->landmarks(), from, to);
     if (route.buildings.empty()) return std::nullopt;
     route.waypoints = compress ? compress_route(route.buildings, *map_, conduit_)
                                : route.buildings;

@@ -50,40 +50,6 @@ ShortestPaths dijkstra(const Graph& g, VertexId source, std::optional<VertexId> 
   return sp;
 }
 
-IncrementalDijkstra::IncrementalDijkstra(const Graph& g, VertexId source)
-    : g_(&g), source_(source) {
-  const std::size_t n = g.vertex_count();
-  sp_.distance.assign(n, kInfiniteDistance);
-  sp_.parent.resize(n);
-  for (VertexId v = 0; v < n; ++v) sp_.parent[v] = v;
-  settled_.assign(n, 0);
-  sp_.distance[source] = 0.0;
-  heap_.reset(n, sp_.distance.data());
-  heap_.update(source);
-}
-
-const ShortestPaths& IncrementalDijkstra::ensure(VertexId target) {
-  if (target < settled_.size() && settled_[target] != 0) return sp_;
-  while (!heap_.empty()) {
-    const VertexId v = heap_.pop();  // settled: distance is final
-    settled_[v] = 1;
-    const double d = sp_.distance[v];
-    // Unlike a targeted dijkstra() we relax the target's own edges before
-    // breaking: the frontier must stay complete for the next ensure().
-    for (const Edge& e : g_->neighbors(v)) {
-      if (e.weight < 0.0) throw std::invalid_argument{"dijkstra: negative edge weight"};
-      const double nd = d + e.weight;
-      if (nd < sp_.distance[e.to]) {
-        sp_.distance[e.to] = nd;
-        sp_.parent[e.to] = v;
-        heap_.update(e.to);
-      }
-    }
-    if (v == target) break;
-  }
-  return sp_;
-}
-
 Graph essential_edges(const Graph& g) {
   const std::size_t n = g.vertex_count();
   double directed_total = 0.0;  // every edge counted twice: exactly 2·Ŵ

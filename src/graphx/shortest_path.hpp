@@ -1,9 +1,10 @@
 // Shortest-path algorithms over Graph.
 //
-// Dijkstra drives the paper's source-route planning (cubed-distance weights
-// over the building graph). Bellman-Ford exists solely as a test oracle for
-// the property suite. BFS measures the *minimum hop count* over the AP graph,
-// which is the denominator of the paper's transmission-overhead metric.
+// Dijkstra defines the paper's source-route planning (cubed-distance weights
+// over the building graph); graphx/alt.hpp answers the same queries faster.
+// Bellman-Ford exists solely as a test oracle for the property suite. BFS
+// measures the *minimum hop count* over the AP graph, which is the
+// denominator of the paper's transmission-overhead metric.
 #pragma once
 
 #include <limits>
@@ -50,6 +51,12 @@ class IndexedMinHeap {
   }
 
   bool empty() const { return heap_.empty(); }
+
+  /// Empty the heap in O(size), keeping the binding (reset() is O(V)).
+  void clear() {
+    for (const VertexId v : heap_) pos_[v] = 0;
+    heap_.clear();
+  }
 
   /// Insert `v`, or restore heap order after dist_[v] decreased.
   void update(VertexId v) {
@@ -116,43 +123,12 @@ class IndexedMinHeap {
   std::vector<std::uint32_t> pos_;  ///< index + 1 into heap_; 0 = absent
 };
 
-/// Resumable single-source Dijkstra: settles vertices on demand and keeps
-/// the frontier alive between queries, so asking for many targets from one
-/// source costs one (incrementally grown) run instead of one run per
-/// target. The pop/relaxation order is exactly dijkstra()'s — a query
-/// settles precisely the prefix a targeted dijkstra(g, source, target)
-/// would have settled, so extracted paths and distances are bit-identical
-/// to independent targeted runs (route caching relies on this).
-/// The graph must outlive the object and must not change under it.
-class IncrementalDijkstra {
- public:
-  IncrementalDijkstra(const Graph& g, VertexId source);
-
-  VertexId source() const { return source_; }
-
-  /// Grow the settled region until `target` is settled (or the frontier is
-  /// exhausted, leaving it unreachable). Returns the tree so far; only
-  /// settled vertices have final distances, which is all path_to(target)
-  /// needs.
-  const ShortestPaths& ensure(VertexId target);
-
-  /// The tree as grown so far, without settling anything new.
-  const ShortestPaths& tree() const { return sp_; }
-
- private:
-  const Graph* g_;
-  VertexId source_;
-  ShortestPaths sp_;
-  std::vector<char> settled_;
-  IndexedMinHeap heap_;  ///< bound to sp_.distance (stable after ctor)
-};
-
 /// The building graph's planning subgraph. Drops every edge (s, y) of
 /// weight c that some common neighbour x strictly dominates,
 /// w(s,x) + w(x,y) < c − m, and keeps every other edge in its CSR order.
-/// Dijkstra over the result (dijkstra(), IncrementalDijkstra) pops the same
-/// vertices in the same order with the same distances and parents as over
-/// `g`, so every extracted path is bit-identical. (Tentative distances of
+/// Dijkstra over the result pops the same vertices in the same order with
+/// the same distances and parents as over `g`, so every extracted path
+/// (dijkstra()'s, and so graphx::AltSearch's) is bit-identical. (Tentative distances of
 /// vertices a targeted run leaves unsettled may differ; nothing reads them.)
 /// Cubed-distance weights make most long edges dominated: 75–84% of the
 /// built-in cities' building edges go. Throws std::invalid_argument on a

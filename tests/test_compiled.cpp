@@ -8,9 +8,13 @@
 // throw out of the event loop — must become counted drops.
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/ap_agent.hpp"
 #include "core/compiled_message.hpp"
@@ -315,6 +319,52 @@ TEST(CompiledShards, CompileCountersMatchAcrossShardCounts) {
       EXPECT_EQ(metrics, one_tile) << shards;
     }
   }
+}
+
+// ------------------------------------------- shared landmark table ---
+
+// The ALT landmark table is built lazily, once per map, by the first plan.
+// Networks on one shared CompiledCity, built on four threads, make their
+// first plans at the same moment: one build, no race (TSan runs this
+// suite), and every thread plans the routes a lone planner plans.
+TEST(CompiledSharing, ConcurrentFirstPlansShareTheLandmarkTable) {
+  const core::NetworkConfig config;
+  const auto compiled = core::compile_city(test_city("alt-share", 404), config);
+  const auto n = compiled->map.building_count();
+  geo::Rng rng{9};
+  std::vector<std::pair<core::BuildingId, core::BuildingId>> pairs;
+  for (int i = 0; i < 24; ++i) {
+    pairs.emplace_back(static_cast<core::BuildingId>(rng.uniform_int(n)),
+                       static_cast<core::BuildingId>(rng.uniform_int(n)));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::optional<core::PlannedRoute>>> routes(kThreads);
+  std::latch start{kThreads};
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      const core::CityMeshNetwork net{compiled, config};
+      start.arrive_and_wait();
+      for (const auto& [from, to] : pairs) routes[k].push_back(net.planner().plan(from, to));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const core::RoutePlanner lone{compiled->map, config.conduit};
+  std::size_t found = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto expected = lone.plan(pairs[i].first, pairs[i].second);
+    found += expected.has_value() ? 1 : 0;
+    for (std::size_t k = 0; k < kThreads; ++k) {
+      ASSERT_EQ(routes[k][i].has_value(), expected.has_value()) << k << ' ' << i;
+      if (!expected) continue;
+      EXPECT_EQ(routes[k][i]->buildings, expected->buildings) << k << ' ' << i;
+      EXPECT_EQ(routes[k][i]->waypoints, expected->waypoints) << k << ' ' << i;
+    }
+  }
+  EXPECT_GT(found, pairs.size() / 2);
+  EXPECT_FALSE(compiled->map.landmarks().empty());
 }
 
 // ------------------------------------------------- pinned event sequence ---

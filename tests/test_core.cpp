@@ -364,9 +364,10 @@ TEST(RoutePlanner, CubedWeightsPreferShortHops) {
 // The planning graph (essential edges) must plan exactly what the full
 // building graph plans — buildings, waypoints and header bits — for every
 // built-in profile and every edge-weight policy, over hotspot flows and
-// uniform random pairs, with and without the shared shortest-path cache.
+// uniform random pairs, with a per-plan and with a shared search workspace.
 TEST(RoutePlanner, PlanningGraphMatchesFullGraphOnEveryProfile) {
   std::size_t compared = 0;
+  graphx::AltSearch search;  // one workspace across every map and policy
   for (const auto& profile : osmx::default_profiles()) {
     const osmx::City city = osmx::generate_city(profile);
     trafficx::WorkloadSpec spec;
@@ -394,13 +395,12 @@ TEST(RoutePlanner, PlanningGraphMatchesFullGraphOnEveryProfile) {
       if (policy != core::EdgeWeight::kLinear) {
         EXPECT_LT(map.planning_graph().edge_count(), map.graph().edge_count()) << profile.name;
       }
-      core::SptCache cache{map.planning_graph()};
-      const core::RoutePlanner uncached{map, {}};
-      const core::RoutePlanner cached{map, {}, &cache};
+      const core::RoutePlanner local{map, {}};
+      const core::RoutePlanner shared{map, {}, &search};
       for (const auto& [from, to] : pairs) {
         if (from == to) continue;
         const auto full = graphx::dijkstra(map.graph(), from, to).path_to(to);
-        for (const core::RoutePlanner* planner : {&uncached, &cached}) {
+        for (const core::RoutePlanner* planner : {&local, &shared}) {
           const auto route = planner->plan(from, to);
           ASSERT_EQ(route.has_value(), !full.empty()) << profile.name << ' ' << from << "->" << to;
           if (!route) continue;

@@ -1,12 +1,15 @@
 // Tests for the graph substrate: CSR construction, Dijkstra (validated
-// against the Bellman-Ford oracle on random graphs), BFS, connected
-// components, and union-find.
+// against the Bellman-Ford oracle on random graphs), ALT (validated against
+// Dijkstra), BFS, connected components, and union-find.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "geo/rng.hpp"
+#include "graphx/alt.hpp"
 #include "graphx/graph.hpp"
 #include "graphx/shortest_path.hpp"
 
@@ -198,15 +201,26 @@ namespace {
 
 /// Random graph with small integer weights: many exact ties (a + b == c),
 /// which the prune must keep, beside strictly dominated edges it may drop.
-graphx::Graph integer_graph(std::uint64_t seed, std::size_t n, double edge_prob) {
+/// Weights are drawn from min_weight .. min_weight + weight_count - 1.
+graphx::Graph integer_graph(std::uint64_t seed, std::size_t n, double edge_prob,
+                            std::uint64_t weight_count = 6, double min_weight = 1.0) {
   Rng rng{seed};
   graphx::GraphBuilder b{n};
   for (graphx::VertexId i = 0; i < n; ++i) {
     for (graphx::VertexId j = i + 1; j < n; ++j) {
-      if (rng.chance(edge_prob)) b.add_edge(i, j, static_cast<double>(1 + rng.uniform_int(6)));
+      if (rng.chance(edge_prob)) {
+        b.add_edge(i, j, min_weight + static_cast<double>(rng.uniform_int(weight_count)));
+      }
     }
   }
   return b.build();
+}
+
+/// Four landmarks spread over the vertex ids (the graphs are random, so
+/// any spread is as good as another).
+std::vector<graphx::VertexId> four_landmarks(std::size_t n) {
+  const auto q = static_cast<graphx::VertexId>(n / 4);
+  return {0, q, 2 * q, 3 * q};
 }
 
 /// Near-tie graph: a heavy edge 0-1 lifts distances from vertex 0 to ~1e12,
@@ -245,7 +259,7 @@ void expect_ordered_subgraph(const graphx::Graph& full, const graphx::Graph& pru
   }
 }
 
-/// Full trees, targeted runs and resumed runs over the pruned graph must
+/// Full trees, targeted runs and ALT queries over the pruned graph must
 /// match the full graph exactly: settled distances, parents, paths.
 void expect_same_dijkstra(const graphx::Graph& full, const graphx::Graph& pruned,
                           std::uint64_t seed) {
@@ -256,20 +270,17 @@ void expect_same_dijkstra(const graphx::Graph& full, const graphx::Graph& pruned
     ASSERT_EQ(a.distance, b.distance) << "source " << s;
     ASSERT_EQ(a.parent, b.parent) << "source " << s;
   }
+  const graphx::LandmarkTable table{pruned, four_landmarks(n)};
+  graphx::AltSearch search;
   Rng rng{seed};
-  for (int trial = 0; trial < 10; ++trial) {
+  for (int trial = 0; trial < 80; ++trial) {
     const auto s = static_cast<graphx::VertexId>(rng.uniform_int(n));
-    graphx::IncrementalDijkstra resumed{pruned, s};
-    for (int q = 0; q < 8; ++q) {
-      const auto t = static_cast<graphx::VertexId>(rng.uniform_int(n));
-      const auto a = graphx::dijkstra(full, s, t);
-      const auto b = graphx::dijkstra(pruned, s, t);
-      ASSERT_EQ(a.path_to(t), b.path_to(t)) << s << "->" << t;
-      ASSERT_EQ(a.distance[t], b.distance[t]) << s << "->" << t;
-      const auto& c = resumed.ensure(t);
-      ASSERT_EQ(a.path_to(t), c.path_to(t)) << s << "->" << t << " (resumed)";
-      ASSERT_EQ(a.distance[t], c.distance[t]) << s << "->" << t << " (resumed)";
-    }
+    const auto t = static_cast<graphx::VertexId>(rng.uniform_int(n));
+    const auto a = graphx::dijkstra(full, s, t);
+    const auto b = graphx::dijkstra(pruned, s, t);
+    ASSERT_EQ(a.path_to(t), b.path_to(t)) << s << "->" << t;
+    ASSERT_EQ(a.distance[t], b.distance[t]) << s << "->" << t;
+    ASSERT_EQ(a.path_to(t), search.path(pruned, table, s, t)) << s << "->" << t << " (ALT)";
   }
 }
 
@@ -358,6 +369,97 @@ TEST_P(EssentialEdgesProperty, ParallelEdgesPreserveEveryTree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, EssentialEdgesProperty, ::testing::Range(0, 12));
+
+// ------------------------------------------------------------------ ALT ---
+
+namespace {
+
+/// Ordered pairs on which ALT does not return dijkstra(g, s, t).path_to(t)
+/// (a parent cycle, which AltSearch reports by throwing, counts as one).
+std::size_t alt_mismatches(const graphx::Graph& g, const graphx::LandmarkTable& table) {
+  const auto n = static_cast<graphx::VertexId>(g.vertex_count());
+  graphx::AltSearch search;
+  std::size_t mismatches = 0;
+  for (graphx::VertexId s = 0; s < n; ++s) {
+    for (graphx::VertexId t = 0; t < n; ++t) {
+      const auto expected = graphx::dijkstra(g, s, t).path_to(t);
+      bool same = false;
+      try {
+        same = search.path(g, table, s, t) == expected;
+      } catch (const std::logic_error&) {
+      }
+      if (!same && mismatches++ == 0) ADD_FAILURE() << "first mismatch " << s << "->" << t;
+    }
+  }
+  return mismatches;
+}
+
+}  // namespace
+
+TEST(Alt, LandmarkTableHoldsDijkstraDistances) {
+  const auto g = integer_graph(7, 60, 0.1, 4);
+  const std::vector<graphx::VertexId> landmarks{3, 30, 3};  // a repeat is harmless
+  const graphx::LandmarkTable table{g, landmarks};
+  ASSERT_EQ(table.landmark_count(), 3u);
+  for (std::size_t i = 0; i < landmarks.size(); ++i) {
+    const auto sp = graphx::dijkstra(g, landmarks[i]);
+    for (graphx::VertexId v = 0; v < 60; ++v)
+      EXPECT_EQ(table.distance(i, v), sp.distance[v]) << i << ' ' << v;
+  }
+}
+
+TEST(Alt, SourceEqualsTargetAndUnreachableTarget) {
+  graphx::GraphBuilder b{5};
+  b.add_edge(0, 1, 2.0);
+  b.add_edge(1, 2, 3.0);
+  b.add_edge(3, 4, 1.0);  // a second component
+  const auto g = b.build();
+  const std::vector<graphx::VertexId> landmarks{0, 4};
+  const graphx::LandmarkTable table{g, landmarks};
+  ASSERT_FALSE(table.empty());
+  graphx::AltSearch search;
+  EXPECT_EQ(search.path(g, table, 1, 1), (std::vector<graphx::VertexId>{1}));
+  EXPECT_TRUE(search.path(g, table, 0, 4).empty());
+  EXPECT_TRUE(search.path(g, table, 4, 0).empty());
+  EXPECT_EQ(search.path(g, table, 2, 0), (std::vector<graphx::VertexId>{2, 1, 0}));
+  EXPECT_EQ(search.path(g, table, 4, 3), (std::vector<graphx::VertexId>{4, 3}));
+}
+
+TEST(Alt, NegativeWeightThrows) {
+  graphx::GraphBuilder b{3};
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(1, 2, -1.0);
+  const auto g = b.build();
+  graphx::AltSearch search;
+  EXPECT_THROW(search.path(g, graphx::LandmarkTable{}, 0, 2), std::invalid_argument);
+}
+
+// Property: on tie-heavy integer graphs (weights 1-4 and 1-64) ALT over
+// four landmarks reproduces Dijkstra's path, equal-cost tie-breaks
+// included, for every ordered pair.
+class AltProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(AltProperty, MatchesDijkstraOnEveryPair) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  for (const std::uint64_t weights : {4ull, 64ull}) {
+    const auto g = integer_graph(seed * 31 + weights, 70, 0.08, weights);
+    const graphx::LandmarkTable table{g, four_landmarks(g.vertex_count())};
+    ASSERT_EQ(table.landmark_count(), 4u);
+    EXPECT_EQ(alt_mismatches(g, table), 0u) << "weights 1-" << weights;
+  }
+}
+
+// A zero-weight edge voids the tie argument (alt.hpp): the table must come
+// out empty, and the search must then still be Dijkstra on every pair.
+TEST_P(AltProperty, ZeroWeightEdgesEmptyTheTableAndStillMatch) {
+  const auto seed = static_cast<std::uint64_t>(GetParam()) + 100;
+  const auto g = integer_graph(seed, 70, 0.08, 5, 0.0);  // weights 0-4
+  const graphx::LandmarkTable table{g, four_landmarks(g.vertex_count())};
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(alt_mismatches(g, table), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGraphs, AltProperty, ::testing::Range(0, 6));
 
 // ------------------------------------------------------------------ BFS ---
 

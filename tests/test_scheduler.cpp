@@ -6,7 +6,6 @@
 //  - batched medium delivery against a delivery log computed directly from
 //    the medium's per-link hashed draws (sim::link_unit);
 //  - inline handler storage;
-//  - the resumable-Dijkstra route cache against independent targeted runs;
 //  - end-to-end manifest identity across worker pools of one and two
 //    threads, at one and four shards (the golden-digest guarantee in test
 //    form).
@@ -24,10 +23,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/route_planner.hpp"
 #include "geo/rng.hpp"
 #include "graphx/graph.hpp"
-#include "graphx/shortest_path.hpp"
 #include "runx/city_cache.hpp"
 #include "runx/sweep.hpp"
 #include "sim/medium.hpp"
@@ -471,65 +468,6 @@ TEST(InlineFn, OversizeCapturesFallBackToHeapCounted) {
   moved();
   EXPECT_EQ(result, 42);
   EXPECT_EQ(sim::InlineFn::heap_fallbacks(), before + 1);
-}
-
-// ------------------------------------------------- route cache identity -----
-
-graphx::Graph random_geometric_graph(std::uint64_t seed, std::size_t n) {
-  std::uint64_t state = seed;
-  graphx::GraphBuilder b{n};
-  // A connected chain plus random chords with irregular weights — enough
-  // structure for distinct shortest paths, enough randomness for tie traffic.
-  for (graphx::VertexId v = 0; v + 1 < n; ++v)
-    b.add_edge(v, v + 1, 1.0 + static_cast<double>(geo::splitmix64(state) % 16));
-  for (std::size_t i = 0; i < 3 * n; ++i) {
-    const auto a = static_cast<graphx::VertexId>(geo::splitmix64(state) % n);
-    const auto c = static_cast<graphx::VertexId>(geo::splitmix64(state) % n);
-    if (a == c) continue;
-    b.add_edge(a, c, 1.0 + static_cast<double>(geo::splitmix64(state) % 64));
-  }
-  return b.build();
-}
-
-TEST(SptCache, ResumedTreesMatchIndependentTargetedRuns) {
-  for (const std::uint64_t seed : {3ull, 17ull, 71ull}) {
-    const graphx::Graph g = random_geometric_graph(seed, 200);
-    core::SptCache cache{g};
-    std::uint64_t state = seed ^ 0xabcdefull;
-    for (int query = 0; query < 200; ++query) {
-      const auto from = static_cast<graphx::VertexId>(geo::splitmix64(state) % 200);
-      const auto to = static_cast<graphx::VertexId>(geo::splitmix64(state) % 200);
-      const auto& cached = cache.tree(from, to);
-      const auto fresh = graphx::dijkstra(g, from, to);
-      ASSERT_EQ(cached.path_to(to), fresh.path_to(to))
-          << "seed " << seed << " query " << query;
-      ASSERT_EQ(cached.distance[to], fresh.distance[to]);
-    }
-  }
-}
-
-TEST(SptCache, RepeatedSourcesHitWithoutRecomputing) {
-  const graphx::Graph g = random_geometric_graph(9, 150);
-  core::SptCache cache{g};
-  // Emergency-style traffic: every flow originates at one node.
-  for (graphx::VertexId to = 1; to < 100; ++to) cache.tree(0, to);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 98u);
-}
-
-TEST(IncrementalDijkstra, GrowsMonotonicallyAcrossTargets) {
-  const graphx::Graph g = random_geometric_graph(5, 120);
-  graphx::IncrementalDijkstra inc{g, 7};
-  // Querying near targets first, then far ones, must yield the same final
-  // answers as any other order (the settled region only grows).
-  std::vector<graphx::VertexId> order;
-  for (graphx::VertexId v = 0; v < 120; ++v) order.push_back(v);
-  std::reverse(order.begin() + 60, order.end());
-  for (const graphx::VertexId target : order) {
-    const auto& sp = inc.ensure(target);
-    const auto fresh = graphx::dijkstra(g, 7, target);
-    ASSERT_EQ(sp.path_to(target), fresh.path_to(target)) << "target " << target;
-  }
 }
 
 // ------------------------------------------------ end-to-end identity -------
