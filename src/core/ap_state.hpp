@@ -57,6 +57,12 @@ class AgentStateSlab {
     return true;
   }
 
+  /// Has `ap` already seen `message_id`? (Never records anything.)
+  bool has_seen(std::uint32_t ap, std::uint32_t message_id) const {
+    const std::vector<std::uint32_t>& seen = seen_[ap];
+    return std::binary_search(seen.begin(), seen.end(), message_id);
+  }
+
   /// Number of distinct messages this AP has seen (diagnostics).
   std::size_t seen_count(std::uint32_t ap) const { return seen_[ap].size(); }
 

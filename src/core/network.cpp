@@ -171,6 +171,15 @@ void CityMeshNetwork::build_tiles() {
     if (s->policy->kind() != relayx::PolicyKind::kFlood) {
       s->policy->bind_metrics(s->metrics);
     }
+    // Duplicates are settled at fan-out only where nothing can act on one:
+    // qfgeo arms greedy copies that duplicates cancel, and so may policies.
+    s->settler = config_.protocol == Protocol::kConduit && s->policy->ignores_duplicates();
+    if (s->settler) {
+      medium.set_duplicate_settler([this, sp](sim::NodeId to, const MeshPacket& packet,
+                                              sim::SimTime at, std::uint64_t seq) {
+        return settle_duplicate(*sp, to, packet, at, seq);
+      });
+    }
     s->n_rebroadcasts = &s->metrics.counter("net.rebroadcasts");
     s->n_dup_suppressed = &s->metrics.counter("net.dup_suppressed");
     s->n_conduit_rejects = &s->metrics.counter("net.conduit_rejects");
@@ -401,6 +410,11 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
     return;
   }
 
+  // The first accepted copy: later receptions here now settle on the seen
+  // set, so the message's first-arrival entry has done its job.
+  if (!s.first_arrival.empty()) {
+    s.first_arrival.erase((std::uint64_t{action.message_id} << 32) | to);
+  }
   if (action.delivered) record_delivery(s, to, action, now);
 
   if (action.rebroadcast) {
@@ -419,6 +433,46 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
     s.n_conduit_rejects->inc();
     s.trace.record(obsx::TraceKind::kConduitReject, now, node, action.message_id);
   }
+}
+
+bool CityMeshNetwork::settle_duplicate(Shard& s, sim::NodeId to, const MeshPacket& packet,
+                                       sim::SimTime at, std::uint64_t seq) {
+  // A reception is a no-op duplicate when delivering it would only count
+  // medium.deliveries and net.dup_suppressed. That holds when all of:
+  //  (a) a window is running and `at` is before its horizon, min(until,
+  //      next control event): AP status, tracing and degraded regions change
+  //      only in coordinator context, so `to` is still up at `at`;
+  //  (b) tracing is off on this tile (a traced run records every kRx and
+  //      kDupSuppressed at its own time);
+  //  (c) nothing acts on duplicates: conduit protocol and a policy that
+  //      ignores them (no observe, no pending copies, no cancels);
+  // (a)-(c) are folded into settle_before.
+  if (!(at < s.settle_before)) return false;
+  //  (d) the receiver is up now, hence at `at`;
+  //  (e) the packet carries a compiled, well-formed message, so the agent
+  //      reaches its seen-set check;
+  const CompiledMessage* msg = packet.compiled.get();
+  if (msg == nullptr || msg->malformed || ap_status_[to] != ApStatus::kUp) return false;
+  //  (f) `to` has seen the message already, or an earlier reception of it
+  //      to `to` is still queued: that one fires first, before the horizon,
+  //      with `to` up, and marks the message seen.
+  const std::uint32_t id = msg->header.message_id;
+  if (!agent_state_.has_seen(static_cast<std::uint32_t>(to), id)) {
+    const auto [it, fresh] =
+        s.first_arrival.try_emplace((std::uint64_t{id} << 32) | to, Shard::Arrival{at, seq});
+    if (fresh) return false;
+    Shard::Arrival& first = it->second;
+    // An entry due after now is still queued. One due now may have fired
+    // without marking the message seen (at a down receiver), so it is
+    // replaced like a past one. `seq` is fresh, so an entry due at `at` is
+    // always the earlier of the two.
+    if (!(first.time > s.sim.now()) || at < first.time) {
+      first = {at, seq};
+      return false;
+    }
+  }
+  s.n_dup_suppressed->inc();
+  return true;
 }
 
 void CityMeshNetwork::policy_relay(Shard& s, mesh::ApId to, std::uint32_t message_id,
@@ -567,6 +621,11 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
     const sim::SimTime end =
         lookahead_s_ >= sim::kForever ? cap : std::min(cap, earliest + lookahead_s_);
     const std::size_t budget = max_events - executed;
+    // Duplicates may settle up to `cap`: before it, nothing outside the
+    // tiles runs (settle_duplicate).
+    for (const auto& sp : shards_) {
+      sp->settle_before = sp->settler && !sp->trace.enabled() ? cap : -sim::kForever;
+    }
     if (shards_.size() == 1) {
       executed += shards_.front()->sim.run(end, budget);
     } else {
@@ -586,7 +645,12 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
       for (const double b : window_busy_s_) slowest = std::max(slowest, b);
       for (const double b : window_busy_s_) barrier_idle_s_ += slowest - b;
     }
+    for (const auto& sp : shards_) sp->settle_before = -sim::kForever;
     if (end > shard_now_) shard_now_ = end;
+  }
+  // A tile with nothing queued has no reception left for an entry to name.
+  for (const auto& sp : shards_) {
+    if (sp->sim.empty() && !sp->first_arrival.empty()) sp->first_arrival.clear();
   }
   merge_shard_deltas();
   return executed;
@@ -725,6 +789,7 @@ CityMeshNetwork::MediumTotals CityMeshNetwork::medium_totals() const {
   for (const auto& sp : shards_) {
     totals.transmissions += sp->medium.transmissions();
     totals.deliveries += sp->medium.deliveries();
+    totals.settled += sp->medium.settled();
     totals.deferrals += sp->medium.deferrals();
     totals.queue_drops += sp->medium.queue_drops();
     totals.airtime_s += sp->medium.total_airtime_s();

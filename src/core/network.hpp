@@ -303,7 +303,15 @@ class CityMeshNetwork {
   /// Run the tiles until `until` (inclusive) or `max_events` events.
   /// Returns the number of events executed (control events included), after
   /// merging the per-tile delivery deltas into the network-level outcome
-  /// state.
+  /// state. Untraced conduit-flood tiles settle provable duplicate
+  /// receptions at fan-out instead of queueing them (settle_duplicate); a
+  /// settled reception counts as an event, so an uncut run returns the same
+  /// count traced or not. It is charged to `max_events` when it is settled,
+  /// ahead of its arrival time: a run cut by the budget may already count
+  /// receptions due after the cut, and may overshoot the budget by one
+  /// fan-out per tile. Resuming such a run with nothing changed in between
+  /// ends exactly as an uncut run; the budget is a runaway guard, and no
+  /// shipped run reaches it.
   std::size_t run_until(sim::SimTime until,
                         std::size_t max_events = std::numeric_limits<std::size_t>::max());
   /// Schedule a coordinator-level event (workload injection, fault action).
@@ -330,6 +338,8 @@ class CityMeshNetwork {
   struct MediumTotals {
     std::size_t transmissions = 0;
     std::size_t deliveries = 0;
+    /// Of `deliveries`, the duplicates settled at fan-out (never queued).
+    std::size_t settled = 0;
     std::size_t deferrals = 0;
     std::size_t queue_drops = 0;
     double airtime_s = 0.0;
@@ -563,10 +573,32 @@ class CityMeshNetwork {
     // Cross-tile receptions created this window, drained at the barrier.
     std::vector<shardx::Handoff<MeshPacket>> outbox;
     std::uint64_t handoff_seq = 0;
+
+    // Duplicate settling (settle_duplicate). `settler` is installed when the
+    // protocol is conduit and the policy ignores duplicates; settle_before
+    // is the run's horizon while a window runs with tracing off, and -inf
+    // otherwise, so a reception settles only if it arrives before it.
+    bool settler = false;
+    sim::SimTime settle_before = -sim::kForever;
+    // Earliest queued reception of a message at an AP that has not seen it
+    // yet, keyed (message_id << 32 | ap): any later reception of the same
+    // message there is a duplicate. Written at fan-out, erased by the first
+    // accepted delivery.
+    struct Arrival {
+      sim::SimTime time;
+      std::uint64_t seq;
+    };
+    std::unordered_map<std::uint64_t, Arrival> first_arrival;
   };
 
   void handle_delivery(Shard& shard, sim::NodeId to, sim::NodeId from,
                        const std::shared_ptr<const MeshPacket>& packet);
+  /// The medium's duplicate settler for one tile-local reception arriving
+  /// at `at` with seq `seq`: true (and net.dup_suppressed counted) when the
+  /// reception is provably a no-op duplicate. See the definition for the
+  /// conditions.
+  bool settle_duplicate(Shard& shard, sim::NodeId to, const MeshPacket& packet,
+                        sim::SimTime at, std::uint64_t seq);
   /// A store into `ap`'s postboxes: count and trace it, update the
   /// message's record delta, and send the ack on its first delivery here.
   void record_delivery(Shard& shard, mesh::ApId ap, const AgentAction& action, double now);

@@ -56,6 +56,7 @@ class FloodPolicy final : public RebroadcastPolicy {
  public:
   using RebroadcastPolicy::RebroadcastPolicy;
 
+  bool ignores_duplicates() const override { return true; }
   Decision elect(const Reception&) override { return {Decision::Kind::kRelayNow, 0.0}; }
   bool cancel_on_overhear(const Reception&, std::uint32_t) override { return false; }
 };

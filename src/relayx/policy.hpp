@@ -135,6 +135,12 @@ class RebroadcastPolicy {
   /// here). Must be allocation-free; default no-op.
   virtual void observe(const Reception& rx) { (void)rx; }
 
+  /// True when a duplicate reception can never change this policy's state
+  /// or decisions: observe() is a no-op, elect() never arms a pending copy
+  /// and nothing is ever cancelled. The network may then settle duplicates
+  /// without delivering them (sim/medium.hpp). Default false.
+  virtual bool ignores_duplicates() const { return false; }
+
   /// First accepted copy at an AP the membership check elected: decide how
   /// (whether) to relay. Called once per (message, ap).
   virtual Decision elect(const Reception& rx) = 0;

@@ -38,6 +38,19 @@
 // kTx/kRx/kDropLoss/kDropFaulted/kDeferred/kDropQueue event per
 // physical-layer action.
 //
+// Settled duplicates: most receptions of a flood reach an AP that already
+// holds the message and only bump two counters. set_duplicate_settler()
+// installs the owner's predicate, asked once per tile-local reception that
+// survived link_fate, after its latency is recorded and its seq reserved.
+// When it answers true the reception is settled: the medium counts it under
+// deliveries and as a processed simulator event (Simulator::count_settled),
+// the owner counts whatever its handler would have, and nothing is queued.
+// Contract: the predicate may answer true only when delivering the packet
+// to `to` at `at` would provably do nothing else: no trace event, no state
+// change, no effect on any other draw or event. The surviving receptions
+// keep their (time, seq) keys, so the rest of the run is unchanged.
+// Cross-tile receptions (the remote fan-out hook) are never settled.
+//
 // Packet immutability contract: the medium fans one
 // shared_ptr<const Packet> out to every receiver, queues it behind busy
 // channels, and captures it in backoff/retransmit closures — the same object
@@ -143,6 +156,12 @@ class BroadcastMedium {
       std::function<void(NodeId from, const std::shared_ptr<const Packet>&, SimTime air,
                          std::uint32_t tx_index)>;
 
+  /// Duplicate settler (see the header comment): (receiver, packet, arrival
+  /// time, reserved seq) -> true when the reception provably does nothing
+  /// but count, and the owner has counted its side of it.
+  using SettleFn =
+      std::function<bool(NodeId to, const Packet&, SimTime at, std::uint64_t seq)>;
+
   BroadcastMedium(Simulator& simulator, const graphx::Graph& topology, MediumConfig config)
       : sim_(simulator),
         topology_(topology),
@@ -184,6 +203,10 @@ class BroadcastMedium {
   /// topology: the hook carries every on-air packet to the links the tile
   /// filter (or a tile subgraph) omits.
   void set_remote_fanout(RemoteFanoutFn fn) { remote_fanout_ = std::move(fn); }
+
+  /// Install the duplicate settler. Pass nullptr to clear (every reception
+  /// is queued).
+  void set_duplicate_settler(SettleFn fn) { settle_ = std::move(fn); }
 
   /// Restrict local fan-out to neighbors whose tile equals `tile` in the
   /// external per-node table `node_tile` (one entry per topology vertex;
@@ -292,6 +315,10 @@ class BroadcastMedium {
   std::size_t blocked_transmissions() const { return blocked_transmissions_->value(); }
   /// In-flight deliveries dropped because the receiver was down.
   std::size_t blocked_receptions() const { return blocked_receptions_->value(); }
+  /// Deliveries settled at fan-out (set_duplicate_settler): counted in
+  /// deliveries(), never queued. Kept outside the metrics registry, so
+  /// manifests read the same whether or not a reception was settled.
+  std::size_t settled() const { return settled_; }
   /// Transmits queued behind a busy channel (contention model).
   std::size_t deferrals() const { return deferrals_->value(); }
   /// Transmits dropped because the node's queue was full (contention model).
@@ -321,6 +348,7 @@ class BroadcastMedium {
     deferrals_->reset();
     queue_drops_->reset();
     airtime_us_->reset();
+    settled_ = 0;
     for (double& a : airtime_) a = 0.0;
     for (std::uint32_t& c : tx_counts_) c = 0;
   }
@@ -481,7 +509,14 @@ class BroadcastMedium {
       // produced; the entry just lives in the batch instead of the queue.
       const SimTime at = sim_.now() + *delay;
       sim_.record_queue_latency(at - sim_.now());
-      batch->entries.push_back({at, sim_.reserve_seq(), to});
+      const std::uint64_t seq = sim_.reserve_seq();
+      if (settle_ && settle_(to, *packet, at, seq)) {
+        deliveries_->inc();
+        ++settled_;
+        sim_.count_settled();
+        continue;
+      }
+      batch->entries.push_back({at, seq, to});
     }
     if (batch->entries.empty()) {
       release_batch(batch);
@@ -552,6 +587,7 @@ class BroadcastMedium {
   PacketBitsFn packet_bits_;
   TxObserverFn tx_observer_;
   RemoteFanoutFn remote_fanout_;
+  SettleFn settle_;
   std::vector<std::unique_ptr<DeliveryBatch>> all_batches_;  ///< owns every batch
   std::vector<DeliveryBatch*> free_batches_;  ///< batches not currently in flight
   // Per-node transmitter slabs (all empty when contention is off).
@@ -562,6 +598,7 @@ class BroadcastMedium {
   std::vector<std::shared_ptr<const Packet>> ring_slots_;  ///< tx_queue_capacity per ring
   std::vector<std::uint32_t> free_rings_;
   std::vector<std::uint32_t> tx_counts_;  ///< per-node on-air count (link_unit key)
+  std::size_t settled_ = 0;
   const std::uint32_t* tile_filter_ = nullptr;  ///< per-node tile table (shardx)
   std::uint32_t tile_ = 0;
   obsx::MetricsRegistry own_;  ///< fallback registry until bind_metrics()

@@ -21,12 +21,13 @@ void Simulator::advance_to(SimTime t) {
 }
 
 std::size_t Simulator::run(SimTime until, std::size_t max_events) {
-  std::size_t count = 0;
-  while (count < max_events && !queue_.empty()) {
+  // Counted through processed_, so receptions settled during this call
+  // (count_settled) spend the budget like the events they replace.
+  const std::size_t processed_before = processed_;
+  while (processed_ - processed_before < max_events && !queue_.empty()) {
     const EventQueue::Node top = queue_.top();
     if (top.time > until) break;
     now_ = top.time;
-    ++count;
     ++processed_;
     if (!is_handler(top.ref)) {
       // One reception of a batched transmission, advanced in place. Exact:
@@ -54,7 +55,7 @@ std::size_t Simulator::run(SimTime until, std::size_t max_events) {
     fn();
   }
   if (queue_.empty() && until != kForever && now_ < until) now_ = until;
-  return count;
+  return processed_ - processed_before;
 }
 
 }  // namespace citymesh::sim

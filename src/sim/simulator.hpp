@@ -82,7 +82,8 @@ class Simulator {
   std::uint64_t cancel_misses() const { return cancel_misses_; }
 
   /// Run until the queue drains, `until` is reached, or `max_events` have
-  /// been processed. Returns the number of events processed by this call.
+  /// been processed. Returns the number of events processed by this call,
+  /// receptions settled at fan-out (count_settled) included.
   std::size_t run(SimTime until = kForever,
                   std::size_t max_events = std::numeric_limits<std::size_t>::max());
 
@@ -123,6 +124,12 @@ class Simulator {
   void record_queue_latency(SimTime dt) {
     if (latency_) latency_->record(dt);
   }
+
+  /// Count one reception the medium settled at fan-out instead of queueing
+  /// (sim/medium.hpp): it had its seq reserved and its latency recorded, and
+  /// it counts as a processed event — against run()'s max_events budget too
+  /// — so event counts match a run that queued it.
+  void count_settled() { ++processed_; }
 
   /// Insert `batch` keyed by its first entry. `seq` must come from
   /// reserve_seq() and `t` must be >= now(). The batch object must stay

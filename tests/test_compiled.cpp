@@ -8,7 +8,10 @@
 // throw out of the event loop — must become counted drops.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <latch>
+#include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "cryptox/sealed.hpp"
 #include "geo/rng.hpp"
 #include "osmx/citygen.hpp"
+#include "trafficx/workload.hpp"
 #include "wire/packet.hpp"
 #include "lone_agent.hpp"
 
@@ -32,6 +36,9 @@ namespace obsx = citymesh::obsx;
 namespace osmx = citymesh::osmx;
 namespace wire = citymesh::wire;
 namespace cryptox = citymesh::cryptox;
+namespace mesh = citymesh::mesh;
+namespace relayx = citymesh::relayx;
+namespace trafficx = citymesh::trafficx;
 
 namespace {
 
@@ -509,4 +516,362 @@ TEST(CompiledTrace, MalformedKindRoundTripsThroughJsonl) {
   const auto back = obsx::parse_trace_line(line, &error);
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_EQ(*back, e);
+}
+
+// ---------------------------------------------------- settled duplicates ---
+
+// An untraced run settles provable duplicate receptions at fan-out instead
+// of queueing them (CityMeshNetwork::settle_duplicate). Tracing is the off
+// switch: a traced run queues and records every reception, so each test
+// below runs the same inputs traced and untraced and requires the same
+// merged metrics, flow records and event counts.
+namespace {
+
+/// Everything a run reports that settling must not change.
+struct RunRecord {
+  std::string metrics;
+  std::vector<core::FlowState> flows;
+  std::size_t events = 0;   ///< run_until's returns, summed
+  std::size_t settled = 0;  ///< receptions settled at fan-out
+  std::size_t blocked = 0;  ///< receptions dropped at a down receiver
+};
+
+/// A network with every flow of `schedule` injected by a control event at
+/// its start; every other flow asks for an ack to a postbox in its source
+/// building. The message ids land in `ids`, which must outlive the run.
+std::unique_ptr<core::CityMeshNetwork> load_network(
+    const std::shared_ptr<const core::CompiledCity>& compiled, const core::NetworkConfig& cfg,
+    const trafficx::FlowSchedule& schedule, bool traced, std::vector<std::uint32_t>& ids) {
+  auto net = std::make_unique<core::CityMeshNetwork>(compiled, cfg);
+  net->set_tracing(traced);
+  ids.assign(schedule.flows.size(), 0);
+  for (std::size_t i = 0; i < schedule.flows.size(); ++i) {
+    const trafficx::Flow& flow = schedule.flows[i];
+    const auto to =
+        core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(500 + flow.dst), flow.dst);
+    const auto back =
+        core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(900 + flow.src), flow.src);
+    net->register_postbox(to);
+    net->register_postbox(back);
+    core::SendOptions opts;
+    if (i % 2 == 1) {
+      opts.request_ack = true;
+      opts.ack_to = back;
+    }
+    core::CityMeshNetwork* n = net.get();
+    net->schedule_control(flow.start_s, [n, &ids, &flow, to, opts, i] {
+      const std::vector<std::uint8_t> payload(flow.payload_bytes, 0x42);
+      ids[i] = n->inject(flow.src, to, payload, opts).message_id;
+    });
+  }
+  return net;
+}
+
+RunRecord record(const core::CityMeshNetwork& net, const std::vector<std::uint32_t>& ids,
+                 std::size_t events) {
+  RunRecord r;
+  const obsx::MetricsSnapshot metrics = net.merged_metrics();
+  r.metrics = metrics.to_json();
+  for (const std::uint32_t id : ids) {
+    if (id == 0) continue;
+    const core::FlowState* state = net.flow_state(id);
+    if (state != nullptr) r.flows.push_back(*state);
+    if (state != nullptr && state->ack_message_id != 0) {
+      if (const core::FlowState* ack = net.flow_state(state->ack_message_id)) {
+        r.flows.push_back(*ack);
+      }
+    }
+  }
+  r.events = events;
+  r.settled = net.medium_totals().settled;
+  r.blocked = metrics.counters.at("medium.blocked_receptions");
+  return r;
+}
+
+void expect_same_run(const RunRecord& traced, const RunRecord& untraced,
+                     const std::string& label) {
+  EXPECT_EQ(untraced.metrics, traced.metrics) << label;
+  EXPECT_EQ(untraced.events, traced.events) << label;
+  ASSERT_EQ(untraced.flows.size(), traced.flows.size()) << label;
+  for (std::size_t i = 0; i < traced.flows.size(); ++i) {
+    const core::FlowState& a = traced.flows[i];
+    const core::FlowState& b = untraced.flows[i];
+    const std::string at = label + " flow " + std::to_string(i);
+    EXPECT_EQ(b.injected_at_s, a.injected_at_s) << at;
+    EXPECT_EQ(b.source_ap, a.source_ap) << at;
+    EXPECT_EQ(b.delivered, a.delivered) << at;
+    EXPECT_EQ(b.delivery_time_s, a.delivery_time_s) << at;
+    EXPECT_EQ(b.postboxes_reached, a.postboxes_reached) << at;
+    EXPECT_EQ(b.transmissions, a.transmissions) << at;
+    EXPECT_EQ(b.ack_message_id, a.ack_message_id) << at;
+    EXPECT_EQ(b.ack_received, a.ack_received) << at;
+  }
+}
+
+/// Run `schedule` traced and untraced, driving each network through
+/// `drive` (which returns the summed run_until event counts).
+using Drive = std::function<std::size_t(core::CityMeshNetwork&)>;
+std::pair<RunRecord, RunRecord> traced_and_untraced(
+    const std::shared_ptr<const core::CompiledCity>& compiled, const core::NetworkConfig& cfg,
+    const trafficx::FlowSchedule& schedule, const Drive& drive) {
+  std::vector<std::uint32_t> ids;
+  auto traced = load_network(compiled, cfg, schedule, /*traced=*/true, ids);
+  const std::size_t traced_events = drive(*traced);
+  const RunRecord a = record(*traced, ids, traced_events);
+  auto untraced = load_network(compiled, cfg, schedule, /*traced=*/false, ids);
+  const std::size_t untraced_events = drive(*untraced);
+  return {a, record(*untraced, ids, untraced_events)};
+}
+
+osmx::City settle_town(std::uint64_t seed, double w, double h) {
+  osmx::CityProfile p;
+  p.name = "settle-town-" + std::to_string(seed);
+  p.width_m = w;
+  p.height_m = h;
+  p.park_fraction = 0.0;
+  p.seed = seed;
+  return osmx::generate_city(p);
+}
+
+core::NetworkConfig settle_config(std::size_t shards) {
+  core::NetworkConfig cfg;
+  cfg.placement.density_per_m2 = 1.0 / 60.0;
+  cfg.placement.seed = 5;
+  cfg.medium.jitter_s = 0.0;
+  cfg.medium.loss_probability = 0.0;
+  cfg.medium.bitrate_bps = 250'000.0;
+  cfg.trace_capacity = std::size_t{1} << 18;
+  cfg.shards = shards;
+  return cfg;
+}
+
+trafficx::FlowSchedule settle_schedule(const osmx::City& city, std::uint64_t seed,
+                                       double duration_s, double rate_per_s) {
+  trafficx::WorkloadSpec spec;
+  spec.seed = seed;
+  spec.duration_s = duration_s;
+  spec.rate_per_s = rate_per_s;
+  spec.payload_min_bytes = 64;
+  spec.payload_max_bytes = 128;
+  return trafficx::compile(spec, city);
+}
+
+}  // namespace
+
+// A pinned town where jitter reorders arrivals: some AP hears a later
+// transmission before an earlier one, so a later fan-out supersedes the
+// first-arrival entry the earlier one wrote. The entry must always name the
+// true first arrival, which is never settled: a town-wide geo-broadcast
+// stores into a postbox in every building at that building's first
+// arrival, and those times, like every counter, match the traced run.
+TEST(SettledDuplicates, LaterFanOutSupersedesTheFirstArrival) {
+  core::NetworkConfig cfg = settle_config(1);
+  cfg.medium.jitter_s = 5e-3;
+  cfg.medium.bitrate_bps = 0.0;
+  const auto compiled = core::compile_city(settle_town(71, 500, 400), cfg);
+  const auto buildings = static_cast<core::BuildingId>(compiled->city.building_count());
+  struct Flood {
+    RunRecord run;
+    std::vector<double> stored_at;  ///< per building; -1 when nothing stored
+    std::vector<obsx::TraceEvent> events;
+  };
+  const auto flood = [&](bool traced) {
+    core::CityMeshNetwork net{compiled, cfg};
+    net.set_tracing(traced);
+    std::vector<std::shared_ptr<core::Postbox>> boxes;
+    for (core::BuildingId b = 0; b < buildings; ++b) {
+      boxes.push_back(net.register_postbox(
+          core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(100 + b), b)));
+    }
+    const core::BroadcastOutcome out =
+        net.broadcast(0, buildings / 2, 1000.0, bytes_of("supersede"));
+    EXPECT_GT(out.postboxes_reached, 10u);
+    Flood f;
+    f.run = record(net, {}, net.medium_totals().deliveries);
+    for (const auto& box : boxes) {
+      double at = -1.0;
+      if (box != nullptr) {
+        for (const core::StoredMessage& m : box->retrieve()) at = m.stored_at_s;
+      }
+      f.stored_at.push_back(at);
+    }
+    if (traced) f.events = net.merged_trace_events();
+    return f;
+  };
+  const Flood traced = flood(true);
+  const Flood untraced = flood(false);
+  expect_same_run(traced.run, untraced.run, "supersede");
+  EXPECT_EQ(untraced.stored_at, traced.stored_at);
+  EXPECT_EQ(traced.run.settled, 0u);
+  EXPECT_GT(untraced.run.settled, 0u);
+  const std::vector<obsx::TraceEvent>& events = traced.events;
+
+  // Replay the first-arrival table from the traced timeline. Per receiver,
+  // walk its receptions in fan-out (kTx) order up to its first arrival;
+  // a fan-out whose arrival beats every earlier one's supersedes the entry.
+  // The first kTx is the source's own transmission, made before the run
+  // starts, so it writes no entry.
+  std::map<std::uint32_t, double> tx_time;
+  std::map<std::uint32_t, std::vector<std::pair<double, double>>> arrivals;  // rx -> (tx, rx)
+  std::map<std::uint32_t, double> first_rx;
+  bool source = true;
+  for (const obsx::TraceEvent& e : events) {
+    if (e.kind == obsx::TraceKind::kTx) {
+      if (!source) tx_time.emplace(e.node, e.time_s);
+      source = false;
+    } else if (e.kind == obsx::TraceKind::kRx) {
+      first_rx.emplace(e.node, e.time_s);
+      if (const auto it = tx_time.find(e.payload.peer); it != tx_time.end()) {
+        arrivals[e.node].emplace_back(it->second, e.time_s);
+      }
+    }
+  }
+  std::size_t supersedes = 0;
+  for (auto& [node, list] : arrivals) {
+    std::sort(list.begin(), list.end());
+    double entry = std::numeric_limits<double>::infinity();
+    for (const auto& [tx, rx] : list) {
+      if (tx >= first_rx.at(node)) break;
+      if (entry < std::numeric_limits<double>::infinity() && rx < entry) ++supersedes;
+      entry = std::min(entry, rx);
+    }
+  }
+  EXPECT_GT(supersedes, 0u);
+}
+
+// The property: over random small towns, every relay policy and protocol,
+// K = 1, 2, 4, with loss and jitter off and on, the untraced run's merged
+// metrics, flow records (acks included) and event counts equal the traced
+// run's. Only conduit flood settles anything.
+TEST(SettledDuplicates, UntracedRunsMatchTracedOnesAcrossTheGrid) {
+  std::size_t settling_runs = 0;
+  for (const std::uint64_t town : {std::uint64_t{41}, std::uint64_t{42}}) {
+    const auto compiled = core::compile_city(settle_town(town, 450, 350), settle_config(1));
+    const trafficx::FlowSchedule schedule =
+        settle_schedule(compiled->city, town * 7, 1.5, 4.0);
+    ASSERT_GE(schedule.flows.size(), 3u);
+    for (const auto protocol : {core::Protocol::kConduit, core::Protocol::kQfgeo}) {
+      for (const auto policy : {relayx::PolicyKind::kFlood, relayx::PolicyKind::kBuildingBackoff,
+                                relayx::PolicyKind::kEtxPriority}) {
+        for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+          for (const bool draws : {false, true}) {
+            core::NetworkConfig cfg = settle_config(shards);
+            cfg.protocol = protocol;
+            cfg.relay.kind = policy;
+            if (draws) {
+              cfg.medium.jitter_s = 2e-3;
+              cfg.medium.loss_probability = 0.1;
+            }
+            const std::string label =
+                "town " + std::to_string(town) + " " + std::string{core::to_string(protocol)} +
+                " " + std::string{relayx::to_string(policy)} + " K=" + std::to_string(shards) +
+                (draws ? " draws" : " draw-free");
+            const auto [traced, untraced] = traced_and_untraced(
+                compiled, cfg, schedule,
+                [](core::CityMeshNetwork& net) { return net.run_until(10.0); });
+            expect_same_run(traced, untraced, label);
+            EXPECT_EQ(traced.settled, 0u) << label;
+            const bool settles =
+                protocol == core::Protocol::kConduit && policy == relayx::PolicyKind::kFlood;
+            if (settles) {
+              EXPECT_GT(untraced.settled, 0u) << label;
+              ++settling_runs;
+            } else {
+              EXPECT_EQ(untraced.settled, 0u) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(settling_runs, 12u);
+}
+
+// ------------------------------------------------------------ horizons ---
+
+// A blackout that lands mid-flood as a control event, and its restoration:
+// receptions due after either are never settled on the pre-event state.
+TEST(SettledDuplicates, LiveBlackoutMidFloodMatchesTracedRun) {
+  const auto compiled = core::compile_city(settle_town(43, 600, 450), settle_config(1));
+  const trafficx::FlowSchedule schedule = settle_schedule(compiled->city, 5, 0.5, 6.0);
+  ASSERT_GE(schedule.flows.size(), 1u);
+  const double first = schedule.flows.front().start_s;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    const auto drive = [&](core::CityMeshNetwork& net) {
+      const auto blackout = [&net](core::ApStatus status) {
+        for (const mesh::AccessPoint& ap : net.aps().aps()) {
+          if (ap.position.x < 300.0) net.set_ap_status(ap.id, status);
+        }
+      };
+      net.schedule_control(first + 0.008, [=] { blackout(core::ApStatus::kDown); });
+      net.schedule_control(first + 0.020, [=] { blackout(core::ApStatus::kUp); });
+      return net.run_until(10.0);
+    };
+    const auto [traced, untraced] =
+        traced_and_untraced(compiled, settle_config(shards), schedule, drive);
+    const std::string label = "K=" + std::to_string(shards);
+    expect_same_run(traced, untraced, label);
+    EXPECT_GT(traced.blocked, 0u) << label;  // the blackout cut into a flood
+    EXPECT_GT(untraced.settled, 0u) << label;
+  }
+}
+
+// AP status flipped by the caller between two run_until calls: the first
+// call's horizon is its `until`, so nothing due after it was settled.
+TEST(SettledDuplicates, StatusFlipBetweenRunsMatchesTracedRun) {
+  const auto compiled = core::compile_city(settle_town(44, 600, 450), settle_config(1));
+  const trafficx::FlowSchedule schedule = settle_schedule(compiled->city, 6, 0.5, 6.0);
+  ASSERT_GE(schedule.flows.size(), 1u);
+  const double first = schedule.flows.front().start_s;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    const auto drive = [&](core::CityMeshNetwork& net) {
+      const auto flip = [&net](core::ApStatus status) {
+        for (const mesh::AccessPoint& ap : net.aps().aps()) {
+          if (ap.position.x < 300.0) net.set_ap_status(ap.id, status);
+        }
+      };
+      std::size_t events = net.run_until(first + 0.008);
+      flip(core::ApStatus::kDown);
+      events += net.run_until(first + 0.020);
+      flip(core::ApStatus::kUp);
+      return events + net.run_until(10.0);
+    };
+    const auto [traced, untraced] =
+        traced_and_untraced(compiled, settle_config(shards), schedule, drive);
+    const std::string label = "K=" + std::to_string(shards);
+    expect_same_run(traced, untraced, label);
+    EXPECT_GT(traced.blocked, 0u) << label;
+    EXPECT_GT(untraced.settled, 0u) << label;
+  }
+}
+
+// A run cut by max_events: settled receptions are charged to the budget
+// when they are settled, at fan-out, so the cut lands after at most one
+// fan-out's worth of settled receptions past the budget, and it may count
+// receptions due after the cut. Resumed with nothing changed in between,
+// the run finishes exactly where the uncut traced run does.
+TEST(SettledDuplicates, MaxEventsCutChargesSettledReceptionsAtFanOut) {
+  const auto compiled = core::compile_city(settle_town(45, 450, 350), settle_config(1));
+  const trafficx::FlowSchedule schedule = settle_schedule(compiled->city, 8, 1.0, 4.0);
+  std::size_t max_degree = 0;
+  for (mesh::ApId ap = 0; ap < compiled->aps.ap_count(); ++ap) {
+    max_degree = std::max(max_degree, compiled->aps.graph().neighbors(ap).size());
+  }
+  const std::size_t budget = 2000;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    const std::string label = "K=" + std::to_string(shards);
+    std::vector<std::uint32_t> ids;
+    auto uncut = load_network(compiled, settle_config(shards), schedule, true, ids);
+    const RunRecord whole = record(*uncut, ids, uncut->run_until(10.0));
+    ASSERT_GT(whole.events, 2 * budget) << label;
+
+    auto cut = load_network(compiled, settle_config(shards), schedule, false, ids);
+    const std::size_t first = cut->run_until(10.0, budget);
+    EXPECT_GE(first, budget) << label;
+    // One window per tile may overshoot by one fan-out of settled receptions.
+    EXPECT_LT(first, budget + shards * max_degree) << label;
+    EXPECT_GT(cut->medium_totals().settled, 0u) << label;
+    const std::size_t rest = cut->run_until(10.0);
+    expect_same_run(whole, record(*cut, ids, first + rest), label);
+  }
 }

@@ -1,7 +1,9 @@
 // Tests for the discrete-event engine and the broadcast medium.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "graphx/graph.hpp"
@@ -261,4 +263,76 @@ TEST(Medium, FloodOverLineReachesEnd) {
   s.run();
   EXPECT_TRUE(seen[n - 1]);
   EXPECT_EQ(medium.transmissions(), n);  // everyone transmits exactly once
+}
+
+namespace {
+
+/// One flood over a 6-node clique with jitter: every first-time receiver
+/// retransmits. With `settle` on, the medium's settler drops receptions
+/// at nodes that have already seen the packet, as a network does.
+struct CliqueFlood {
+  std::vector<std::tuple<double, sim::NodeId, sim::NodeId>> first_receptions;
+  std::size_t handled = 0;
+  std::size_t deliveries = 0;
+  std::size_t settled = 0;
+  std::size_t events = 0;
+  std::uint64_t latency_total = 0;
+};
+
+CliqueFlood clique_flood(bool settle) {
+  const std::size_t n = 6;
+  graphx::GraphBuilder b{n};
+  for (graphx::VertexId u = 0; u < n; ++u) {
+    for (graphx::VertexId v = u + 1; v < n; ++v) b.add_edge(u, v, 10.0 * (u + v + 1));
+  }
+  const auto topo = b.build();
+  sim::Simulator s;
+  citymesh::obsx::Histogram latency{citymesh::obsx::exponential_buckets(1e-4, 4.0, 10)};
+  s.set_latency_histogram(&latency);
+  sim::MediumConfig cfg;
+  cfg.jitter_s = 5e-3;
+  sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+  std::vector<bool> seen(n, false);
+  CliqueFlood out;
+  medium.set_delivery_handler(
+      [&](sim::NodeId to, sim::NodeId from, const std::shared_ptr<const TestPacket>& p) {
+        ++out.handled;
+        if (seen[to]) return;
+        seen[to] = true;
+        out.first_receptions.emplace_back(s.now(), to, from);
+        medium.transmit(to, p);
+      });
+  if (settle) {
+    medium.set_duplicate_settler(
+        [&](sim::NodeId to, const TestPacket&, sim::SimTime, std::uint64_t) {
+          return static_cast<bool>(seen[to]);
+        });
+  }
+  seen[0] = true;
+  medium.transmit(0, std::make_shared<const TestPacket>());
+  s.run();
+  out.deliveries = medium.deliveries();
+  out.settled = medium.settled();
+  out.events = s.events_processed();
+  out.latency_total = latency.total();
+  return out;
+}
+
+}  // namespace
+
+TEST(Medium, SettledDuplicatesCountButAreNeverQueued) {
+  const CliqueFlood queued = clique_flood(false);
+  const CliqueFlood settled = clique_flood(true);
+  ASSERT_EQ(queued.settled, 0u);
+  ASSERT_GT(settled.settled, 0u);
+  // A settled reception is a delivery and a processed event that never
+  // reached the handler; its latency is recorded like a queued one's.
+  EXPECT_EQ(settled.deliveries, queued.deliveries);
+  EXPECT_EQ(settled.handled + settled.settled, queued.handled);
+  EXPECT_EQ(settled.events, queued.events);
+  EXPECT_EQ(settled.latency_total, queued.latency_total);
+  // Surviving receptions keep their (time, seq) keys: the flood unfolds
+  // identically, first receptions, times and senders included.
+  EXPECT_EQ(settled.first_receptions, queued.first_receptions);
+  EXPECT_EQ(settled.first_receptions.size(), 5u);
 }

@@ -147,6 +147,31 @@ live_digest() { grep -o 'determinism digest: [0-9a-f]*' "$1"; }
   echo "check.sh: live scenario digest differs at --shards 4" >&2; exit 1; }
 echo "check.sh: live-scenario shard gate (${applied} actions, K=4 digest == K=1) OK"
 
+# --- Settled-duplicate gate: an untraced conduit flood settles provable
+# duplicate receptions at fan-out instead of queueing them; a traced run
+# queues and records every one. The live-scenario load above (a blackout
+# landing mid-run) must print the same digest and write the same manifest
+# both ways, at --shards 1 and 2.
+for k in 1 2; do
+  for traced in 0 1; do
+    trace_arg=""
+    [ "${traced}" = 1 ] && trace_arg="--trace ${smoke_dir}/settle_k${k}.jsonl"
+    out="${smoke_dir}/settle_k${k}_t${traced}"
+    # shellcheck disable=SC2086  # trace_arg is empty or one flag pair
+    "${cli}" load cambridge --spec "${smoke_dir}/live_load.spec" \
+      --scenario "${smoke_dir}/live_blackout.spec" --shards "$k" --jitter 0 \
+      ${trace_arg} --json "${out}.json" > "${out}.txt" || {
+      echo "check.sh: citymesh load failed at --shards $k (traced=${traced})" >&2; exit 1; }
+    [ "$(live_digest "${out}.txt")" = "$(live_digest "${smoke_dir}/live_k1.txt")" ] || {
+      echo "check.sh: live load digest differs at --shards $k (traced=${traced})" >&2
+      exit 1; }
+    cmp -s "${smoke_dir}/settle_k1_t0.json" "${out}.json" || {
+      echo "check.sh: live load manifest differs at --shards $k (traced=${traced})" >&2
+      exit 1; }
+  done
+done
+echo "check.sh: settled-duplicate gate (live load traced == untraced, --shards 1, 2) OK"
+
 # --- relayx smoke: the fig11 overhead/deliverability frontier must run its
 # quick grid and produce the same determinism digest across two same-seed
 # runs (the digest folds every policy row, so any nondeterminism in the
