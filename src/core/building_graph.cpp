@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "geo/spatial_grid.hpp"
+#include "graphx/link_builder.hpp"
 
 namespace citymesh::core {
 
@@ -39,24 +40,21 @@ BuildingGraph::BuildingGraph(const osmx::City& city, const BuildingGraphConfig& 
 
   const double range = config.transmission_range_m * config.connect_factor;
   centroid_grid_ = geo::SpatialGrid{config.transmission_range_m * 2.0, centroids_};
-  const geo::SpatialGrid& grid = centroid_grid_;
 
-  graphx::GraphBuilder builder{centroids_.size()};
-  // Max possible connect distance bounds the neighborhood query.
+  // Buildings a and b link when d <= range + r_a + r_b, so no link is
+  // longer than r_a + range + r_max from either end. The 1e-9 relative slack
+  // covers the rounding of that sum, added in another order than the test's.
   double max_radius = 0.0;
   for (const double r : radii_) max_radius = std::max(max_radius, r);
-  const double query_radius = range + 2.0 * max_radius;
-
-  for (BuildingId a = 0; a < centroids_.size(); ++a) {
-    grid.for_each_in_radius(centroids_[a], query_radius, [&](std::uint32_t b, geo::Point p) {
-      if (b <= a) return;
-      const double d = geo::distance(centroids_[a], p);
-      if (d <= range + radii_[a] + radii_[b]) {
-        builder.add_edge(a, b, edge_cost(d, config_.weight));
-      }
-    });
-  }
-  graph_ = builder.build();
+  graph_ = graphx::LinkBuilder::build(
+      centroid_grid_,
+      [&](BuildingId a) { return (radii_[a] + range + max_radius) * (1.0 + 1e-9); },
+      [&](BuildingId a, BuildingId b, double d2) {
+        return std::sqrt(d2) <= range + radii_[a] + radii_[b];
+      },
+      [&](BuildingId a, BuildingId b) -> std::optional<double> {
+        return edge_cost(geo::distance(centroids_[a], centroids_[b]), config_.weight);
+      });
   planning_graph_ = graphx::essential_edges(graph_);
   components_ = graphx::connected_components(planning_graph_);
 }

@@ -17,14 +17,18 @@
 // O(points + occupied cells) whatever the coordinate extent (OSM input can
 // be hostile: a 100 km broadcast radius must not probe 4M empty cells).
 //
-// Visit order is part of the contract: candidates come in (row, column,
-// insertion) order, because callers draw random numbers per visited
-// candidate (mesh::place_aps under the shadowed link model).
+// Queries visit candidates in (row, column, insertion) order — "grid
+// order". for_each_pair() sweeps the whole index once instead: each point
+// looks only forward in grid order (a half stencil), so every unordered pair
+// is tested once. graphx/link_builder.hpp builds the AP and building graphs
+// from it and states the neighbour order that follows.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geo/geometry.hpp"
@@ -79,6 +83,78 @@ class SpatialGrid {
   /// Ids of all items inside the axis-aligned rectangle, in (row, column,
   /// insertion) order.
   std::vector<std::uint32_t> query_rect(const Rect& r) const;
+
+  /// One past the largest inserted id (0 when empty).
+  std::size_t id_bound() const { return points_.size(); }
+
+  /// Every item id in grid order. An item's index here is its *rank*.
+  std::span<const std::uint32_t> grid_order() const { return ids_; }
+
+  /// Invoke `fn(i, j, d2)` once for every unordered pair of items, given by
+  /// rank i < j, with d2 = their squared distance <= reach(grid_order()[i])²;
+  /// a reach below 0 (or NaN) gives that item no pairs. Pairs come grouped
+  /// by i ascending, and within a group j ascends. A caller whose link test
+  /// is symmetric passes a reach that bounds its links from either end.
+  ///
+  /// A half-stencil sweep: each occupied cell scans the rest of itself, the
+  /// occupied cells after it in its row, and the occupied rows below it
+  /// within the reach of its points — one contiguous run of ids per row,
+  /// found once per cell, never per point. It walks occupied rows and cells
+  /// only, so one huge reach costs the pairs it admits, not the empty cells
+  /// it spans.
+  template <class Reach, class Fn>
+  void for_each_pair(Reach&& reach, Fn&& fn) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    // Positions in grid order: every run the stencil scans is contiguous.
+    std::vector<Point> at(ids_.size());
+    for (std::size_t k = 0; k < ids_.size(); ++k) at[k] = points_[ids_[k]];
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;  // the rows below
+    for (std::size_t ri = 0; ri + 1 < row_begin_.size(); ++ri) {
+      const auto row_end = cell_cols_.begin() + row_begin_[ri + 1];
+      for (std::uint32_t ci = row_begin_[ri]; ci < row_begin_[ri + 1]; ++ci) {
+        const std::uint32_t first = cell_begin_[ci];
+        const std::uint32_t last = cell_begin_[ci + 1];
+        // The cell's stencil covers every point of it: its widest reach
+        // from its extreme coordinates. The 1e-9 relative slack keeps a pair
+        // whose rounded d2 passes inside the stencil.
+        double r = 0.0, min_x = kInf, max_x = -kInf, max_y = -kInf;
+        for (std::uint32_t k = first; k < last; ++k) {
+          r = std::max(r, static_cast<double>(reach(ids_[k])));
+          min_x = std::min(min_x, at[k].x);
+          max_x = std::max(max_x, at[k].x);
+          max_y = std::max(max_y, at[k].y);
+        }
+        r *= 1.0 + 1e-9;
+        const std::int64_t hi_row = cell_coord(max_y + r);
+        const std::int64_t lo_col = cell_coord(min_x - r);
+        const std::int64_t hi_col = cell_coord(max_x + r);
+        const auto own_end = std::upper_bound(cell_cols_.begin() + ci + 1, row_end, hi_col);
+        const std::uint32_t row_run_end = cell_begin_[own_end - cell_cols_.begin()];
+        runs.clear();
+        const auto cells = cell_cols_.begin();
+        for (std::size_t rj = ri + 1; rj < row_keys_.size() && row_keys_[rj] <= hi_row; ++rj) {
+          const auto row_cells_end = cells + row_begin_[rj + 1];
+          const auto lo = std::lower_bound(cells + row_begin_[rj], row_cells_end, lo_col);
+          const auto hi = std::upper_bound(lo, row_cells_end, hi_col);
+          if (lo != hi) runs.emplace_back(cell_begin_[lo - cells], cell_begin_[hi - cells]);
+        }
+        for (std::uint32_t k = first; k < last; ++k) {
+          const double reach_a = reach(ids_[k]);
+          if (!(reach_a >= 0.0)) continue;
+          const double r2 = reach_a * reach_a;
+          const Point p = at[k];
+          const auto scan = [&](std::uint32_t begin, std::uint32_t end) {
+            for (std::uint32_t j = begin; j < end; ++j) {
+              const double d2 = distance2(at[j], p);
+              if (d2 <= r2) fn(k, j, d2);
+            }
+          };
+          scan(k + 1, row_run_end);  // the rest of the cell, then its row
+          for (const auto& [begin, end] : runs) scan(begin, end);
+        }
+      }
+    }
+  }
 
  private:
   /// Cell coordinate of one axis value. Values whose cell index would not

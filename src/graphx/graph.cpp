@@ -28,8 +28,8 @@ Graph GraphBuilder::build() const {
     g.offsets_[v + 1] += g.offsets_[v];
   }
   // Stable counting sort into the split arrays: each vertex's slice lists
-  // neighbors in edge-insertion order, which downstream layers rely on
-  // (per-directed-edge tables, tile-filtered walks).
+  // neighbors in edge-insertion order, so a tile subgraph that adds a
+  // graph's edges in its own order (shardx::tile_subgraph) keeps that order.
   g.targets_.resize(edges_.size() * 2);
   g.weights_.resize(edges_.size() * 2);
   std::vector<EdgeOffset> cursor(g.offsets_.begin(), g.offsets_.end() - 1);

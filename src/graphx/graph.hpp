@@ -12,9 +12,11 @@
 // per-transmission fan-out) walks 4 bytes per edge; weight-consuming loops
 // (Dijkstra relaxation) read the second array in the same stride.
 // `neighbors()` returns a lightweight view whose iteration still yields
-// `Edge` values, so call sites are unchanged. The graph is immutable after
-// GraphBuilder::build and is built once per compiled city; every consumer
-// (medium shards, relayx link tables, tile plans) indexes this one copy.
+// `Edge` values, so call sites are unchanged. The graph is immutable once
+// built — the AP and building graphs by LinkBuilder (link_builder.hpp),
+// which states their neighbour order, other graphs by GraphBuilder — and
+// is built once per compiled city; every consumer (medium shards, relayx
+// link tables, tile plans) indexes this one copy.
 #pragma once
 
 #include <cstdint>
@@ -154,6 +156,7 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend class LinkBuilder;  // link_builder.hpp
   friend Graph essential_edges(const Graph& g);  // shortest_path.hpp
   std::vector<EdgeOffset> offsets_;   // vertex_count + 1 entries
   std::vector<VertexId> targets_;     // packed neighbor ids

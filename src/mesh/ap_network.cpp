@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "graphx/link_builder.hpp"
+
 namespace citymesh::mesh {
 
 namespace {
@@ -44,42 +46,31 @@ ApNetwork::ApNetwork(std::vector<AccessPoint> aps, const PlacementConfig& config
     throw std::invalid_argument{"ApNetwork: invalid shadowing fractions"};
   }
 
+  for (std::size_t i = 0; i < aps_.size(); ++i) {
+    if (aps_[i].id != i) throw std::invalid_argument{"ApNetwork: AP ids must equal their index"};
+  }
   osmx::BuildingId max_building = 0;
   for (const auto& ap : aps_) max_building = std::max(max_building, ap.building);
   by_building_.resize(aps_.empty() ? 0 : max_building + 1);
 
   for (const auto& ap : aps_) by_building_[ap.building].push_back(ap.id);
 
-  // Build the connectivity graph: one edge per admitted pair. The grid
-  // query returns both orderings; keep a < b to add each edge once. Link
-  // admission is per the model; the shadowed draw is seeded so the realized
-  // topology is reproducible.
-  const double query_radius = config.link_model == LinkModel::kDisc
-                                  ? range_m_
-                                  : range_m_ * config.shadow_max_frac;
+  // The connectivity graph: one link per admitted pair, weight = distance.
+  // The shadowed model's draws are seeded, and LinkBuilder makes them in a
+  // fixed order, so the realized topology is reproducible.
+  const bool disc = config.link_model == LinkModel::kDisc;
+  const double reach = disc ? range_m_ : range_m_ * config.shadow_max_frac;
+  const double certain = disc ? range_m_ : range_m_ * config.shadow_certain_frac;
   geo::Rng link_rng{config.seed ^ 0x51AD0E5ULL};
-  graphx::GraphBuilder builder{aps_.size()};
-  for (const auto& ap : aps_) {
-    grid_.for_each_in_radius(ap.position, query_radius, [&](std::uint32_t other, geo::Point p) {
-      if (other <= ap.id) return;
-      const double d = geo::distance(ap.position, p);
-      bool linked = false;
-      if (config.link_model == LinkModel::kDisc) {
-        linked = d <= range_m_;
-      } else {
-        const double certain = range_m_ * config.shadow_certain_frac;
-        const double max_d = range_m_ * config.shadow_max_frac;
-        if (d <= certain) {
-          linked = true;
-        } else if (d < max_d) {
-          const double p_link = (max_d - d) / (max_d - certain);
-          linked = link_rng.chance(p_link);
-        }
-      }
-      if (linked) builder.add_edge(ap.id, other, d);
-    });
-  }
-  graph_ = builder.build();
+  graph_ = graphx::LinkBuilder::build(
+      grid_, [reach](std::uint32_t) { return reach; },
+      [](std::uint32_t, std::uint32_t, double) { return true; },
+      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
+        const double d = geo::distance(aps_[a].position, aps_[b].position);
+        if (d <= certain) return d;
+        if (d < reach && link_rng.chance((reach - d) / (reach - certain))) return d;
+        return std::nullopt;
+      });
   components_ = graphx::connected_components(graph_);
 }
 

@@ -481,7 +481,7 @@ namespace {
 
 core::MeshPacket make_packet(const wire::PacketHeader& h,
                              std::vector<std::uint8_t> payload = {0xAB}) {
-  return {wire::encode_header(h).bytes, std::move(payload)};
+  return {wire::encode_header(h).bytes, std::move(payload), 0, nullptr};
 }
 
 }  // namespace
@@ -534,7 +534,7 @@ TEST(ApAgent, MalformedPacketIgnored) {
   const core::BuildingGraph map{city, {}};
   LoneAgent lone{0, map.centroid(1), 1, map};
   core::ApAgent& agent = lone.agent;
-  const core::MeshPacket garbage{{0xFF, 0xFF}, {}};
+  const core::MeshPacket garbage{{0xFF, 0xFF}, {}, 0, nullptr};
   const auto action = agent.on_receive(garbage, 0.0);
   EXPECT_TRUE(action.malformed);
   EXPECT_FALSE(action.rebroadcast);

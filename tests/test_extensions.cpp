@@ -504,7 +504,7 @@ TEST(LocationUpdate, ShortPayloadIgnored) {
   h.waypoints = {0, 3};
   h.set_flag(wire::PacketFlag::kLocationUpdate);
   const auto enc = wire::encode_header(h);
-  const auto action = agent.on_receive({enc.bytes, {0x01, 0x02}}, 1.0);  // 2 bytes
+  const auto action = agent.on_receive({enc.bytes, {0x01, 0x02}, 0, nullptr}, 1.0);  // 2 bytes
   EXPECT_TRUE(action.delivered);  // message still stored
   EXPECT_FALSE(box->owner_location().has_value());  // but no location parsed
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "geo/geometry.hpp"
 #include "geo/projection.hpp"
@@ -474,6 +475,47 @@ TEST(SpatialGrid, VisitOrderMatchesRowColumnInsertionReference) {
     EXPECT_EQ(grid.query_rect(r),
               reference_order(cell, ids, pts, [&](geo::Point p) { return r.contains(p); }));
   }
+}
+
+// for_each_pair must visit exactly the pairs a brute-force double loop over
+// grid_order() finds, in its (i, then j) order, with a per-item reach, and
+// give no pairs to an item whose reach is negative or NaN.
+TEST(SpatialGrid, PairSweepMatchesBruteForce) {
+  geo::Rng rng{33};
+  std::vector<std::uint32_t> ids;
+  std::vector<geo::Point> pts;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    ids.push_back(i * 3 + 1);
+    pts.push_back(i % 3 == 0 ? geo::Point{rng.uniform(-300, 300), rng.uniform(-300, 300)}
+                             : geo::Point{25.0 * static_cast<int>(rng.uniform(-4, 4)),
+                                          rng.uniform(-20, 20)});  // on cell edges
+  }
+  pts[7] = pts[8];  // coincident
+  pts[9] = {1e300, 1e300};
+  pts[10] = {std::numeric_limits<double>::infinity(), 0.0};
+  for (std::size_t k = ids.size(); k > 1; --k) std::swap(ids[k - 1], ids[rng.uniform_int(k)]);
+  const geo::SpatialGrid grid{25.0, ids, pts};
+  const auto reach = [](std::uint32_t id) {
+    if (id % 50 == 1) return -1.0;
+    if (id % 50 == 4) return std::numeric_limits<double>::quiet_NaN();
+    return id % 7 == 0 ? 180.0 : 5.0 + id % 40;
+  };
+  const auto order = grid.grid_order();
+  ASSERT_EQ(order.size(), ids.size());
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, double>> want;
+  for (std::uint32_t i = 0; i < order.size(); ++i) {
+    const double r = reach(order[i]);
+    for (std::uint32_t j = i + 1; j < order.size(); ++j) {
+      const double d2 = geo::distance2(grid.position(order[j]), grid.position(order[i]));
+      if (r >= 0.0 && d2 <= r * r) want.emplace_back(i, j, d2);
+    }
+  }
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, double>> got;
+  grid.for_each_pair(reach, [&](std::uint32_t i, std::uint32_t j, double d2) {
+    got.emplace_back(i, j, d2);
+  });
+  EXPECT_GT(want.size(), 1000u);
+  EXPECT_EQ(got, want);
 }
 
 // insert() is a slow path, but it must index exactly like a bulk build of

@@ -4,16 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "geo/rng.hpp"
+#include "geo/spatial_grid.hpp"
 #include "graphx/alt.hpp"
 #include "graphx/graph.hpp"
+#include "graphx/link_builder.hpp"
 #include "graphx/shortest_path.hpp"
+#include "link_reference.hpp"
 
 namespace graphx = citymesh::graphx;
+namespace geo = citymesh::geo;
 using citymesh::geo::Rng;
 
 namespace {
@@ -583,4 +590,141 @@ TEST(BellmanFord, NegativeCycleThrows) {
   graphx::GraphBuilder b{2};
   b.add_edge(0, 1, -1.0);  // undirected negative edge = negative cycle
   EXPECT_THROW(graphx::bellman_ford(b.build(), 0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- LinkBuilder ---
+
+namespace {
+
+/// Building-style links (d <= range + r_a + r_b) over hostile geometry, in
+/// cells of 1/16 m (a power of two, so the lattice sits exactly on cell
+/// boundaries and its neighbours exactly at the range): a lattice with
+/// negative coordinates, coincident points, the first ulp below lattice
+/// points, and two copies 10⁷ m away. With `footprint`, the lattice points
+/// get radii under 0.02 m and one 20 km footprint joins them: its reach spans
+/// 2·10⁵ rows and columns of cells.
+struct Hostile {
+  static constexpr double kCell = 0.0625;
+  static constexpr double kRange = 0.0625;
+  std::vector<geo::Point> points;
+  std::vector<double> radii;
+
+  explicit Hostile(bool footprint) {
+    Rng rng{21};
+    const auto radius = [&] { return footprint ? rng.uniform(0.0, 0.02) : 0.0; };
+    for (const geo::Point shift : {geo::Point{0.0, 0.0}, {1e7, 1e7}, {-1e7, 3e7}}) {
+      for (int i = -6; i <= 6; ++i) {
+        for (int j = -6; j <= 6; ++j) add({shift.x + i * kCell, shift.y + j * kCell}, radius());
+      }
+      for (int i = 0; i < 8; ++i) {
+        add(points[rng.uniform_int(points.size())], radius());  // coincident
+        const geo::Point on = points[rng.uniform_int(points.size())];
+        add({std::nextafter(on.x, -1e300), std::nextafter(on.y, -1e300)}, 0.0);
+      }
+    }
+    if (footprint) add({3.0, -2.0}, 0.5 * std::hypot(20000.0, 20000.0));
+  }
+  void add(geo::Point p, double r) {
+    points.push_back(p);
+    radii.push_back(r);
+  }
+
+  std::optional<double> link(std::uint32_t a, std::uint32_t b) const {
+    const double d = geo::distance(points[a], points[b]);
+    if (d > kRange + radii[a] + radii[b]) return std::nullopt;
+    return d;
+  }
+  /// The builder's graph; `seconds` gets its wall time.
+  graphx::Graph build(double& seconds) const {
+    const double max_radius = *std::max_element(radii.begin(), radii.end());
+    const geo::SpatialGrid grid{kCell, points};
+    const auto start = std::chrono::steady_clock::now();
+    graphx::Graph g = graphx::LinkBuilder::build(
+        grid, [&](std::uint32_t a) { return (radii[a] + kRange + max_radius) * (1.0 + 1e-9); },
+        [&](std::uint32_t a, std::uint32_t b, double d2) {
+          return std::sqrt(d2) <= kRange + radii[a] + radii[b];
+        },
+        [&](std::uint32_t a, std::uint32_t b) { return link(a, b); });
+    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    return g;
+  }
+  graphx::Graph reference() const {
+    const double max_radius = *std::max_element(radii.begin(), radii.end());
+    return link_reference::reference_graph(
+        link_reference::candidates(points, kCell, kRange + 2.0 * max_radius),
+        [&](std::uint32_t a, std::uint32_t b) { return link(a, b); });
+  }
+};
+
+}  // namespace
+
+TEST(LinkBuilder, HostileLatticeMatchesBruteForce) {
+  const Hostile h{false};
+  double seconds = 0.0;
+  const graphx::Graph g = h.build(seconds);
+  EXPECT_TRUE(link_reference::same_graph(g, h.reference()));
+  // Lattice neighbours, one cell apart in x or in y, link at exactly the range.
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_TRUE(g.has_edge(0, 13));
+  EXPECT_FALSE(g.has_edge(0, 14));
+}
+
+TEST(LinkBuilder, HostileFootprintMatchesBruteForceQuickly) {
+  const Hostile h{true};
+  double seconds = 0.0;
+  const graphx::Graph g = h.build(seconds);
+  // Walking the empty rows or columns inside the footprint's reach would
+  // take minutes; the sweep walks the occupied ones only.
+  EXPECT_LT(seconds, 1.0);
+  EXPECT_TRUE(link_reference::same_graph(g, h.reference()));
+  // The copies 10⁷ m away stay apart from the footprint, and coincident
+  // points link at distance 0.
+  const auto footprint = static_cast<graphx::VertexId>(h.points.size() - 1);
+  std::size_t near_origin = 0;
+  for (const geo::Point p : h.points) near_origin += geo::norm(p) < 100.0;
+  EXPECT_EQ(g.degree(footprint), near_origin - 1);
+  bool zero_link = false;
+  for (graphx::VertexId v = 0; v < g.vertex_count(); ++v) {
+    for (const double w : g.neighbors(v).weights()) zero_link |= w == 0.0;
+  }
+  EXPECT_TRUE(zero_link);
+}
+
+TEST(LinkBuilder, EmptyGridAndIsolatedIds) {
+  const geo::SpatialGrid empty{1.0, std::span<const geo::Point>{}};
+  const auto none = [](auto...) { return true; };
+  const auto unit = [](std::uint32_t, std::uint32_t) -> std::optional<double> { return 1.0; };
+  EXPECT_EQ(graphx::LinkBuilder::build(empty, [](std::uint32_t) { return 1.0; }, none, unit)
+                .vertex_count(),
+            0u);
+  // Ids 1 and 3 were never inserted: they are vertices without links.
+  const std::vector<std::uint32_t> ids{0, 2, 4};
+  const std::vector<geo::Point> pts{{0.0, 0.0}, {0.5, 0.0}, {5.0, 0.0}};
+  const geo::SpatialGrid sparse{1.0, ids, pts};
+  const graphx::Graph g =
+      graphx::LinkBuilder::build(sparse, [](std::uint32_t) { return 1.0; }, none, unit);
+  ASSERT_EQ(g.vertex_count(), 5u);
+  EXPECT_EQ(g.edge_count(), 1u);
+  EXPECT_TRUE(g.has_edge(0, 2));
+  EXPECT_EQ(g.degree(1) + g.degree(3) + g.degree(4), 0u);
+}
+
+TEST(LinkBuilder, DroppedCandidatesLeaveNoGaps) {
+  // A link model that drops every other candidate: the CSR is compacted.
+  std::vector<geo::Point> pts;
+  for (int i = 0; i < 30; ++i) pts.push_back({i * 0.3, (i % 4) * 0.3});
+  const geo::SpatialGrid grid{1.0, pts};
+  int calls = 0;
+  const graphx::Graph g = graphx::LinkBuilder::build(
+      grid, [](std::uint32_t) { return 1.0; }, [](auto...) { return true; },
+      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
+        if (++calls % 2 == 0) return std::nullopt;
+        return geo::distance(pts[a], pts[b]);
+      });
+  EXPECT_EQ(g.directed_edge_count(), 2 * g.edge_count());
+  EXPECT_EQ(g.edge_offset(static_cast<graphx::VertexId>(pts.size())), g.directed_edge_count());
+  EXPECT_EQ(static_cast<int>(g.edge_count()), (calls + 1) / 2);
+  for (graphx::VertexId v = 0; v < g.vertex_count(); ++v) {
+    for (const graphx::Edge e : g.neighbors(v)) EXPECT_TRUE(g.has_edge(e.to, v));
+  }
 }

@@ -259,7 +259,7 @@ TEST(Integration, StaleMapDegradesGracefully) {
                  static_cast<core::BuildingId>(city.building_count() - 2)};
   LoneAgent lone{0, city.building(0).centroid, 0, stale};
   const auto enc = citymesh::wire::encode_header(h);
-  const auto action = lone.agent.on_receive({enc.bytes, {}}, 0.0);
+  const auto action = lone.agent.on_receive({enc.bytes, {}, 0, nullptr}, 0.0);
   EXPECT_FALSE(action.rebroadcast);
   EXPECT_FALSE(action.malformed);
 }

@@ -1,5 +1,6 @@
-// Tests for AP placement, the AP connectivity graph, island analysis, and
-// gap bridging.
+// Tests for AP placement, the AP connectivity graph, island analysis, gap
+// bridging, and the link builder's AP and building graphs against a
+// brute-force reference on every default profile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +8,9 @@
 #include <span>
 #include <vector>
 
+#include "core/building_graph.hpp"
 #include "graphx/shortest_path.hpp"
+#include "link_reference.hpp"
 #include "mesh/ap_network.hpp"
 #include "mesh/islands.hpp"
 #include "osmx/citygen.hpp"
@@ -15,6 +18,8 @@
 namespace mesh = citymesh::mesh;
 namespace osmx = citymesh::osmx;
 namespace geo = citymesh::geo;
+namespace graphx = citymesh::graphx;
+namespace core = citymesh::core;
 
 namespace {
 
@@ -392,4 +397,99 @@ TEST(LinkModel, InvalidShadowFractionsThrow) {
   cfg.shadow_certain_frac = 1.0;
   cfg.shadow_max_frac = 0.5;  // max below certain
   EXPECT_THROW(mesh::ApNetwork({}, cfg), std::invalid_argument);
+}
+
+// ------------------------------------------- Link builder vs brute force ---
+
+namespace {
+
+mesh::PlacementConfig shadowed_config() {
+  mesh::PlacementConfig cfg;
+  cfg.link_model = mesh::LinkModel::kShadowed;
+  return cfg;
+}
+
+/// The AP graph by brute force: a pair within the query radius, then the
+/// link model, the shadowed draws in reference order. `near` holds the
+/// candidates within the longest query radius, 1.8 x range.
+graphx::Graph reference_ap_graph(const mesh::ApNetwork& net, const mesh::PlacementConfig& cfg,
+                                 const link_reference::Candidates& near) {
+  const auto& aps = net.aps();
+  const double range = cfg.transmission_range_m;
+  const bool disc = cfg.link_model == mesh::LinkModel::kDisc;
+  const double reach = disc ? range : range * cfg.shadow_max_frac;
+  const double certain = range * cfg.shadow_certain_frac;
+  geo::Rng link_rng{cfg.seed ^ 0x51AD0E5ULL};
+  return link_reference::reference_graph(
+      near, [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
+        const geo::Point pa = aps[a].position, pb = aps[b].position;
+        if (geo::distance2(pb, pa) > reach * reach) return std::nullopt;
+        const double d = geo::distance(pa, pb);
+        if (disc) return d <= range ? std::optional{d} : std::nullopt;
+        if (d <= certain) return d;
+        if (d < reach && link_rng.chance((reach - d) / (reach - certain))) return d;
+        return std::nullopt;
+      });
+}
+
+/// The building graph by brute force: centroid distance within the range
+/// plus both effective radii.
+graphx::Graph reference_building_graph(const core::BuildingGraph& map) {
+  const auto& c = map.centroids();
+  const core::BuildingGraphConfig& cfg = map.config();
+  const double range = cfg.transmission_range_m * cfg.connect_factor;
+  double max_radius = 0.0;
+  for (std::uint32_t b = 0; b < c.size(); ++b) {
+    max_radius = std::max(max_radius, map.effective_radius(b));
+  }
+  const double query = range + 2.0 * max_radius;
+  return link_reference::reference_graph(
+      link_reference::candidates(c, cfg.transmission_range_m * 2.0, query),
+      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
+        if (geo::distance2(c[b], c[a]) > query * query) return std::nullopt;
+        const double d = geo::distance(c[a], c[b]);
+        if (d > range + map.effective_radius(a) + map.effective_radius(b)) return std::nullopt;
+        return core::edge_cost(d, cfg.weight);
+      });
+}
+
+}  // namespace
+
+TEST(LinkBuilder, ApGraphsMatchBruteForceOnEveryProfile) {
+  for (const auto& profile : osmx::default_profiles()) {
+    SCOPED_TRACE(profile.name);
+    const auto city = osmx::generate_city(profile);
+    const auto disc = mesh::place_aps(city, {});
+    const auto shadowed = mesh::place_aps(city, shadowed_config());
+    std::vector<geo::Point> positions;
+    for (const auto& ap : disc.aps()) positions.push_back(ap.position);
+    const auto near = link_reference::candidates(positions, 50.0, 1.8 * 50.0);
+    ASSERT_GT(disc.graph().edge_count(), 0u);
+    EXPECT_TRUE(link_reference::same_graph(disc.graph(), reference_ap_graph(disc, {}, near)));
+    EXPECT_TRUE(link_reference::same_graph(shadowed.graph(),
+                                           reference_ap_graph(shadowed, shadowed_config(), near)));
+  }
+}
+
+TEST(LinkBuilder, BuildingGraphMatchesBruteForceOnEveryProfile) {
+  for (const auto& profile : osmx::default_profiles()) {
+    SCOPED_TRACE(profile.name);
+    const core::BuildingGraph map{osmx::generate_city(profile), core::BuildingGraphConfig{}};
+    ASSERT_GT(map.graph().edge_count(), 0u);
+    EXPECT_TRUE(link_reference::same_graph(map.graph(), reference_building_graph(map)));
+  }
+}
+
+TEST(LinkBuilder, BostonShadowedTopologyIsPinned) {
+  // Recorded from the per-vertex radius-query builder: any slip in the
+  // shadowed model's draw order or the neighbour order moves it.
+  const auto city = osmx::generate_city(osmx::profile_by_name("boston"));
+  const auto net = mesh::place_aps(city, shadowed_config());
+  EXPECT_EQ(net.graph().edge_count(), 154239u);
+  EXPECT_EQ(link_reference::fingerprint(net.graph()), 0xdbe96510cbea27ebULL);
+}
+
+TEST(ApNetwork, RejectsIdsThatAreNotIndices) {
+  std::vector<mesh::AccessPoint> aps{{1, {0.0, 0.0}, 0}, {0, {10.0, 0.0}, 0}};
+  EXPECT_THROW(mesh::ApNetwork(aps, 50.0), std::invalid_argument);
 }

@@ -192,7 +192,9 @@ TEST(WorkloadCompile, PoissonArrivalsMatchOfferedLoad) {
     const auto& f = schedule.flows[i];
     EXPECT_GE(f.start_s, 0.0);
     EXPECT_LT(f.start_s, spec.duration_s);
-    if (i > 0) EXPECT_GE(f.start_s, schedule.flows[i - 1].start_s);
+    if (i > 0) {
+      EXPECT_GE(f.start_s, schedule.flows[i - 1].start_s);
+    }
     EXPECT_NE(f.src, f.dst);
     EXPECT_GE(f.payload_bytes, spec.payload_min_bytes);
     EXPECT_LE(f.payload_bytes, spec.payload_max_bytes);

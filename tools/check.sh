@@ -327,16 +327,19 @@ fi
 # scenarios flip AP status between the tiles' windows, and tiles read the
 # message records (acks included) that the coordinator opens and merges
 # between windows (extensions, trafficx), and sweep jobs run the ideal-hop
-# query concurrently on one shared compiled city (runx); run those tests
-# (plus the event engine they drive) under TSan in a third tree to catch
-# data races the determinism digest can't see.
+# query concurrently on one shared compiled city (runx), and runx compiles
+# cities — the grid sweep and the link builder (geo, graphx, mesh) — on
+# its worker threads; run those tests (plus the event engine they drive)
+# under TSan in a third tree to catch data races the determinism digest
+# can't see.
 tsan_dir="${build_dir}-tsan"
 if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/null; then
   cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_runx --target test_sim --target test_compiled \
     --target test_relayx --target test_shardx --target test_qfgeo \
     --target test_scheduler --target test_metromem --target test_faultx \
-    --target test_extensions --target test_trafficx
+    --target test_extensions --target test_trafficx \
+    --target test_geo --target test_graphx --target test_mesh
   "${tsan_dir}/tests/test_runx"
   "${tsan_dir}/tests/test_sim"
   "${tsan_dir}/tests/test_compiled"
@@ -348,7 +351,10 @@ if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/nul
   "${tsan_dir}/tests/test_faultx"
   "${tsan_dir}/tests/test_extensions"
   "${tsan_dir}/tests/test_trafficx"
-  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_faultx + test_extensions + test_trafficx clean under TSan"
+  "${tsan_dir}/tests/test_geo"
+  "${tsan_dir}/tests/test_graphx"
+  "${tsan_dir}/tests/test_mesh"
+  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_faultx + test_extensions + test_trafficx + test_geo + test_graphx + test_mesh clean under TSan"
 else
   echo "check.sh: TSan configure failed; skipping thread-sanitizer pass" >&2
 fi
