@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "bench_util.hpp"
@@ -19,6 +21,7 @@
 #include "cryptox/chacha20.hpp"
 #include "cryptox/sealed.hpp"
 #include "cryptox/sha256.hpp"
+#include "cryptox/x25519.hpp"
 #include "geo/rng.hpp"
 #include "geo/spatial_grid.hpp"
 #include "graphx/alt.hpp"
@@ -143,6 +146,90 @@ static void BM_LandmarkTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LandmarkTable)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------ ideal-hop query ---
+
+namespace {
+
+const citymesh::mesh::ApNetwork& boston_aps() {
+  static const citymesh::mesh::ApNetwork net =
+      citymesh::mesh::place_aps(boston(), citymesh::mesh::PlacementConfig{});
+  return net;
+}
+
+/// Paper-eval-style ideal-hop queries: the representative AP of a random
+/// building to every AP of another random building, connected pairs only.
+struct HopQuery {
+  citymesh::mesh::ApId from;
+  osmx::BuildingId to;
+};
+
+const std::vector<HopQuery>& boston_hop_queries() {
+  static const std::vector<HopQuery> queries = [] {
+    const auto& net = boston_aps();
+    geo::Rng rng{0x1DEA1};
+    std::vector<HopQuery> out;
+    while (out.size() < 256) {
+      const auto a = static_cast<osmx::BuildingId>(rng.uniform_int(boston().building_count()));
+      const auto b = static_cast<osmx::BuildingId>(rng.uniform_int(boston().building_count()));
+      const auto from = net.representative_ap(boston(), a);
+      const auto& targets = net.aps_of_building(b);
+      if (!from || targets.empty() || a == b || !net.connected(*from, targets.front())) continue;
+      out.push_back({*from, b});
+    }
+    return out;
+  }();
+  return queries;
+}
+
+/// The level BFS the library's A* replaced, kept as the reference: one whole
+/// level at a time, returning on the first target it reaches.
+std::optional<std::size_t> level_bfs_min_hops(const citymesh::mesh::ApNetwork& net,
+                                              citymesh::mesh::ApId from,
+                                              std::span<const citymesh::mesh::ApId> targets) {
+  enum : std::uint8_t { kUnseen, kSeen, kTarget };
+  std::vector<std::uint8_t> mark(net.ap_count(), kUnseen);
+  for (const auto t : targets) {
+    if (t == from) return 0;
+    mark[t] = kTarget;
+  }
+  mark[from] = kSeen;
+  std::vector<citymesh::mesh::ApId> frontier{from};
+  std::vector<citymesh::mesh::ApId> next;
+  for (std::size_t depth = 1; !frontier.empty(); ++depth) {
+    next.clear();
+    for (const auto v : frontier) {
+      for (const graphx::VertexId u : net.graph().neighbors(v).ids()) {
+        if (mark[u] == kTarget) return depth;
+        if (mark[u] == kUnseen) {
+          mark[u] = kSeen;
+          next.push_back(u);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+// Arg 0: ApNetwork::min_hops (A* over the radio-range and hop-landmark
+// bounds); arg 1: the level-BFS reference. One query per iteration, cycling
+// through the pairs; the landmark table is built before timing.
+static void BM_MinHops(benchmark::State& state) {
+  const auto& net = boston_aps();
+  const auto& queries = boston_hop_queries();
+  benchmark::DoNotOptimize(net.hop_bounds());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const HopQuery& q = queries[i++ % queries.size()];
+    const auto& targets = net.aps_of_building(q.to);
+    benchmark::DoNotOptimize(state.range(0) == 0 ? net.min_hops(q.from, targets)
+                                                 : level_bfs_min_hops(net, q.from, targets));
+  }
+}
+BENCHMARK(BM_MinHops)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 static void BM_ConduitCompress(benchmark::State& state) {
   const auto& map = boston_map();
@@ -303,12 +390,6 @@ BENCHMARK(BM_QfgeoForwardDelay);
 // --------------------------------------------------------------- relayx ---
 
 namespace {
-
-const citymesh::mesh::ApNetwork& boston_aps() {
-  static const citymesh::mesh::ApNetwork net =
-      citymesh::mesh::place_aps(boston(), {});
-  return net;
-}
 
 // Receptions cycling over real (ap, neighbor) link pairs, so observe() pays
 // a representative CSR neighbor scan and elect() a representative score sum.
@@ -694,6 +775,20 @@ static void BM_ChaCha20_1KiB(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_ChaCha20_1KiB);
+
+// Public-key derivation (x25519_base: the fixed-base Edwards table) against
+// the Montgomery ladder at u = 9 it replaced.
+static void BM_X25519Base(benchmark::State& state) {
+  cryptox::X25519Key k{};
+  k[0] = 0x42;
+  cryptox::X25519Key base_u{};
+  base_u[0] = 9;
+  for (auto _ : state) {
+    k = state.range(0) == 0 ? cryptox::x25519_base(k) : cryptox::x25519(k, base_u);
+    benchmark::DoNotOptimize(k);
+  }
+}
+BENCHMARK(BM_X25519Base)->Arg(0)->Arg(1);
 
 static void BM_X25519SharedSecret(benchmark::State& state) {
   const auto a = cryptox::KeyPair::from_seed(1);

@@ -87,13 +87,13 @@ AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
 
   // Delivery into hosted postboxes.
   const auto store_into = [&](const std::shared_ptr<Postbox>& box) {
-    StoredMessage msg;
-    msg.message_id = header.message_id;
-    msg.urgent = header.has_flag(wire::PacketFlag::kUrgent);
-    msg.flags = header.flags;
-    msg.stored_at_s = now_s;
-    msg.sealed_payload = packet.payload;
-    if (box->store(std::move(msg))) {
+    StoredMessage stored;
+    stored.message_id = header.message_id;
+    stored.urgent = header.has_flag(wire::PacketFlag::kUrgent);
+    stored.flags = header.flags;
+    stored.stored_at_s = now_s;
+    stored.sealed_payload = packet.payload;
+    if (box->store(std::move(stored))) {
       ++action.delivered_count;
       action.delivered = true;
     }

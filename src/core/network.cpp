@@ -942,9 +942,10 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
 
   // Ideal unicast hop count: fewest hops on the static AP graph from the AP
   // the message left from to the closest AP of the destination building.
-  // The query stops at the first BFS level that reaches the building, so
-  // it visits the ball of that radius around the source AP, not the whole
-  // graph (its mark buffer is still one byte per AP).
+  // The query is an exact A* on hop count, steered by the radio-range and
+  // hop-landmark bounds, so it visits a corridor toward the building, not
+  // the ball of that radius around the source AP (its label buffer is still
+  // four bytes per AP).
   outcome.min_hops = aps().min_hops(src_ap, aps().aps_of_building(to.building));
   if (outcome.min_hops) h_min_hops_->record(static_cast<double>(*outcome.min_hops));
   if (outcome.delivered) {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "cryptox/edwards.hpp"
 #include "cryptox/fe25519.hpp"
 #include "cryptox/sha512.hpp"
 #include "geo/rng.hpp"
@@ -14,49 +15,16 @@ namespace {
 
 using fe::Fe;
 
-// ---- Edwards points in extended homogeneous coordinates (X:Y:Z:T) --------
+using ge::Point;
 
-struct Point {
-  Fe x;
-  Fe y;
-  Fe z;
-  Fe t;
-};
-
-Point identity() { return {fe::zero(), fe::one(), fe::one(), fe::zero()}; }
-
-Point base_point() { return {fe::kBaseX, fe::kBaseY, fe::one(), fe::kBaseT}; }
-
-// Unified addition (RFC 8032 §5.1.4).
-Point add(const Point& p, const Point& q) {
-  const Fe a = fe::mul(fe::sub(p.y, p.x), fe::sub(q.y, q.x));
-  const Fe b = fe::mul(fe::add(p.y, p.x), fe::add(q.y, q.x));
-  const Fe c = fe::mul(fe::mul(p.t, fe::kD2), q.t);
-  const Fe d = fe::mul_small(fe::mul(p.z, q.z), 2);
-  const Fe e = fe::sub(b, a);
-  const Fe f = fe::sub(d, c);
-  const Fe g = fe::add(d, c);
-  const Fe h = fe::add(b, a);
-  return {fe::mul(e, f), fe::mul(g, h), fe::mul(f, g), fe::mul(e, h)};
-}
-
-Point dbl(const Point& p) {
-  const Fe a = fe::sq(p.x);
-  const Fe b = fe::sq(p.y);
-  const Fe c = fe::mul_small(fe::sq(p.z), 2);
-  const Fe h = fe::add(a, b);
-  const Fe e = fe::sub(h, fe::sq(fe::add(p.x, p.y)));
-  const Fe g = fe::sub(a, b);
-  const Fe f = fe::add(c, g);
-  return {fe::mul(e, f), fe::mul(g, h), fe::mul(f, g), fe::mul(e, h)};
-}
-
-// scalar (32 bytes little-endian, treated as a plain integer) * point.
+// scalar (32 bytes little-endian, treated as a plain integer) * point, by
+// variable-time double-and-add: only verification multiplies a point other
+// than the base point, and it handles public data alone.
 Point scalar_mult(const std::array<std::uint8_t, 32>& scalar, const Point& p) {
-  Point acc = identity();
+  Point acc = ge::identity();
   for (int i = 255; i >= 0; --i) {
-    acc = dbl(acc);
-    if ((scalar[i / 8] >> (i % 8)) & 1) acc = add(acc, p);
+    acc = ge::dbl(acc);
+    if ((scalar[i / 8] >> (i % 8)) & 1) acc = ge::add(acc, p);
   }
   return acc;
 }
@@ -225,7 +193,7 @@ Ed25519KeyPair Ed25519KeyPair::from_seed_bytes(const Ed25519Seed& seed) {
   Ed25519KeyPair kp;
   kp.seed_ = seed;
   const ExpandedSecret secret = expand(seed);
-  kp.public_key_ = encode(scalar_mult(secret.scalar, base_point()));
+  kp.public_key_ = encode(ge::base_mult(secret.scalar));
   return kp;
 }
 
@@ -249,7 +217,7 @@ Ed25519Signature Ed25519KeyPair::sign(std::span<const std::uint8_t> message) con
   hr.update(secret.prefix);
   hr.update(message);
   const auto r = sc_tobytes(sc_mod(hr.finish()));
-  const auto r_enc = encode(scalar_mult(r, base_point()));
+  const auto r_enc = encode(ge::base_mult(r));
 
   // k = H(R || A || M) mod L;  S = (r + k*s) mod L.
   const auto k = hash_mod_l(r_enc, public_key_, message);
@@ -289,8 +257,8 @@ bool ed25519_verify(const Ed25519PublicKey& public_key,
 
   // Check S*B == R + k*A (cofactorless variant; fine for honestly generated
   // keys, which is all the simulation produces).
-  const Point lhs = scalar_mult(s_bytes, base_point());
-  const Point rhs = add(*r_point, scalar_mult(k, *a_point));
+  const Point lhs = ge::base_mult(s_bytes);
+  const Point rhs = ge::add(*r_point, scalar_mult(k, *a_point));
   return encode(lhs) == encode(rhs);
 }
 

@@ -9,9 +9,11 @@
 // arithmetic in extended coordinates over the shared fe25519 field, SHA-512
 // hashing, and scalar arithmetic modulo the group order L.
 //
-// Scalar multiplication is straightforward double-and-add: inside the
-// simulator there is no side-channel adversary, and the test suite pins
-// correctness to the RFC 8032 vectors.
+// Every multiple of the base point (key derivation, the signature's R, the
+// verifier's S·B) comes from the constant-time fixed-base table shared with
+// X25519 key derivation (edwards.hpp). Verification's k·A, on public data
+// only, is plain double-and-add. The test suite pins correctness to the
+// RFC 8032 vectors.
 #pragma once
 
 #include <array>

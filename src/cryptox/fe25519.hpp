@@ -230,6 +230,12 @@ inline void cswap(Fe& a, Fe& b, std::uint64_t bit) {
   }
 }
 
+/// Constant-time conditional move: a = b iff bit == 1.
+inline void cmov(Fe& a, const Fe& b, std::uint64_t bit) {
+  const std::uint64_t mask = 0 - bit;
+  for (int i = 0; i < 5; ++i) a[i] ^= mask & (a[i] ^ b[i]);
+}
+
 inline bool equal(const Fe& a, const Fe& b) { return tobytes(a) == tobytes(b); }
 
 inline bool is_zero(const Fe& a) { return tobytes(a) == Bytes32{}; }

@@ -1,16 +1,25 @@
 #include "cryptox/x25519.hpp"
 
+#include "cryptox/edwards.hpp"
 #include "cryptox/fe25519.hpp"
 
 namespace citymesh::cryptox {
 
-X25519Key x25519(const X25519Key& scalar, const X25519Key& u_point) {
-  using fe::Fe;
+namespace {
 
-  X25519Key e = scalar;
+X25519Key clamped(X25519Key e) {
   e[0] &= 248;
   e[31] &= 127;
   e[31] |= 64;
+  return e;
+}
+
+}  // namespace
+
+X25519Key x25519(const X25519Key& scalar, const X25519Key& u_point) {
+  using fe::Fe;
+
+  const X25519Key e = clamped(scalar);
 
   const Fe x1 = fe::frombytes(u_point);
   Fe x2 = fe::one();
@@ -47,9 +56,11 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& u_point) {
 }
 
 X25519Key x25519_base(const X25519Key& scalar) {
-  X25519Key base{};
-  base[0] = 9;
-  return x25519(scalar, base);
+  // a·B on the Edwards curve, then u = (1 + y)/(1 - y) = (Z + Y)/(Z - Y).
+  // A clamped scalar is a multiple of 8 below 8L and not a multiple of L,
+  // so a·B is never the identity and Z - Y is never zero.
+  const ge::Point p = ge::base_mult(clamped(scalar));
+  return fe::tobytes(fe::mul(fe::add(p.z, p.y), fe::invert(fe::sub(p.z, p.y))));
 }
 
 }  // namespace citymesh::cryptox

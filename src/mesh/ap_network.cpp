@@ -1,7 +1,10 @@
 #include "mesh/ap_network.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "graphx/link_builder.hpp"
@@ -96,37 +99,173 @@ std::optional<ApId> ApNetwork::representative_ap(const osmx::City& city,
   return best;
 }
 
+const ApNetwork::HopBounds& ApNetwork::hop_bounds() const {
+  std::call_once(hop_bounds_once_, [this] {
+    HopBounds table;
+    for (ApId v = 0; v < aps_.size(); ++v) {
+      for (const double w : graph_.neighbors(v).weights()) {
+        table.longest_link = std::max(table.longest_link, w);
+      }
+    }
+    if (aps_.empty()) {
+      hop_bounds_ = std::move(table);
+      return;
+    }
+    table.component = components_.largest();
+    // Extreme AP per direction: the largest projection of its position onto
+    // (north, east, south, west).
+    constexpr std::array<geo::Point, kHopLandmarks> directions{
+        {{0.0, 1.0}, {1.0, 0.0}, {0.0, -1.0}, {-1.0, 0.0}}};
+    std::vector<ApId> chosen;
+    for (const geo::Point dir : directions) {
+      std::optional<ApId> best;
+      double best_score = 0.0;
+      for (const auto& ap : aps_) {
+        if (components_.component_of[ap.id] != table.component) continue;
+        const double score = ap.position.x * dir.x + ap.position.y * dir.y;
+        if (!best || score > best_score) {
+          best = ap.id;
+          best_score = score;
+        }
+      }
+      if (std::find(chosen.begin(), chosen.end(), *best) == chosen.end()) {
+        chosen.push_back(*best);
+      }
+    }
+    // One BFS per landmark, written straight into its column. Clamping at
+    // 0xFFFE keeps the bound: |min(a, c) - min(b, c)| <= |a - b|.
+    const std::size_t stride = chosen.size();
+    table.landmark_count = stride;
+    table.hops.assign(aps_.size() * stride, 0xFFFF);
+    std::vector<ApId> frontier;
+    std::vector<ApId> next;
+    for (std::size_t l = 0; l < stride; ++l) {
+      table.hops[chosen[l] * stride + l] = 0;
+      frontier.assign(1, chosen[l]);
+      for (std::uint32_t depth = 1; !frontier.empty(); ++depth) {
+        const auto label = static_cast<std::uint16_t>(std::min<std::uint32_t>(depth, 0xFFFE));
+        next.clear();
+        for (const ApId v : frontier) {
+          for (const graphx::VertexId u : graph_.neighbors(v).ids()) {
+            if (table.hops[u * stride + l] != 0xFFFF) continue;
+            table.hops[u * stride + l] = label;
+            next.push_back(u);
+          }
+        }
+        frontier.swap(next);
+      }
+    }
+    hop_bounds_ = std::move(table);
+  });
+  return hop_bounds_;
+}
+
+// The ideal-hop query is A* on hop count (unit weights) with
+//
+//   h(v) = max(h_geo(v), h_lm(v)),
+//   h_geo(v) = ceil((1 - 1e-9) * |v - nearest target| / longest link),
+//   h_lm(v)  = max over landmarks L of the distance from d_L(v) to the
+//              interval [min_t d_L(t), max_t d_L(t)] over the targets.
+//
+// Admissible. A k-hop path spans at most k links of length <= longest link,
+// so the real distance is at most k times it; the computed distances and the
+// quotient carry a relative error of a few 2^-53, which the 1e-9 factor
+// covers (h_geo may round down, never up). For the target t nearest in
+// hops, hops(v, t) >= |d_L(v) - d_L(t)| >= the distance from d_L(v) to the
+// interval. Consistent: both are 1-Lipschitz along a link, h_geo because
+// each link is at most the longest one (the 1e-9 slack again covers the
+// rounding below ~10^5 hops), h_lm exactly; so is their max. Hence
+// f = g + h never drops along a link and rises by at most 2: three buckets
+// keyed f mod 3 hold every open entry. An entry is stale when its g is no
+// longer the vertex's label; the first pop of a vertex carries its final g.
+// Targets are never queued: generating one records the path's length, and
+// the search returns once the bucket key reaches the best length recorded
+// (at once when the key already does), since every open path is at least
+// as long as the key. A target's h is 0, so the answer equals the BFS's.
+// Each bucket is a stack, so ties in f expand the deepest entry first.
 std::optional<std::size_t> ApNetwork::min_hops(ApId from,
                                                std::span<const ApId> targets) const {
   const std::uint32_t component = components_.component_of.at(from);
-  bool reachable = false;
+  std::vector<ApId> reachable;
   for (const ApId t : targets) {
     if (t == from) return 0;
-    reachable |= components_.component_of.at(t) == component;
+    if (components_.component_of.at(t) == component) reachable.push_back(t);
   }
-  if (!reachable) return std::nullopt;
+  if (reachable.empty()) return std::nullopt;
 
-  // A BFS from `from`, one whole level at a time, that returns on the
-  // first target it reaches: every vertex of the levels before is closer,
-  // and none of them was a target.
-  enum : std::uint8_t { kUnseen, kSeen, kTarget };
-  std::vector<std::uint8_t> mark(aps_.size(), kUnseen);
-  for (const ApId t : targets) mark[t] = kTarget;
-  mark[from] = kSeen;
-  std::vector<ApId> frontier{from};
-  std::vector<ApId> next;
-  for (std::size_t depth = 1; !frontier.empty(); ++depth) {
-    next.clear();
-    for (const ApId v : frontier) {
-      for (const graphx::VertexId u : graph_.neighbors(v).ids()) {
-        if (mark[u] == kTarget) return depth;
-        if (mark[u] == kUnseen) {
-          mark[u] = kSeen;
-          next.push_back(u);
+  constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint32_t kTarget = kUnreached - 1;
+  std::vector<std::uint32_t> label(aps_.size(), kUnreached);
+  std::vector<geo::Point> target_at;
+  target_at.reserve(reachable.size());
+  for (const ApId t : reachable) {
+    label[t] = kTarget;
+    target_at.push_back(aps_[t].position);
+  }
+
+  // The landmark intervals, when `from` is in the landmarks' component (then
+  // so is every reachable target).
+  std::array<std::uint16_t, kHopLandmarks> lo{};
+  std::array<std::uint16_t, kHopLandmarks> hi{};
+  std::size_t landmarks = 0;
+  const HopBounds& table = hop_bounds();
+  if (table.component == component) {
+    landmarks = table.landmark_count;
+    lo.fill(0xFFFF);
+    for (const ApId t : reachable) {
+      for (std::size_t l = 0; l < landmarks; ++l) {
+        const std::uint16_t d = table.hops[t * landmarks + l];
+        lo[l] = std::min(lo[l], d);
+        hi[l] = std::max(hi[l], d);
+      }
+    }
+  }
+  const double per_hop = table.longest_link > 0.0 ? (1.0 - 1e-9) / table.longest_link : 0.0;
+  const auto bound = [&](ApId v) {
+    std::uint32_t h = 0;
+    if (per_hop > 0.0) {
+      double d2 = std::numeric_limits<double>::infinity();
+      for (const geo::Point p : target_at) d2 = std::min(d2, geo::distance2(aps_[v].position, p));
+      h = static_cast<std::uint32_t>(std::ceil(std::sqrt(d2) * per_hop));
+    }
+    for (std::size_t l = 0; l < landmarks; ++l) {
+      const std::uint16_t d = table.hops[v * landmarks + l];
+      const std::uint32_t gap = d < lo[l] ? lo[l] - d : d > hi[l] ? d - hi[l] : 0;
+      h = std::max(h, gap);
+    }
+    return h;
+  };
+
+  struct Entry {
+    ApId v;
+    std::uint32_t g;
+  };
+  std::array<std::vector<Entry>, 3> buckets;
+  label[from] = 0;
+  std::uint32_t key = bound(from);
+  buckets[key % 3].push_back({from, 0});
+  std::uint32_t best = kUnreached;
+  for (;; ++key) {
+    std::vector<Entry>& bucket = buckets[key % 3];
+    while (!bucket.empty() && key < best) {
+      const Entry e = bucket.back();
+      bucket.pop_back();
+      if (e.g != label[e.v]) continue;  // stale: relabelled shorter since
+      const std::uint32_t g = e.g + 1;
+      for (const graphx::VertexId u : graph_.neighbors(e.v).ids()) {
+        if (label[u] == kTarget) {
+          if (g <= key) return g;  // no open path is shorter than the key
+          best = std::min(best, g);
+        } else if (g < label[u]) {
+          label[u] = g;
+          const std::uint32_t f = g + bound(u);
+          assert(f >= key && f <= key + 2);
+          buckets[f % 3].push_back({u, g});
         }
       }
     }
-    frontier.swap(next);
+    if (key >= best) return best;
+    if (buckets[0].empty() && buckets[1].empty() && buckets[2].empty()) break;
   }
   return std::nullopt;  // unreachable: the component labels said connected
 }

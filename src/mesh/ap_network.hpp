@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -91,13 +92,36 @@ class ApNetwork {
   /// `aps_of_building(b)`): the denominator of the paper's transmission-
   /// overhead metric. 0 when `from` is a target; nullopt when no target
   /// shares `from`'s component (an empty span included), answered from the
-  /// component labels without a search. Otherwise a BFS from `from` that
-  /// returns on the first target it reaches, so a send
-  /// visits the ball of radius min_hops around `from`, not the whole graph;
-  /// its one-byte-per-AP mark buffer is still O(ap_count()). Buffers are per
+  /// component labels without a search. Otherwise an exact A* search on hop
+  /// count from `from` (see the .cpp), steered by two admissible, consistent
+  /// bounds: ⌈distance to the nearest target / longest link⌉, and the hop
+  /// landmarks' interval bound when `from` lies in their component. It visits
+  /// a corridor toward the targets, not the ball of radius min_hops; its
+  /// four-byte-per-AP label buffer is still O(ap_count()). Buffers are per
   /// call: the network is shared read-only across threads. Throws
   /// std::out_of_range for an AP id past ap_count().
   std::optional<std::size_t> min_hops(ApId from, std::span<const ApId> targets) const;
+
+  /// Hop landmarks: the northmost, eastmost, southmost and westmost APs of
+  /// the largest component (lowest id on a tie; duplicates dropped).
+  static constexpr std::size_t kHopLandmarks = 4;
+
+  /// What min_hops' bounds read. Built on first use, once per network and
+  /// thread-safely, so every CityMeshNetwork on a CompiledCity shares it and
+  /// a city that never asks for min_hops never pays for it.
+  struct HopBounds {
+    /// The longest link of graph(), in meters (0 without links): no path
+    /// of k hops spans more than k times this.
+    double longest_link = 0.0;
+    /// The hop landmarks' component (the largest).
+    std::uint32_t component = 0;
+    std::size_t landmark_count = 0;
+    /// BFS hop counts from each hop landmark, contiguous per AP: row v
+    /// holds landmark_count entries (the hop count clamped to 0xFFFE;
+    /// 0xFFFF for an AP outside the landmarks' component).
+    std::vector<std::uint16_t> hops;
+  };
+  const HopBounds& hop_bounds() const;
 
  private:
   std::vector<AccessPoint> aps_;
@@ -107,6 +131,8 @@ class ApNetwork {
   graphx::Components components_;
   std::vector<std::vector<ApId>> by_building_;
   std::vector<ApId> empty_;
+  mutable std::once_flag hop_bounds_once_;
+  mutable HopBounds hop_bounds_;
 };
 
 /// Place APs inside the city's building footprints per the config.

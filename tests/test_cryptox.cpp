@@ -252,6 +252,42 @@ TEST(X25519, Rfc7748DiffieHellman) {
             "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
 }
 
+TEST(X25519, FixedBaseMatchesLadder) {
+  // x25519_base takes the fixed-base Edwards table; x25519 at u = 9 is the
+  // Montgomery ladder. They must agree on every scalar.
+  cryptox::X25519Key base_u{};
+  base_u[0] = 9;
+  const auto check = [&](const cryptox::X25519Key& k) {
+    EXPECT_EQ(cryptox::x25519_base(k), cryptox::x25519(k, base_u)) << cryptox::to_hex(k);
+  };
+  Rng rng{0x25519};
+  for (int i = 0; i < 1000; ++i) {
+    cryptox::X25519Key k;
+    for (auto& byte : k) byte = static_cast<std::uint8_t>(rng.next());
+    check(k);
+  }
+  // Edge scalars: all zeros, all ones, and every radix-16 digit at the
+  // recoding's extremes (8 carries into the next digit, 7 does not).
+  for (const std::uint8_t fill : {0x00, 0xFF, 0x88, 0x77, 0xF0, 0x0F, 0x80, 0x08}) {
+    cryptox::X25519Key k;
+    k.fill(fill);
+    check(k);
+  }
+  // Scalars that differ only in the clamped bits (0-2 of byte 0, 6-7 of
+  // byte 31) are one key.
+  cryptox::X25519Key k;
+  for (auto& byte : k) byte = static_cast<std::uint8_t>(rng.next());
+  const auto expected = cryptox::x25519(k, base_u);
+  for (std::uint8_t low = 0; low < 8; ++low) {
+    for (std::uint8_t high = 0; high < 4; ++high) {
+      cryptox::X25519Key variant = k;
+      variant[0] = static_cast<std::uint8_t>((variant[0] & 0xF8) | low);
+      variant[31] = static_cast<std::uint8_t>((variant[31] & 0x3F) | (high << 6));
+      EXPECT_EQ(cryptox::x25519_base(variant), expected);
+    }
+  }
+}
+
 class X25519Property : public ::testing::TestWithParam<int> {};
 
 TEST_P(X25519Property, DhSharedSecretsAgree) {

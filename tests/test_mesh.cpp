@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <span>
 #include <vector>
 
@@ -164,31 +166,166 @@ std::optional<std::size_t> bfs_min_hops(const mesh::ApNetwork& net, mesh::ApId f
   return static_cast<std::size_t>(best);
 }
 
+/// min_hops against the oracle from every AP to every single AP and to
+/// every building of a hand-made network.
+void expect_min_hops_match_everywhere(const mesh::ApNetwork& net) {
+  for (mesh::ApId from = 0; from < net.ap_count(); ++from) {
+    for (mesh::ApId to = 0; to < net.ap_count(); ++to) {
+      const std::span<const mesh::ApId> target{&to, 1};
+      EXPECT_EQ(net.min_hops(from, target), bfs_min_hops(net, from, target))
+          << "from " << from << " to AP " << to;
+    }
+    for (const auto& ap : net.aps()) {
+      const auto& targets = net.aps_of_building(ap.building);
+      EXPECT_EQ(net.min_hops(from, targets), bfs_min_hops(net, from, targets))
+          << "from " << from << " to building " << ap.building;
+    }
+  }
+}
+
 }  // namespace
 
 TEST(ApNetwork, MinHopsMatchesWholeGraphBfsOnEveryProfile) {
-  // 200 seeded (source AP, destination building) pairs per profile, each
-  // checked against its own full BFS.
-  for (const auto& profile : osmx::default_profiles()) {
-    SCOPED_TRACE(profile.name);
-    const auto city = osmx::generate_city(profile);
-    const auto net = mesh::place_aps(city, mesh::PlacementConfig{});
-    ASSERT_GT(net.ap_count(), 0u);
-    geo::Rng rng{0xb1d1 ^ profile.seed};
-    std::size_t reachable = 0, unreachable = 0;
-    for (int pair = 0; pair < 200; ++pair) {
-      const auto from = static_cast<mesh::ApId>(rng.uniform_int(net.ap_count()));
-      const auto b = static_cast<osmx::BuildingId>(rng.uniform_int(city.building_count()));
-      const auto& targets = net.aps_of_building(b);
-      const auto expected = bfs_min_hops(net, from, targets);
-      EXPECT_EQ(net.min_hops(from, targets), expected) << "from " << from << " to building " << b;
-      ++(expected ? reachable : unreachable);
+  // 200 seeded (source AP, destination building) pairs per profile and link
+  // model, each checked against its own full BFS.
+  for (const auto model : {mesh::LinkModel::kDisc, mesh::LinkModel::kShadowed}) {
+    for (const auto& profile : osmx::default_profiles()) {
+      SCOPED_TRACE(profile.name + (model == mesh::LinkModel::kDisc ? " disc" : " shadowed"));
+      const auto city = osmx::generate_city(profile);
+      mesh::PlacementConfig cfg;
+      cfg.link_model = model;
+      const auto net = mesh::place_aps(city, cfg);
+      ASSERT_GT(net.ap_count(), 0u);
+      geo::Rng rng{0xb1d1 ^ profile.seed};
+      std::size_t reachable = 0, unreachable = 0;
+      for (int pair = 0; pair < 200; ++pair) {
+        const auto from = static_cast<mesh::ApId>(rng.uniform_int(net.ap_count()));
+        const auto b = static_cast<osmx::BuildingId>(rng.uniform_int(city.building_count()));
+        const auto& targets = net.aps_of_building(b);
+        const auto expected = bfs_min_hops(net, from, targets);
+        EXPECT_EQ(net.min_hops(from, targets), expected)
+            << "from " << from << " to building " << b;
+        ++(expected ? reachable : unreachable);
+      }
+      // Both answers occur: islands (the paper's Fig 4) and AP-less
+      // buildings leave some pairs unreachable.
+      EXPECT_GT(reachable, 0u);
+      EXPECT_GT(unreachable, 0u);
     }
-    // Both answers occur: islands (the paper's Fig 4) and AP-less buildings
-    // leave some pairs unreachable.
-    EXPECT_GT(reachable, 0u);
-    EXPECT_GT(unreachable, 0u);
   }
+}
+
+TEST(ApNetwork, HopLandmarksHoldBfsDistances) {
+  const auto city = osmx::generate_city(osmx::profile_by_name("cambridge"));
+  const auto net = mesh::place_aps(city, mesh::PlacementConfig{});
+  const auto& table = net.hop_bounds();
+  ASSERT_GT(table.landmark_count, 0u);
+  ASSERT_LE(table.landmark_count, mesh::ApNetwork::kHopLandmarks);
+  EXPECT_EQ(table.component, net.components().largest());
+  ASSERT_EQ(table.hops.size(), net.ap_count() * table.landmark_count);
+  for (std::size_t l = 0; l < table.landmark_count; ++l) {
+    // The landmark is the one AP at hop 0 of its column.
+    mesh::ApId landmark = 0;
+    while (landmark < net.ap_count() && table.hops[landmark * table.landmark_count + l] != 0)
+      ++landmark;
+    ASSERT_LT(landmark, net.ap_count());
+    EXPECT_EQ(net.components().component_of[landmark], table.component);
+    const auto sp = graphx::bfs(net.graph(), landmark);
+    for (mesh::ApId v = 0; v < net.ap_count(); ++v) {
+      const std::uint16_t expected = sp.distance[v] >= graphx::kInfiniteDistance
+                                         ? 0xFFFF
+                                         : static_cast<std::uint16_t>(sp.distance[v]);
+      ASSERT_EQ(table.hops[v * table.landmark_count + l], expected) << "AP " << v;
+    }
+  }
+}
+
+TEST(ApNetwork, MinHopsOnCoincidentAps) {
+  // Every link has length 0, so the geometric bound has no scale and is 0.
+  std::vector<mesh::AccessPoint> aps;
+  for (std::uint32_t i = 0; i < 6; ++i) aps.push_back({i, {12.5, -3.0}, i % 3});
+  const mesh::ApNetwork net{std::move(aps), 50.0};
+  EXPECT_EQ(net.hop_bounds().longest_link, 0.0);
+  expect_min_hops_match_everywhere(net);
+  const mesh::ApId other = 5;
+  EXPECT_EQ(net.min_hops(0, {&other, 1}), std::optional<std::size_t>{1});
+}
+
+TEST(ApNetwork, MinHopsOnChainsWhereTheGeometricBoundIsTight) {
+  // Straight chains, where the distance bound equals the hop count: 40 m
+  // spacing (bound = ceil(40k / 40)) and spacing of exactly the range,
+  // along an axis and along a 3-4-5 diagonal (links of exactly 50 m).
+  // Rounding the bound up anywhere would overshoot by one hop.
+  for (const geo::Point step : {geo::Point{40.0, 0.0}, geo::Point{50.0, 0.0},
+                                geo::Point{30.0, 40.0}, geo::Point{0.0, -50.0}}) {
+    SCOPED_TRACE(step.x);
+    std::vector<mesh::AccessPoint> aps;
+    for (std::uint32_t i = 0; i < 24; ++i) {
+      aps.push_back({i, {1000.0 + i * step.x, -700.0 + i * step.y}, i / 2});
+    }
+    const mesh::ApNetwork net{std::move(aps), 50.0};
+    EXPECT_EQ(net.hop_bounds().longest_link, geo::norm(step));
+    EXPECT_EQ(net.components().count, 1u);
+    expect_min_hops_match_everywhere(net);
+    const mesh::ApId last = 23;
+    EXPECT_EQ(net.min_hops(0, {&last, 1}), std::optional<std::size_t>{23});
+  }
+}
+
+TEST(ApNetwork, MinHopsWithATargetBuildingSplitAcrossComponents) {
+  // Building 9 has an AP at the far end of a long chain and one at the
+  // near end of a short chain 200 m beside it, out of range. The short
+  // chain's AP is the nearer one to the long chain's source as the crow
+  // flies, but unreachable: only targets in the source's own component may
+  // steer the search.
+  std::vector<mesh::AccessPoint> aps;
+  for (std::uint32_t i = 0; i < 12; ++i) aps.push_back({i, {i * 45.0, 0.0}, 1});
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    aps.push_back({12 + i, {i * 45.0, 200.0}, 2});
+  }
+  aps[11].building = 9;  // far end of the long chain
+  aps[12].building = 9;  // near end of the short chain, above AP 0
+  const mesh::ApNetwork net{std::move(aps), 50.0};
+  ASSERT_EQ(net.components().count, 2u);
+  expect_min_hops_match_everywhere(net);
+  EXPECT_EQ(net.min_hops(0, net.aps_of_building(9)), std::optional<std::size_t>{11});
+  EXPECT_EQ(net.min_hops(15, net.aps_of_building(9)), std::optional<std::size_t>{3});
+}
+
+TEST(ApNetwork, MinHopsFromOutsideTheLandmarkComponent) {
+  // A large grid (the landmarks' component) and a small ring beside it:
+  // queries inside the ring run on the geometric bound alone.
+  std::vector<mesh::AccessPoint> aps;
+  for (std::uint32_t r = 0; r < 6; ++r) {
+    for (std::uint32_t c = 0; c < 6; ++c) {
+      const auto id = static_cast<mesh::ApId>(aps.size());
+      aps.push_back({id, {c * 48.0, r * 48.0}, r});
+    }
+  }
+  const double pi = 3.14159265358979323846;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    const auto id = static_cast<mesh::ApId>(aps.size());
+    const double angle = 2.0 * pi * i / 10.0;
+    aps.push_back({id, {2000.0 + 70.0 * std::cos(angle), 70.0 * std::sin(angle)}, 10 + i % 4});
+  }
+  const mesh::ApNetwork net{std::move(aps), 50.0};
+  const auto& table = net.hop_bounds();
+  EXPECT_EQ(table.component, net.components().component_of[0]);
+  EXPECT_NE(table.component, net.components().component_of[36]);
+  expect_min_hops_match_everywhere(net);
+}
+
+TEST(ApNetwork, MinHopsOnASingleAp) {
+  std::vector<mesh::AccessPoint> aps;
+  aps.push_back({0, {3.0, 4.0}, 2});
+  const mesh::ApNetwork net{std::move(aps), 50.0};
+  const mesh::ApId only = 0;
+  EXPECT_EQ(net.min_hops(0, {&only, 1}), std::optional<std::size_t>{0});
+  EXPECT_EQ(net.min_hops(0, net.aps_of_building(2)), std::optional<std::size_t>{0});
+  EXPECT_FALSE(net.min_hops(0, {}).has_value());
+  EXPECT_FALSE(net.min_hops(0, net.aps_of_building(0)).has_value());
+  EXPECT_THROW((void)net.min_hops(1, {&only, 1}), std::out_of_range);
+  EXPECT_EQ(net.hop_bounds().landmark_count, 1u);
 }
 
 TEST(ApNetwork, MinHopsEdgeCases) {

@@ -292,7 +292,8 @@ echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs/--shards) OK"
 # coordinator closures, and every message's record (acks, send_reliable,
 # geo-broadcast, forward_pending) opens, merges and erases through the one
 # origination path (extensions, apps, integration), and the ideal-hop
-# query indexes per-call frontier and mark buffers (mesh), and the
+# query indexes per-call label and bucket buffers and a hop-landmark table
+# (mesh), and the
 # remaining suites parse and encode bytes (wire, osmx, cryptox) or index
 # flat tables (routing, runx, measure, viz); run every test suite under
 # ASan+UBSan in a separate tree (skipped if that tree's configure fails,
@@ -327,7 +328,8 @@ fi
 # scenarios flip AP status between the tiles' windows, and tiles read the
 # message records (acks included) that the coordinator opens and merges
 # between windows (extensions, trafficx), and sweep jobs run the ideal-hop
-# query concurrently on one shared compiled city (runx), and runx compiles
+# query concurrently on one shared compiled city, whose hop-landmark table
+# the first query builds behind a call_once (runx), and runx compiles
 # cities — the grid sweep and the link builder (geo, graphx, mesh) — on
 # its worker threads; run those tests (plus the event engine they drive)
 # under TSan in a third tree to catch data races the determinism digest
