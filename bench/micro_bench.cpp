@@ -19,6 +19,7 @@
 #include "core/conduit.hpp"
 #include "core/route_planner.hpp"
 #include "cryptox/chacha20.hpp"
+#include "cryptox/ed25519.hpp"
 #include "cryptox/sealed.hpp"
 #include "cryptox/sha256.hpp"
 #include "cryptox/x25519.hpp"
@@ -27,6 +28,7 @@
 #include "graphx/alt.hpp"
 #include "graphx/graph.hpp"
 #include "graphx/shortest_path.hpp"
+#include "medium_test_owner.hpp"
 #include "mesh/ap_network.hpp"
 #include "osmx/citygen.hpp"
 #include "qfgeo/qfgeo.hpp"
@@ -575,7 +577,7 @@ static void BM_MediumFanout(benchmark::State& state) {
     citymesh::sim::Simulator s;
     citymesh::sim::MediumConfig cfg;
     cfg.jitter_s = 0.0;
-    citymesh::sim::BroadcastMedium<P> medium{s, topo, cfg};
+    citymesh::testkit::TestMedium<P> medium{s, topo, cfg};
     std::size_t seen = 0;
     medium.set_delivery_handler(
         [&seen](citymesh::sim::NodeId, citymesh::sim::NodeId,
@@ -670,7 +672,7 @@ BENCHMARK(BM_FlowScheduleCompile)->Unit(benchmark::kMillisecond);
 // busy takes the deferral fast path (queue push, no event scheduled). The
 // drain at the end amortizes the completion/fan-out machinery over the batch.
 static void BM_MediumBusyChannelDefer(benchmark::State& state) {
-  using Medium = citymesh::sim::BroadcastMedium<int>;
+  using Medium = citymesh::testkit::TestMedium<int>;
   constexpr int kBatch = 64;
   citymesh::graphx::GraphBuilder builder{2};
   builder.add_edge(0, 1, 10.0);
@@ -789,6 +791,22 @@ static void BM_X25519Base(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519Base)->Arg(0)->Arg(1);
+
+// Signature verification: the windowed double-scalar multiply (Arg 0)
+// against the bit-by-bit reference it replaced (Arg 1).
+static void BM_Ed25519Verify(benchmark::State& state) {
+  const auto kp = cryptox::Ed25519KeyPair::from_seed(3);
+  const std::string msg(128, 'b');
+  const auto sig = kp.sign(msg);
+  const std::span<const std::uint8_t> bytes{reinterpret_cast<const std::uint8_t*>(msg.data()),
+                                            msg.size()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(state.range(0) == 0
+                                 ? cryptox::ed25519_verify(kp.public_key(), bytes, sig)
+                                 : cryptox::ed25519_verify_reference(kp.public_key(), bytes, sig));
+  }
+}
+BENCHMARK(BM_Ed25519Verify)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 static void BM_X25519SharedSecret(benchmark::State& state) {
   const auto a = cryptox::KeyPair::from_seed(1);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
@@ -114,9 +115,8 @@ void CityMeshNetwork::build_tiles() {
   shards_.reserve(tiles);
   for (shardx::TileId tile = 0; tile < tiles; ++tile) {
     const std::size_t tile_aps = tiles > 1 ? plan_.tile_aps[tile].size() : aps().ap_count();
-    auto s = std::make_unique<Shard>(tile, aps().graph(), config_.medium,
+    auto s = std::make_unique<Shard>(*this, tile, aps().graph(), config_.medium,
                                      trace_capacity_for(config_, tile_aps));
-    Shard* sp = s.get();
     s->h_latency = &s->metrics.histogram("sim.event_latency_s",
                                          obsx::exponential_buckets(1e-4, 4.0, 10));
     // Quantized sums make the per-shard accumulation exact, so the merged
@@ -126,43 +126,20 @@ void CityMeshNetwork::build_tiles() {
     // accumulated seconds.
     s->h_latency->set_sum_quantum(0x1p-30);
     s->sim.set_latency_histogram(s->h_latency);
-    sim::BroadcastMedium<MeshPacket>& medium = s->medium;
-    medium.set_delivery_handler([this, sp](sim::NodeId to, sim::NodeId from,
-                                           const std::shared_ptr<const MeshPacket>& packet) {
-      handle_delivery(*sp, to, from, packet);
-    });
-    medium.set_node_filter([this](sim::NodeId node) { return ap_up(node); });
-    medium.set_link_loss([this](sim::NodeId from, sim::NodeId to) {
-      return extra_link_loss(from, to);
-    });
-    // Per-message transmission attribution: one hash probe per on-air
-    // packet while any record is open (an idle network pays one branch).
-    medium.set_tx_observer([this, sp](sim::NodeId, const MeshPacket& p) {
-      if (flows_.empty()) return;
-      if (flows_.find(p.trace_id) != flows_.end()) {
-        ++sp->flow_deltas[p.trace_id].transmissions;
-      }
-    });
+    // The shard is the medium's owner (its hooks are in network.hpp).
+    sim::BroadcastMedium<MeshPacket, Shard>& medium = s->medium;
     if (tiles > 1) {
       // The tile filter skips cross-tile neighbors; remote_fanout covers
       // exactly those cut edges. A filtered walk visits the same edges in
       // the same order as per-tile subgraph copies would (test_metromem
       // pins the parity).
       medium.set_tile_filter(plan_.ap_tile.data(), tile);
-      medium.set_remote_fanout(
-          [this, sp](sim::NodeId from, const std::shared_ptr<const MeshPacket>& packet,
-                     sim::SimTime air, std::uint32_t tx_index) {
-            remote_fanout(*sp, from, packet, air, tx_index);
-          });
     }
     // The medium's tally is the medium.* metric set; it stamps trace events
     // with the packet's decoded message id and charges airtime by the
     // packet's wire size (contention model).
     medium.bind_metrics(s->metrics);
-    medium.set_trace(&s->trace, [](const MeshPacket& p) { return p.trace_id; });
-    medium.set_packet_bits([](const MeshPacket& p) {
-      return (p.header_bytes.size() + p.payload.size()) * 8;
-    });
+    medium.set_trace(&s->trace);
     // Rebroadcast policy (src/relayx). The relayx.* counters are bound for
     // non-flood policies only, mirroring the MessageCompiler precedent:
     // snapshot() serializes every registered counter, and flood manifests
@@ -174,12 +151,7 @@ void CityMeshNetwork::build_tiles() {
     // Duplicates are settled at fan-out only where nothing can act on one:
     // qfgeo arms greedy copies that duplicates cancel, and so may policies.
     s->settler = config_.protocol == Protocol::kConduit && s->policy->ignores_duplicates();
-    if (s->settler) {
-      medium.set_duplicate_settler([this, sp](sim::NodeId to, const MeshPacket& packet,
-                                              sim::SimTime at, std::uint64_t seq) {
-        return settle_duplicate(*sp, to, packet, at, seq);
-      });
-    }
+    if (s->settler && first_arrival_.empty()) first_arrival_.resize(aps().ap_count());
     s->n_rebroadcasts = &s->metrics.counter("net.rebroadcasts");
     s->n_dup_suppressed = &s->metrics.counter("net.dup_suppressed");
     s->n_conduit_rejects = &s->metrics.counter("net.conduit_rejects");
@@ -264,7 +236,15 @@ void CityMeshNetwork::clear_pending_relays() {
   }
 }
 
+void CityMeshNetwork::require_any_control(const char* what) const {
+  if (in_injection_) {
+    throw std::logic_error(std::string{what} +
+                           ": called inside a control event declared ControlClass::kInjection");
+  }
+}
+
 void CityMeshNetwork::set_ap_status(mesh::ApId id, ApStatus status) {
+  require_any_control("set_ap_status");
   ApStatus& slot = ap_status_.at(id);
   if (slot == status) return;
   slot = status;
@@ -290,17 +270,35 @@ std::optional<mesh::ApId> CityMeshNetwork::live_ap(BuildingId building) const {
 }
 
 std::size_t CityMeshNetwork::add_degraded_region(geo::Polygon region, double extra_loss) {
+  require_any_control("add_degraded_region");
   std::vector<char> members(aps().ap_count(), 0);
   for (const auto& ap : aps().aps()) {
     members[ap.id] = region.contains(ap.position) ? 1 : 0;
   }
   degraded_.push_back({std::move(region), extra_loss, /*active=*/true});
   degraded_members_.push_back(std::move(members));
+  refresh_degraded();
   return degraded_.size() - 1;
 }
 
 void CityMeshNetwork::set_degraded_region_active(std::size_t handle, bool active) {
+  require_any_control("set_degraded_region_active");
   degraded_.at(handle).active = active;
+  refresh_degraded();
+}
+
+void CityMeshNetwork::refresh_degraded() {
+  // A link whose ends are both unflagged avoids every active region, so
+  // its extra loss is exactly 0 and the medium need not ask for it.
+  degraded_active_ = false;
+  degraded_ap_.assign(aps().ap_count(), 0);
+  for (std::size_t r = 0; r < degraded_.size(); ++r) {
+    if (!degraded_[r].active) continue;
+    degraded_active_ = true;
+    for (std::size_t ap = 0; ap < degraded_ap_.size(); ++ap) {
+      degraded_ap_[ap] |= static_cast<std::uint8_t>(degraded_members_[r][ap] != 0);
+    }
+  }
 }
 
 double CityMeshNetwork::extra_link_loss(mesh::ApId from, mesh::ApId to) const {
@@ -410,11 +408,9 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
     return;
   }
 
-  // The first accepted copy: later receptions here now settle on the seen
-  // set, so the message's first-arrival entry has done its job.
-  if (!s.first_arrival.empty()) {
-    s.first_arrival.erase((std::uint64_t{action.message_id} << 32) | to);
-  }
+  // The first accepted copy: the seen marker lets every later reception of
+  // the message here settle on one load.
+  if (!first_arrival_.empty()) first_arrival_[to] = {action.message_id, sim::kForever};
   if (action.delivered) record_delivery(s, to, action, now);
 
   if (action.rebroadcast) {
@@ -433,46 +429,6 @@ void CityMeshNetwork::handle_delivery(Shard& s, sim::NodeId to, sim::NodeId from
     s.n_conduit_rejects->inc();
     s.trace.record(obsx::TraceKind::kConduitReject, now, node, action.message_id);
   }
-}
-
-bool CityMeshNetwork::settle_duplicate(Shard& s, sim::NodeId to, const MeshPacket& packet,
-                                       sim::SimTime at, std::uint64_t seq) {
-  // A reception is a no-op duplicate when delivering it would only count
-  // medium.deliveries and net.dup_suppressed. That holds when all of:
-  //  (a) a window is running and `at` is before its horizon, min(until,
-  //      next control event): AP status, tracing and degraded regions change
-  //      only in coordinator context, so `to` is still up at `at`;
-  //  (b) tracing is off on this tile (a traced run records every kRx and
-  //      kDupSuppressed at its own time);
-  //  (c) nothing acts on duplicates: conduit protocol and a policy that
-  //      ignores them (no observe, no pending copies, no cancels);
-  // (a)-(c) are folded into settle_before.
-  if (!(at < s.settle_before)) return false;
-  //  (d) the receiver is up now, hence at `at`;
-  //  (e) the packet carries a compiled, well-formed message, so the agent
-  //      reaches its seen-set check;
-  const CompiledMessage* msg = packet.compiled.get();
-  if (msg == nullptr || msg->malformed || ap_status_[to] != ApStatus::kUp) return false;
-  //  (f) `to` has seen the message already, or an earlier reception of it
-  //      to `to` is still queued: that one fires first, before the horizon,
-  //      with `to` up, and marks the message seen.
-  const std::uint32_t id = msg->header.message_id;
-  if (!agent_state_.has_seen(static_cast<std::uint32_t>(to), id)) {
-    const auto [it, fresh] =
-        s.first_arrival.try_emplace((std::uint64_t{id} << 32) | to, Shard::Arrival{at, seq});
-    if (fresh) return false;
-    Shard::Arrival& first = it->second;
-    // An entry due after now is still queued. One due now may have fired
-    // without marking the message seen (at a down receiver), so it is
-    // replaced like a past one. `seq` is fresh, so an entry due at `at` is
-    // always the earlier of the two.
-    if (!(first.time > s.sim.now()) || at < first.time) {
-      first = {at, seq};
-      return false;
-    }
-  }
-  s.n_dup_suppressed->inc();
-  return true;
 }
 
 void CityMeshNetwork::policy_relay(Shard& s, mesh::ApId to, std::uint32_t message_id,
@@ -565,13 +521,24 @@ void CityMeshNetwork::qfgeo_forward(Shard& s, mesh::ApId to, mesh::ApId from,
 
 // --- Run driving (src/shardx) ---------------------------------------------
 
-void CityMeshNetwork::schedule_control(sim::SimTime at, std::function<void()> fn) {
+void CityMeshNetwork::schedule_control(sim::SimTime at, std::function<void()> fn,
+                                       ControlClass what) {
   if (at < shard_now_) {
     throw std::runtime_error("schedule_control: time is in the past");
   }
   h_control_latency_->record(at - shard_now_);
-  control_.push_back({at, control_seq_++, std::move(fn)});
+  control_.push_back({at, control_seq_++, std::move(fn), what});
   std::push_heap(control_.begin(), control_.end(), control_after);
+  if (what == ControlClass::kAny) {
+    any_control_times_.push_back(at);
+    std::push_heap(any_control_times_.begin(), any_control_times_.end(), std::greater<>{});
+  }
+}
+
+std::size_t CityMeshNetwork::events_processed() const {
+  std::size_t events = controls_run_;
+  for (const auto& sp : shards_) events += sp->sim.events_processed();
+  return events;
 }
 
 std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_events) {
@@ -609,8 +576,24 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
         std::pop_heap(control_.begin(), control_.end(), control_after);
         ControlEvent ev = std::move(control_.back());
         control_.pop_back();
-        ev.fn();
+        if (ev.what == ControlClass::kAny) {
+          // Events run in time order, so this one holds the earliest time.
+          std::pop_heap(any_control_times_.begin(), any_control_times_.end(),
+                        std::greater<>{});
+          any_control_times_.pop_back();
+          ev.fn();
+        } else {
+          in_injection_ = true;
+          try {
+            ev.fn();
+          } catch (...) {
+            in_injection_ = false;
+            throw;
+          }
+          in_injection_ = false;
+        }
         ++executed;
+        ++controls_run_;
       }
       continue;
     }
@@ -621,11 +604,16 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
     const sim::SimTime end =
         lookahead_s_ >= sim::kForever ? cap : std::min(cap, earliest + lookahead_s_);
     const std::size_t budget = max_events - executed;
-    // Duplicates may settle up to `cap`: before it, nothing outside the
-    // tiles runs (settle_duplicate).
+    // Duplicates may settle up to the next control event that may change AP
+    // status, tracing or degraded regions: before it, nothing that settling
+    // depends on changes (Shard::settle). Injections in between run
+    // between windows and only add receptions.
+    const sim::SimTime horizon =
+        std::min(until, any_control_times_.empty() ? sim::kForever : any_control_times_.front());
     for (const auto& sp : shards_) {
-      sp->settle_before = sp->settler && !sp->trace.enabled() ? cap : -sim::kForever;
+      sp->settle_before = sp->settler && !sp->trace.enabled() ? horizon : -sim::kForever;
     }
+    ++windows_;
     if (shards_.size() == 1) {
       executed += shards_.front()->sim.run(end, budget);
     } else {
@@ -647,10 +635,6 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
     }
     for (const auto& sp : shards_) sp->settle_before = -sim::kForever;
     if (end > shard_now_) shard_now_ = end;
-  }
-  // A tile with nothing queued has no reception left for an entry to name.
-  for (const auto& sp : shards_) {
-    if (sp->sim.empty() && !sp->first_arrival.empty()) sp->first_arrival.clear();
   }
   merge_shard_deltas();
   return executed;
@@ -778,6 +762,7 @@ std::uint64_t CityMeshNetwork::trace_lost() const {
 }
 
 void CityMeshNetwork::set_tracing(bool on) {
+  require_any_control("set_tracing");
   trace_.enable(on);
   for (const auto& sp : shards_) sp->trace.enable(on);
 }

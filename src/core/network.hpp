@@ -75,6 +75,20 @@ enum class Protocol : std::uint8_t {
   kQfgeo,
 };
 
+/// What a coordinator-level control event may change (schedule_control).
+/// Untraced conduit floods settle duplicate receptions only before the next
+/// control event that may change AP status, tracing or degraded regions, so
+/// an event that declares it changes none of them does not end that
+/// horizon.
+enum class ControlClass : std::uint8_t {
+  /// May change anything: fault actions, tracing toggles (the default).
+  kAny,
+  /// Injects flows and reads records only. set_ap_status, add_degraded_region,
+  /// set_degraded_region_active and set_tracing throw std::logic_error when
+  /// called inside such an event.
+  kInjection,
+};
+
 /// Canonical CLI/spec name ("conduit", "qfgeo").
 std::string_view to_string(Protocol protocol);
 std::optional<Protocol> protocol_from(std::string_view name);
@@ -304,7 +318,8 @@ class CityMeshNetwork {
   /// Returns the number of events executed (control events included), after
   /// merging the per-tile delivery deltas into the network-level outcome
   /// state. Untraced conduit-flood tiles settle provable duplicate
-  /// receptions at fan-out instead of queueing them (settle_duplicate); a
+  /// receptions at fan-out instead of queueing them (Shard::settle), up
+  /// to min(`until`, the next ControlClass::kAny control event); a
   /// settled reception counts as an event, so an uncut run returns the same
   /// count traced or not. It is charged to `max_events` when it is settled,
   /// ahead of its arrival time: a run cut by the budget may already count
@@ -317,8 +332,10 @@ class CityMeshNetwork {
   /// Schedule a coordinator-level event (workload injection, fault action).
   /// It runs between windows at exactly `at`, before any tile event at that
   /// time and when no worker is active — the handler may safely touch any
-  /// network state (inject flows, flip AP status, read flow states).
-  void schedule_control(sim::SimTime at, std::function<void()> fn);
+  /// network state (inject flows, flip AP status, read flow states), except
+  /// what `what` = kInjection declares it leaves alone (ControlClass).
+  void schedule_control(sim::SimTime at, std::function<void()> fn,
+                        ControlClass what = ControlClass::kAny);
   /// The run's metrics: the coordinator registry (sends, deliveries, header
   /// and hop histograms) merged with every tile registry (medium.*, the
   /// per-reception net.* tallies, relayx.*, qfgeo.*). The key set and the
@@ -376,6 +393,12 @@ class CityMeshNetwork {
   const std::vector<HandoffRecord>& handoff_log() const { return handoff_log_; }
   /// Total cross-tile receptions exchanged at barriers so far.
   std::uint64_t handoffs_exchanged() const { return handoffs_exchanged_; }
+  /// Tile windows run so far (one per control-event gap with a single
+  /// tile; one per lookahead step with several).
+  std::uint64_t windows_run() const { return windows_; }
+  /// Events processed so far: every tile's events, settled receptions
+  /// included, plus the control events run.
+  std::size_t events_processed() const;
 
   /// Register Bob's postbox: every AP in his building hosts the (shared)
   /// postbox so any of them can cache arriving messages. Returns the shared
@@ -458,7 +481,9 @@ class CityMeshNetwork {
   std::optional<mesh::ApId> live_ap(BuildingId building) const;
 
   /// Register a degraded-link region; returns a handle for (de)activation.
-  /// Membership is precomputed per AP, so the per-link lookup stays cheap.
+  /// Membership is precomputed per AP and folded into one per-AP flag over
+  /// the active regions, so a link with neither end flagged costs one
+  /// load, and nothing while no region is active.
   std::size_t add_degraded_region(geo::Polygon region, double extra_loss);
   void set_degraded_region_active(std::size_t handle, bool active);
   const std::vector<DegradedRegion>& degraded_regions() const { return degraded_; }
@@ -531,22 +556,115 @@ class CityMeshNetwork {
     }
   };
 
+  /// One AP's first-arrival hint (Shard::settle): the earliest queued
+  /// reception of `message_id` there, or the seen marker (time = forever)
+  /// once a delivery of it was accepted. Trusted only while time > now.
+  struct FirstArrival {
+    std::uint32_t message_id = 0;
+    sim::SimTime time = -sim::kForever;
+  };
+  static_assert(sizeof(FirstArrival) == 16, "16 bytes per AP");
+
   /// One execution shard (a tile): the event loop plus the mutable
   /// simulation state a window touches. The one thing tiles share writably
-  /// is the agent slab, and an AP's entries there are written only by its
-  /// own tile's thread. Every shard's medium walks the one shared
-  /// compiled-city CSR (with a tile filter when there are several tiles) —
-  /// there is no per-tile topology copy.
+  /// is per-AP state (the agent slab and the first-arrival table), and an
+  /// AP's entries there are written only by its own tile's thread. Every
+  /// shard's medium walks the one shared compiled-city CSR (with a tile
+  /// filter when there are several tiles) — there is no per-tile topology
+  /// copy. The shard is its medium's owner (sim/medium.hpp): the medium
+  /// calls the hooks below directly.
   struct Shard {
-    Shard(shardx::TileId tile_id, const graphx::Graph& topology,
+    Shard(CityMeshNetwork& network, shardx::TileId tile_id, const graphx::Graph& topology,
           const sim::MediumConfig& medium_config, std::size_t trace_capacity)
-        : tile(tile_id), trace(trace_capacity), medium(sim, topology, medium_config) {}
+        : net(&network),
+          tile(tile_id),
+          trace(trace_capacity),
+          medium(sim, topology, medium_config, *this) {}
 
+    // --- The medium's owner hooks ------------------------------------------
+    void deliver(sim::NodeId to, sim::NodeId from,
+                 const std::shared_ptr<const MeshPacket>& packet) {
+      net->handle_delivery(*this, to, from, packet);
+    }
+    bool node_up(sim::NodeId node) const { return net->ap_status_[node] == ApStatus::kUp; }
+    double link_loss(sim::NodeId from, sim::NodeId to) const {
+      if (!net->degraded_active_ || !(net->degraded_ap_[from] | net->degraded_ap_[to])) {
+        return 0.0;
+      }
+      return net->extra_link_loss(from, to);
+    }
+    std::uint32_t packet_id(const MeshPacket& p) const { return p.trace_id; }
+    std::size_t packet_bits(const MeshPacket& p) const {
+      return (p.header_bytes.size() + p.payload.size()) * 8;
+    }
+    /// Per-message transmission attribution: one hash probe per on-air
+    /// packet while any record is open (an idle network pays one branch).
+    void on_air(sim::NodeId, const MeshPacket& p) {
+      if (net->flows_.empty()) return;
+      if (net->flows_.find(p.trace_id) != net->flows_.end()) {
+        ++flow_deltas[p.trace_id].transmissions;
+      }
+    }
+    /// The duplicate settler for one tile-local reception arriving at `at`:
+    /// true (and net.dup_suppressed counted) when delivering it would only
+    /// count medium.deliveries and net.dup_suppressed. That holds when all
+    /// of:
+    ///  (a) a window is running and `at` is before the settle horizon,
+    ///      min(until, next kAny control event): AP status, tracing and
+    ///      degraded regions change only in such events, so `to` is still
+    ///      up at `at` (kInjection events throw if they try);
+    ///  (b) tracing is off on this tile (a traced run records every kRx and
+    ///      kDupSuppressed at its own time);
+    ///  (c) nothing acts on duplicates: conduit protocol and a policy that
+    ///      ignores them (no observe, no pending copies, no cancels);
+    ///  (d) the receiver is up now, hence at `at`;
+    ///  (e) the packet carries a compiled, well-formed message, so the agent
+    ///      reaches its seen-set check;
+    ///  (f) `to` has seen the message already, or an earlier reception of
+    ///      it to `to` is still queued: that one fires first, before the
+    ///      horizon, with `to` up, and marks the message seen.
+    /// (a)-(c) are folded into settle_before. The first-arrival entry
+    /// answers (f) on one load when it names this message and is still
+    /// trusted (time after now: a queued reception, or the seen marker at
+    /// forever). An entry due at or before now is not trusted: its
+    /// reception may have met a down receiver without marking the message
+    /// seen (a run cut by max_events, then an AP status change before the
+    /// next run). A fresh seq is larger than the entry's, so an entry due
+    /// at `at` is the earlier of the two.
+    bool settle(sim::NodeId to, const MeshPacket& packet, sim::SimTime at) {
+      if (!(at < settle_before)) return false;
+      const CompiledMessage* msg = packet.compiled.get();
+      if (msg == nullptr || msg->malformed || net->ap_status_[to] != ApStatus::kUp) {
+        return false;
+      }
+      const std::uint32_t id = msg->header.message_id;
+      FirstArrival& first = net->first_arrival_[to];
+      if (first.message_id == id && first.time > sim.now()) {
+        if (!(first.time <= at || first.time == sim::kForever)) {
+          first.time = at;  // an earlier arrival replaces the queued one
+          return false;
+        }
+      } else if (!net->agent_state_.has_seen(static_cast<std::uint32_t>(to), id)) {
+        // Missing, stale, or another message's hint: this reception is
+        // queued and becomes the hint. Overwriting another message's hint
+        // only makes its later receptions queue, which is always safe.
+        first = {id, at};
+        return false;
+      }
+      n_dup_suppressed->inc();
+      return true;
+    }
+    void remote_fanout(sim::NodeId from, const std::shared_ptr<const MeshPacket>& packet,
+                       sim::SimTime air, std::uint32_t tx_index) {
+      if (!net->cross_base_.empty()) net->remote_fanout(*this, from, packet, air, tx_index);
+    }
+
+    CityMeshNetwork* net;
     shardx::TileId tile;
     sim::Simulator sim;
     obsx::MetricsRegistry metrics;
     obsx::TraceBuffer trace;
-    sim::BroadcastMedium<MeshPacket> medium;
+    sim::BroadcastMedium<MeshPacket, Shard> medium;
     std::unique_ptr<relayx::RebroadcastPolicy> policy;
 
     // Cached counter handles. Every tile registers the same names, so merged
@@ -574,31 +692,21 @@ class CityMeshNetwork {
     std::vector<shardx::Handoff<MeshPacket>> outbox;
     std::uint64_t handoff_seq = 0;
 
-    // Duplicate settling (settle_duplicate). `settler` is installed when the
+    // Duplicate settling (settle). `settler` is set when the
     // protocol is conduit and the policy ignores duplicates; settle_before
-    // is the run's horizon while a window runs with tracing off, and -inf
-    // otherwise, so a reception settles only if it arrives before it.
+    // is the run's settle horizon while a window runs with tracing off, and
+    // -inf otherwise, so a reception settles only if it arrives before it.
     bool settler = false;
     sim::SimTime settle_before = -sim::kForever;
-    // Earliest queued reception of a message at an AP that has not seen it
-    // yet, keyed (message_id << 32 | ap): any later reception of the same
-    // message there is a duplicate. Written at fan-out, erased by the first
-    // accepted delivery.
-    struct Arrival {
-      sim::SimTime time;
-      std::uint64_t seq;
-    };
-    std::unordered_map<std::uint64_t, Arrival> first_arrival;
   };
 
   void handle_delivery(Shard& shard, sim::NodeId to, sim::NodeId from,
                        const std::shared_ptr<const MeshPacket>& packet);
-  /// The medium's duplicate settler for one tile-local reception arriving
-  /// at `at` with seq `seq`: true (and net.dup_suppressed counted) when the
-  /// reception is provably a no-op duplicate. See the definition for the
-  /// conditions.
-  bool settle_duplicate(Shard& shard, sim::NodeId to, const MeshPacket& packet,
-                        sim::SimTime at, std::uint64_t seq);
+  /// Throws std::logic_error when called inside a kInjection control event:
+  /// `what` changes AP status, tracing or degraded regions.
+  void require_any_control(const char* what) const;
+  /// Fold the active degraded regions into degraded_ap_/degraded_active_.
+  void refresh_degraded();
   /// A store into `ap`'s postboxes: count and trace it, update the
   /// message's record delta, and send the ack on its first delivery here.
   void record_delivery(Shard& shard, mesh::ApId ap, const AgentAction& action, double now);
@@ -710,6 +818,12 @@ class CityMeshNetwork {
   std::size_t aps_up_ = 0;
   std::vector<DegradedRegion> degraded_;
   std::vector<std::vector<char>> degraded_members_;  ///< [region][ap] inside?
+  std::vector<std::uint8_t> degraded_ap_;  ///< [ap] inside an active region?
+  bool degraded_active_ = false;           ///< any region active
+
+  // Duplicate settling: one first-arrival hint per AP (empty when no tile
+  // settles). Each AP's entry is written only by its own tile.
+  std::vector<FirstArrival> first_arrival_;
 
   // Registrations keyed by "id-hex@building"; primaries keep the first
   // registration per identity (the home postbox).
@@ -743,6 +857,7 @@ class CityMeshNetwork {
     sim::SimTime time = 0.0;
     std::uint64_t seq = 0;
     std::function<void()> fn;
+    ControlClass what = ControlClass::kAny;
   };
   static bool control_after(const ControlEvent& a, const ControlEvent& b) {
     if (a.time != b.time) return a.time > b.time;
@@ -750,6 +865,12 @@ class CityMeshNetwork {
   }
   std::vector<ControlEvent> control_;
   std::uint64_t control_seq_ = 0;
+  // Times of the pending kAny control events (min-heap): the settle
+  // horizon ends at the first of them.
+  std::vector<sim::SimTime> any_control_times_;
+  bool in_injection_ = false;  ///< a kInjection control event is running
+  std::size_t controls_run_ = 0;
+  std::uint64_t windows_ = 0;
   std::vector<shardx::Handoff<MeshPacket>> handoff_scratch_;
   bool record_handoffs_ = false;
   std::vector<HandoffRecord> handoff_log_;

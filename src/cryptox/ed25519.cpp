@@ -18,13 +18,80 @@ using fe::Fe;
 using ge::Point;
 
 // scalar (32 bytes little-endian, treated as a plain integer) * point, by
-// variable-time double-and-add: only verification multiplies a point other
-// than the base point, and it handles public data alone.
+// variable-time double-and-add (ed25519_verify_reference only).
 Point scalar_mult(const std::array<std::uint8_t, 32>& scalar, const Point& p) {
   Point acc = ge::identity();
   for (int i = 255; i >= 0; --i) {
     acc = ge::dbl(acc);
     if ((scalar[i / 8] >> (i % 8)) & 1) acc = ge::add(acc, p);
+  }
+  return acc;
+}
+
+Point negate(const Point& p) { return {fe::neg(p.x), p.y, p.z, fe::neg(p.t)}; }
+
+// Width-5 signed digits (w-NAF) of a 32-byte little-endian scalar below
+// 2^255: value = sum_i digits[i]·2^i, each digit 0 or odd in [-15, 15], and
+// any two nonzero digits at least five positions apart.
+std::array<std::int8_t, 257> wnaf5(const std::array<std::uint8_t, 32>& scalar) {
+  std::array<std::uint64_t, 5> k{};
+  for (std::size_t i = 0; i < 32; ++i) k[i / 8] |= std::uint64_t{scalar[i]} << (8 * (i % 8));
+  std::array<std::int8_t, 257> digits{};
+  for (std::size_t i = 0; i < digits.size(); ++i) {
+    if (k[0] & 1) {
+      int d = static_cast<int>(k[0] & 31);
+      if (d >= 16) d -= 32;
+      digits[i] = static_cast<std::int8_t>(d);
+      if (d > 0) {
+        k[0] -= static_cast<std::uint64_t>(d);  // low five bits were d: no borrow
+      } else {
+        std::uint64_t carry = static_cast<std::uint64_t>(-d);
+        for (std::size_t limb = 0; limb < k.size() && carry != 0; ++limb) {
+          k[limb] += carry;
+          carry = k[limb] < carry ? 1 : 0;
+        }
+      }
+    }
+    for (std::size_t limb = 0; limb + 1 < k.size(); ++limb) {
+      k[limb] = (k[limb] >> 1) | (k[limb + 1] << 63);
+    }
+    k[k.size() - 1] >>= 1;
+  }
+  return digits;
+}
+
+// p, 3p, 5p, ..., 15p: the odd multiples a width-5 digit selects.
+std::array<Point, 8> odd_multiples(const Point& p) {
+  std::array<Point, 8> table;
+  table[0] = p;
+  const Point p2 = ge::dbl(p);
+  for (std::size_t i = 1; i < table.size(); ++i) table[i] = ge::add(table[i - 1], p2);
+  return table;
+}
+
+void add_digit(Point& acc, const std::array<Point, 8>& table, int digit) {
+  if (digit > 0) acc = ge::add(acc, table[static_cast<std::size_t>(digit / 2)]);
+  if (digit < 0) acc = ge::add(acc, negate(table[static_cast<std::size_t>(-digit / 2)]));
+}
+
+// a·B + b·P, variable time (public inputs only): Straus's interleaving of
+// the two width-5 recodings, one shared doubling per bit.
+Point double_scalar_mult(const std::array<std::uint8_t, 32>& a,
+                         const std::array<std::uint8_t, 32>& b, const Point& p) {
+  static const std::array<Point, 8> base_table = odd_multiples(ge::base_point());
+  const std::array<Point, 8> p_table = odd_multiples(p);
+  const auto a_digits = wnaf5(a);
+  const auto b_digits = wnaf5(b);
+  int top = static_cast<int>(a_digits.size()) - 1;
+  while (top >= 0 && a_digits[static_cast<std::size_t>(top)] == 0 &&
+         b_digits[static_cast<std::size_t>(top)] == 0) {
+    --top;
+  }
+  Point acc = ge::identity();
+  for (int i = top; i >= 0; --i) {
+    acc = ge::dbl(acc);
+    add_digit(acc, base_table, a_digits[static_cast<std::size_t>(i)]);
+    add_digit(acc, p_table, b_digits[static_cast<std::size_t>(i)]);
   }
   return acc;
 }
@@ -239,6 +306,31 @@ Ed25519Signature Ed25519KeyPair::sign(std::string_view message) const {
 bool ed25519_verify(const Ed25519PublicKey& public_key,
                     std::span<const std::uint8_t> message,
                     const Ed25519Signature& signature) {
+  std::array<std::uint8_t, 32> r_enc;
+  std::array<std::uint8_t, 32> s_bytes;
+  std::memcpy(r_enc.data(), signature.data(), 32);
+  std::memcpy(s_bytes.data(), signature.data() + 32, 32);
+
+  // S must be canonical (< L).
+  const Sc s = sc_frombytes(s_bytes);
+  if (sc_gte(s, kL)) return false;
+
+  const auto a_point = decode(public_key);
+  if (!a_point) return false;
+
+  const auto k = hash_mod_l(r_enc, public_key, message);
+
+  // S·B == R + k·A (cofactorless, as the reference) holds exactly when
+  // S·B − k·A encodes to R's bytes: encoding is injective on points, and
+  // R's bytes are the encoding of the point they decode to. Bytes that do
+  // not decode (non-canonical y, -0, y off the curve) are no point's
+  // encoding, so they are rejected here as decode would reject them.
+  return encode(double_scalar_mult(s_bytes, k, negate(*a_point))) == r_enc;
+}
+
+bool ed25519_verify_reference(const Ed25519PublicKey& public_key,
+                              std::span<const std::uint8_t> message,
+                              const Ed25519Signature& signature) {
   std::array<std::uint8_t, 32> r_enc;
   std::array<std::uint8_t, 32> s_bytes;
   std::memcpy(r_enc.data(), signature.data(), 32);

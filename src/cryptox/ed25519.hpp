@@ -11,9 +11,11 @@
 //
 // Every multiple of the base point (key derivation, the signature's R, the
 // verifier's S·B) comes from the constant-time fixed-base table shared with
-// X25519 key derivation (edwards.hpp). Verification's k·A, on public data
-// only, is plain double-and-add. The test suite pins correctness to the
-// RFC 8032 vectors.
+// X25519 key derivation (edwards.hpp), except inside verification, which
+// handles public data only and computes S·B − k·A as one variable-time
+// windowed double-scalar multiply (width-5 signed digits, shared
+// doublings). The test suite pins correctness to the RFC 8032 vectors, and
+// pins accept/reject to the earlier bit-by-bit verifier on a seeded corpus.
 #pragma once
 
 #include <array>
@@ -54,5 +56,12 @@ bool ed25519_verify(const Ed25519PublicKey& public_key,
                     const Ed25519Signature& signature);
 bool ed25519_verify(const Ed25519PublicKey& public_key, std::string_view message,
                     const Ed25519Signature& signature);
+
+/// The earlier verifier: S·B from the fixed-base table, R + k·A by
+/// bit-by-bit double-and-add, compared encoded. Same accept/reject as
+/// ed25519_verify, several times slower; kept as the tests' reference.
+bool ed25519_verify_reference(const Ed25519PublicKey& public_key,
+                              std::span<const std::uint8_t> message,
+                              const Ed25519Signature& signature);
 
 }  // namespace citymesh::cryptox

@@ -76,6 +76,16 @@ void RunManifest::write_json(std::ostream& os) const {
     os << ",\n";
     write_string_map(os, "notes", notes, /*raw_values=*/false);
   }
+  if (!perf.empty()) {
+    os << ",\n  \"perf\": {";
+    bool first_perf = true;
+    for (const auto& [k, v] : perf) {
+      os << (first_perf ? "\n" : ",\n") << "    \"" << json_escape(k)
+         << "\": " << json_number(v);
+      first_perf = false;
+    }
+    os << "\n  }";
+  }
   os << "\n}\n";
 }
 

@@ -59,6 +59,12 @@ struct RunManifest {
   std::uint64_t digest = 0;        ///< determinism digest over the run's rows
   MetricsSnapshot metrics;
   std::map<std::string, std::string> notes;  ///< free-form extras
+  /// What the run cost the engine: wall-clock splits and engine counters
+  /// (settled receptions, events, windows, barrier idle, handoffs). Outside
+  /// the digest, and it varies with shard count, tracing and the host, so
+  /// it is written only when non-empty: manifests that leave it empty keep
+  /// their bytes.
+  std::map<std::string, double> perf;
 
   void set_param(std::string_view key, double value);
   void set_param(std::string_view key, std::uint64_t value);

@@ -27,6 +27,16 @@ void Histogram::record(double v) {
   sum_ += sum_quantum_ > 0.0 ? std::round(v / sum_quantum_) * sum_quantum_ : v;
 }
 
+void Histogram::add_quantized(std::span<const std::uint64_t> counts, std::uint64_t total,
+                              std::int64_t quanta) {
+  if (counts.size() != counts_.size() || !(sum_quantum_ > 0.0)) {
+    throw std::invalid_argument{"Histogram::add_quantized: shape or quantum mismatch"};
+  }
+  for (std::size_t i = 0; i < counts.size(); ++i) counts_[i] += counts[i];
+  total_ += total;
+  sum_ += static_cast<double>(quanta) * sum_quantum_;
+}
+
 void Histogram::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   total_ = 0;

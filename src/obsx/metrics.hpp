@@ -13,6 +13,8 @@
 // lifetime, so hot paths hold a pointer and pay one increment per event.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -78,12 +80,75 @@ class Histogram {
   void set_sum_quantum(double q) { sum_quantum_ = q; }
   double sum_quantum() const { return sum_quantum_; }
 
+  /// Add `total` values already bucketed into `counts` (one per bucket)
+  /// whose rounded sum is `quanta` multiples of the sum quantum
+  /// (HistogramTally). Requires a sum quantum.
+  void add_quantized(std::span<const std::uint64_t> counts, std::uint64_t total,
+                     std::int64_t quanta);
+
  private:
   std::vector<double> bounds_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   double sum_ = 0.0;
   double sum_quantum_ = 0.0;
+};
+
+/// Many values recorded into one Histogram in a single step: per value a
+/// bucket count and, when the histogram has a sum quantum, an integer count
+/// of quanta; flush() adds them all. The result equals recording each value
+/// with record(): buckets are assigned the same way, and a quantized sum
+/// only ever adds exact multiples of the quantum, so one integer count of
+/// them adds exactly the same total. A histogram without a quantum keeps its
+/// arrival-order sum, so add() records such values one by one. The medium
+/// keeps one tally per fan-out (sim/medium.hpp).
+class HistogramTally {
+ public:
+  /// Target `hist` (nullptr: add() ignores values). Flushes first when the
+  /// target changes.
+  void bind(Histogram* hist) {
+    if (hist == hist_) return;
+    flush();
+    hist_ = hist;
+    if (hist_ == nullptr) return;
+    quantum_ = hist_->sum_quantum();
+    // A power-of-two quantum divides exactly by multiplying by its inverse.
+    int exponent = 0;
+    inverse_ = quantum_ > 0.0 && std::frexp(quantum_, &exponent) == 0.5 ? 1.0 / quantum_ : 0.0;
+    counts_.assign(hist_->bounds().size() + 1, 0);
+  }
+
+  void add(double v) {
+    if (hist_ == nullptr) return;
+    if (quantum_ <= 0.0) {
+      hist_->record(v);
+      return;
+    }
+    // The bounds ascend, so the number below v is record()'s lower_bound
+    // index; counting them takes no branch.
+    std::size_t bucket = 0;
+    for (const double bound : hist_->bounds()) bucket += bound < v ? 1 : 0;
+    ++counts_[bucket];
+    ++total_;
+    quanta_ += std::llround(inverse_ > 0.0 ? v * inverse_ : v / quantum_);
+  }
+
+  /// Add everything since the last flush to the histogram.
+  void flush() {
+    if (total_ == 0) return;
+    hist_->add_quantized(counts_, total_, quanta_);
+    std::fill(counts_.begin(), counts_.end(), 0);
+    total_ = 0;
+    quanta_ = 0;
+  }
+
+ private:
+  Histogram* hist_ = nullptr;
+  double quantum_ = 0.0;
+  double inverse_ = 0.0;  ///< 1 / quantum_ when that is exact, else 0
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t total_ = 0;
+  std::int64_t quanta_ = 0;
 };
 
 /// Evenly spaced bucket bounds: first, first+step, ..., n of them.

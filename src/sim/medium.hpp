@@ -5,16 +5,40 @@
 // subject to a loss probability. The medium is templated on the packet type
 // so the CityMesh agent and every baseline protocol reuse it.
 //
-// The topology is the *potential* connectivity; whether a link works right
-// now is decided live. Two optional hooks support time-varying failures
-// (src/faultx): a node filter (a down node neither transmits nor receives —
-// reception is checked at delivery time, so a node that fails while a packet
-// is in flight still misses it) and a per-link extra-loss function
-// (regional interference / degraded-link scenarios).
+// The owner: everything the medium asks of the layer above is one type,
+// BroadcastMedium<Packet, Owner>, whose members it calls directly, so the
+// per-reception path makes no indirect call. core::CityMeshNetwork's tile
+// shard is the owner in the library; the tests use a small hook-holding
+// owner of their own. An Owner provides, all cheap and inline where they
+// sit on the per-reception path:
+//
+//   void deliver(NodeId to, NodeId from, const std::shared_ptr<const Packet>&)
+//       one queued reception coming due at an up receiver;
+//   bool node_up(NodeId)  live node filter: a down node neither transmits
+//       nor receives (reception is checked at delivery time, so a node that
+//       fails while a packet is in flight still misses it; src/faultx);
+//   double link_loss(NodeId from, NodeId to)  extra per-link loss (0 =
+//       pristine), combined independently with the config's base loss
+//       (regional interference, degraded-link scenarios). The network
+//       answers from a per-AP degraded flag and returns 0 on one branch
+//       while no degraded region is active;
+//   std::uint32_t packet_id(const Packet&)  stable trace id (asked only
+//       while tracing);
+//   std::size_t packet_bits(const Packet&)  wire size, charged as airtime
+//       by the contention model;
+//   void on_air(NodeId from, const Packet&)  once per packet actually put
+//       on the air (after any deferral; dropped packets never fire it);
+//   bool settle(NodeId to, const Packet&, SimTime at)  the duplicate
+//       settler, below;
+//   void remote_fanout(NodeId from, const std::shared_ptr<const Packet>&,
+//       SimTime air, std::uint32_t tx_index)  once per on-air packet, after
+//       the local neighbor loop, so a tiled owner can deliver over the
+//       topology edges that leave this medium's tile through link_fate()
+//       (src/shardx); a single-tile owner returns at once.
 //
 // Airtime contention (src/trafficx): with MediumConfig::bitrate_bps > 0 the
 // fixed tx_delay_s is replaced by a per-packet serialization delay derived
-// from the packet's wire bits (set_packet_bits) plus PHY/MAC framing, and
+// from the packet's wire bits (packet_bits) plus PHY/MAC framing, and
 // each node becomes a half-duplex transmitter with a finite FIFO queue: a
 // transmit issued while the node's channel is busy defers behind the
 // in-flight packet, and once the queue is full further transmits drop
@@ -30,6 +54,11 @@
 // which deliveries are lost, and a zero jitter_s or loss_probability draws
 // nothing. link_fate() is the one place that math lives; the tiled engine
 // calls it for the cut edges a tile's medium does not walk (src/shardx).
+// A fan-out reserves one sequence number per link in one step (link i takes
+// base + i); skipped and lost links leave gaps, which keep every pair of
+// events in the same relative order. Its queue latencies go into the
+// simulator's histogram as one tally of bucket counts and sum quanta
+// (obsx::HistogramTally), exactly equal to recording them one by one.
 //
 // Observability: the medium's tally is the authoritative transmission /
 // delivery count (src/obsx) — bind_metrics() repoints the counters into a
@@ -38,18 +67,33 @@
 // kTx/kRx/kDropLoss/kDropFaulted/kDeferred/kDropQueue event per
 // physical-layer action.
 //
-// Settled duplicates: most receptions of a flood reach an AP that already
-// holds the message and only bump two counters. set_duplicate_settler()
-// installs the owner's predicate, asked once per tile-local reception that
-// survived link_fate, after its latency is recorded and its seq reserved.
-// When it answers true the reception is settled: the medium counts it under
-// deliveries and as a processed simulator event (Simulator::count_settled),
-// the owner counts whatever its handler would have, and nothing is queued.
-// Contract: the predicate may answer true only when delivering the packet
-// to `to` at `at` would provably do nothing else: no trace event, no state
-// change, no effect on any other draw or event. The surviving receptions
-// keep their (time, seq) keys, so the rest of the run is unchanged.
-// Cross-tile receptions (the remote fan-out hook) are never settled.
+// Settled duplicates: most receptions of a flood reach a node that already
+// holds the message and only bump two counters. The owner's settle() is
+// asked once per tile-local reception that survived link_fate, after its
+// latency is recorded. When it answers true the reception is settled: the
+// medium counts it under deliveries and as a processed simulator event
+// (Simulator::count_settled), the owner counts whatever its handler would
+// have, and nothing is queued. Contract: settle() may answer true only when
+// delivering the packet to `to` at `at` would provably do nothing else: no
+// trace event, no state change, no effect on any other draw or event. The
+// surviving receptions keep their (time, seq) keys, so the rest of the run
+// is unchanged. Cross-tile receptions (remote_fanout) are never settled.
+//
+// The network keeps that contract with two pieces (core/network.cpp):
+//   - a horizon: a reception settles only if it arrives before the window's
+//     horizon, min(until, the next control event that may change AP status,
+//     tracing or degraded regions). Control events declare that class when
+//     they are scheduled; trafficx injections declare they change none of
+//     them, so they do not end the horizon, and the network throws if one
+//     tries;
+//   - a first-arrival table, one 16-byte entry {message id, time} per AP,
+//     written only by the AP's own tile. An entry is a hint, trusted only
+//     while its time is after now: a queued first reception of that message
+//     at that time, or a "seen" marker (time = forever) that the first
+//     accepted delivery stores. A reception at or after a trusted entry's
+//     time is a duplicate (a fresh seq is always larger, so time alone
+//     orders the two), an earlier one replaces the entry, and a missing or
+//     overwritten entry only queues the reception, which is always safe.
 //
 // Packet immutability contract: the medium fans one
 // shared_ptr<const Packet> out to every receiver, queues it behind busy
@@ -64,7 +108,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -130,42 +173,17 @@ struct MediumConfig {
   std::size_t tx_queue_capacity = 8;
 };
 
-template <typename Packet>
+template <typename Packet, typename Owner>
 class BroadcastMedium {
  public:
-  /// Called on delivery: (receiver, sender, packet).
-  using DeliveryFn = std::function<void(NodeId, NodeId, const std::shared_ptr<const Packet>&)>;
-  /// True when the node is currently up (may change between calls).
-  using NodeUpFn = std::function<bool(NodeId)>;
-  /// Extra per-link loss probability (0 = pristine), combined independently
-  /// with the config's base loss_probability.
-  using LinkLossFn = std::function<double(NodeId from, NodeId to)>;
-  /// Stable trace id of a packet (a decoded message id, not a pointer).
-  using PacketIdFn = std::function<std::uint32_t(const Packet&)>;
-  /// Wire size of a packet in bits (header + payload); feeds the
-  /// serialization delay when the contention model is on.
-  using PacketBitsFn = std::function<std::size_t(const Packet&)>;
-  /// Observer invoked once per packet actually put on the air (after any
-  /// deferral; dropped packets never fire it).
-  using TxObserverFn = std::function<void(NodeId from, const Packet&)>;
-  /// Cross-shard fan-out hook (src/shardx): invoked once per on-air packet
-  /// with (from, packet, serialization delay, sender tx index) AFTER the
-  /// local neighbor loop, so the owning network can deliver the packet over
-  /// topology edges that leave this medium's tile through link_fate().
-  using RemoteFanoutFn =
-      std::function<void(NodeId from, const std::shared_ptr<const Packet>&, SimTime air,
-                         std::uint32_t tx_index)>;
-
-  /// Duplicate settler (see the header comment): (receiver, packet, arrival
-  /// time, reserved seq) -> true when the reception provably does nothing
-  /// but count, and the owner has counted its side of it.
-  using SettleFn =
-      std::function<bool(NodeId to, const Packet&, SimTime at, std::uint64_t seq)>;
-
-  BroadcastMedium(Simulator& simulator, const graphx::Graph& topology, MediumConfig config)
+  /// `owner` supplies the hooks (see the header comment) and must outlive
+  /// the medium.
+  BroadcastMedium(Simulator& simulator, const graphx::Graph& topology, MediumConfig config,
+                  Owner& owner)
       : sim_(simulator),
         topology_(topology),
         config_(config),
+        owner_(owner),
         busy_until_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, 0.0),
         airtime_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, 0.0),
         node_ring_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, kNoRing),
@@ -179,34 +197,6 @@ class BroadcastMedium {
     queue_drops_ = &own_.counter("queue_drops");
     airtime_us_ = &own_.counter("airtime_us");
   }
-
-  void set_delivery_handler(DeliveryFn fn) { deliver_ = std::move(fn); }
-
-  /// Install a live node filter: a down node neither transmits nor receives.
-  /// Pass nullptr to clear (all nodes up).
-  void set_node_filter(NodeUpFn fn) { node_up_ = std::move(fn); }
-
-  /// Install a live per-link extra-loss function. Pass nullptr to clear.
-  void set_link_loss(LinkLossFn fn) { link_loss_ = std::move(fn); }
-
-  /// Install the packet-bits hook the contention model charges airtime by.
-  /// Without it only frame_overhead_bits are charged per packet.
-  void set_packet_bits(PacketBitsFn fn) { packet_bits_ = std::move(fn); }
-
-  /// Install a per-transmission observer (per-flow transmission attribution,
-  /// src/trafficx). Fires at the same instant as the medium's kTx trace
-  /// event. Pass nullptr to clear.
-  void set_tx_observer(TxObserverFn fn) { tx_observer_ = std::move(fn); }
-
-  /// Install the cross-shard fan-out hook (src/shardx). Pass nullptr to
-  /// clear. Only meaningful when this medium covers a single tile of the
-  /// topology: the hook carries every on-air packet to the links the tile
-  /// filter (or a tile subgraph) omits.
-  void set_remote_fanout(RemoteFanoutFn fn) { remote_fanout_ = std::move(fn); }
-
-  /// Install the duplicate settler. Pass nullptr to clear (every reception
-  /// is queued).
-  void set_duplicate_settler(SettleFn fn) { settle_ = std::move(fn); }
 
   /// Restrict local fan-out to neighbors whose tile equals `tile` in the
   /// external per-node table `node_tile` (one entry per topology vertex;
@@ -238,14 +228,11 @@ class BroadcastMedium {
     airtime_us_ = &registry.counter(p + ".airtime_us");
   }
 
-  /// Attach a trace buffer; `id_fn` extracts the stable packet id recorded
-  /// in each event. nullptr detaches. The buffer must outlive the medium.
-  void set_trace(obsx::TraceBuffer* trace, PacketIdFn id_fn = nullptr) {
-    trace_ = trace;
-    packet_id_ = std::move(id_fn);
-  }
+  /// Attach a trace buffer; each event records the owner's packet_id().
+  /// nullptr detaches. The buffer must outlive the medium.
+  void set_trace(obsx::TraceBuffer* trace) { trace_ = trace; }
 
-  bool node_up(NodeId node) const { return !node_up_ || node_up_(node); }
+  bool node_up(NodeId node) const { return owner_.node_up(node); }
 
   bool contention_enabled() const { return config_.bitrate_bps > 0.0; }
 
@@ -283,10 +270,8 @@ class BroadcastMedium {
   std::optional<SimTime> link_fate(NodeId from, NodeId to, double length_m, SimTime air,
                                    std::uint32_t tx_index, std::uint32_t pid) {
     double loss = config_.loss_probability;
-    if (link_loss_) {
-      const double extra = link_loss_(from, to);
-      if (extra > 0.0) loss = 1.0 - (1.0 - loss) * (1.0 - extra);
-    }
+    const double extra = owner_.link_loss(from, to);
+    if (extra > 0.0) loss = 1.0 - (1.0 - loss) * (1.0 - extra);
     if (loss > 0.0 && link_unit(config_.seed, from, to, tx_index, 0) < loss) {
       losses_->inc();
       trace(obsx::TraceKind::kDropLoss, to, pid, static_cast<std::uint32_t>(from));
@@ -315,7 +300,7 @@ class BroadcastMedium {
   std::size_t blocked_transmissions() const { return blocked_transmissions_->value(); }
   /// In-flight deliveries dropped because the receiver was down.
   std::size_t blocked_receptions() const { return blocked_receptions_->value(); }
-  /// Deliveries settled at fan-out (set_duplicate_settler): counted in
+  /// Deliveries settled at fan-out (the owner's settle()): counted in
   /// deliveries(), never queued. Kept outside the metrics registry, so
   /// manifests read the same whether or not a reception was settled.
   std::size_t settled() const { return settled_; }
@@ -468,8 +453,7 @@ class BroadcastMedium {
 
   SimTime serialization_delay(const Packet& packet) const {
     if (!contention_enabled()) return config_.tx_delay_s;
-    const std::size_t bits =
-        config_.frame_overhead_bits + (packet_bits_ ? packet_bits_(packet) : 0);
+    const std::size_t bits = config_.frame_overhead_bits + owner_.packet_bits(packet);
     return static_cast<SimTime>(bits) / config_.bitrate_bps;
   }
 
@@ -480,7 +464,7 @@ class BroadcastMedium {
     const SimTime air = serialization_delay(*packet);
     transmissions_->inc();
     trace(obsx::TraceKind::kTx, from, pid);
-    if (tx_observer_) tx_observer_(from, *packet);
+    owner_.on_air(from, *packet);
     if (contention_enabled()) {
       busy_until_[from] = sim_.now() + air;
       airtime_[from] += air;
@@ -489,9 +473,10 @@ class BroadcastMedium {
     }
     const std::uint32_t txn = tx_counts_[from]++;
     // One broadcast occupies a single queue node: a DeliveryBatch cycling
-    // through its receptions in (time, seq) order. Each reception still
-    // consumes its own sequence number, in neighbor order, so the global
-    // event order is that of one event per reception.
+    // through its receptions in (time, seq) order. The broadcast reserves
+    // one sequence number per link up front and link i takes base + i, so
+    // receptions keep neighbor order and the global event order is that of
+    // one event per reception (skipped and lost links leave gaps).
     DeliveryBatch* batch = acquire_batch();
     // The CSR keeps neighbor ids and weights in split packed arrays; the
     // tile-membership check (and the common no-loss path) walks only the
@@ -499,24 +484,31 @@ class BroadcastMedium {
     const auto links = topology_.neighbors(from);
     const std::span<const NodeId> link_ids = links.ids();
     const std::span<const double> link_weights = links.weights();
+    const std::uint64_t seq_base = sim_.reserve_seqs(link_ids.size());
+    const SimTime now = sim_.now();
+    latency_.bind(sim_.latency_histogram());
+    std::size_t settled = 0;
     for (std::size_t i = 0; i < link_ids.size(); ++i) {
       const NodeId to = link_ids[i];
-      // Cross-tile neighbors are handled by remote_fanout_.
+      // Cross-tile neighbors are handled by the owner's remote_fanout.
       if (tile_filter_ != nullptr && tile_filter_[to] != tile_) continue;
       const std::optional<SimTime> delay = link_fate(from, to, link_weights[i], air, txn, pid);
       if (!delay) continue;
       // Same (time, seq) key and latency recording schedule_in would have
       // produced; the entry just lives in the batch instead of the queue.
-      const SimTime at = sim_.now() + *delay;
-      sim_.record_queue_latency(at - sim_.now());
-      const std::uint64_t seq = sim_.reserve_seq();
-      if (settle_ && settle_(to, *packet, at, seq)) {
-        deliveries_->inc();
-        ++settled_;
-        sim_.count_settled();
+      const SimTime at = now + *delay;
+      latency_.add(at - now);
+      if (owner_.settle(to, *packet, at)) {
+        ++settled;
         continue;
       }
-      batch->entries.push_back({at, seq, to});
+      batch->entries.push_back({at, seq_base + i, to});
+    }
+    latency_.flush();
+    if (settled > 0) {
+      deliveries_->inc(settled);
+      settled_ += settled;
+      sim_.count_settled(settled);
     }
     if (batch->entries.empty()) {
       release_batch(batch);
@@ -534,7 +526,7 @@ class BroadcastMedium {
                 });
       sim_.schedule_batch(batch->entries.front().time, batch->entries.front().seq, batch);
     }
-    if (remote_fanout_) remote_fanout_(from, packet, air, txn);
+    owner_.remote_fanout(from, packet, air, txn);
   }
 
   /// One reception (a DeliveryBatch entry or a handoff coming due).
@@ -547,7 +539,7 @@ class BroadcastMedium {
     }
     deliveries_->inc();
     trace(obsx::TraceKind::kRx, to, pid, static_cast<std::uint32_t>(from));
-    if (deliver_) deliver_(to, from, packet);
+    owner_.deliver(to, from, packet);
   }
 
   /// The in-flight packet finished serializing: start the next queued one.
@@ -569,8 +561,8 @@ class BroadcastMedium {
   }
 
   std::uint32_t trace_id(const Packet& packet) const {
-    if (trace_ == nullptr || !trace_->enabled() || !packet_id_) return 0;
-    return packet_id_(packet);
+    if (trace_ == nullptr || !trace_->enabled()) return 0;
+    return owner_.packet_id(packet);
   }
   void trace(obsx::TraceKind kind, NodeId node, std::uint32_t pid,
              std::uint32_t payload = obsx::kTraceNone) {
@@ -581,13 +573,7 @@ class BroadcastMedium {
   Simulator& sim_;
   const graphx::Graph& topology_;
   MediumConfig config_;
-  DeliveryFn deliver_;
-  NodeUpFn node_up_;
-  LinkLossFn link_loss_;
-  PacketBitsFn packet_bits_;
-  TxObserverFn tx_observer_;
-  RemoteFanoutFn remote_fanout_;
-  SettleFn settle_;
+  Owner& owner_;
   std::vector<std::unique_ptr<DeliveryBatch>> all_batches_;  ///< owns every batch
   std::vector<DeliveryBatch*> free_batches_;  ///< batches not currently in flight
   // Per-node transmitter slabs (all empty when contention is off).
@@ -599,6 +585,7 @@ class BroadcastMedium {
   std::vector<std::uint32_t> free_rings_;
   std::vector<std::uint32_t> tx_counts_;  ///< per-node on-air count (link_unit key)
   std::size_t settled_ = 0;
+  obsx::HistogramTally latency_;  ///< one fan-out's queue latencies
   const std::uint32_t* tile_filter_ = nullptr;  ///< per-node tile table (shardx)
   std::uint32_t tile_ = 0;
   obsx::MetricsRegistry own_;  ///< fallback registry until bind_metrics()
@@ -611,7 +598,6 @@ class BroadcastMedium {
   obsx::Counter* queue_drops_;
   obsx::Counter* airtime_us_;
   obsx::TraceBuffer* trace_ = nullptr;
-  PacketIdFn packet_id_;
 };
 
 }  // namespace citymesh::sim

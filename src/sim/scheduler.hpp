@@ -46,7 +46,7 @@ class BatchEvent {
   virtual ~BatchEvent() = default;
   /// Deliver exactly one entry (the one this node was keyed by), then
   /// report the next entry's key. Entries must be (time, seq) sorted and
-  /// every seq must come from Simulator::reserve_seq().
+  /// every seq must come from Simulator::reserve_seq() or reserve_seqs().
   virtual BatchFire fire(SimTime now) = 0;
 };
 

@@ -108,31 +108,38 @@ class Simulator {
   }
 
   // --- Batched events (sim/medium.hpp) -----------------------------------
-  // A batched transmission consumes one sequence number per reception at
+  // A batched transmission consumes one sequence number per link at
   // schedule time, in neighbor order, then occupies a single queue node keyed
   // by its earliest entry. The run loop fires one entry at the root and
   // re-keys the node in place at the batch's next (time, seq), so the global
-  // event interleaving, sequence consumption, and now() trajectory are
-  // identical to N separate events.
+  // event interleaving and now() trajectory are identical to N separate
+  // events (seqs of skipped links are gaps, which keep the relative order).
 
   /// Claim the next sequence number without scheduling anything.
   std::uint64_t reserve_seq() { return next_seq_++; }
 
-  /// Feed the queue-latency histogram exactly as schedule_at would have
-  /// (batched entries are scheduled out-of-band, but their latency is known
-  /// at creation time like any other event's).
-  void record_queue_latency(SimTime dt) {
-    if (latency_) latency_->record(dt);
+  /// Claim `n` consecutive sequence numbers at once; returns the first. A
+  /// fan-out reserves one per link and leaves the unused ones as gaps:
+  /// gaps keep every pair of events in the same relative order.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
   }
 
-  /// Count one reception the medium settled at fan-out instead of queueing
-  /// (sim/medium.hpp): it had its seq reserved and its latency recorded, and
-  /// it counts as a processed event — against run()'s max_events budget too
-  /// — so event counts match a run that queued it.
-  void count_settled() { ++processed_; }
+  /// The queue-latency histogram (nullptr when none). Batched entries are
+  /// scheduled out-of-band; the medium records their latency here at
+  /// creation time, as schedule_at would have.
+  obsx::Histogram* latency_histogram() const { return latency_; }
+
+  /// Count `n` receptions the medium settled at fan-out instead of queueing
+  /// (sim/medium.hpp): they had their latency recorded, and they count as
+  /// processed events — against run()'s max_events budget too — so event
+  /// counts match a run that queued them.
+  void count_settled(std::size_t n = 1) { processed_ += n; }
 
   /// Insert `batch` keyed by its first entry. `seq` must come from
-  /// reserve_seq() and `t` must be >= now(). The batch object must stay
+  /// reserve_seq() or reserve_seqs() and `t` must be >= now(). The batch object must stay
   /// alive until its fire() returns more == false.
   void schedule_batch(SimTime t, std::uint64_t seq, BatchEvent* batch) {
     if (t < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};

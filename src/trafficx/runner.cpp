@@ -33,7 +33,9 @@ WorkloadResult run_workload(core::CityMeshNetwork& network,
 
   // Schedule every injection at its arrival time, then run the event loop
   // once: flows overlap and contend for airtime. Payload bytes are zeros —
-  // the medium charges size, not content.
+  // the medium charges size, not content. An injection changes no AP
+  // status, tracing or degraded region (ControlClass::kInjection), so it
+  // does not end the settle horizon of the windows around it.
   const double t0 = network.sim_now();
   std::vector<std::uint32_t> message_ids(schedule.flows.size(), 0);
   std::size_t max_payload = 1;
@@ -54,7 +56,7 @@ WorkloadResult run_workload(core::CityMeshNetwork& network,
         result.flows[i].injected = true;
         message_ids[i] = inject.message_id;
       }
-    });
+    }, core::ControlClass::kInjection);
   }
   network.run_until(t0 + schedule.spec.duration_s + config.tail_s, config.max_events);
 

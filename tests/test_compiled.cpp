@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "cryptox/sealed.hpp"
 #include "geo/rng.hpp"
 #include "osmx/citygen.hpp"
+#include "trafficx/runner.hpp"
 #include "trafficx/workload.hpp"
 #include "wire/packet.hpp"
 #include "lone_agent.hpp"
@@ -521,7 +523,7 @@ TEST(CompiledTrace, MalformedKindRoundTripsThroughJsonl) {
 // ---------------------------------------------------- settled duplicates ---
 
 // An untraced run settles provable duplicate receptions at fan-out instead
-// of queueing them (CityMeshNetwork::settle_duplicate). Tracing is the off
+// of queueing them (CityMeshNetwork::Shard::settle). Tracing is the off
 // switch: a traced run queues and records every reception, so each test
 // below runs the same inputs traced and untraced and requires the same
 // merged metrics, flow records and event counts.
@@ -537,11 +539,13 @@ struct RunRecord {
 };
 
 /// A network with every flow of `schedule` injected by a control event at
-/// its start; every other flow asks for an ack to a postbox in its source
-/// building. The message ids land in `ids`, which must outlive the run.
+/// its start, declared `what`; every other flow asks for an ack to a
+/// postbox in its source building. The message ids land in `ids`, which
+/// must outlive the run.
 std::unique_ptr<core::CityMeshNetwork> load_network(
     const std::shared_ptr<const core::CompiledCity>& compiled, const core::NetworkConfig& cfg,
-    const trafficx::FlowSchedule& schedule, bool traced, std::vector<std::uint32_t>& ids) {
+    const trafficx::FlowSchedule& schedule, bool traced, std::vector<std::uint32_t>& ids,
+    core::ControlClass what = core::ControlClass::kAny) {
   auto net = std::make_unique<core::CityMeshNetwork>(compiled, cfg);
   net->set_tracing(traced);
   ids.assign(schedule.flows.size(), 0);
@@ -559,10 +563,13 @@ std::unique_ptr<core::CityMeshNetwork> load_network(
       opts.ack_to = back;
     }
     core::CityMeshNetwork* n = net.get();
-    net->schedule_control(flow.start_s, [n, &ids, &flow, to, opts, i] {
-      const std::vector<std::uint8_t> payload(flow.payload_bytes, 0x42);
-      ids[i] = n->inject(flow.src, to, payload, opts).message_id;
-    });
+    net->schedule_control(
+        flow.start_s,
+        [n, &ids, &flow, to, opts, i] {
+          const std::vector<std::uint8_t> payload(flow.payload_bytes, 0x42);
+          ids[i] = n->inject(flow.src, to, payload, opts).message_id;
+        },
+        what);
   }
   return net;
 }
@@ -858,20 +865,182 @@ TEST(SettledDuplicates, MaxEventsCutChargesSettledReceptionsAtFanOut) {
     max_degree = std::max(max_degree, compiled->aps.graph().neighbors(ap).size());
   }
   const std::size_t budget = 2000;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-    const std::string label = "K=" + std::to_string(shards);
-    std::vector<std::uint32_t> ids;
-    auto uncut = load_network(compiled, settle_config(shards), schedule, true, ids);
-    const RunRecord whole = record(*uncut, ids, uncut->run_until(10.0));
-    ASSERT_GT(whole.events, 2 * budget) << label;
+  // Injections declared kInjection leave the settle horizon open across
+  // them, so the cut lands in a window whose horizon spans later
+  // injections.
+  for (const auto what : {core::ControlClass::kAny, core::ControlClass::kInjection}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      const std::string label = "K=" + std::to_string(shards) +
+                                (what == core::ControlClass::kAny ? " any" : " injection");
+      std::vector<std::uint32_t> ids;
+      auto uncut = load_network(compiled, settle_config(shards), schedule, true, ids, what);
+      const RunRecord whole = record(*uncut, ids, uncut->run_until(10.0));
+      ASSERT_GT(whole.events, 2 * budget) << label;
 
-    auto cut = load_network(compiled, settle_config(shards), schedule, false, ids);
-    const std::size_t first = cut->run_until(10.0, budget);
-    EXPECT_GE(first, budget) << label;
-    // One window per tile may overshoot by one fan-out of settled receptions.
-    EXPECT_LT(first, budget + shards * max_degree) << label;
-    EXPECT_GT(cut->medium_totals().settled, 0u) << label;
-    const std::size_t rest = cut->run_until(10.0);
-    expect_same_run(whole, record(*cut, ids, first + rest), label);
+      auto cut = load_network(compiled, settle_config(shards), schedule, false, ids, what);
+      const std::size_t first = cut->run_until(10.0, budget);
+      EXPECT_GE(first, budget) << label;
+      // One window per tile may overshoot by one fan-out of settled receptions.
+      EXPECT_LT(first, budget + shards * max_degree) << label;
+      EXPECT_GT(cut->medium_totals().settled, 0u) << label;
+      const std::size_t rest = cut->run_until(10.0);
+      expect_same_run(whole, record(*cut, ids, first + rest), label);
+    }
   }
+}
+
+// Two floods cross the same town at once, from opposite corners, so nearly
+// every AP hears both messages interleaved and its one first-arrival entry
+// keeps being overwritten by the other message's. A lost entry may only
+// queue a reception: the run still matches the traced one, and settles.
+TEST(SettledDuplicates, AlternatingMessagesOverwriteTheFirstArrivalEntries) {
+  core::NetworkConfig base = settle_config(1);
+  base.medium.bitrate_bps = 0.0;
+  base.medium.jitter_s = 3e-3;
+  base.conduit.width_m = 150.0;
+  const auto compiled = core::compile_city(settle_town(46, 420, 160), base);
+  const auto buildings = static_cast<core::BuildingId>(compiled->city.building_count());
+  ASSERT_GE(buildings, 4u);
+  // West-most and east-most buildings by centroid.
+  core::BuildingId west = 0;
+  core::BuildingId east = 0;
+  for (core::BuildingId b = 0; b < buildings; ++b) {
+    if (compiled->city.building(b).centroid.x < compiled->city.building(west).centroid.x) west = b;
+    if (compiled->city.building(b).centroid.x > compiled->city.building(east).centroid.x) east = b;
+  }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    core::NetworkConfig cfg = base;
+    cfg.shards = shards;
+    const std::string label = "K=" + std::to_string(shards);
+    const auto run = [&](bool traced) {
+      core::CityMeshNetwork net{compiled, cfg};
+      net.set_tracing(traced);
+      const auto to_east = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(61), east);
+      const auto to_west = core::PostboxInfo::for_key(cryptox::KeyPair::from_seed(62), west);
+      net.register_postbox(to_east);
+      net.register_postbox(to_west);
+      std::vector<std::uint32_t> ids(4, 0);
+      // Two rounds of the crossing pair, the second while the first floods.
+      for (std::size_t round = 0; round < 2; ++round) {
+        const double at = 0.01 + 0.004 * static_cast<double>(round);
+        net.schedule_control(
+            at,
+            [&net, &ids, round, west, to_east] {
+              ids[2 * round] = net.inject(west, to_east, bytes_of("eastbound")).message_id;
+            },
+            core::ControlClass::kInjection);
+        net.schedule_control(
+            at,
+            [&net, &ids, round, east, to_west] {
+              ids[2 * round + 1] = net.inject(east, to_west, bytes_of("westbound")).message_id;
+            },
+            core::ControlClass::kInjection);
+      }
+      const std::size_t events = net.run_until(10.0);
+      std::vector<obsx::TraceEvent> trace;
+      if (traced) trace = net.merged_trace_events();
+      return std::make_pair(record(net, ids, events), trace);
+    };
+    const auto [traced, trace] = run(true);
+    const auto [untraced, no_trace] = run(false);
+    expect_same_run(traced, untraced, label);
+    EXPECT_GT(untraced.settled, 0u) << label;
+    for (const core::FlowState& flow : traced.flows) EXPECT_TRUE(flow.delivered) << label;
+
+    // Per AP, count the switches between messages in its reception
+    // sequence: every switch is a reception of the other message, whose
+    // fan-out found this AP's entry naming a different one.
+    std::map<std::uint32_t, std::uint32_t> last;
+    std::map<std::uint32_t, std::size_t> switches;
+    for (const obsx::TraceEvent& e : trace) {
+      if (e.kind != obsx::TraceKind::kRx) continue;
+      const auto [it, fresh] = last.emplace(e.node, e.packet);
+      if (!fresh && it->second != e.packet) {
+        ++switches[e.node];
+        it->second = e.packet;
+      }
+    }
+    std::size_t alternating = 0;
+    for (const auto& [node, n] : switches) alternating += n >= 3 ? 1 : 0;
+    EXPECT_GT(alternating, last.size() / 2) << label;
+  }
+}
+
+// A contended trafficx schedule through trafficx::run_workload, whose
+// injections are declared kInjection: traced and untraced runs give
+// byte-identical merged metrics and flow records at K = 1 and 2, and
+// leaving the horizon open across injections settles more receptions.
+TEST(SettledDuplicates, ContendedWorkloadMatchesTracedRunAcrossInjections) {
+  core::NetworkConfig cfg = settle_config(1);
+  cfg.medium.bitrate_bps = 12'500.0;
+  cfg.medium.tx_queue_capacity = 2;
+  const auto compiled = core::compile_city(settle_town(47, 500, 400), cfg);
+  trafficx::FlowSchedule schedule = settle_schedule(compiled->city, 9, 2.0, 8.0);
+  ASSERT_GE(schedule.flows.size(), 8u);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    cfg.shards = shards;
+    const std::string label = "K=" + std::to_string(shards);
+    const auto run = [&](bool traced) {
+      core::CityMeshNetwork net{compiled, cfg};
+      net.set_tracing(traced);
+      trafficx::WorkloadResult result = trafficx::run_workload(net, schedule);
+      return std::make_pair(std::move(result), net.medium_totals());
+    };
+    const auto [traced, traced_totals] = run(true);
+    const auto [untraced, untraced_totals] = run(false);
+    EXPECT_EQ(untraced.metrics.to_json(), traced.metrics.to_json()) << label;
+    ASSERT_EQ(untraced.flows.size(), traced.flows.size()) << label;
+    for (std::size_t i = 0; i < traced.flows.size(); ++i) {
+      const core::FlowRecord& a = traced.flows[i];
+      const core::FlowRecord& b = untraced.flows[i];
+      const std::string at = label + " flow " + std::to_string(i);
+      EXPECT_EQ(b.start_s, a.start_s) << at;
+      EXPECT_EQ(b.payload_bytes, a.payload_bytes) << at;
+      EXPECT_EQ(b.injected, a.injected) << at;
+      EXPECT_EQ(b.delivered, a.delivered) << at;
+      EXPECT_EQ(b.latency_s, a.latency_s) << at;
+      EXPECT_EQ(b.transmissions, a.transmissions) << at;
+      EXPECT_EQ(b.min_hops, a.min_hops) << at;
+    }
+    EXPECT_GT(untraced.summary.deferrals, 0u) << label;  // the medium is contended
+    EXPECT_EQ(traced_totals.settled, 0u) << label;
+
+    // The same load with every injection ending the horizon settles less.
+    std::vector<std::uint32_t> ids;
+    auto closed = load_network(compiled, cfg, schedule, false, ids, core::ControlClass::kAny);
+    auto open = load_network(compiled, cfg, schedule, false, ids, core::ControlClass::kInjection);
+    closed->run_until(10.0);
+    open->run_until(10.0);
+    EXPECT_GT(open->medium_totals().settled, closed->medium_totals().settled) << label;
+    EXPECT_GT(untraced_totals.settled, 0u) << label;
+  }
+}
+
+// An event declared kInjection promises to leave AP status, tracing and
+// degraded regions alone; the network holds it to that.
+TEST(SettledDuplicates, InjectionControlEventCannotChangeFaultState) {
+  const auto compiled = core::compile_city(settle_town(48, 300, 200), settle_config(1));
+  core::CityMeshNetwork net{compiled, settle_config(1)};
+  const auto region = net.add_degraded_region(
+      geo::Polygon::rectangle({{0.0, 0.0}, {100.0, 100.0}}), 0.5);
+  const std::vector<std::function<void()>> forbidden = {
+      [&] { net.set_ap_status(0, core::ApStatus::kDown); },
+      [&] { net.set_tracing(true); },
+      [&] { net.set_degraded_region_active(region, false); },
+      [&] { net.add_degraded_region(geo::Polygon::rectangle({{0.0, 0.0}, {50.0, 50.0}}), 0.1); },
+  };
+  double at = 0.1;
+  for (const auto& call : forbidden) {
+    net.schedule_control(at, call, core::ControlClass::kInjection);
+    EXPECT_THROW(net.run_until(at + 0.05), std::logic_error);
+    at += 0.1;
+  }
+  EXPECT_TRUE(net.ap_up(0));
+  EXPECT_FALSE(net.tracing_enabled());
+  EXPECT_EQ(net.degraded_regions().size(), 1u);
+  EXPECT_TRUE(net.degraded_regions()[0].active);
+  // Declared kAny (the default), the same calls go through.
+  net.schedule_control(at, [&] { net.set_ap_status(0, core::ApStatus::kDown); });
+  net.run_until(at + 0.05);
+  EXPECT_FALSE(net.ap_up(0));
 }

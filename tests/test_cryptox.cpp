@@ -596,6 +596,87 @@ TEST_P(Ed25519Property, SignVerifyRandomMessages) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ed25519Property, ::testing::Range(0, 8));
 
+// The windowed double-scalar verifier against the earlier bit-by-bit one,
+// kept as ed25519_verify_reference: identical accept/reject on a seeded
+// corpus of valid signatures, tampered ones (message, R, S, key) and
+// non-canonical encodings (S + L, y >= p in R and in the key, -0 in R).
+TEST(Ed25519, WindowedVerifyMatchesReferenceOnSeededCorpus) {
+  Rng rng{0xed25519};
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const cryptox::Ed25519PublicKey& key,
+                         const std::vector<std::uint8_t>& msg,
+                         const cryptox::Ed25519Signature& sig, const std::string& what) {
+    const bool fast = cryptox::ed25519_verify(key, msg, sig);
+    EXPECT_EQ(fast, cryptox::ed25519_verify_reference(key, msg, sig)) << what;
+    ++(fast ? accepted : rejected);
+  };
+  // L, little-endian, for the S + L encodings.
+  const std::array<std::uint8_t, 32> order = array_from_hex<32>(
+      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  for (int i = 0; i < 48; ++i) {
+    const auto kp = cryptox::Ed25519KeyPair::from_seed(rng.next());
+    std::vector<std::uint8_t> msg(rng.uniform_int(200));
+    for (auto& byte : msg) byte = static_cast<std::uint8_t>(rng.next());
+    const auto sig = kp.sign(msg);
+    const std::string tag = "corpus " + std::to_string(i);
+    check(kp.public_key(), msg, sig, tag + " valid");
+
+    auto flipped = msg;
+    flipped.push_back(static_cast<std::uint8_t>(rng.next()));
+    check(kp.public_key(), flipped, sig, tag + " message");
+    auto bad_r = sig;
+    bad_r[rng.uniform_int(32)] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    check(kp.public_key(), msg, bad_r, tag + " R");
+    auto bad_s = sig;
+    bad_s[32 + rng.uniform_int(31)] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    check(kp.public_key(), msg, bad_s, tag + " S");
+    auto bad_key = kp.public_key();
+    bad_key[rng.uniform_int(32)] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    check(bad_key, msg, sig, tag + " key");
+
+    // S + L: the same scalar mod L, non-canonical, so rejected.
+    auto s_plus_l = sig;
+    unsigned carry = 0;
+    for (std::size_t b = 0; b < 32; ++b) {
+      const unsigned sum = s_plus_l[32 + b] + order[b] + carry;
+      s_plus_l[32 + b] = static_cast<std::uint8_t>(sum);
+      carry = sum >> 8;
+    }
+    check(kp.public_key(), msg, s_plus_l, tag + " S+L");
+  }
+  // y >= p (2^255 - 19 .. 2^255 - 1) in R and in the key, and R = -0 (the
+  // points x = 0, y = +-1 with the sign bit set).
+  const auto kp = cryptox::Ed25519KeyPair::from_seed(77);
+  const std::vector<std::uint8_t> msg{1, 2, 3};
+  const auto sig = kp.sign(msg);
+  for (std::uint8_t low = 0xed; low != 0x00; ++low) {
+    std::array<std::uint8_t, 32> y{};
+    y.fill(0xff);
+    y[0] = low;
+    y[31] = 0x7f;
+    auto bad_r = sig;
+    std::copy(y.begin(), y.end(), bad_r.begin());
+    check(kp.public_key(), msg, bad_r, "R y >= p");
+    check(y, msg, sig, "key y >= p");
+  }
+  for (const std::uint8_t y0 : {std::uint8_t{0x01}, std::uint8_t{0xec}}) {
+    std::array<std::uint8_t, 32> neg_zero{};
+    if (y0 == 0x01) {
+      neg_zero[0] = 0x01;  // y = 1
+    } else {
+      neg_zero.fill(0xff);  // y = p - 1 = -1
+      neg_zero[0] = 0xec;
+    }
+    neg_zero[31] |= 0x80;
+    auto bad_r = sig;
+    std::copy(neg_zero.begin(), neg_zero.end(), bad_r.begin());
+    check(kp.public_key(), msg, bad_r, "R -0");
+  }
+  EXPECT_EQ(accepted, 48u);
+  EXPECT_GT(rejected, 48u * 5);
+}
+
 // ---------------------------------------------- fe25519 field properties --
 
 #include "cryptox/fe25519.hpp"

@@ -24,6 +24,7 @@
 #include "graphx/graph.hpp"
 #include "mesh/ap_network.hpp"
 #include "osmx/citygen.hpp"
+#include "medium_test_owner.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 #include "trafficx/runner.hpp"
@@ -276,7 +277,7 @@ struct TestPacket {
 TEST(MediumFaults, DownSenderBlocksTransmission) {
   sim::Simulator s;
   const auto topo = line_topology(2);
-  sim::BroadcastMedium<TestPacket> medium{s, topo, {}};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, {}};
   std::vector<bool> up{false, true};
   medium.set_node_filter([&](sim::NodeId n) { return up[n]; });
   std::size_t received = 0;
@@ -299,7 +300,7 @@ TEST(MediumFaults, ReceiverDownMidFlightMissesPacket) {
   sim::MediumConfig cfg;
   cfg.tx_delay_s = 1.0;
   cfg.jitter_s = 0.0;
-  sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, cfg};
   std::vector<bool> up{true, true};
   medium.set_node_filter([&](sim::NodeId n) { return up[n]; });
   std::size_t received = 0;
@@ -318,7 +319,7 @@ TEST(MediumFaults, ReceiverDownMidFlightMissesPacket) {
 TEST(MediumFaults, RecoveredReceiverHearsAgain) {
   sim::Simulator s;
   const auto topo = line_topology(2);
-  sim::BroadcastMedium<TestPacket> medium{s, topo, {}};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, {}};
   std::vector<bool> up{true, false};
   medium.set_node_filter([&](sim::NodeId n) { return up[n]; });
   std::size_t received = 0;
@@ -338,7 +339,7 @@ TEST(MediumFaults, RecoveredReceiverHearsAgain) {
 TEST(MediumFaults, LinkLossOneAlwaysDrops) {
   sim::Simulator s;
   const auto topo = line_topology(2);
-  sim::BroadcastMedium<TestPacket> medium{s, topo, {}};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, {}};
   medium.set_link_loss([](sim::NodeId, sim::NodeId) { return 1.0; });
   std::size_t received = 0;
   medium.set_delivery_handler(

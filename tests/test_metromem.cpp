@@ -16,6 +16,7 @@
 #include "graphx/graph.hpp"
 #include "osmx/citygen.hpp"
 #include "shardx/tiling.hpp"
+#include "medium_test_owner.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 #include "trafficx/runner.hpp"
@@ -238,7 +239,7 @@ TEST(MediumRings, TransmitQueueIsFifoWithCapacityDrops) {
   cfg.jitter_s = 0.0;
   cfg.loss_probability = 0.0;
   cfg.tx_queue_capacity = 2;
-  sim::BroadcastMedium<TestPacket> medium{s, g, cfg};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, g, cfg};
 
   std::vector<int> received;
   medium.set_delivery_handler(

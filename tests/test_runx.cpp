@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@ namespace core = citymesh::core;
 namespace osmx = citymesh::osmx;
 namespace faultx = citymesh::faultx;
 namespace trafficx = citymesh::trafficx;
+namespace obsx = citymesh::obsx;
 
 namespace {
 
@@ -398,4 +400,39 @@ TEST(RunxSweepRun, HeadersMatchPointKinds) {
   EXPECT_EQ(runx::sweep_headers(*mixed).size(), 8u);
   // Rows carry city/seed/point plus five value cells in every kind.
   EXPECT_EQ(runx::sweep_headers(*eval)[0], "city");
+}
+
+// The manifest's perf section (citymesh load/send --json --perf) sits
+// outside the digest and is written only when filled: the fig6 golden
+// manifest keeps its committed bytes, and filling the section changes
+// neither the digest nor a byte before it.
+TEST(RunxSweepRun, PerfSectionLeavesDigestAndGoldenBytesUnmoved) {
+  std::ifstream spec_file{std::string{CITYMESH_SOURCE_DIR} + "/tools/golden/fig6_smoke.spec"};
+  std::ifstream golden_file{std::string{CITYMESH_SOURCE_DIR} + "/tools/golden/fig6_smoke.json"};
+  ASSERT_TRUE(spec_file && golden_file);
+  const std::string golden{std::istreambuf_iterator<char>{golden_file}, {}};
+  const auto spec = runx::parse_sweep(spec_file);
+  ASSERT_TRUE(spec.has_value());
+  // The network `citymesh sweep` builds from its default options.
+  runx::SweepRunConfig config;
+  config.network.placement.density_per_m2 = 1.0 / 200.0;
+  config.network.placement.transmission_range_m = 50.0;
+  config.network.placement.seed = 1;
+  config.network.graph.transmission_range_m = 50.0;
+  config.network.conduit.width_m = 50.0;
+  config.network.medium.bitrate_bps = 50e3;
+  config.network.medium.tx_queue_capacity = 8;
+  runx::CityCache cache;
+  obsx::RunManifest manifest = runx::sweep_manifest(*spec, runx::run_sweep(*spec, cache, config));
+  EXPECT_EQ(manifest.to_json(), golden);
+
+  const std::uint64_t digest = manifest.digest;
+  manifest.perf["settled"] = 12.0;
+  manifest.perf["barrier_idle_s"] = 0.25;
+  const std::string with_perf = manifest.to_json();
+  EXPECT_EQ(manifest.digest, digest);
+  const std::size_t perf_at = with_perf.find(",\n  \"perf\": {");
+  ASSERT_NE(perf_at, std::string::npos);
+  EXPECT_EQ(with_perf.substr(0, perf_at), golden.substr(0, golden.size() - 3));  // "\n}\n"
+  EXPECT_NE(with_perf.find("\"settled\": 12"), std::string::npos);
 }

@@ -27,6 +27,7 @@
 #include "graphx/graph.hpp"
 #include "runx/city_cache.hpp"
 #include "runx/sweep.hpp"
+#include "medium_test_owner.hpp"
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -370,7 +371,7 @@ double probe_start(std::uint32_t i) { return static_cast<double>(i / 8) * 1e-3; 
 std::vector<Delivery> run_medium() {
   sim::Simulator s;
   const graphx::Graph topo = probe_topology();
-  sim::BroadcastMedium<ProbePacket> medium{s, topo, probe_medium_config()};
+  citymesh::testkit::TestMedium<ProbePacket> medium{s, topo, probe_medium_config()};
   medium.set_node_filter([](sim::NodeId node) { return node != kProbeDownNode; });
 
   std::vector<Delivery> log;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graphx/graph.hpp"
+#include "medium_test_owner.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 
@@ -163,7 +164,7 @@ struct TestPacket {
 TEST(Medium, DeliversToAllNeighbors) {
   sim::Simulator s;
   const auto topo = line_topology(3);
-  sim::BroadcastMedium<TestPacket> medium{s, topo, {}};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, {}};
   std::vector<sim::NodeId> receivers;
   medium.set_delivery_handler(
       [&](sim::NodeId to, sim::NodeId from, const std::shared_ptr<const TestPacket>& p) {
@@ -185,7 +186,7 @@ TEST(Medium, DeliveryIsDelayed) {
   sim::MediumConfig cfg;
   cfg.tx_delay_s = 0.25;
   cfg.jitter_s = 0.0;
-  sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, cfg};
   double delivered_at = -1.0;
   medium.set_delivery_handler(
       [&](sim::NodeId, sim::NodeId, const std::shared_ptr<const TestPacket>&) {
@@ -204,7 +205,7 @@ TEST(Medium, LossDropsDeliveries) {
   const auto topo = b.build();
   sim::MediumConfig cfg;
   cfg.loss_probability = 0.5;
-  sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, cfg};
   std::size_t received = 0;
   medium.set_delivery_handler(
       [&](sim::NodeId, sim::NodeId, const std::shared_ptr<const TestPacket>&) {
@@ -221,7 +222,7 @@ TEST(Medium, LossZeroAndOne) {
   const auto topo = line_topology(2);
   sim::MediumConfig lossy;
   lossy.loss_probability = 1.0;
-  sim::BroadcastMedium<TestPacket> medium{s, topo, lossy};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, lossy};
   std::size_t received = 0;
   medium.set_delivery_handler(
       [&](sim::NodeId, sim::NodeId, const std::shared_ptr<const TestPacket>&) {
@@ -236,7 +237,7 @@ TEST(Medium, LossZeroAndOne) {
 TEST(Medium, CountersResettable) {
   sim::Simulator s;
   const auto topo = line_topology(2);
-  sim::BroadcastMedium<TestPacket> medium{s, topo, {}};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, {}};
   medium.transmit(0, std::make_shared<const TestPacket>());
   s.run();
   EXPECT_EQ(medium.transmissions(), 1u);
@@ -250,7 +251,7 @@ TEST(Medium, FloodOverLineReachesEnd) {
   sim::Simulator s;
   const std::size_t n = 50;
   const auto topo = line_topology(n);
-  sim::BroadcastMedium<TestPacket> medium{s, topo, {}};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, {}};
   std::vector<bool> seen(n, false);
   medium.set_delivery_handler(
       [&](sim::NodeId to, sim::NodeId, const std::shared_ptr<const TestPacket>& p) {
@@ -291,7 +292,7 @@ CliqueFlood clique_flood(bool settle) {
   s.set_latency_histogram(&latency);
   sim::MediumConfig cfg;
   cfg.jitter_s = 5e-3;
-  sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, cfg};
   std::vector<bool> seen(n, false);
   CliqueFlood out;
   medium.set_delivery_handler(
@@ -304,7 +305,7 @@ CliqueFlood clique_flood(bool settle) {
       });
   if (settle) {
     medium.set_duplicate_settler(
-        [&](sim::NodeId to, const TestPacket&, sim::SimTime, std::uint64_t) {
+        [&](sim::NodeId to, const TestPacket&, sim::SimTime) {
           return static_cast<bool>(seen[to]);
         });
   }

@@ -17,6 +17,7 @@
 #include "graphx/graph.hpp"
 #include "obsx/trace.hpp"
 #include "osmx/building.hpp"
+#include "medium_test_owner.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 #include "trafficx/runner.hpp"
@@ -253,7 +254,7 @@ TEST(MediumContention, QueueOverflowDropsAreCounted) {
   const auto topo = line_topology(2);
   auto cfg = contention_config();
   cfg.tx_queue_capacity = 1;
-  sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, cfg};
   std::size_t delivered = 0;
   medium.set_delivery_handler(
       [&](sim::NodeId, sim::NodeId, const std::shared_ptr<const TestPacket>&) {
@@ -284,7 +285,7 @@ TEST(MediumContention, PinnedDeferralOrderingTwoConcurrentSenders) {
   // so the relayed packets leave node 1 at exactly t=1ms and t=2ms.
   sim::Simulator s;
   const auto topo = line_topology(3);
-  sim::BroadcastMedium<TestPacket> medium{s, topo, contention_config()};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, contention_config()};
   obsx::TraceBuffer trace{256};
   trace.enable();
   medium.set_trace(&trace, [](const TestPacket& p) { return p.id; });
@@ -334,7 +335,7 @@ TEST(MediumContention, PacketBitsDriveSerializationDelay) {
   sim::Simulator s;
   const auto topo = line_topology(2);
   auto cfg = contention_config();  // 1000 framing bits at 1 Mbit/s
-  sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+  citymesh::testkit::TestMedium<TestPacket> medium{s, topo, cfg};
   // 9000 packet bits + 1000 framing = 10 ms on the air.
   medium.set_packet_bits([](const TestPacket&) { return std::size_t{9000}; });
   double delivered_at = -1.0;
@@ -358,7 +359,7 @@ TEST(MediumJitter, LossOutcomesInvariantUnderJitterToggle) {
     cfg.jitter_s = jitter_s;
     cfg.loss_probability = 0.5;
     cfg.seed = 99;
-    sim::BroadcastMedium<TestPacket> medium{s, topo, cfg};
+    citymesh::testkit::TestMedium<TestPacket> medium{s, topo, cfg};
     std::vector<std::uint32_t> arrived;
     medium.set_delivery_handler(
         [&](sim::NodeId, sim::NodeId, const std::shared_ptr<const TestPacket>& p) {

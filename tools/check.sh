@@ -322,41 +322,31 @@ fi
 # compile-once refactor additionally shares immutable CompiledMessages, and
 # the shardx worker pool runs tile simulators concurrently inside one run,
 # and the qfgeo sweep tests drive the protocol axis across worker threads,
-# and the tiles share one agent-state slab whose per-AP seen sets only the
-# AP's own tile thread writes, and one compile service that only the
-# coordinator calls (acks are compiled at origination), and live faultx
-# scenarios flip AP status between the tiles' windows, and tiles read the
-# message records (acks included) that the coordinator opens and merges
-# between windows (extensions, trafficx), and sweep jobs run the ideal-hop
-# query concurrently on one shared compiled city, whose hop-landmark table
-# the first query builds behind a call_once (runx), and runx compiles
-# cities — the grid sweep and the link builder (geo, graphx, mesh) — on
-# its worker threads; run those tests (plus the event engine they drive)
-# under TSan in a third tree to catch data races the determinism digest
-# can't see.
+# and the tiles share one agent-state slab and one first-arrival table
+# whose per-AP entries only the AP's own tile thread writes, and one
+# compile service that only the coordinator calls (acks are compiled at
+# origination), and live faultx scenarios flip AP status between the
+# tiles' windows, and tiles read the message records (acks included) that
+# the coordinator opens and merges between windows (extensions, trafficx),
+# and sweep jobs run the ideal-hop query concurrently on one shared
+# compiled city, whose hop-landmark table the first query builds behind a
+# call_once (runx), and runx compiles cities — the grid sweep and the link
+# builder (geo, graphx, mesh) — on its worker threads. Every suite runs
+# under TSan in a third tree, so every network test (core, apps,
+# integration included) runs its tiles and the shared first-arrival table
+# there, to catch data races the determinism digest can't see.
 tsan_dir="${build_dir}-tsan"
 if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/null; then
-  cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
-    --target test_runx --target test_sim --target test_compiled \
-    --target test_relayx --target test_shardx --target test_qfgeo \
-    --target test_scheduler --target test_metromem --target test_faultx \
-    --target test_extensions --target test_trafficx \
-    --target test_geo --target test_graphx --target test_mesh
-  "${tsan_dir}/tests/test_runx"
-  "${tsan_dir}/tests/test_sim"
-  "${tsan_dir}/tests/test_compiled"
-  "${tsan_dir}/tests/test_relayx"
-  "${tsan_dir}/tests/test_shardx"
-  "${tsan_dir}/tests/test_qfgeo"
-  "${tsan_dir}/tests/test_scheduler"
-  "${tsan_dir}/tests/test_metromem"
-  "${tsan_dir}/tests/test_faultx"
-  "${tsan_dir}/tests/test_extensions"
-  "${tsan_dir}/tests/test_trafficx"
-  "${tsan_dir}/tests/test_geo"
-  "${tsan_dir}/tests/test_graphx"
-  "${tsan_dir}/tests/test_mesh"
-  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem + test_faultx + test_extensions + test_trafficx + test_geo + test_graphx + test_mesh clean under TSan"
+  tsan_targets=""
+  for t in ${san_suites}; do tsan_targets="${tsan_targets} --target ${t}"; done
+  # shellcheck disable=SC2086  # one --target flag pair per suite
+  cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" ${tsan_targets}
+  tsan_count=0
+  for t in ${san_suites}; do
+    "${tsan_dir}/tests/${t}"
+    tsan_count=$((tsan_count + 1))
+  done
+  echo "check.sh: all ${tsan_count} test suites clean under TSan"
 else
   echo "check.sh: TSan configure failed; skipping thread-sanitizer pass" >&2
 fi

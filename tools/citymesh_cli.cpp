@@ -42,6 +42,15 @@
 //   --bitrate BPS         shared-channel bitrate (default 50000)
 //   --queue N             per-AP transmit queue slots (default 8)
 //   --json FILE           write the run manifest (obsx) to FILE
+//   --perf                add the manifest's perf section (load and send
+//                         --json): settled receptions and their share of
+//                         deliveries, events, windows, barrier idle seconds
+//                         and handoffs. It is outside the digest and varies
+//                         with --shards, --trace and the host, so manifests
+//                         without it stay byte-identical across runs.
+//
+// Send options:
+//   --json FILE           write the send's run manifest (obsx) to FILE
 //
 // Sweep options:
 //   --jobs N              worker threads (default 1; 0 = all cores). The
@@ -116,6 +125,7 @@ struct Options {
   std::string svg_file;
   std::string trace_file;
   std::string json_file;
+  bool perf = false;
   double bitrate_bps = 50e3;
   std::optional<double> jitter_s;
   std::size_t queue_slots = 8;
@@ -145,7 +155,7 @@ int usage() {
       "         --shadowed --osm FILE\n"
       "         --spec FILE --svg FILE (scenario)\n"
       "         --spec FILE --scenario FILE --bitrate BPS --queue N\n"
-      "         --json FILE (load)\n"
+      "         --json FILE [--perf] (load, send)\n"
       "         --jobs N --json FILE (sweep)\n"
       "         --shards N (tiled parallel engine; 1 = a single tile)\n"
       "         --jitter S (per-delivery jitter seconds; 0 = draw-free)\n"
@@ -229,6 +239,8 @@ std::optional<Options> parse_options(int argc, char** argv, int first) {
       const auto v = next();
       if (!v) return std::nullopt;
       opts.json_file = *v;
+    } else if (arg == "--perf") {
+      opts.perf = true;
     } else if (arg == "--bitrate") {
       const auto v = next();
       if (!v || !parse_double(*v, opts.bitrate_bps)) return std::nullopt;
@@ -319,6 +331,21 @@ core::NetworkConfig network_config(const Options& opts) {
     cfg.protocol = *core::protocol_from(opts.protocol);
   }
   return cfg;
+}
+
+// The manifest's perf section: what the run cost the engine.
+void add_perf(obsx::RunManifest& manifest, const core::CityMeshNetwork& net) {
+  const core::CityMeshNetwork::MediumTotals totals = net.medium_totals();
+  manifest.perf["settled"] = static_cast<double>(totals.settled);
+  manifest.perf["deliveries"] = static_cast<double>(totals.deliveries);
+  manifest.perf["settled_share"] =
+      totals.deliveries == 0
+          ? 0.0
+          : static_cast<double>(totals.settled) / static_cast<double>(totals.deliveries);
+  manifest.perf["events"] = static_cast<double>(net.events_processed());
+  manifest.perf["windows"] = static_cast<double>(net.windows_run());
+  manifest.perf["barrier_idle_s"] = net.barrier_idle_s();
+  manifest.perf["handoffs"] = static_cast<double>(net.handoffs_exchanged());
 }
 
 // Flush a network's recorded trace to disk (send/scenario/load --trace FILE):
@@ -500,6 +527,27 @@ int cmd_send(const Options& opts) {
     std::cout << "  hot path: " << net.compiler().header_decodes()
               << " header decodes, " << net.compiler().msg_compiles()
               << " msg compiles, " << net.medium_totals().deliveries << " receptions\n";
+  }
+  if (!opts.json_file.empty()) {
+    obsx::RunManifest manifest;
+    manifest.name = "citymesh-send";
+    manifest.city = city->name();
+    manifest.seeds["placement"] = network_config(opts).placement.seed;
+    manifest.seeds["keys"] = opts.seed;
+    manifest.set_param("from", from);
+    manifest.set_param("to", to);
+    obsx::Fnv1a acc;
+    acc.update(std::uint64_t{outcome.route_found})
+        .update(std::uint64_t{outcome.delivered})
+        .update(static_cast<std::uint64_t>(outcome.transmissions))
+        .update(static_cast<std::uint64_t>(outcome.header_bits));
+    manifest.digest = acc.digest();
+    manifest.metrics = net.merged_metrics();
+    if (opts.perf) add_perf(manifest, net);
+    if (!manifest.write_file(opts.json_file)) {
+      std::cerr << "cannot write " << opts.json_file << '\n';
+      return 1;
+    }
   }
   if (!opts.trace_file.empty() && write_trace_file(net, opts.trace_file) != 0) {
     return 1;
@@ -758,6 +806,7 @@ int cmd_load(const Options& opts) {
     if (!scenario_name.empty()) manifest.set_param("scenario", scenario_name);
     manifest.digest = digest;
     manifest.metrics = result.metrics;
+    if (opts.perf) add_perf(manifest, network);
     // wall_clock_s stays 0 so same-seed manifests are byte-identical.
     if (!manifest.write_file(opts.json_file)) {
       std::cerr << "cannot write " << opts.json_file << '\n';
