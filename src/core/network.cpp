@@ -581,17 +581,18 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
           std::pop_heap(any_control_times_.begin(), any_control_times_.end(),
                         std::greater<>{});
           any_control_times_.pop_back();
-          ev.fn();
-        } else {
-          in_injection_ = true;
-          try {
-            ev.fn();
-          } catch (...) {
-            in_injection_ = false;
-            throw;
-          }
-          in_injection_ = false;
         }
+        // The flag covers this event only: a run nested inside it (a send
+        // from an injection) runs its own kAny events unrestricted.
+        const bool outer = in_injection_;
+        in_injection_ = ev.what == ControlClass::kInjection;
+        try {
+          ev.fn();
+        } catch (...) {
+          in_injection_ = outer;
+          throw;
+        }
+        in_injection_ = outer;
         ++executed;
         ++controls_run_;
       }

@@ -889,6 +889,66 @@ TEST(SettledDuplicates, MaxEventsCutChargesSettledReceptionsAtFanOut) {
   }
 }
 
+// A run cut by max_events, then an AP status flip before it resumes: the
+// down APs miss receptions queued before the cut, some of them named by
+// first-arrival entries. The cut counts settled receptions ahead of their
+// arrival, and the flip
+// may make some of them blocked ones, so the counters of receptions differ
+// by design; what the protocol did must not: flow records, transmissions,
+// rebroadcasts, conduit rejects and postbox stores. The traced run is cut
+// after the same queued events as the untraced one.
+TEST(SettledDuplicates, StatusFlipAfterMaxEventsCutMatchesTracedOutcomes) {
+  const core::NetworkConfig cfg = settle_config(1);
+  const auto compiled = core::compile_city(settle_town(49, 600, 450), cfg);
+  const trafficx::FlowSchedule schedule = settle_schedule(compiled->city, 12, 0.4, 10.0);
+  ASSERT_GE(schedule.flows.size(), 2u);
+  const double until = schedule.flows.front().start_s + 0.02;
+  const auto flip = [](core::CityMeshNetwork& net, core::ApStatus status) {
+    for (const mesh::AccessPoint& ap : net.aps().aps()) {
+      if (ap.position.x > 300.0) net.set_ap_status(ap.id, status);
+    }
+  };
+  const auto finish = [&](core::CityMeshNetwork& net) {
+    flip(net, core::ApStatus::kDown);
+    net.run_until(until + 0.01);
+    flip(net, core::ApStatus::kUp);
+    net.run_until(10.0);
+  };
+  std::size_t cut_runs = 0;
+  for (const std::size_t budget : {50, 100, 200, 400, 800, 1600}) {
+    const std::string label = "budget " + std::to_string(budget);
+    std::vector<std::uint32_t> untraced_ids;
+    std::vector<std::uint32_t> traced_ids;
+    auto untraced = load_network(compiled, cfg, schedule, false, untraced_ids);
+    untraced->run_until(until, budget);
+    const std::size_t queued =
+        untraced->events_processed() - untraced->medium_totals().settled;
+    auto traced = load_network(compiled, cfg, schedule, true, traced_ids);
+    traced->run_until(until, queued);
+    ASSERT_EQ(traced->events_processed(), queued) << label;
+    finish(*untraced);
+    finish(*traced);
+
+    const RunRecord a = record(*traced, traced_ids, 0);
+    const RunRecord b = record(*untraced, untraced_ids, 0);
+    ASSERT_EQ(b.flows.size(), a.flows.size()) << label;
+    for (std::size_t i = 0; i < a.flows.size(); ++i) {
+      EXPECT_EQ(b.flows[i].delivered, a.flows[i].delivered) << label << " flow " << i;
+      EXPECT_EQ(b.flows[i].delivery_time_s, a.flows[i].delivery_time_s) << label << " flow " << i;
+      EXPECT_EQ(b.flows[i].postboxes_reached, a.flows[i].postboxes_reached) << label;
+      EXPECT_EQ(b.flows[i].transmissions, a.flows[i].transmissions) << label << " flow " << i;
+    }
+    const obsx::MetricsSnapshot ma = traced->merged_metrics();
+    const obsx::MetricsSnapshot mb = untraced->merged_metrics();
+    for (const char* key : {"medium.transmissions", "net.rebroadcasts", "net.conduit_rejects",
+                            "net.postbox_stores", "net.delivered"}) {
+      EXPECT_EQ(mb.counters.at(key), ma.counters.at(key)) << label << " " << key;
+    }
+    if (a.blocked > 0 && b.settled > 0) ++cut_runs;
+  }
+  EXPECT_GT(cut_runs, 0u);
+}
+
 // Two floods cross the same town at once, from opposite corners, so nearly
 // every AP hears both messages interleaved and its one first-arrival entry
 // keeps being overwritten by the other message's. A lost entry may only
@@ -1043,4 +1103,10 @@ TEST(SettledDuplicates, InjectionControlEventCannotChangeFaultState) {
   net.schedule_control(at, [&] { net.set_ap_status(0, core::ApStatus::kDown); });
   net.run_until(at + 0.05);
   EXPECT_FALSE(net.ap_up(0));
+  // So do they in a kAny event that a run nested inside an injection runs.
+  at += 0.1;
+  net.schedule_control(at + 0.02, [&] { net.set_ap_status(1, core::ApStatus::kDown); });
+  net.schedule_control(at, [&] { net.run_until(at + 0.05); }, core::ControlClass::kInjection);
+  EXPECT_NO_THROW(net.run_until(at + 0.1));
+  EXPECT_FALSE(net.ap_up(1));
 }
