@@ -56,6 +56,11 @@ struct MeshPacket {
   /// receiving agent compiles lazily through its MessageCompiler, so the
   /// work still happens once per distinct message, not per reception.
   std::shared_ptr<const CompiledMessage> compiled;
+  /// Simulation-side too: the slot of the message's record in its network
+  /// (CityMeshNetwork's flow slots), so a tile attributes a transmission on
+  /// one load; kNoFlowSlot for a packet without one.
+  static constexpr std::uint32_t kNoFlowSlot = 0xFFFFFFFFu;
+  std::uint32_t flow_slot = kNoFlowSlot;
 };
 
 /// What the agent decided to do with one received packet.

@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
+#include <utility>
+
+#include "graphx/parallel.hpp"
 
 namespace citymesh::core {
 
@@ -32,6 +37,49 @@ std::size_t CityMeshNetwork::trace_capacity_for(const NetworkConfig& config,
   // Rough per-send budget: every AP receives, decides, and possibly
   // retransmits; 24 events per AP covers a flood plus an ack with slack.
   return std::max<std::size_t>(std::size_t{1} << 16, 24 * ap_count);
+}
+
+CompiledCity::CompiledCity(osmx::City city_in, const BuildingGraphConfig& graph_config,
+                           const mesh::PlacementConfig& placement)
+    : city(std::move(city_in)), map(compile(graph_config, placement)), aps(*aps_slot_) {}
+
+const BuildingGraph& CompiledCity::compile(const BuildingGraphConfig& graph_config,
+                                           const mesh::PlacementConfig& placement) {
+  const auto t0 = std::chrono::steady_clock::now();
+  compile_cpus = graphx::compile_cpus();
+  if (compile_cpus < 2) {
+    map_slot_.emplace(city, graph_config);
+    aps_slot_.emplace(mesh::sample_aps(city, placement), placement);
+  } else {
+    // The worker holds one of the caller's CPUs until the building graph
+    // is done; the AP build splits its sweeps over all of them and runs
+    // each on those idle when it starts.
+    std::atomic<std::size_t> lent{1};
+    std::exception_ptr map_error;
+    std::thread worker{[&] {
+      {
+        const graphx::CpuShare one{1};
+        try {
+          map_slot_.emplace(city, graph_config);
+        } catch (...) {
+          map_error = std::current_exception();
+        }
+      }
+      lent.store(0);
+    }};
+    try {
+      const graphx::CpuShare all{compile_cpus, &lent};
+      aps_slot_.emplace(mesh::sample_aps(city, placement), placement);
+    } catch (...) {
+      worker.join();
+      if (map_error) std::rethrow_exception(map_error);
+      throw;
+    }
+    worker.join();
+    if (map_error) std::rethrow_exception(map_error);
+  }
+  compile_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return *map_slot_;
 }
 
 std::shared_ptr<const CompiledCity> compile_city(osmx::City city,
@@ -313,12 +361,11 @@ double CityMeshNetwork::extra_link_loss(mesh::ApId from, mesh::ApId to) const {
   return 1.0 - pass;
 }
 
-void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap, std::uint32_t message_id,
-                                    const Flow& flow) {
+void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap, const Flow& flow) {
   // The ack originates at the delivering AP, so the sent/delivered flags are
   // shard-local (building-atomic tiling puts every delivery of one message
   // on one tile); merge_shard_deltas() folds them into the records.
-  shard.flow_deltas[message_id].ack_sent = true;
+  shard.flow_deltas[flow.slot].ack_sent = true;
   const double now = shard.sim.now();
   const std::uint32_t ack_id = flow.state.ack_message_id;
   shard.n_acks_sent->inc();
@@ -327,7 +374,7 @@ void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap, std::uint32_t m
   // sender and recipient share a building) and always transmits it.
   const AgentAction action = agent_at(ap).on_receive(*flow.ack, now);
   if (action.delivered && action.message_id == ack_id) {
-    shard.flow_deltas[ack_id].deliver(action.delivered_count, now);
+    shard.flow_deltas[flow.ack->flow_slot].deliver(action.delivered_count, now);
   }
   transmit_counted(shard, ap, flow.ack);
 }
@@ -342,10 +389,10 @@ void CityMeshNetwork::record_delivery(Shard& s, mesh::ApId ap, const AgentAction
   // observed after runs, so the totals agree).
   const auto it = flows_.find(action.message_id);
   if (it == flows_.end()) return;
-  FlowDelta& delta = s.flow_deltas[action.message_id];
+  FlowDelta& delta = s.flow_deltas[it->second.slot];
   delta.deliver(action.delivered_count, now);
   if (it->second.state.ack_message_id != 0 && !delta.ack_sent) {
-    send_ack_from(s, ap, action.message_id, it->second);
+    send_ack_from(s, ap, it->second);
   }
 }
 
@@ -641,6 +688,15 @@ std::size_t CityMeshNetwork::run_until(sim::SimTime until, std::size_t max_event
   return executed;
 }
 
+sim::SimTime CityMeshNetwork::next_event_time() const {
+  sim::SimTime next = control_.empty() ? sim::kForever : control_.front().time;
+  for (const auto& sp : shards_) {
+    next = std::min(next, sp->sim.next_time());
+    for (const auto& h : sp->outbox) next = std::min(next, h.time);
+  }
+  return next;
+}
+
 void CityMeshNetwork::exchange_handoffs() {
   handoff_scratch_.clear();
   for (const auto& sp : shards_) {
@@ -695,10 +751,11 @@ void CityMeshNetwork::remote_fanout(Shard& shard, sim::NodeId from,
 
 void CityMeshNetwork::merge_shard_deltas() {
   for (const auto& sp : shards_) {
-    for (const auto& [id, fd] : sp->flow_deltas) {
-      const auto it = flows_.find(id);
-      if (it == flows_.end()) continue;
-      FlowState& fs = it->second.state;
+    for (std::size_t slot = 0; slot < flow_slots_.size(); ++slot) {
+      Flow* const flow = flow_slots_[slot].flow;
+      if (flow == nullptr) continue;  // a free slot's delta stays empty
+      const FlowDelta fd = std::exchange(sp->flow_deltas[slot], FlowDelta{});
+      FlowState& fs = flow->state;
       fs.postboxes_reached += fd.postboxes_reached;
       fs.transmissions += fd.transmissions;
       if (!fd.delivered) continue;
@@ -710,7 +767,7 @@ void CityMeshNetwork::merge_shard_deltas() {
       }
       fs.delivered = true;
       fs.delivery_time_s = fd.delivery_time_s;
-      const std::uint32_t acked = it->second.ack_of;
+      const std::uint32_t acked = flow->ack_of;
       if (acked == 0) {
         n_delivered_->inc();
         continue;
@@ -720,8 +777,36 @@ void CityMeshNetwork::merge_shard_deltas() {
         msg->second.state.ack_received = true;
       }
     }
-    sp->flow_deltas.clear();
   }
+}
+
+CityMeshNetwork::Flow& CityMeshNetwork::open_flow(std::uint32_t message_id) {
+  const auto [it, inserted] = flows_.try_emplace(message_id);
+  Flow& flow = it->second;
+  if (!inserted) return flow;
+  if (free_flow_slots_.empty()) {
+    flow.slot = static_cast<std::uint32_t>(flow_slots_.size());
+    flow_slots_.emplace_back();
+    for (const auto& sp : shards_) sp->flow_deltas.resize(flow_slots_.size());
+  } else {
+    flow.slot = free_flow_slots_.back();
+    free_flow_slots_.pop_back();
+  }
+  flow_slots_[flow.slot] = {message_id, &flow};
+  return flow;
+}
+
+void CityMeshNetwork::close_flow(std::unordered_map<std::uint32_t, Flow>::iterator record) {
+  flow_slots_[record->second.slot] = {};
+  free_flow_slots_.push_back(record->second.slot);
+  flows_.erase(record);
+}
+
+void CityMeshNetwork::clear_flow_states() {
+  flows_.clear();
+  flow_slots_.clear();
+  free_flow_slots_.clear();
+  for (const auto& sp : shards_) sp->flow_deltas.clear();
 }
 
 obsx::MetricsSnapshot CityMeshNetwork::merged_metrics() const {
@@ -831,16 +916,16 @@ bool CityMeshNetwork::originate(
   out.message_id = header.message_id;
   out.header_bits = encoded.bit_count;
 
-  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
-      encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
-      header.message_id, compiler_.compile_bytes(encoded.bytes)});
-
   // Open the record (and the ack's) before the first transmission: tiles
-  // only read flows_, so everything they attribute must exist up front.
+  // only read flows_ and the slot table, so everything they attribute must
+  // exist up front.
   const double t0 = sim_now();
-  Flow& flow = flows_[header.message_id];
+  Flow& flow = open_flow(header.message_id);
   flow.state.injected_at_s = t0;
   flow.state.source_ap = *src_ap;
+  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
+      encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
+      header.message_id, compiler_.compile_bytes(encoded.bytes), flow.slot});
   if (opts.request_ack && opts.ack_to) {
     // The ack goes back along the reversed route at the same width. It is
     // compiled here, like the message, so the tile that sends it only reads.
@@ -852,12 +937,13 @@ bool CityMeshNetwork::originate(
     ack_header.set_flag(wire::PacketFlag::kAck);
     const auto ack_encoded = wire::encode_header(ack_header);
     const std::uint32_t ack_id = ack_header.message_id;
-    flow.ack = std::make_shared<const MeshPacket>(MeshPacket{
-        ack_encoded.bytes, /*payload=*/{}, ack_id, compiler_.compile_bytes(ack_encoded.bytes)});
-    flow.state.ack_message_id = ack_id;
-    Flow& ack = flows_[ack_id];
+    Flow& ack = open_flow(ack_id);
     ack.state.injected_at_s = t0;
     ack.ack_of = header.message_id;
+    flow.ack = std::make_shared<const MeshPacket>(
+        MeshPacket{ack_encoded.bytes, /*payload=*/{}, ack_id,
+                   compiler_.compile_bytes(ack_encoded.bytes), ack.slot});
+    flow.state.ack_message_id = ack_id;
     out.ack_message_id = ack_id;
   }
 
@@ -910,8 +996,12 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   outcome.delivery_time_s = flow.delivery_time_s;
   outcome.ack_received = flow.ack_received;
   if (postboxes_reached != nullptr) *postboxes_reached = flow.postboxes_reached;
-  flows_.erase(record);
-  if (outcome.ack_message_id != 0) flows_.erase(outcome.ack_message_id);
+  close_flow(record);
+  if (outcome.ack_message_id != 0) {
+    if (const auto ack = flows_.find(outcome.ack_message_id); ack != flows_.end()) {
+      close_flow(ack);
+    }
+  }
   // The medium's counter is the single source of truth for transmissions;
   // this send's share is the delta (includes the ack's flood).
   outcome.transmissions = medium_totals().transmissions - tx_before;

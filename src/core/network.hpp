@@ -156,16 +156,40 @@ struct NetworkConfig {
 /// strictly read-only after construction, so one instance can back any
 /// number of CityMeshNetworks concurrently (src/runx shares one per city
 /// across its worker threads via runx::CityCache).
+///
+/// Threading: the constructor compiles on the CPUs its calling thread may
+/// use (graphx::compile_cpus(): the thread's affinity mask, capped by a
+/// graphx::CpuShare). With two or more, one worker thread builds the
+/// building graph while the caller samples the APs and builds the AP
+/// network on the rest (its link sweeps run in bands, graphx::LinkBuilder);
+/// the constructor joins the worker before it returns. With one, it builds
+/// the building graph, then the AP network, on the caller and starts no
+/// thread. Both graphs are byte-identical at every CPU count. The building
+/// graph goes on the worker, not the APs: what a thread frees stays in its
+/// own malloc arena, and the building graph's temporaries are the smaller.
+/// Neither graph can move (each holds a once_flag), so both are built in
+/// place, in slots that `map` and `aps` name.
 struct CompiledCity {
-  osmx::City city;
-  BuildingGraph map;
-  mesh::ApNetwork aps;
-
   CompiledCity(osmx::City city_in, const BuildingGraphConfig& graph_config,
-               const mesh::PlacementConfig& placement)
-      : city(std::move(city_in)),
-        map(city, graph_config),
-        aps(mesh::place_aps(city, placement)) {}
+               const mesh::PlacementConfig& placement);
+
+  osmx::City city;
+  /// How the compile ran (perf only, outside every digest): the CPUs it
+  /// used and the wall time of building both graphs.
+  std::size_t compile_cpus = 1;
+  double compile_s = 0.0;
+
+ private:
+  // Declared before map and aps: their initializers fill these.
+  std::optional<BuildingGraph> map_slot_;
+  std::optional<mesh::ApNetwork> aps_slot_;
+  /// Fills both slots; returns the building graph.
+  const BuildingGraph& compile(const BuildingGraphConfig& graph_config,
+                               const mesh::PlacementConfig& placement);
+
+ public:
+  const BuildingGraph& map;
+  const mesh::ApNetwork& aps;
 };
 
 /// Compile a city against a network config's graph + placement parameters.
@@ -314,6 +338,10 @@ class CityMeshNetwork {
   std::size_t shard_count() const { return shards_.size(); }
   /// Current simulated time: the synchronized window frontier.
   sim::SimTime sim_now() const { return shard_now_; }
+  /// When the earliest pending event is due: a tile's event, a handoff
+  /// between tiles or a control event; kForever when nothing is pending.
+  /// After a run cut by max_events it can lie before sim_now().
+  sim::SimTime next_event_time() const;
   /// Run the tiles until `until` (inclusive) or `max_events` events.
   /// Returns the number of events executed (control events included), after
   /// merging the per-tile delivery deltas into the network-level outcome
@@ -435,7 +463,7 @@ class CityMeshNetwork {
   /// send erases its own records before returning.
   std::size_t flow_count() const { return flows_.size(); }
   /// Forget every injected flow's record (between workload runs).
-  void clear_flow_states() { flows_.clear(); }
+  void clear_flow_states();
 
   /// Retry with escalating conduit widths until the sender's postbox
   /// (`ack_to`) receives a delivery acknowledgment. Widths must be valid
@@ -535,6 +563,14 @@ class CityMeshNetwork {
     /// null when no ack was requested. It goes back along the message's
     /// route, reversed, at the message's conduit width.
     std::shared_ptr<const MeshPacket> ack;
+    /// This record's index in flow_slots_ and in every shard's flow_deltas.
+    std::uint32_t slot = 0;
+  };
+  /// One entry of flow_slots_: an open record and its message id, or a
+  /// free slot (flow null).
+  struct FlowSlot {
+    std::uint32_t message_id = 0;
+    Flow* flow = nullptr;
   };
   /// Shard-local slice of one message's record, merged (and consumed) by
   /// merge_shard_deltas() after every run.
@@ -597,12 +633,13 @@ class CityMeshNetwork {
     std::size_t packet_bits(const MeshPacket& p) const {
       return (p.header_bytes.size() + p.payload.size()) * 8;
     }
-    /// Per-message transmission attribution: one hash probe per on-air
-    /// packet while any record is open (an idle network pays one branch).
+    /// Per-message transmission attribution: one load of the packet's flow
+    /// slot, which counts only while it holds this message's open record.
     void on_air(sim::NodeId, const MeshPacket& p) {
-      if (net->flows_.empty()) return;
-      if (net->flows_.find(p.trace_id) != net->flows_.end()) {
-        ++flow_deltas[p.trace_id].transmissions;
+      const std::vector<FlowSlot>& slots = net->flow_slots_;
+      if (p.flow_slot < slots.size() && slots[p.flow_slot].flow != nullptr &&
+          slots[p.flow_slot].message_id == p.trace_id) {
+        ++flow_deltas[p.flow_slot].transmissions;
       }
     }
     /// The duplicate settler for one tile-local reception arriving at `at`:
@@ -686,7 +723,8 @@ class CityMeshNetwork {
     obsx::Counter* qf_fallback_floods = nullptr; ///< local-minimum recoveries
 
     std::unordered_map<std::uint64_t, PendingRelay> pending;
-    std::unordered_map<std::uint32_t, FlowDelta> flow_deltas;
+    /// By flow slot; as long as flow_slots_ (the coordinator grows both).
+    std::vector<FlowDelta> flow_deltas;
 
     // Cross-tile receptions created this window, drained at the barrier.
     std::vector<shardx::Handoff<MeshPacket>> outbox;
@@ -741,9 +779,9 @@ class CityMeshNetwork {
   }
   /// Cancel every pending backoff-delayed rebroadcast (per-send reset).
   void clear_pending_relays();
-  /// Originate the ack of `message_id` (record `flow`) at the delivering AP.
-  void send_ack_from(Shard& shard, mesh::ApId ap, std::uint32_t message_id,
-                     const Flow& flow);
+  /// Originate the ack of the message whose record is `flow` at the
+  /// delivering AP.
+  void send_ack_from(Shard& shard, mesh::ApId ap, const Flow& flow);
   /// The one origination path (§3 steps 2-4): plan the route (conduit
   /// planner, or qfgeo's endpoints), encode and compile the packet, open
   /// the message's record (and its ack's) in flows_, let the source AP
@@ -779,6 +817,11 @@ class CityMeshNetwork {
   /// Fold every shard's record deltas into flows_ (tile order; consumes
   /// the deltas).
   void merge_shard_deltas();
+  /// Open the record of a new message (coordinator only): a slot from the
+  /// free list, or a new one that every shard's flow_deltas grows to hold.
+  Flow& open_flow(std::uint32_t message_id);
+  /// Erase a record and free its slot.
+  void close_flow(std::unordered_map<std::uint32_t, Flow>::iterator record);
 
   /// Ring capacity for `ap_count` APs' events (config.trace_capacity wins).
   static std::size_t trace_capacity_for(const NetworkConfig& config,
@@ -835,6 +878,11 @@ class CityMeshNetwork {
   // (tiles probe it for attribution and ack data); mutated only by the
   // coordinator between windows.
   std::unordered_map<std::uint32_t, Flow> flows_;
+  // The open records by slot, and the free slots. Tiles read the table to
+  // attribute transmissions without probing flows_; only the coordinator
+  // writes it, between windows.
+  std::vector<FlowSlot> flow_slots_;
+  std::vector<std::uint32_t> free_flow_slots_;
 
   // --- Tiled execution (src/shardx) --------------------------------------
   // shards_ holds the K tile shards (one when shards <= 1). run_until

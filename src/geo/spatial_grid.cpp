@@ -113,6 +113,12 @@ void SpatialGrid::build_index() {
   cell_begin_.shrink_to_fit();
 }
 
+std::vector<Point> SpatialGrid::grid_positions() const {
+  std::vector<Point> at(ids_.size());
+  for (std::size_t k = 0; k < ids_.size(); ++k) at[k] = points_[ids_[k]];
+  return at;
+}
+
 std::vector<std::uint32_t> SpatialGrid::query_radius(Point center, double radius) const {
   std::vector<std::uint32_t> out;
   for_each_in_radius(center, radius,

@@ -90,6 +90,18 @@ class SpatialGrid {
   /// Every item id in grid order. An item's index here is its *rank*.
   std::span<const std::uint32_t> grid_order() const { return ids_; }
 
+  /// Item positions in grid order: entry k is position(grid_order()[k]).
+  /// The table for_each_pair scans.
+  std::vector<Point> grid_positions() const;
+
+  /// Number of occupied rows.
+  std::size_t occupied_rows() const { return row_keys_.size(); }
+  /// Rank of the first item of occupied row `row`; size() for
+  /// row == occupied_rows().
+  std::uint32_t row_first_rank(std::size_t row) const {
+    return cell_begin_[row_begin_[row]];
+  }
+
   /// Invoke `fn(i, j, d2)` once for every unordered pair of items, given by
   /// rank i < j, with d2 = their squared distance <= reach(grid_order()[i])²;
   /// a reach below 0 (or NaN) gives that item no pairs. Pairs come grouped
@@ -104,13 +116,25 @@ class SpatialGrid {
   /// it spans.
   template <class Reach, class Fn>
   void for_each_pair(Reach&& reach, Fn&& fn) const {
+    const std::vector<Point> at = grid_positions();
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+    runs.reserve(occupied_rows());
+    for_each_pair(reach, fn, at, 0, occupied_rows(), runs);
+  }
+
+  /// The pairs of for_each_pair whose rank i lies in the occupied rows
+  /// [row_begin, row_end), in the same order. Row ranges that tile the rows
+  /// in order give, one after another, exactly the whole sweep: this is how
+  /// graphx::LinkBuilder splits it into bands. `at` is grid_positions() and
+  /// `runs` working space; with runs.capacity() >= occupied_rows() the call
+  /// allocates nothing.
+  template <class Reach, class Fn>
+  void for_each_pair(Reach&& reach, Fn&& fn, std::span<const Point> at, std::size_t row_begin,
+                     std::size_t row_end,
+                     std::vector<std::pair<std::uint32_t, std::uint32_t>>& runs) const {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    // Positions in grid order: every run the stencil scans is contiguous.
-    std::vector<Point> at(ids_.size());
-    for (std::size_t k = 0; k < ids_.size(); ++k) at[k] = points_[ids_[k]];
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;  // the rows below
-    for (std::size_t ri = 0; ri + 1 < row_begin_.size(); ++ri) {
-      const auto row_end = cell_cols_.begin() + row_begin_[ri + 1];
+    for (std::size_t ri = row_begin; ri < row_end; ++ri) {
+      const auto row_end_cell = cell_cols_.begin() + row_begin_[ri + 1];
       for (std::uint32_t ci = row_begin_[ri]; ci < row_begin_[ri + 1]; ++ci) {
         const std::uint32_t first = cell_begin_[ci];
         const std::uint32_t last = cell_begin_[ci + 1];
@@ -128,9 +152,9 @@ class SpatialGrid {
         const std::int64_t hi_row = cell_coord(max_y + r);
         const std::int64_t lo_col = cell_coord(min_x - r);
         const std::int64_t hi_col = cell_coord(max_x + r);
-        const auto own_end = std::upper_bound(cell_cols_.begin() + ci + 1, row_end, hi_col);
+        const auto own_end = std::upper_bound(cell_cols_.begin() + ci + 1, row_end_cell, hi_col);
         const std::uint32_t row_run_end = cell_begin_[own_end - cell_cols_.begin()];
-        runs.clear();
+        runs.clear();  // the rows below
         const auto cells = cell_cols_.begin();
         for (std::size_t rj = ri + 1; rj < row_keys_.size() && row_keys_[rj] <= hi_row; ++rj) {
           const auto row_cells_end = cells + row_begin_[rj + 1];

@@ -270,7 +270,7 @@ std::optional<std::size_t> ApNetwork::min_hops(ApId from,
   return std::nullopt;  // unreachable: the component labels said connected
 }
 
-ApNetwork place_aps(const osmx::City& city, const PlacementConfig& config) {
+std::vector<AccessPoint> sample_aps(const osmx::City& city, const PlacementConfig& config) {
   if (config.density_per_m2 <= 0.0) {
     throw std::invalid_argument{"place_aps: density must be > 0"};
   }
@@ -302,7 +302,11 @@ ApNetwork place_aps(const osmx::City& city, const PlacementConfig& config) {
       aps.push_back({static_cast<ApId>(aps.size()), p, building.id});
     }
   }
-  return ApNetwork{std::move(aps), config};
+  return aps;
+}
+
+ApNetwork place_aps(const osmx::City& city, const PlacementConfig& config) {
+  return ApNetwork{sample_aps(city, config), config};
 }
 
 }  // namespace citymesh::mesh

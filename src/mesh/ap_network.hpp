@@ -135,6 +135,9 @@ class ApNetwork {
   mutable HopBounds hop_bounds_;
 };
 
+/// The APs place_aps puts inside the city's building footprints, by id.
+std::vector<AccessPoint> sample_aps(const osmx::City& city, const PlacementConfig& config);
+
 /// Place APs inside the city's building footprints per the config.
 ApNetwork place_aps(const osmx::City& city, const PlacementConfig& config);
 

@@ -1,8 +1,11 @@
 #include "runx/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
+
+#include "graphx/parallel.hpp"
 
 namespace citymesh::runx {
 
@@ -68,8 +71,13 @@ SweepReport run_jobs(std::vector<RunJob> jobs, const RunFn& fn,
     // Work-stealing by atomic cursor: each worker claims the next undone
     // index. Which worker runs which job is scheduling-dependent; where the
     // result lands is not.
+    // Each worker's compiles get its share of the caller's CPUs
+    // (graphx/parallel.hpp), so W workers never start more compile
+    // threads than there are CPUs.
+    const std::size_t share = std::max<std::size_t>(graphx::compile_cpus() / workers, 1);
     std::atomic<std::size_t> next{0};
     auto worker = [&] {
+      const graphx::CpuShare cpus{share};
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= report.jobs.size()) return;

@@ -7,6 +7,7 @@
 // and malformed headers — including the corrupt-width case that used to
 // throw out of the event loop — must become counted drops.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <functional>
 #include <latch>
@@ -30,6 +31,8 @@
 #include "trafficx/runner.hpp"
 #include "trafficx/workload.hpp"
 #include "wire/packet.hpp"
+#include "graphx/link_builder.hpp"
+#include "link_reference.hpp"
 #include "lone_agent.hpp"
 
 namespace core = citymesh::core;
@@ -39,6 +42,7 @@ namespace osmx = citymesh::osmx;
 namespace wire = citymesh::wire;
 namespace cryptox = citymesh::cryptox;
 namespace mesh = citymesh::mesh;
+namespace graphx = citymesh::graphx;
 namespace relayx = citymesh::relayx;
 namespace trafficx = citymesh::trafficx;
 
@@ -408,6 +412,64 @@ core::NetworkConfig deterministic_config() {
 // was recorded on the pre-compile per-reception pipeline and must never
 // change: the refactor moves *when* decode/geometry work happens, not what
 // the protocol does or in which order events fire.
+// A city compiled on the caller's CPUs (core::CompiledCity, graphx/
+// parallel.hpp): on a thread pinned to one CPU, the building graph and the
+// AP network are built one after the other there, with no thread started;
+// on a thread allowed several, the building graph goes to a worker and the
+// AP sweeps run in bands. Each thread sets its own affinity. The graphs,
+// CSR order and weights included, and their components are identical, for
+// fig10's metro-xxl rung (large enough for banded sweeps) under the disc
+// and the shadowed link models.
+TEST(CompiledCityThreads, OneCpuAndSeveralCompileIdenticalGraphs) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  const int several = CPU_COUNT(&allowed);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &allowed)) ++first_cpu;
+  osmx::CityProfile profile;
+  profile.name = "metro-xxl";
+  profile.width_m = 4200;
+  profile.height_m = 3100;
+  profile.seed = 101;
+  const osmx::City city = osmx::generate_city(profile);
+  const auto compile_on = [&](bool pinned, mesh::LinkModel model) {
+    std::shared_ptr<const core::CompiledCity> out;
+    std::thread{[&] {
+      cpu_set_t set = allowed;
+      if (pinned) {
+        CPU_ZERO(&set);
+        CPU_SET(first_cpu, &set);
+      }
+      ASSERT_EQ(sched_setaffinity(0, sizeof set, &set), 0);
+      core::NetworkConfig cfg;
+      cfg.placement.seed = 7;
+      cfg.placement.density_per_m2 = 1.0 / 60.0;
+      cfg.placement.link_model = model;
+      out = core::compile_city(city, cfg);
+    }}.join();
+    return out;
+  };
+  for (const auto model : {mesh::LinkModel::kDisc, mesh::LinkModel::kShadowed}) {
+    const auto one = compile_on(true, model);
+    const auto many = compile_on(false, model);
+    ASSERT_TRUE(one && many);
+    EXPECT_EQ(one->compile_cpus, 1u);
+    EXPECT_EQ(many->compile_cpus, static_cast<std::size_t>(several));
+    EXPECT_GT(one->aps.ap_count(), 2 * graphx::LinkBuilder::kMinBandItems);
+    EXPECT_EQ(link_reference::fingerprint(many->aps.graph()),
+              link_reference::fingerprint(one->aps.graph()));
+    EXPECT_EQ(many->aps.components().component_of, one->aps.components().component_of);
+    EXPECT_EQ(link_reference::fingerprint(many->map.graph()),
+              link_reference::fingerprint(one->map.graph()));
+    EXPECT_EQ(link_reference::fingerprint(many->map.planning_graph()),
+              link_reference::fingerprint(one->map.planning_graph()));
+    for (core::BuildingId b = 1; b < one->map.building_count(); ++b) {
+      ASSERT_EQ(many->map.connected(0, b), one->map.connected(0, b)) << b;
+    }
+  }
+}
+
 TEST(CompiledPinned, ThreeApEventSequenceIdenticalToLegacyPipeline) {
   const auto city = three_building_city();
   core::CityMeshNetwork net{city, deterministic_config()};
@@ -947,6 +1009,67 @@ TEST(SettledDuplicates, StatusFlipAfterMaxEventsCutMatchesTracedOutcomes) {
     if (a.blocked > 0 && b.settled > 0) ++cut_runs;
   }
   EXPECT_GT(cut_runs, 0u);
+}
+
+// The case where a first-arrival entry goes stale and a later fan-out reads
+// it. A run is cut by max_events after fan-outs queued receptions due after
+// the cut and wrote their entries (its horizon is far off, so they do). The
+// cut run and a traced twin then both finish every event due by the first
+// one left, and every other AP goes down for longer than any airtime: the
+// receptions queued before the cut meet down receivers, are blocked, and
+// mark nothing seen, while the flood goes on through the APs still up. Back
+// up, such an AP still holds its entry, due before now; the flood's later
+// fan-outs reach it, and it must queue them, not settle them on that entry,
+// so that it accepts the message and floods it on as the traced twin does.
+TEST(SettledDuplicates, StaleEntryAfterMaxEventsCutAndFlipIsNotTrusted) {
+  core::NetworkConfig cfg = settle_config(1);
+  cfg.conduit.width_m = 150.0;
+  const auto compiled = core::compile_city(settle_town(50, 600, 450), cfg);
+  const trafficx::FlowSchedule schedule = settle_schedule(compiled->city, 13, 0.2, 5.0);
+  ASSERT_GE(schedule.flows.size(), 1u);
+  const auto flip = [](core::CityMeshNetwork& net, core::ApStatus status) {
+    for (const mesh::AccessPoint& ap : net.aps().aps()) {
+      if (ap.id % 2 == 0) net.set_ap_status(ap.id, status);
+    }
+  };
+  std::size_t stale_runs = 0;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    cfg.shards = shards;
+    for (const std::size_t budget : {400, 800, 1600, 3200}) {
+      const std::string label = "K=" + std::to_string(shards) + " budget " + std::to_string(budget);
+      std::vector<std::uint32_t> untraced_ids;
+      std::vector<std::uint32_t> traced_ids;
+      auto untraced = load_network(compiled, cfg, schedule, false, untraced_ids);
+      untraced->run_until(10.0, budget);
+      const double resume = untraced->next_event_time();
+      ASSERT_LT(resume, 10.0) << label;
+      auto traced = load_network(compiled, cfg, schedule, true, traced_ids);
+      for (core::CityMeshNetwork* net : {untraced.get(), traced.get()}) {
+        net->run_until(resume);
+        flip(*net, core::ApStatus::kDown);
+        net->run_until(resume + 0.01);
+        flip(*net, core::ApStatus::kUp);
+        net->run_until(10.0);
+      }
+      const RunRecord a = record(*traced, traced_ids, 0);
+      const RunRecord b = record(*untraced, untraced_ids, 0);
+      ASSERT_EQ(b.flows.size(), a.flows.size()) << label;
+      for (std::size_t i = 0; i < a.flows.size(); ++i) {
+        EXPECT_EQ(b.flows[i].delivered, a.flows[i].delivered) << label << " flow " << i;
+        EXPECT_EQ(b.flows[i].delivery_time_s, a.flows[i].delivery_time_s) << label;
+        EXPECT_EQ(b.flows[i].transmissions, a.flows[i].transmissions) << label << " flow " << i;
+      }
+      const obsx::MetricsSnapshot ma = traced->merged_metrics();
+      const obsx::MetricsSnapshot mb = untraced->merged_metrics();
+      for (const char* key : {"medium.transmissions", "net.rebroadcasts", "net.conduit_rejects",
+                              "net.postbox_stores", "net.delivered"}) {
+        EXPECT_EQ(mb.counters.at(key), ma.counters.at(key)) << label << " " << key;
+      }
+      // The flip blocked receptions, and the flood went on past it.
+      if (a.blocked > 0 && b.settled > 0 && ma.counters.at("net.rebroadcasts") > 0) ++stale_runs;
+    }
+  }
+  EXPECT_GT(stale_runs, 0u);
 }
 
 // Two floods cross the same town at once, from opposite corners, so nearly

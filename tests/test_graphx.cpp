@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "geo/rng.hpp"
@@ -16,6 +19,7 @@
 #include "graphx/alt.hpp"
 #include "graphx/graph.hpp"
 #include "graphx/link_builder.hpp"
+#include "graphx/parallel.hpp"
 #include "graphx/shortest_path.hpp"
 #include "link_reference.hpp"
 
@@ -635,7 +639,7 @@ struct Hostile {
     return d;
   }
   /// The builder's graph; `seconds` gets its wall time.
-  graphx::Graph build(double& seconds) const {
+  graphx::Graph build(double& seconds, std::size_t bands = 0) const {
     const double max_radius = *std::max_element(radii.begin(), radii.end());
     const geo::SpatialGrid grid{kCell, points};
     const auto start = std::chrono::steady_clock::now();
@@ -644,7 +648,7 @@ struct Hostile {
         [&](std::uint32_t a, std::uint32_t b, double d2) {
           return std::sqrt(d2) <= kRange + radii[a] + radii[b];
         },
-        [&](std::uint32_t a, std::uint32_t b) { return link(a, b); });
+        [&](std::uint32_t a, std::uint32_t b) { return link(a, b); }, bands);
     seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     return g;
   }
@@ -690,6 +694,19 @@ TEST(LinkBuilder, HostileFootprintMatchesBruteForceQuickly) {
   EXPECT_TRUE(zero_link);
 }
 
+TEST(LinkBuilder, HostileGeometryIsTheSameAtEveryBandCount) {
+  // More bands than occupied rows included: the extra bands are empty.
+  for (const bool footprint : {false, true}) {
+    const Hostile h{footprint};
+    double seconds = 0.0;
+    const std::uint64_t sequential = link_reference::fingerprint(h.build(seconds, 1));
+    for (const std::size_t bands : {2, 3, 4, 64}) {
+      SCOPED_TRACE(bands);
+      EXPECT_EQ(link_reference::fingerprint(h.build(seconds, bands)), sequential);
+    }
+  }
+}
+
 TEST(LinkBuilder, EmptyGridAndIsolatedIds) {
   const geo::SpatialGrid empty{1.0, std::span<const geo::Point>{}};
   const auto none = [](auto...) { return true; };
@@ -707,6 +724,63 @@ TEST(LinkBuilder, EmptyGridAndIsolatedIds) {
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_TRUE(g.has_edge(0, 2));
   EXPECT_EQ(g.degree(1) + g.degree(3) + g.degree(4), 0u);
+  for (const std::size_t bands : {2, 4}) {
+    EXPECT_EQ(graphx::LinkBuilder::build(empty, [](std::uint32_t) { return 1.0; }, none, unit,
+                                         bands)
+                  .vertex_count(),
+              0u);
+    EXPECT_EQ(link_reference::fingerprint(graphx::LinkBuilder::build(
+                  sparse, [](std::uint32_t) { return 1.0; }, none, unit, bands)),
+              link_reference::fingerprint(g));
+  }
+}
+
+// ------------------------------------------------------------- parallel ---
+
+TEST(Parallel, CpuSharesCapTheCompileAndNest) {
+  const std::size_t cpus = graphx::affinity_cpus();
+  ASSERT_GE(cpus, 1u);
+  EXPECT_EQ(graphx::compile_cpus(), cpus);
+  {
+    const graphx::CpuShare one{1};
+    EXPECT_EQ(graphx::compile_cpus(), 1u);
+    {
+      const graphx::CpuShare many{cpus + 8};
+      EXPECT_EQ(graphx::compile_cpus(), cpus);  // never above the mask
+    }
+    EXPECT_EQ(graphx::compile_cpus(), 1u);
+    // CPUs lent to another thread are not idle, but one always is.
+    std::atomic<std::size_t> lent{1};
+    {
+      const graphx::CpuShare all{cpus, &lent};
+      EXPECT_EQ(graphx::compile_cpus(), cpus);
+      EXPECT_EQ(graphx::idle_cpus(), std::max<std::size_t>(cpus - 1, 1));
+      lent.store(0);
+      EXPECT_EQ(graphx::idle_cpus(), cpus);
+    }
+    EXPECT_EQ(graphx::idle_cpus(), 1u);
+    // A share is per thread: a new thread starts with its own mask.
+    std::size_t other = 0;
+    std::thread{[&] { other = graphx::compile_cpus(); }}.join();
+    EXPECT_EQ(other, cpus);
+  }
+  EXPECT_EQ(graphx::compile_cpus(), cpus);
+}
+
+TEST(Parallel, ForkJoinRunsEveryIndexOnceAndRethrowsTheLowest) {
+  for (const std::size_t count : {0, 1, 2, 5}) {
+    std::vector<int> runs(count, 0);
+    graphx::fork_join(count, [&](std::size_t k) { ++runs[k]; });
+    EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), static_cast<std::ptrdiff_t>(count));
+  }
+  try {
+    graphx::fork_join(4, [](std::size_t k) {
+      if (k >= 2) throw std::runtime_error{std::to_string(k)};
+    });
+    FAIL() << "fork_join swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "2");
+  }
 }
 
 TEST(LinkBuilder, DroppedCandidatesLeaveNoGaps) {

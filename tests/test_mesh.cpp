@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "core/building_graph.hpp"
+#include "geo/rng.hpp"
+#include "graphx/link_builder.hpp"
 #include "graphx/shortest_path.hpp"
 #include "link_reference.hpp"
 #include "mesh/ap_network.hpp"
@@ -590,6 +592,50 @@ graphx::Graph reference_building_graph(const core::BuildingGraph& map) {
       });
 }
 
+/// mesh::ApNetwork's link models replayed through LinkBuilder at an
+/// explicit band count.
+graphx::Graph banded_ap_graph(const mesh::ApNetwork& net, const mesh::PlacementConfig& cfg,
+                              std::size_t bands) {
+  const auto& aps = net.aps();
+  const double range = cfg.transmission_range_m;
+  const bool disc = cfg.link_model == mesh::LinkModel::kDisc;
+  const double reach = disc ? range : range * cfg.shadow_max_frac;
+  const double certain = disc ? range : range * cfg.shadow_certain_frac;
+  geo::Rng link_rng{cfg.seed ^ 0x51AD0E5ULL};
+  return graphx::LinkBuilder::build(
+      net.grid(), [reach](std::uint32_t) { return reach; },
+      [](std::uint32_t, std::uint32_t, double) { return true; },
+      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
+        const double d = geo::distance(aps[a].position, aps[b].position);
+        if (d <= certain) return d;
+        if (d < reach && link_rng.chance((reach - d) / (reach - certain))) return d;
+        return std::nullopt;
+      },
+      bands);
+}
+
+/// core::BuildingGraph's link model replayed through LinkBuilder at an
+/// explicit band count.
+graphx::Graph banded_building_graph(const core::BuildingGraph& map, std::size_t bands) {
+  const auto& c = map.centroids();
+  const core::BuildingGraphConfig& cfg = map.config();
+  const double range = cfg.transmission_range_m * cfg.connect_factor;
+  double max_radius = 0.0;
+  for (std::uint32_t b = 0; b < c.size(); ++b) {
+    max_radius = std::max(max_radius, map.effective_radius(b));
+  }
+  return graphx::LinkBuilder::build(
+      map.centroid_grid(),
+      [&](std::uint32_t a) { return (map.effective_radius(a) + range + max_radius) * (1.0 + 1e-9); },
+      [&](std::uint32_t a, std::uint32_t b, double d2) {
+        return std::sqrt(d2) <= range + map.effective_radius(a) + map.effective_radius(b);
+      },
+      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
+        return core::edge_cost(geo::distance(c[a], c[b]), cfg.weight);
+      },
+      bands);
+}
+
 }  // namespace
 
 TEST(LinkBuilder, ApGraphsMatchBruteForceOnEveryProfile) {
@@ -624,6 +670,52 @@ TEST(LinkBuilder, BostonShadowedTopologyIsPinned) {
   const auto net = mesh::place_aps(city, shadowed_config());
   EXPECT_EQ(net.graph().edge_count(), 154239u);
   EXPECT_EQ(link_reference::fingerprint(net.graph()), 0xdbe96510cbea27ebULL);
+}
+
+TEST(LinkBuilder, BandedBuildsMatchTheSequentialBuildOnEveryProfileAndMetroXxl) {
+  // The disc, shadowed and building graphs of the ten profiles and of
+  // fig10's metro-xxl rung (its city and placement): built in 1, 2, 3 and 4
+  // row bands, each CSR's FNV equals the sequential build's, and so does
+  // the library's own build (bands chosen from the caller's CPUs).
+  struct Case {
+    osmx::CityProfile profile;
+    mesh::PlacementConfig placement;
+  };
+  std::vector<Case> cases;
+  for (const auto& profile : osmx::default_profiles()) cases.push_back({profile, {}});
+  osmx::CityProfile xxl;
+  xxl.name = "metro-xxl";
+  xxl.width_m = 4200;
+  xxl.height_m = 3100;
+  xxl.seed = 101;
+  mesh::PlacementConfig xxl_placement;
+  xxl_placement.seed = 7;
+  xxl_placement.density_per_m2 = 1.0 / 60.0;
+  cases.push_back({xxl, xxl_placement});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.profile.name);
+    const auto city = osmx::generate_city(c.profile);
+    mesh::PlacementConfig shadowed = shadowed_config();
+    shadowed.seed = c.placement.seed;
+    shadowed.density_per_m2 = c.placement.density_per_m2;
+    for (const mesh::PlacementConfig& cfg : {c.placement, shadowed}) {
+      const auto net = mesh::place_aps(city, cfg);
+      const std::uint64_t sequential = link_reference::fingerprint(banded_ap_graph(net, cfg, 1));
+      EXPECT_EQ(link_reference::fingerprint(net.graph()), sequential);
+      for (const std::size_t bands : {2, 3, 4}) {
+        EXPECT_EQ(link_reference::fingerprint(banded_ap_graph(net, cfg, bands)), sequential)
+            << (cfg.link_model == mesh::LinkModel::kDisc ? "disc" : "shadowed") << " at "
+            << bands << " bands";
+      }
+    }
+    const core::BuildingGraph map{city, core::BuildingGraphConfig{}};
+    const std::uint64_t sequential = link_reference::fingerprint(banded_building_graph(map, 1));
+    EXPECT_EQ(link_reference::fingerprint(map.graph()), sequential);
+    for (const std::size_t bands : {2, 3, 4}) {
+      EXPECT_EQ(link_reference::fingerprint(banded_building_graph(map, bands)), sequential)
+          << "building graph at " << bands << " bands";
+    }
+  }
 }
 
 TEST(ApNetwork, RejectsIdsThatAreNotIndices) {

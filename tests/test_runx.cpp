@@ -5,6 +5,7 @@
 // byte-identical manifests (no hidden global mutable state in a run).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -17,12 +18,14 @@
 #include "cryptox/identity.hpp"
 #include "faultx/engine.hpp"
 #include "faultx/scenario.hpp"
+#include "graphx/parallel.hpp"
 #include "osmx/citygen.hpp"
 #include "runx/city_cache.hpp"
 #include "runx/engine.hpp"
 #include "runx/sweep.hpp"
 #include "trafficx/runner.hpp"
 #include "trafficx/workload.hpp"
+#include "link_reference.hpp"
 
 namespace runx = citymesh::runx;
 namespace core = citymesh::core;
@@ -165,6 +168,48 @@ TEST(RunxCityCache, CompilesOncePerDistinctKeyUnderConcurrency) {
   // A repeat lookup hits the cache.
   cache.get(a, config);
   EXPECT_EQ(cache.compiles(), 2u);
+}
+
+// Two distinct cities compiled at once on two sweep workers: each worker
+// compiles within its share of the caller's CPUs (graphx::CpuShare), so
+// the workers never start more compile threads than the caller has, and
+// each compiled city equals one compiled on a single CPU.
+TEST(RunxCityCache, ConcurrentWorkersCompileWithinTheirShare) {
+  runx::CityCache cache;
+  const core::NetworkConfig config;
+  const std::vector<runx::RunJob> jobs = {{0, "cambridge", 1, "compile"},
+                                          {1, "miami", 1, "compile"}};
+  std::vector<std::shared_ptr<const core::CompiledCity>> got(jobs.size());
+  std::vector<std::size_t> worker_cpus(jobs.size(), 0);
+  runx::EngineConfig engine;
+  engine.jobs = 2;
+  const runx::SweepReport report = runx::run_jobs(
+      jobs,
+      [&](const runx::RunJob& job) {
+        worker_cpus[job.index] = citymesh::graphx::compile_cpus();
+        got[job.index] = cache.get(osmx::profile_by_name(job.city), config);
+        runx::RunResult r;
+        r.cells = {std::to_string(got[job.index]->aps.ap_count())};
+        return r;
+      },
+      engine);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_EQ(cache.compiles(), 2u);
+  const std::size_t share = std::max<std::size_t>(citymesh::graphx::compile_cpus() / 2, 1);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].city);
+    EXPECT_EQ(worker_cpus[i], share);
+    EXPECT_EQ(got[i]->compile_cpus, share);
+    const citymesh::graphx::CpuShare one{1};
+    const auto alone =
+        core::compile_city(osmx::generate_city(osmx::profile_by_name(jobs[i].city)), config);
+    EXPECT_EQ(alone->compile_cpus, 1u);
+    EXPECT_EQ(link_reference::fingerprint(got[i]->aps.graph()),
+              link_reference::fingerprint(alone->aps.graph()));
+    EXPECT_EQ(link_reference::fingerprint(got[i]->map.graph()),
+              link_reference::fingerprint(alone->map.graph()));
+    EXPECT_EQ(got[i]->aps.components().component_of, alone->aps.components().component_of);
+  }
 }
 
 TEST(RunxCityCache, KeyReflectsPlacementParameters) {

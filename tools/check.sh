@@ -49,6 +49,35 @@ for k in 1 2 4; do
 done
 echo "check.sh: compile-service gate (citymesh send identical at --shards 1, 2, 4) OK"
 
+# --- Parallel-compile gate: a city compiles on the CPUs its calling thread
+# may use (src/graphx/parallel.hpp), with byte-identical graphs at every
+# count. So `citymesh send` prints the same bytes and writes the same
+# manifest pinned to one CPU and unrestricted, disc and shadowed.
+if command -v taskset >/dev/null 2>&1; then
+  first_cpu=$(taskset -pc $$ | sed 's/.*: *//; s/[-,].*//')
+  for model in disc shadowed; do
+    model_arg=""
+    [ "${model}" = shadowed ] && model_arg="--shadowed"
+    for cpus in one all; do
+      out="${smoke_dir}/cpus_${model}_${cpus}"
+      pin=""
+      [ "${cpus}" = one ] && pin="taskset -c ${first_cpu}"
+      # shellcheck disable=SC2086  # pin and model_arg are empty or whole words
+      ${pin} "${cli}" send boston 10 400 ${model_arg} --json "${out}.json" > "${out}.txt" || {
+        echo "check.sh: citymesh send failed (${model}, ${cpus} CPU)" >&2; exit 1; }
+    done
+    cmp -s "${smoke_dir}/cpus_${model}_one.txt" "${smoke_dir}/cpus_${model}_all.txt" || {
+      echo "check.sh: citymesh send stdout differs between one CPU and all (${model})" >&2
+      exit 1; }
+    cmp -s "${smoke_dir}/cpus_${model}_one.json" "${smoke_dir}/cpus_${model}_all.json" || {
+      echo "check.sh: citymesh send manifest differs between one CPU and all (${model})" >&2
+      exit 1; }
+  done
+  echo "check.sh: parallel-compile gate (citymesh send identical on one CPU and all) OK"
+else
+  echo "check.sh: taskset not found; skipping the parallel-compile gate" >&2
+fi
+
 # --- trafficx smoke: a tiny workload must run through `citymesh load` and
 # two same-seed runs must emit byte-identical manifests (the determinism
 # digest covers the schedule and the capacity summary).

@@ -44,8 +44,9 @@
 //   --json FILE           write the run manifest (obsx) to FILE
 //   --perf                add the manifest's perf section (load and send
 //                         --json): settled receptions and their share of
-//                         deliveries, events, windows, barrier idle seconds
-//                         and handoffs. It is outside the digest and varies
+//                         deliveries, events, windows, barrier idle seconds,
+//                         handoffs, and the city compile's wall time and
+//                         CPUs. It is outside the digest and varies
 //                         with --shards, --trace and the host, so manifests
 //                         without it stay byte-identical across runs.
 //
@@ -346,6 +347,10 @@ void add_perf(obsx::RunManifest& manifest, const core::CityMeshNetwork& net) {
   manifest.perf["windows"] = static_cast<double>(net.windows_run());
   manifest.perf["barrier_idle_s"] = net.barrier_idle_s();
   manifest.perf["handoffs"] = static_cast<double>(net.handoffs_exchanged());
+  // The city compile: its wall time and the CPUs it ran on (the calling
+  // thread's affinity mask; core::CompiledCity).
+  manifest.perf["compile_s"] = net.compiled()->compile_s;
+  manifest.perf["compile_cpus"] = static_cast<double>(net.compiled()->compile_cpus);
 }
 
 // Flush a network's recorded trace to disk (send/scenario/load --trace FILE):
