@@ -30,6 +30,7 @@
 #include "graphx/shortest_path.hpp"
 #include "medium_test_owner.hpp"
 #include "mesh/ap_network.hpp"
+#include "obsx/metrics.hpp"
 #include "osmx/citygen.hpp"
 #include "qfgeo/qfgeo.hpp"
 #include "relayx/policy.hpp"
@@ -136,8 +137,9 @@ static void BM_HotspotDijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_HotspotDijkstra)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
-// The one-time landmark table build a map pays on its first plan: four
-// full Dijkstras over boston's planning graph.
+// The one-time landmark table build a map pays on its first plan: one full
+// Dijkstra per landmark (up to BuildingGraph::kLandmarks, eight) over
+// boston's planning graph.
 static void BM_LandmarkTable(benchmark::State& state) {
   for (auto _ : state) {
     const core::BuildingGraph map{boston(), {}};
@@ -307,7 +309,7 @@ static void BM_RebroadcastDecisionLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_RebroadcastDecisionLegacy);
 
-// The same decision against a shared CompiledMessage: one hash-set lookup,
+// The same decision against a shared CompiledMessage: one bitmap load,
 // zero allocations. The ratio to Legacy is the per-reception win the
 // compile-once refactor banks on every hop of a flood.
 static void BM_RebroadcastDecisionCompiled(benchmark::State& state) {
@@ -317,7 +319,8 @@ static void BM_RebroadcastDecisionCompiled(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(msg.conduit_member(building));
   }
-  state.SetLabel(std::to_string(msg.members.size()) + " member buildings");
+  state.SetLabel(std::to_string(msg.members.size()) + " member buildings, " +
+                 std::to_string(msg.members.heap_bytes()) + " B");
 }
 BENCHMARK(BM_RebroadcastDecisionCompiled);
 
@@ -358,7 +361,7 @@ static void BM_QfgeoRegionPlan(benchmark::State& state) {
 BENCHMARK(BM_QfgeoRegionPlan);
 
 // The per-reception in-region membership check under protocol=qfgeo: same
-// one-hash-lookup collapse as BM_RebroadcastDecisionCompiled, against the
+// one-bitmap-load collapse as BM_RebroadcastDecisionCompiled, against the
 // ellipse member set instead of the conduit corridor.
 static void BM_QfgeoMembershipCheck(benchmark::State& state) {
   const auto& map = boston_map();
@@ -369,7 +372,8 @@ static void BM_QfgeoMembershipCheck(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(msg.conduit_member(building));
   }
-  state.SetLabel(std::to_string(msg.members.size()) + " member buildings");
+  state.SetLabel(std::to_string(msg.members.size()) + " member buildings, " +
+                 std::to_string(msg.members.heap_bytes()) + " B");
 }
 BENCHMARK(BM_QfgeoMembershipCheck);
 
@@ -593,6 +597,33 @@ static void BM_MediumFanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);  // 100 tx x 10 receptions
 }
 BENCHMARK(BM_MediumFanout)->Unit(benchmark::kMillisecond);
+
+// One fan-out's reception latencies into the medium's latency histogram
+// (its bounds and 2^-30 s sum quantum): per value through record() (0), or
+// through the HistogramTally the medium keeps, flushed once (1). 25
+// receptions, about the mean AP degree of perfbench's metro-tiled city, each
+// its ~11.9 ms airtime plus up to 2 ms of jitter (MediumConfig::jitter_s).
+static void BM_HistogramTally(benchmark::State& state) {
+  citymesh::obsx::Histogram hist{citymesh::obsx::exponential_buckets(1e-4, 4.0, 10)};
+  hist.set_sum_quantum(0x1p-30);
+  geo::Rng rng{11};
+  std::vector<double> delays;
+  for (int i = 0; i < 25; ++i) delays.push_back(11.9e-3 + rng.uniform(0.0, 2e-3));
+  citymesh::obsx::HistogramTally tally;
+  tally.bind(&hist);
+  const bool tallied = state.range(0) == 1;
+  for (auto _ : state) {
+    if (tallied) {
+      for (const double d : delays) tally.add(d);
+      tally.flush();
+    } else {
+      for (const double d : delays) hist.record(d);
+    }
+    benchmark::DoNotOptimize(hist.total());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(delays.size()));
+}
+BENCHMARK(BM_HistogramTally)->Arg(0)->Arg(1);
 
 // --------------------------------------------------------------- shardx ---
 

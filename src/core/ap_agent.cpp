@@ -121,7 +121,7 @@ AgentAction ApAgent::on_receive(const MeshPacket& packet, double now_s) {
   }
 
   // The collapsed rebroadcast predicate: was decode + ConduitPath rebuild +
-  // point-in-rect per reception, now hash-set lookups against the compiled
+  // point-in-rect per reception, now bitmap loads from the compiled
   // member sets (bit-identical membership — see compile_message).
   action.rebroadcast = msg->conduit_member(building_) ||
                        (is_broadcast && msg->broadcast_member(building_));

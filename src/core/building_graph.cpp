@@ -63,9 +63,11 @@ const graphx::LandmarkTable& BuildingGraph::landmarks() const {
   std::call_once(landmarks_once_, [this] {
     const std::uint32_t largest = components_.largest();
     // Extreme building per direction: the largest projection of its
-    // centroid onto (north, east, south, west).
+    // centroid onto (N, NE, E, SE, S, SW, W, NW). The diagonals are not
+    // normalized; scaling a direction does not move its argmax.
     constexpr std::array<geo::Point, kLandmarks> directions{
-        {{0.0, 1.0}, {1.0, 0.0}, {0.0, -1.0}, {-1.0, 0.0}}};
+        {{0.0, 1.0}, {1.0, 1.0}, {1.0, 0.0}, {1.0, -1.0},
+         {0.0, -1.0}, {-1.0, -1.0}, {-1.0, 0.0}, {-1.0, 1.0}}};
     std::vector<graphx::VertexId> chosen;
     for (const geo::Point dir : directions) {
       std::optional<BuildingId> best;

@@ -62,12 +62,15 @@ class BuildingGraph {
   /// every planned route is bit-identical, at a fraction of the edges.
   const graphx::Graph& planning_graph() const { return planning_graph_; }
 
-  /// One landmark per compass direction (graphx/alt.hpp).
-  static constexpr std::size_t kLandmarks = 4;
+  /// One landmark per compass and diagonal direction (graphx/alt.hpp).
+  static constexpr std::size_t kLandmarks = 8;
 
   /// The ALT landmark table over planning_graph(). The landmarks are the
-  /// northmost, eastmost, southmost and westmost buildings of the largest
-  /// planning component (lowest id on a tie; duplicates dropped). Built on
+  /// extreme buildings of the largest planning component towards north,
+  /// northeast, east, southeast, south, southwest, west and northwest: the
+  /// largest projection of the centroid onto that direction (lowest id on a
+  /// tie). A building extreme in several directions counts once, so a
+  /// table may hold fewer than kLandmarks landmarks. Built on
   /// the first call, once per map and thread-safely, so every network on a
   /// CompiledCity shares it and a city that never plans never pays for it.
   const graphx::LandmarkTable& landmarks() const;

@@ -13,6 +13,19 @@ namespace {
 /// boundary.
 constexpr double kBoundsMargin = 1e-3;
 
+/// Geo-broadcast disc membership around `center` (the old
+/// in_broadcast_region, precomputed). The radius query over-collects by the
+/// margin; the exact distance predicate decides.
+geo::IdBitmap broadcast_disc(const BuildingGraph& map, BuildingId center, double radius_m) {
+  const geo::Point c = map.centroid(center);
+  geo::IdBitmap members{static_cast<std::uint32_t>(map.building_count())};
+  for (const std::uint32_t b : map.centroid_grid().query_radius(c, radius_m + kBoundsMargin)) {
+    if (geo::distance(map.centroid(b), c) <= radius_m) members.insert(b);
+  }
+  members.trim();
+  return members;
+}
+
 }  // namespace
 
 CompiledMessage compile_message(const wire::PacketHeader& header,
@@ -47,28 +60,22 @@ CompiledMessage compile_message(const wire::PacketHeader& header,
     // by the exact whole-path containment test the old predicate ran — so
     // membership is bit-identical, just precomputed.
     const geo::SpatialGrid& grid = map.centroid_grid();
+    geo::IdBitmap members{static_cast<std::uint32_t>(map.building_count())};
     for (const geo::OrientedRect& conduit : msg.path.conduits()) {
       for (const std::uint32_t b : grid.query_rect(conduit.bounds().expanded(kBoundsMargin))) {
-        if (msg.members.contains(b)) continue;
-        if (msg.path.contains(map.centroid(b))) msg.members.insert(b);
+        if (members.contains(b)) continue;
+        if (msg.path.contains(map.centroid(b))) members.insert(b);
       }
     }
+    members.trim();
+    msg.members = std::move(members);
   }
 
-  // Geo-broadcast disc membership around the last waypoint (the old
-  // in_broadcast_region, precomputed). The radius query over-collects by the
-  // margin; the exact distance predicate below decides.
+  // Geo-broadcast disc membership around the last waypoint.
   if (msg.header.has_flag(wire::PacketFlag::kBroadcast) && !header.waypoints.empty()) {
     const BuildingId center = header.waypoints.back();
     if (center < map.building_count()) {
-      const geo::Point c = map.centroid(center);
-      const auto radius = static_cast<double>(header.broadcast_radius_m);
-      for (const std::uint32_t b :
-           map.centroid_grid().query_radius(c, radius + kBoundsMargin)) {
-        if (geo::distance(map.centroid(b), c) <= radius) {
-          msg.broadcast_members.insert(b);
-        }
-      }
+      msg.broadcast_members = broadcast_disc(map, center, header.broadcast_radius_m);
     }
   }
   return msg;
@@ -99,7 +106,7 @@ CompiledMessage compile_message_qfgeo(const wire::PacketHeader& header,
   // waypoints' centroids (acks reverse the waypoints; the ellipse is
   // symmetric, so both directions share one region). Membership is the
   // same grid-prefilter-then-exact-predicate shape as the conduit compile,
-  // so the per-reception predicate stays one hash lookup.
+  // so the per-reception predicate stays one bitmap load.
   if (msg.waypoints_valid) {
     const qfgeo::Region shape = qfgeo::make_region(
         map.centroid(header.waypoints.front()),
@@ -111,14 +118,7 @@ CompiledMessage compile_message_qfgeo(const wire::PacketHeader& header,
   if (msg.header.has_flag(wire::PacketFlag::kBroadcast) && !header.waypoints.empty()) {
     const BuildingId center = header.waypoints.back();
     if (center < map.building_count()) {
-      const geo::Point c = map.centroid(center);
-      const auto radius = static_cast<double>(header.broadcast_radius_m);
-      for (const std::uint32_t b :
-           map.centroid_grid().query_radius(c, radius + kBoundsMargin)) {
-        if (geo::distance(map.centroid(b), c) <= radius) {
-          msg.broadcast_members.insert(b);
-        }
-      }
+      msg.broadcast_members = broadcast_disc(map, center, header.broadcast_radius_m);
     }
   }
   return msg;

@@ -17,8 +17,8 @@
 //   - for geo-broadcasts, the disc-membership set around the last waypoint.
 //
 // The per-reception rebroadcast predicate then collapses to a duplicate
-// check plus one hash-set lookup of the AP's building id: no decode, no
-// allocation, no geometry.
+// check plus one bitmap load at the AP's building id (geo::IdBitmap): no
+// decode, no allocation, no geometry.
 //
 // MessageCompiler owns the map reference and a by-message-id memo so that
 // packets which do not carry a precompiled message (hand-built test packets,
@@ -45,13 +45,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
-
 #include <optional>
+#include <unordered_map>
 
 #include "core/building_graph.hpp"
 #include "core/conduit.hpp"
+#include "geo/id_bitmap.hpp"
 #include "qfgeo/qfgeo.hpp"
 #include "wire/packet.hpp"
 
@@ -73,12 +72,13 @@ struct CompiledMessage {
   /// (the old per-reception predicate's behavior).
   bool waypoints_valid = false;
   /// Buildings whose centroid lies inside some conduit — the rebroadcast set.
-  std::unordered_set<BuildingId> members;
+  geo::IdBitmap members;
   /// Geo-broadcast only: buildings within broadcast_radius_m of the last
   /// waypoint's centroid. Empty for non-broadcast messages.
-  std::unordered_set<BuildingId> broadcast_members;
+  geo::IdBitmap broadcast_members;
 
-  /// The collapsed per-reception predicate: one hash lookup, no allocation.
+  /// The collapsed per-reception predicate: one bitmap load, no allocation.
+  /// Any building id, the map's or not.
   bool conduit_member(BuildingId b) const { return members.contains(b); }
   bool broadcast_member(BuildingId b) const { return broadcast_members.contains(b); }
 };

@@ -3,7 +3,7 @@
 // The sender's route is the Dijkstra shortest path over the building graph
 // (cubed-distance weights) from its own building to the destination
 // postbox's building. The planner finds it with an exact ALT search
-// (graphx/alt.hpp), steered by the map's four landmarks
+// (graphx/alt.hpp), steered by the map's eight landmarks
 // (BuildingGraph::landmarks), over the graph's essential edges only
 // (BuildingGraph::planning_graph): the same route, bit for bit, at a
 // fraction of the settled vertices. It then compresses the building list

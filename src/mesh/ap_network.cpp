@@ -52,11 +52,22 @@ ApNetwork::ApNetwork(std::vector<AccessPoint> aps, const PlacementConfig& config
   for (std::size_t i = 0; i < aps_.size(); ++i) {
     if (aps_[i].id != i) throw std::invalid_argument{"ApNetwork: AP ids must equal their index"};
   }
-  osmx::BuildingId max_building = 0;
-  for (const auto& ap : aps_) max_building = std::max(max_building, ap.building);
-  by_building_.resize(aps_.empty() ? 0 : max_building + 1);
-
-  for (const auto& ap : aps_) by_building_[ap.building].push_back(ap.id);
+  // The building -> AP index, counting-sorted: ids ascend within a building.
+  if (!aps_.empty()) {
+    osmx::BuildingId max_building = 0;
+    for (const auto& ap : aps_) max_building = std::max(max_building, ap.building);
+    // Count into each building's own slot, sum to each one's end, then
+    // place from the last AP back, which leaves each slot at its start.
+    building_first_.assign(std::size_t{max_building} + 2, 0);
+    for (const auto& ap : aps_) ++building_first_[ap.building];
+    for (std::size_t b = 1; b < building_first_.size(); ++b) {
+      building_first_[b] += building_first_[b - 1];
+    }
+    building_aps_.resize(aps_.size());
+    for (auto ap = aps_.rbegin(); ap != aps_.rend(); ++ap) {
+      building_aps_[--building_first_[ap->building]] = ap->id;
+    }
+  }
 
   // The connectivity graph: one link per admitted pair, weight = distance.
   // The shadowed model's draws are seeded, and LinkBuilder makes them in a
@@ -77,14 +88,9 @@ ApNetwork::ApNetwork(std::vector<AccessPoint> aps, const PlacementConfig& config
   components_ = graphx::connected_components(graph_);
 }
 
-const std::vector<ApId>& ApNetwork::aps_of_building(osmx::BuildingId b) const {
-  if (b >= by_building_.size()) return empty_;
-  return by_building_[b];
-}
-
 std::optional<ApId> ApNetwork::representative_ap(const osmx::City& city,
                                                  osmx::BuildingId b) const {
-  const auto& candidates = aps_of_building(b);
+  const std::span<const ApId> candidates = aps_of_building(b);
   if (candidates.empty()) return std::nullopt;
   const geo::Point centroid = city.building(b).centroid;
   ApId best = candidates.front();

@@ -73,8 +73,14 @@ class ApNetwork {
   /// Spatial index over AP positions.
   const geo::SpatialGrid& grid() const { return grid_; }
 
-  /// APs owned by a building (possibly empty).
-  const std::vector<ApId>& aps_of_building(osmx::BuildingId b) const;
+  /// APs owned by a building, ascending (empty for a building without an
+  /// AP, any id past the last AP's building included). A view into one CSR
+  /// index over all APs, valid as long as the network.
+  std::span<const ApId> aps_of_building(osmx::BuildingId b) const {
+    if (b + std::size_t{1} >= building_first_.size()) return {};
+    const ApId* first = building_aps_.data();
+    return {first + building_first_[b], first + building_first_[b + 1]};
+  }
 
   /// Any AP of the building, preferring the one closest to the centroid;
   /// nullopt when the building has no AP.
@@ -129,8 +135,11 @@ class ApNetwork {
   graphx::Graph graph_;
   geo::SpatialGrid grid_;
   graphx::Components components_;
-  std::vector<std::vector<ApId>> by_building_;
-  std::vector<ApId> empty_;
+  /// The building -> AP index as CSR: building b's APs are
+  /// building_aps_[building_first_[b] .. building_first_[b + 1]); one entry
+  /// per building up to the last AP's, plus one.
+  std::vector<std::uint32_t> building_first_;
+  std::vector<ApId> building_aps_;
   mutable std::once_flag hop_bounds_once_;
   mutable HopBounds hop_bounds_;
 };

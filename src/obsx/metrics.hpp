@@ -53,9 +53,35 @@ struct HistogramSnapshot {
   bool operator==(const HistogramSnapshot&) const = default;
 };
 
-/// Fixed-bucket histogram. Buckets never reallocate, so record() is a
-/// branchless-ish upper_bound plus two adds — cheap enough for per-packet
-/// paths.
+/// The bucket of `v` among ascending `bounds`: the number of bounds below v,
+/// which is the first i with v <= bounds[i] (bounds.size() for the overflow
+/// bucket; 0 for NaN). `hint`, the previous value's bucket, is tested first,
+/// since consecutive values (one fan-out's latencies) mostly share one; a
+/// miss counts the bounds without a branch and moves the hint.
+inline std::size_t bucket_of(std::span<const double> bounds, double v, std::size_t& hint) {
+  const std::size_t h = hint;
+  if ((h == 0 || bounds[h - 1] < v) && (h == bounds.size() || !(bounds[h] < v))) return h;
+  std::size_t bucket = 0;
+  for (const double bound : bounds) bucket += bound < v ? 1 : 0;
+  hint = bucket;
+  return bucket;
+}
+
+/// std::llround(x): the nearest integer, halves away from zero. Inline for
+/// 0 <= x < 2^62, where truncation is exact and so is x - trunc(x) (both are
+/// doubles within a factor of two of each other, or trunc(x) is 0); libm's
+/// llround for any other x. Precondition: |x| < 2^63.
+inline std::int64_t round_half_away(double x) {
+  if (x >= 0.0 && x < 0x1p62) {
+    const auto t = static_cast<std::int64_t>(x);
+    return t + (x - static_cast<double>(t) >= 0.5 ? 1 : 0);
+  }
+  return std::llround(x);
+}
+
+/// Fixed-bucket histogram. Buckets never reallocate, so record() is an
+/// interval test against the previous value's bucket plus two adds — cheap
+/// enough for per-packet paths.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -89,6 +115,7 @@ class Histogram {
  private:
   std::vector<double> bounds_;
   std::vector<std::uint64_t> counts_;
+  std::size_t hint_ = 0;  ///< the last recorded value's bucket
   std::uint64_t total_ = 0;
   double sum_ = 0.0;
   double sum_quantum_ = 0.0;
@@ -97,11 +124,13 @@ class Histogram {
 /// Many values recorded into one Histogram in a single step: per value a
 /// bucket count and, when the histogram has a sum quantum, an integer count
 /// of quanta; flush() adds them all. The result equals recording each value
-/// with record(): buckets are assigned the same way, and a quantized sum
-/// only ever adds exact multiples of the quantum, so one integer count of
-/// them adds exactly the same total. A histogram without a quantum keeps its
-/// arrival-order sum, so add() records such values one by one. The medium
-/// keeps one tally per fan-out (sim/medium.hpp).
+/// with record() while the sum stays below 2^53 quanta: buckets are assigned
+/// the same way, and a quantized sum only ever adds exact multiples of the
+/// quantum, so one integer count of them adds exactly the same total. A
+/// value of 2^62 quanta or more, an infinity or a NaN goes to record()
+/// itself, as does every value of a histogram without a quantum (it keeps
+/// its arrival-order sum). The medium keeps one tally per fan-out
+/// (sim/medium.hpp).
 class HistogramTally {
  public:
   /// Target `hist` (nullptr: add() ignores values). Flushes first when the
@@ -111,11 +140,13 @@ class HistogramTally {
     flush();
     hist_ = hist;
     if (hist_ == nullptr) return;
+    bounds_ = hist_->bounds();
+    hint_ = 0;
     quantum_ = hist_->sum_quantum();
     // A power-of-two quantum divides exactly by multiplying by its inverse.
     int exponent = 0;
     inverse_ = quantum_ > 0.0 && std::frexp(quantum_, &exponent) == 0.5 ? 1.0 / quantum_ : 0.0;
-    counts_.assign(hist_->bounds().size() + 1, 0);
+    counts_.assign(bounds_.size() + 1, 0);
   }
 
   void add(double v) {
@@ -124,30 +155,32 @@ class HistogramTally {
       hist_->record(v);
       return;
     }
-    // The bounds ascend, so the number below v is record()'s lower_bound
-    // index; counting them takes no branch.
-    std::size_t bucket = 0;
-    for (const double bound : hist_->bounds()) bucket += bound < v ? 1 : 0;
-    ++counts_[bucket];
-    ++total_;
-    quanta_ += std::llround(inverse_ > 0.0 ? v * inverse_ : v / quantum_);
+    const double x = inverse_ > 0.0 ? v * inverse_ : v / quantum_;
+    if (!(std::fabs(x) < 0x1p62)) {
+      hist_->record(v);
+      return;
+    }
+    ++counts_[bucket_of(bounds_, v, hint_)];
+    quanta_ += round_half_away(x);
   }
 
   /// Add everything since the last flush to the histogram.
   void flush() {
-    if (total_ == 0) return;
-    hist_->add_quantized(counts_, total_, quanta_);
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts_) total += c;
+    if (total == 0) return;
+    hist_->add_quantized(counts_, total, quanta_);
     std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
     quanta_ = 0;
   }
 
  private:
   Histogram* hist_ = nullptr;
+  std::span<const double> bounds_;  ///< hist_'s, which never reallocate
+  std::size_t hint_ = 0;            ///< the last added value's bucket
   double quantum_ = 0.0;
   double inverse_ = 0.0;  ///< 1 / quantum_ when that is exact, else 0
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
+  std::vector<std::uint64_t> counts_;  ///< per bucket since the last flush
   std::int64_t quanta_ = 0;
 };
 

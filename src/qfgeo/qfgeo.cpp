@@ -23,13 +23,13 @@ Region make_region(geo::Point src, geo::Point dst, const RegionConfig& config) {
   return region;
 }
 
-std::unordered_set<std::uint32_t> region_members(const Region& region,
-                                                 const geo::SpatialGrid& grid) {
-  std::unordered_set<std::uint32_t> members;
+geo::IdBitmap region_members(const Region& region, const geo::SpatialGrid& grid) {
+  geo::IdBitmap members{static_cast<std::uint32_t>(grid.id_bound())};
   for (const std::uint32_t id :
        grid.query_rect(region.bounds().expanded(kBoundsMargin))) {
     if (region.contains(grid.position(id))) members.insert(id);
   }
+  members.trim();
   return members;
 }
 

@@ -28,7 +28,7 @@
 //                 with the exact ellipse test — the same
 //                 grid-prefilter-then-exact-predicate shape as
 //                 core::compile_message, so the per-reception membership
-//                 check stays one hash lookup.
+//                 check stays one bitmap load (geo::IdBitmap).
 //
 //   forward_delay  the greedy election: receiver-side contention-based
 //                 forwarding (GeRaF/BLR style). Every in-region receiver
@@ -43,9 +43,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 
 #include "geo/geometry.hpp"
+#include "geo/id_bitmap.hpp"
 #include "geo/spatial_grid.hpp"
 
 namespace citymesh::qfgeo {
@@ -87,9 +87,9 @@ Region make_region(geo::Point src, geo::Point dst, const RegionConfig& config);
 
 /// Ids (grid point indices — building ids when the grid indexes building
 /// centroids) whose position lies inside the region: grid candidates over
-/// the loose bounds, refined by the exact ellipse predicate.
-std::unordered_set<std::uint32_t> region_members(const Region& region,
-                                                 const geo::SpatialGrid& grid);
+/// the loose bounds, refined by the exact ellipse predicate; a bitmap over
+/// the members' id range.
+geo::IdBitmap region_members(const Region& region, const geo::SpatialGrid& grid);
 
 /// Greedy forwarding-election timing.
 struct ForwarderConfig {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <functional>
 #include <latch>
 #include <limits>
@@ -45,6 +46,7 @@ namespace mesh = citymesh::mesh;
 namespace graphx = citymesh::graphx;
 namespace relayx = citymesh::relayx;
 namespace trafficx = citymesh::trafficx;
+namespace qfgeo = citymesh::qfgeo;
 
 namespace {
 
@@ -134,6 +136,86 @@ TEST(CompiledMembership, StaleMapWaypointCompilesToEmptyMembership) {
   for (core::BuildingId b = 0; b < map.building_count(); ++b) {
     EXPECT_FALSE(msg.conduit_member(b));
     EXPECT_EQ(core::should_rebroadcast(h, map, b), false);
+  }
+}
+
+// The member bitmaps at their edges: members at id 0 and at
+// building_count() - 1, a member range that starts past the first 64 ids,
+// and the empty sets of malformed and stale-waypoint messages, in conduit
+// and QF-Geo compiles. No id past the map, 2^32 - 1 included, is a member.
+TEST(CompiledMembership, BitmapEdgesMatchBruteForce) {
+  const auto city = test_city("compiled-c", 303);
+  const core::BuildingGraph map{city, {}};
+  const core::RoutePlanner planner{map, {}};
+  const auto n = static_cast<core::BuildingId>(map.building_count());
+  ASSERT_GT(n, 128u);
+  const auto expect_no_member_past_the_map = [&](const core::CompiledMessage& msg) {
+    for (const core::BuildingId b : {n, n + 1, n + 64, core::BuildingId{0xFFFFFFFF}}) {
+      EXPECT_FALSE(msg.conduit_member(b)) << b;
+      EXPECT_FALSE(msg.broadcast_member(b)) << b;
+    }
+  };
+
+  // A flood out of the last building, broadcast over a disc wider than the
+  // map: every building is a broadcast member, the first and last included.
+  std::optional<core::PlannedRoute> route;
+  for (core::BuildingId to = 0; !route && to < n / 2; ++to) route = planner.plan(n - 1, to);
+  ASSERT_TRUE(route.has_value());
+  wire::PacketHeader h;
+  h.message_id = 31;
+  h.conduit_width_m = route->conduit_width_m;
+  h.waypoints = route->waypoints;
+  h.set_flag(wire::PacketFlag::kBroadcast);
+  h.broadcast_radius_m = 100'000;
+  const qfgeo::RegionConfig region_cfg;
+  const qfgeo::Region region = qfgeo::make_region(
+      map.centroid(h.waypoints.front()), map.centroid(h.waypoints.back()), region_cfg);
+  const core::CompiledMessage conduit = core::compile_message(h, map);
+  const core::CompiledMessage qf = core::compile_message_qfgeo(h, map, region_cfg);
+  for (core::BuildingId b = 0; b < n; ++b) {
+    EXPECT_EQ(conduit.conduit_member(b), core::should_rebroadcast(h, map, b)) << b;
+    EXPECT_EQ(qf.conduit_member(b), region.contains(map.centroid(b))) << b;
+    EXPECT_TRUE(conduit.broadcast_member(b)) << b;
+    EXPECT_TRUE(qf.broadcast_member(b)) << b;
+  }
+  EXPECT_TRUE(conduit.conduit_member(n - 1));
+  EXPECT_TRUE(qf.conduit_member(n - 1));
+  EXPECT_EQ(conduit.broadcast_members.size(), n);
+  EXPECT_EQ(conduit.broadcast_members.ids().front(), 0u);
+  EXPECT_EQ(conduit.broadcast_members.ids().back(), n - 1);
+  expect_no_member_past_the_map(conduit);
+  expect_no_member_past_the_map(qf);
+
+  // A radius-0 disc holds its center (and any building sharing its
+  // centroid): a bitmap whose range starts past the first word.
+  wire::PacketHeader point = h;
+  point.waypoints = {100, 100};
+  point.broadcast_radius_m = 0;
+  const core::CompiledMessage disc = core::compile_message(point, map);
+  for (core::BuildingId b = 0; b < n; ++b) {
+    EXPECT_EQ(disc.broadcast_member(b), core::in_broadcast_region(point, map, b)) << b;
+  }
+  EXPECT_TRUE(disc.broadcast_member(100));
+  EXPECT_FALSE(disc.broadcast_member(0));
+  expect_no_member_past_the_map(disc);
+
+  // Malformed and stale-waypoint messages compile to empty sets.
+  wire::PacketHeader malformed = h;
+  malformed.conduit_width_m = -1.0;
+  wire::PacketHeader stale = h;
+  stale.waypoints = {0, n + 5};
+  for (const wire::PacketHeader& empty : {malformed, stale}) {
+    for (const core::CompiledMessage& msg :
+         {core::compile_message(empty, map), core::compile_message_qfgeo(empty, map, region_cfg)}) {
+      EXPECT_TRUE(msg.members.empty());
+      EXPECT_TRUE(msg.broadcast_members.empty());
+      EXPECT_EQ(msg.members.heap_bytes(), 0u);
+      for (const core::BuildingId b : {core::BuildingId{0}, n - 1}) {
+        EXPECT_FALSE(msg.conduit_member(b));
+        EXPECT_FALSE(msg.broadcast_member(b));
+      }
+      expect_no_member_past_the_map(msg);
+    }
   }
 }
 
@@ -957,8 +1039,10 @@ TEST(SettledDuplicates, MaxEventsCutChargesSettledReceptionsAtFanOut) {
 // arrival, and the flip
 // may make some of them blocked ones, so the counters of receptions differ
 // by design; what the protocol did must not: flow records, transmissions,
-// rebroadcasts, conduit rejects and postbox stores. The traced run is cut
-// after the same queued events as the untraced one.
+// rebroadcasts, conduit rejects and postbox stores. Both networks first
+// finish every event due by the first one the cut left (or by `until`), so
+// they flip in the same state: a traced twin cut after the untraced run's
+// queued events would stop short of receptions the untraced one settled.
 TEST(SettledDuplicates, StatusFlipAfterMaxEventsCutMatchesTracedOutcomes) {
   const core::NetworkConfig cfg = settle_config(1);
   const auto compiled = core::compile_city(settle_town(49, 600, 450), cfg);
@@ -983,13 +1067,12 @@ TEST(SettledDuplicates, StatusFlipAfterMaxEventsCutMatchesTracedOutcomes) {
     std::vector<std::uint32_t> traced_ids;
     auto untraced = load_network(compiled, cfg, schedule, false, untraced_ids);
     untraced->run_until(until, budget);
-    const std::size_t queued =
-        untraced->events_processed() - untraced->medium_totals().settled;
+    const double resume = std::min(untraced->next_event_time(), until);
     auto traced = load_network(compiled, cfg, schedule, true, traced_ids);
-    traced->run_until(until, queued);
-    ASSERT_EQ(traced->events_processed(), queued) << label;
-    finish(*untraced);
-    finish(*traced);
+    for (core::CityMeshNetwork* net : {untraced.get(), traced.get()}) {
+      net->run_until(resume);
+      finish(*net);
+    }
 
     const RunRecord a = record(*traced, traced_ids, 0);
     const RunRecord b = record(*untraced, untraced_ids, 0);

@@ -3,7 +3,10 @@
 // the per-AP agent, and the end-to-end network facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <optional>
 
 #include "core/building_graph.hpp"
 #include "core/conduit.hpp"
@@ -129,6 +132,78 @@ TEST(BuildingGraph, DenserPredictionWithLargerConnectFactor) {
   const core::BuildingGraph gn{city, narrow};
   const core::BuildingGraph gw{city, wide};
   EXPECT_LT(gn.graph().edge_count(), gw.graph().edge_count());
+}
+
+namespace {
+
+/// The building of landmark row `i`: the one vertex at distance 0 from it
+/// (planning weights are positive).
+core::BuildingId landmark_of(const graphx::LandmarkTable& table, std::size_t i,
+                             std::size_t building_count) {
+  std::optional<core::BuildingId> found;
+  for (core::BuildingId b = 0; b < building_count; ++b) {
+    if (table.distance(i, b) == 0.0) {
+      EXPECT_FALSE(found.has_value()) << "row " << i << " has two zero entries";
+      found = b;
+    }
+  }
+  EXPECT_TRUE(found.has_value()) << "row " << i;
+  return found.value_or(0);
+}
+
+}  // namespace
+
+TEST(BuildingGraph, EightLandmarksAreTheDirectionalExtremesOnEveryProfile) {
+  // Brute force: per direction (N, NE, E, SE, S, SW, W, NW) the largest
+  // centroid projection within the largest planning component, lowest id
+  // on a tie, a repeat dropped.
+  constexpr std::array<geo::Point, 8> directions{
+      {{0, 1}, {1, 1}, {1, 0}, {1, -1}, {0, -1}, {-1, -1}, {-1, 0}, {-1, 1}}};
+  static_assert(core::BuildingGraph::kLandmarks == directions.size());
+  for (const auto& profile : osmx::default_profiles()) {
+    SCOPED_TRACE(profile.name);
+    const core::BuildingGraph map{osmx::generate_city(profile), {}};
+    const graphx::Components components = graphx::connected_components(map.planning_graph());
+    const std::uint32_t largest = components.largest();
+    std::vector<core::BuildingId> expected;
+    for (const geo::Point dir : directions) {
+      std::optional<core::BuildingId> best;
+      double best_score = 0.0;
+      for (core::BuildingId b = 0; b < map.building_count(); ++b) {
+        if (components.component_of[b] != largest) continue;
+        const double score = map.centroid(b).x * dir.x + map.centroid(b).y * dir.y;
+        if (!best || score > best_score) {
+          best = b;
+          best_score = score;
+        }
+      }
+      ASSERT_TRUE(best.has_value());
+      if (std::find(expected.begin(), expected.end(), *best) == expected.end()) {
+        expected.push_back(*best);
+      }
+    }
+    const graphx::LandmarkTable& table = map.landmarks();
+    ASSERT_FALSE(table.empty());
+    ASSERT_EQ(table.landmark_count(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(landmark_of(table, i, map.building_count()), expected[i]) << "row " << i;
+    }
+  }
+}
+
+TEST(BuildingGraph, LandmarksExtremeInSeveralDirectionsCountOnce) {
+  // Three buildings in a row along x: building 0 is the extreme to the
+  // N (all tie; lowest id), S, SW, W and NW, and building 2 to the NE, E
+  // and SE. Two landmarks, in first-direction order.
+  osmx::City city{"row", {{0, 0}, {140, 40}}};
+  city.add_building(geo::Polygon::rectangle({{0, 0}, {20, 20}}));
+  city.add_building(geo::Polygon::rectangle({{45, 0}, {65, 20}}));
+  city.add_building(geo::Polygon::rectangle({{90, 0}, {110, 20}}));
+  const core::BuildingGraph map{city, {}};
+  const graphx::LandmarkTable& table = map.landmarks();
+  ASSERT_EQ(table.landmark_count(), 2u);
+  EXPECT_EQ(landmark_of(table, 0, 3), 0u);
+  EXPECT_EQ(landmark_of(table, 1, 3), 2u);
 }
 
 // -------------------------------------------------------------- Conduit ---

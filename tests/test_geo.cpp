@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "geo/geometry.hpp"
+#include "geo/id_bitmap.hpp"
 #include "geo/projection.hpp"
 #include "geo/rng.hpp"
 #include "geo/spatial_grid.hpp"
@@ -671,4 +672,44 @@ TEST(Stats, RunningStatsEmptyAndSingle) {
   s.add(42.0);
   EXPECT_DOUBLE_EQ(s.mean(), 42.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+}
+
+// --------------------------------------------------------------- IdBitmap ---
+
+TEST(IdBitmap, TrimKeepsMembersAndAnswersEveryId) {
+  geo::IdBitmap set{1000};
+  const std::vector<std::uint32_t> members{127, 128, 200, 575};
+  for (const std::uint32_t id : members) set.insert(id);
+  set.insert(128);  // twice: still one member
+  set.trim();
+  // Words 1 .. 8 hold them: ids 64 .. 575.
+  EXPECT_EQ(set.heap_bytes(), 8u * sizeof(std::uint64_t));
+  EXPECT_EQ(set.ids(), members);
+  EXPECT_EQ(set.size(), members.size());
+  EXPECT_FALSE(set.empty());
+  for (std::uint32_t id = 0; id < 1200; ++id) {
+    EXPECT_EQ(set.contains(id), std::count(members.begin(), members.end(), id) == 1) << id;
+  }
+  EXPECT_FALSE(set.contains(std::numeric_limits<std::uint32_t>::max()));
+}
+
+TEST(IdBitmap, EdgesOfTheUniverseAndTheEmptySet) {
+  geo::IdBitmap ends{130};
+  ends.insert(0);
+  ends.insert(129);
+  ends.trim();
+  EXPECT_EQ(ends.ids(), (std::vector<std::uint32_t>{0, 129}));
+  EXPECT_TRUE(ends.contains(0));
+  EXPECT_TRUE(ends.contains(129));
+  EXPECT_FALSE(ends.contains(130));
+  EXPECT_FALSE(ends.contains(191));
+
+  for (geo::IdBitmap empty : {geo::IdBitmap{}, geo::IdBitmap{500}}) {
+    empty.trim();
+    EXPECT_TRUE(empty.empty());
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(empty.heap_bytes(), 0u);
+    EXPECT_TRUE(empty.ids().empty());
+    for (const std::uint32_t id : {0u, 63u, 64u, 499u, 0xFFFFFFFFu}) EXPECT_FALSE(empty.contains(id));
+  }
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <span>
@@ -716,6 +717,42 @@ TEST(LinkBuilder, BandedBuildsMatchTheSequentialBuildOnEveryProfileAndMetroXxl) 
           << "building graph at " << bands << " bands";
     }
   }
+}
+
+TEST(ApNetwork, BuildingIndexEqualsAScanOnEveryProfileAndMetroXxl) {
+  // aps_of_building's CSR index against one scan of aps(), on the ten
+  // profiles and fig10's metro-xxl rung (its city and placement): every
+  // building, those without an AP included, and ids past the last AP's
+  // building and past the city.
+  std::vector<std::pair<osmx::CityProfile, mesh::PlacementConfig>> cases;
+  for (const auto& profile : osmx::default_profiles()) cases.emplace_back(profile, mesh::PlacementConfig{});
+  osmx::CityProfile xxl;
+  xxl.name = "metro-xxl";
+  xxl.width_m = 4200;
+  xxl.height_m = 3100;
+  xxl.seed = 101;
+  mesh::PlacementConfig xxl_placement;
+  xxl_placement.seed = 7;
+  xxl_placement.density_per_m2 = 1.0 / 60.0;
+  cases.emplace_back(xxl, xxl_placement);
+  std::size_t buildings_without_an_ap = 0;
+  for (const auto& [profile, placement] : cases) {
+    SCOPED_TRACE(profile.name);
+    const auto city = osmx::generate_city(profile);
+    const auto net = mesh::place_aps(city, placement);
+    std::vector<std::vector<mesh::ApId>> scan(city.building_count() + 3);
+    for (const auto& ap : net.aps()) scan[ap.building].push_back(ap.id);
+    std::size_t without = 0;
+    for (osmx::BuildingId b = 0; b < scan.size(); ++b) {
+      const auto span = net.aps_of_building(b);
+      ASSERT_EQ(std::vector<mesh::ApId>(span.begin(), span.end()), scan[b]) << "building " << b;
+      without += scan[b].empty() ? 1 : 0;
+    }
+    EXPECT_GE(without, 3u);  // the three ids past the city
+    buildings_without_an_ap += without - 3;
+    EXPECT_TRUE(net.aps_of_building(std::numeric_limits<osmx::BuildingId>::max()).empty());
+  }
+  EXPECT_GT(buildings_without_an_ap, 0u);
 }
 
 TEST(ApNetwork, RejectsIdsThatAreNotIndices) {

@@ -3,6 +3,11 @@
 // manifests, and an end-to-end 3-AP trace whose event sequence is pinned.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "core/network.hpp"
@@ -214,6 +219,108 @@ TEST(Histogram, RejectsBadBounds) {
 TEST(Histogram, BucketHelpers) {
   EXPECT_EQ(obsx::linear_buckets(10.0, 5.0, 3), (std::vector<double>{10, 15, 20}));
   EXPECT_EQ(obsx::exponential_buckets(1.0, 2.0, 4), (std::vector<double>{1, 2, 4, 8}));
+}
+
+// --------------------------------------------------------- HistogramTally ---
+
+namespace {
+
+/// The medium's latency histogram: its bounds and its sum quantum.
+constexpr double kQuantum = 0x1p-30;
+const std::vector<double> kLatencyBounds = obsx::exponential_buckets(1e-4, 4.0, 10);
+
+/// Feeds `values` three ways into histograms over kLatencyBounds with
+/// kQuantum: per value through record(); through a HistogramTally flushed
+/// every `flush_every` values (0: once at the end); and through a plain
+/// reference (std::lower_bound for the bucket, std::round for the quanta,
+/// summed in order). Counts, total and sum must agree bit for bit.
+void expect_tally_matches_record(const std::vector<double>& values,
+                                 std::size_t flush_every = 0) {
+  std::vector<std::uint64_t> counts(kLatencyBounds.size() + 1, 0);
+  double sum = 0.0;
+  for (const double v : values) {
+    const auto it = std::lower_bound(kLatencyBounds.begin(), kLatencyBounds.end(), v);
+    ++counts[static_cast<std::size_t>(it - kLatencyBounds.begin())];
+    sum += std::round(v / kQuantum) * kQuantum;
+  }
+
+  obsx::Histogram one{kLatencyBounds};
+  obsx::Histogram tallied{kLatencyBounds};
+  one.set_sum_quantum(kQuantum);
+  tallied.set_sum_quantum(kQuantum);
+  obsx::HistogramTally tally;
+  tally.bind(&tallied);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    one.record(values[i]);
+    tally.add(values[i]);
+    if (flush_every > 0 && (i + 1) % flush_every == 0) tally.flush();
+  }
+  tally.bind(nullptr);  // flushes
+
+  for (const obsx::Histogram* h : {&one, &tallied}) {
+    const char* const name = h == &one ? "record()" : "HistogramTally";
+    EXPECT_EQ(h->counts(), counts) << name;
+    EXPECT_EQ(h->total(), values.size()) << name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(h->sum()), std::bit_cast<std::uint64_t>(sum))
+        << name << ": sum " << h->sum() << " against " << sum;
+  }
+}
+
+}  // namespace
+
+TEST(HistogramTally, SeededDelaysMatchRecordBitForBit) {
+  std::mt19937_64 rng{20241118};
+  // Log-uniform over the buckets and past both ends, as fan-out delays.
+  std::uniform_real_distribution<double> exponent{-6.0, 2.5};
+  for (const std::size_t flush_every : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+    std::vector<double> values;
+    for (int i = 0; i < 20000; ++i) values.push_back(std::pow(10.0, exponent(rng)));
+    expect_tally_matches_record(values, flush_every);
+  }
+}
+
+TEST(HistogramTally, AdversarialValuesMatchRecordBitForBit) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  // Every bound exactly and one ulp either side, zeros, exact halves of a
+  // quantum (half-away and half-to-even differ on the even ones) and their
+  // neighbours, and negatives: sums far below 2^53 quanta.
+  std::vector<double> edges{0.0, -0.0};
+  for (const double b : kLatencyBounds) {
+    edges.insert(edges.end(), {b, std::nextafter(b, inf), std::nextafter(b, -inf), -b});
+  }
+  for (const double k : {0.0, 1.0, 2.0, 3.0, 4.0, 1048576.0, 0x1p40, 0x1p40 + 1.0}) {
+    const double half = (k + 0.5) * kQuantum;
+    edges.insert(edges.end(), {half, std::nextafter(half, inf), std::nextafter(half, -inf),
+                               -half});
+  }
+  expect_tally_matches_record(edges);
+  expect_tally_matches_record(edges, 3);
+  std::vector<double> reversed{edges.rbegin(), edges.rend()};
+  expect_tally_matches_record(reversed);
+
+  // Past 2^52 quanta every double is a whole number of quanta; one such
+  // value and small ones keep the sum below 2^53 quanta, where it is exact.
+  expect_tally_matches_record({(0x1p52 + 3.0) * kQuantum, 2.5 * kQuantum, 1e-3, 0.0});
+  expect_tally_matches_record({-(0x1p52 + 1.0) * kQuantum, -2.5 * kQuantum, 7.0});
+  // At 2^62 quanta and beyond, and non-finite values: record()'s own path.
+  expect_tally_matches_record({0x1p62 * kQuantum});
+  expect_tally_matches_record({0x1p70 * kQuantum, -0x1p70 * kQuantum});
+  expect_tally_matches_record({1e-3, inf, 2.5 * kQuantum});
+  expect_tally_matches_record({-inf, 1.0, -0.0});
+  expect_tally_matches_record({inf, 1e-3, -inf});
+}
+
+TEST(HistogramTally, WithoutQuantumRecordsInArrivalOrder) {
+  obsx::Histogram one{kLatencyBounds};
+  obsx::Histogram tallied{kLatencyBounds};
+  obsx::HistogramTally tally;
+  tally.bind(&tallied);
+  for (const double v : {0.1, 1e-5, 3.0, 0.3, 1e9}) {
+    one.record(v);
+    tally.add(v);
+  }
+  tally.flush();
+  EXPECT_EQ(one.snapshot(), tallied.snapshot());
 }
 
 // --------------------------------------------------------- MetricsRegistry ---

@@ -2,7 +2,8 @@
 # Compare two recorded rows across the committed BENCH_<workload>.json
 # files (tools/bench_record.sh): for each workload and end-to-end metric,
 # print A's and B's medians, the relative delta, and the delta measured in
-# A's interquartile range; then the traced run layers of both rows. When
+# A's interquartile range; then the traced run layers of both rows and
+# their traced per-layer values (perfbench's counts and timers). When
 # the two were recorded as a baseline/change pair, the numbers come from
 # that pair entry (one recording, alternating runs) and the count of
 # pairs B won is added; otherwise from the rows, which may come from
@@ -91,6 +92,15 @@ for path in files:
             lb = b["run_layers"].get(span, {"self_s": 0.0, "share": 0.0})
             print(f"  {span:30} {la['self_s']:10.4f} {lb['self_s']:10.4f} "
                   f"{la['share']:8.1%} {lb['share']:8.1%}")
+    pa, pb = a.get("per_layer", {}), b.get("per_layer", {})
+    names = list(pa) + [n for n in pb if n not in pa]
+    if names:
+        print(f"  {'per-layer value (traced)':30} {'A':>12} {'B':>12} {'delta':>8}")
+        cell = lambda v: f"{v:12.6g}" if v is not None else f"{'-':>12}"
+        for name in names:
+            va, vb = pa.get(name), pb.get(name)
+            rel = (f"{(vb - va) / va:+8.1%}" if va and vb is not None else f"{'-':>8}")
+            print(f"  {name:30} {cell(va)} {cell(vb)} {rel}")
     print()
 sys.exit(1 if missing else 0)
 PY
