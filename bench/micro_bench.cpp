@@ -600,15 +600,16 @@ BENCHMARK(BM_MediumFanout)->Unit(benchmark::kMillisecond);
 
 // One fan-out's reception latencies into the medium's latency histogram
 // (its bounds and 2^-30 s sum quantum): per value through record() (0), or
-// through the HistogramTally the medium keeps, flushed once (1). 25
-// receptions, about the mean AP degree of perfbench's metro-tiled city, each
-// its ~11.9 ms airtime plus up to 2 ms of jitter (MediumConfig::jitter_s).
+// through the HistogramTally the medium keeps, flushed once (1). 50
+// receptions, metro-tiled's deliveries per transmission in its committed
+// perf row (5,869,079 over 117,753), each its ~11.9 ms airtime plus up to
+// 2 ms of jitter (MediumConfig::jitter_s).
 static void BM_HistogramTally(benchmark::State& state) {
   citymesh::obsx::Histogram hist{citymesh::obsx::exponential_buckets(1e-4, 4.0, 10)};
   hist.set_sum_quantum(0x1p-30);
   geo::Rng rng{11};
   std::vector<double> delays;
-  for (int i = 0; i < 25; ++i) delays.push_back(11.9e-3 + rng.uniform(0.0, 2e-3));
+  for (int i = 0; i < 50; ++i) delays.push_back(11.9e-3 + rng.uniform(0.0, 2e-3));
   citymesh::obsx::HistogramTally tally;
   tally.bind(&hist);
   const bool tallied = state.range(0) == 1;

@@ -64,17 +64,6 @@ class IdBitmap {
     return n;
   }
 
-  /// Members in ascending order.
-  std::vector<std::uint32_t> ids() const {
-    std::vector<std::uint32_t> out;
-    for (std::size_t k = 0; k < words_.size(); ++k) {
-      for (std::uint64_t w = words_[k]; w != 0; w &= w - 1) {
-        out.push_back(first_ + static_cast<std::uint32_t>(k * 64 + std::countr_zero(w)));
-      }
-    }
-    return out;
-  }
-
   /// Heap bytes held (the words).
   std::size_t heap_bytes() const { return words_.capacity() * sizeof(std::uint64_t); }
 

@@ -21,17 +21,10 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 }
 
 void Histogram::record(double v) {
-  ++counts_[bucket_of(bounds_, v, hint_)];
+  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
+  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
   ++total_;
-  if (!(sum_quantum_ > 0.0)) {
-    sum_ += v;
-    return;
-  }
-  const double x = v / sum_quantum_;
-  // std::round(x), from the integer rounding where that is exact.
-  const double rounded =
-      std::fabs(x) < 0x1p62 ? static_cast<double>(round_half_away(x)) : std::round(x);
-  sum_ += rounded * sum_quantum_;
+  sum_ += sum_quantum_ > 0.0 ? std::round(v / sum_quantum_) * sum_quantum_ : v;
 }
 
 void Histogram::add_quantized(std::span<const std::uint64_t> counts, std::uint64_t total,
@@ -46,7 +39,6 @@ void Histogram::add_quantized(std::span<const std::uint64_t> counts, std::uint64
 
 void Histogram::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
-  hint_ = 0;
   total_ = 0;
   sum_ = 0.0;
 }

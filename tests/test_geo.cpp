@@ -684,7 +684,6 @@ TEST(IdBitmap, TrimKeepsMembersAndAnswersEveryId) {
   set.trim();
   // Words 1 .. 8 hold them: ids 64 .. 575.
   EXPECT_EQ(set.heap_bytes(), 8u * sizeof(std::uint64_t));
-  EXPECT_EQ(set.ids(), members);
   EXPECT_EQ(set.size(), members.size());
   EXPECT_FALSE(set.empty());
   for (std::uint32_t id = 0; id < 1200; ++id) {
@@ -698,7 +697,7 @@ TEST(IdBitmap, EdgesOfTheUniverseAndTheEmptySet) {
   ends.insert(0);
   ends.insert(129);
   ends.trim();
-  EXPECT_EQ(ends.ids(), (std::vector<std::uint32_t>{0, 129}));
+  EXPECT_EQ(ends.size(), 2u);
   EXPECT_TRUE(ends.contains(0));
   EXPECT_TRUE(ends.contains(129));
   EXPECT_FALSE(ends.contains(130));
@@ -709,7 +708,6 @@ TEST(IdBitmap, EdgesOfTheUniverseAndTheEmptySet) {
     EXPECT_TRUE(empty.empty());
     EXPECT_EQ(empty.size(), 0u);
     EXPECT_EQ(empty.heap_bytes(), 0u);
-    EXPECT_TRUE(empty.ids().empty());
     for (const std::uint32_t id : {0u, 63u, 64u, 499u, 0xFFFFFFFFu}) EXPECT_FALSE(empty.contains(id));
   }
 }
