@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   for (const auto& ap : net.aps()) {
     if (!section.contains(ap.position)) continue;
     ++aps_in_section;
-    for (const auto& e : net.graph().neighbors(ap.id)) {
-      if (e.to < ap.id) continue;  // draw each link once
-      const geo::Point other = net.ap(e.to).position;
+    for (const auto to : net.graph().neighbors(ap.id)) {
+      if (to < ap.id) continue;  // draw each link once
+      const geo::Point other = net.ap(to).position;
       if (!section.contains(other)) continue;
       b.add_line(ap.position, other, "#888888", 0.5, 0.6);
       ++links_in_section;

@@ -203,7 +203,7 @@ std::optional<std::size_t> level_bfs_min_hops(const citymesh::mesh::ApNetwork& n
   for (std::size_t depth = 1; !frontier.empty(); ++depth) {
     next.clear();
     for (const auto v : frontier) {
-      for (const graphx::VertexId u : net.graph().neighbors(v).ids()) {
+      for (const graphx::VertexId u : net.graph().neighbors(v)) {
         if (mark[u] == kTarget) return depth;
         if (mark[u] == kUnseen) {
           mark[u] = kSeen;
@@ -403,8 +403,8 @@ std::vector<citymesh::relayx::Reception> link_receptions() {
   const auto& net = boston_aps();
   std::vector<citymesh::relayx::Reception> rx;
   for (citymesh::mesh::ApId ap = 0; ap < net.ap_count() && rx.size() < 4096; ++ap) {
-    for (const auto& edge : net.graph().neighbors(ap)) {
-      rx.push_back({ap, static_cast<citymesh::mesh::ApId>(edge.to), 1, 0.0});
+    for (const graphx::VertexId to : net.graph().neighbors(ap)) {
+      rx.push_back({ap, to, 1, 0.0});
       if (rx.size() >= 4096) break;
     }
   }
@@ -597,6 +597,97 @@ static void BM_MediumFanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);  // 100 tx x 10 receptions
 }
 BENCHMARK(BM_MediumFanout)->Unit(benchmark::kMillisecond);
+
+namespace {
+
+/// fig10's metro-xxl rung (its city and placement): the AP graph the
+/// network's medium fans out over, ids only.
+const citymesh::mesh::ApNetwork& metro_xxl_aps() {
+  static const citymesh::mesh::ApNetwork net = [] {
+    osmx::CityProfile p;
+    p.name = "metro-xxl";
+    p.width_m = 4200;
+    p.height_m = 3100;
+    p.seed = 101;
+    citymesh::mesh::PlacementConfig placement;
+    placement.seed = 7;
+    placement.density_per_m2 = 1.0 / 60.0;
+    return citymesh::mesh::place_aps(osmx::generate_city(p), placement);
+  }();
+  return net;
+}
+
+/// A medium owner that answers a link's length as the network's shard
+/// does, from the AP positions, and otherwise as a pristine medium.
+struct PositionOwner {
+  using NodeId = citymesh::sim::NodeId;
+  const citymesh::mesh::ApNetwork* aps;
+
+  void deliver(NodeId, NodeId, const std::shared_ptr<const int>&) {}
+  bool node_up(NodeId) const { return true; }
+  double link_length(NodeId from, graphx::EdgeOffset, NodeId to) const {
+    return aps->link_length(from, to);
+  }
+  double link_loss(NodeId, NodeId) const { return 0.0; }
+  std::uint32_t packet_id(const int&) const { return 0; }
+  std::size_t packet_bits(const int&) const { return 0; }
+  void on_air(NodeId, const int&) {}
+  bool settle(NodeId, const int&, citymesh::sim::SimTime) { return false; }
+  void remote_fanout(NodeId, const std::shared_ptr<const int>&, citymesh::sim::SimTime,
+                     std::uint32_t) {}
+};
+
+}  // namespace
+
+// 100 broadcasts from one real metro-xxl AP, the first whose degree is the
+// graph's mean (rounded), to its neighbours: arg 0 reads each link's length
+// from a weighted graph's slot (the test owner, as the weighted AP graph
+// did), arg 1 from the two AP positions (the network's owner). Both walk
+// the same neighbour ids, so the difference is the length's source: one
+// streamed 8-byte weight against a 16-byte position gather and a sqrt.
+// Items are links, so the rate reads as ns per link.
+static void BM_MediumFanoutMetroXxl(benchmark::State& state) {
+  const auto& net = metro_xxl_aps();
+  const graphx::Topology& topology = net.graph();
+  const std::size_t mean_degree = (topology.directed_edge_count() + net.ap_count() / 2) /
+                                  net.ap_count();
+  citymesh::mesh::ApId ap = 0;
+  while (topology.degree(ap) != mean_degree) ++ap;
+  // The AP's star, its links weighing their length, in neighbour order.
+  graphx::GraphBuilder builder{net.ap_count()};
+  for (const graphx::VertexId to : topology.neighbors(ap)) {
+    builder.add_edge(ap, to, net.link_length(ap, to));
+  }
+  const graphx::Graph star = builder.build();
+  citymesh::sim::MediumConfig cfg;
+  cfg.jitter_s = 0.0;
+  const auto packet = std::make_shared<const int>(1);
+  // One simulator and medium for the whole run: its per-AP tables span
+  // every metro-xxl AP, too costly to rebuild per iteration.
+  citymesh::sim::Simulator s;
+  const auto run = [&](auto& medium) {
+    for (auto _ : state) {
+      const double t0 = s.now();
+      for (int i = 0; i < 100; ++i) {
+        s.schedule_at(t0 + static_cast<double>(i) * 1e-3,
+                      [&medium, packet, ap] { medium.transmit(ap, packet); });
+      }
+      s.run();
+    }
+    benchmark::DoNotOptimize(medium.deliveries());
+  };
+  if (state.range(0) == 0) {
+    citymesh::testkit::TestMedium<int> medium{s, star, cfg};
+    run(medium);
+  } else {
+    PositionOwner owner{&net};
+    citymesh::sim::BroadcastMedium<int, PositionOwner> medium{s, star, cfg, owner};
+    run(medium);
+  }
+  state.SetLabel("AP " + std::to_string(ap) + ", degree " + std::to_string(mean_degree));
+  state.SetItemsProcessed(state.iterations() * 100 * static_cast<std::int64_t>(mean_degree));
+}
+BENCHMARK(BM_MediumFanoutMetroXxl)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // One fan-out's reception latencies into the medium's latency histogram
 // (its bounds and 2^-30 s sum quantum): per value through record() (0), or

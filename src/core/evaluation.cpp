@@ -101,13 +101,13 @@ NetworkSnapshot evaluate_snapshot(CityMeshNetwork& network, const SnapshotConfig
 
   // Live AP connectivity: union the surviving links (both endpoints up).
   // Down APs keep their vertex but join nothing, so they are unreachable.
-  const graphx::Graph& graph = network.aps().graph();
+  const graphx::Topology& graph = network.aps().graph();
   graphx::UnionFind uf{graph.vertex_count()};
   for (graphx::VertexId v = 0; v < graph.vertex_count(); ++v) {
     if (!network.ap_up(v)) continue;
-    for (const graphx::Edge& e : graph.neighbors(v)) {
-      if (e.to < v || !network.ap_up(e.to)) continue;
-      uf.unite(v, e.to);
+    for (const graphx::VertexId to : graph.neighbors(v)) {
+      if (to < v || !network.ap_up(to)) continue;
+      uf.unite(v, to);
     }
   }
 

@@ -163,7 +163,7 @@ void CityMeshNetwork::build_tiles() {
   shards_.reserve(tiles);
   for (shardx::TileId tile = 0; tile < tiles; ++tile) {
     const std::size_t tile_aps = tiles > 1 ? plan_.tile_aps[tile].size() : aps().ap_count();
-    auto s = std::make_unique<Shard>(*this, tile, aps().graph(), config_.medium,
+    auto s = std::make_unique<Shard>(*this, tile, aps(), config_.medium,
                                      trace_capacity_for(config_, tile_aps));
     s->h_latency = &s->metrics.histogram("sim.event_latency_s",
                                          obsx::exponential_buckets(1e-4, 4.0, 10));
@@ -509,8 +509,8 @@ void CityMeshNetwork::policy_relay(Shard& s, mesh::ApId to, std::uint32_t messag
 bool CityMeshNetwork::qfgeo_local_minimum(mesh::ApId from, const CompiledMessage& msg,
                                           geo::Point dst) const {
   const double from_d = geo::distance(aps().ap(from).position, dst);
-  for (const graphx::Edge& edge : aps().graph().neighbors(from)) {
-    const mesh::AccessPoint& n = aps().ap(static_cast<mesh::ApId>(edge.to));
+  for (const graphx::VertexId to : aps().graph().neighbors(from)) {
+    const mesh::AccessPoint& n = aps().ap(to);
     if (!ap_up(n.id)) continue;
     if (!msg.conduit_member(n.building)) continue;
     if (geo::distance(n.position, dst) < from_d) return false;

@@ -610,12 +610,13 @@ class CityMeshNetwork {
   /// copy. The shard is its medium's owner (sim/medium.hpp): the medium
   /// calls the hooks below directly.
   struct Shard {
-    Shard(CityMeshNetwork& network, shardx::TileId tile_id, const graphx::Graph& topology,
+    Shard(CityMeshNetwork& network, shardx::TileId tile_id, const mesh::ApNetwork& ap_network,
           const sim::MediumConfig& medium_config, std::size_t trace_capacity)
         : net(&network),
+          aps(&ap_network),
           tile(tile_id),
           trace(trace_capacity),
-          medium(sim, topology, medium_config, *this) {}
+          medium(sim, ap_network.graph(), medium_config, *this) {}
 
     // --- The medium's owner hooks ------------------------------------------
     void deliver(sim::NodeId to, sim::NodeId from,
@@ -623,6 +624,10 @@ class CityMeshNetwork {
       net->handle_delivery(*this, to, from, packet);
     }
     bool node_up(sim::NodeId node) const { return net->ap_status_[node] == ApStatus::kUp; }
+    /// The AP graph stores no lengths: the distance of the two positions.
+    double link_length(sim::NodeId from, graphx::EdgeOffset, sim::NodeId to) const {
+      return aps->link_length(from, to);
+    }
     double link_loss(sim::NodeId from, sim::NodeId to) const {
       if (!net->degraded_active_ || !(net->degraded_ap_[from] | net->degraded_ap_[to])) {
         return 0.0;
@@ -697,6 +702,7 @@ class CityMeshNetwork {
     }
 
     CityMeshNetwork* net;
+    const mesh::ApNetwork* aps;
     shardx::TileId tile;
     sim::Simulator sim;
     obsx::MetricsRegistry metrics;

@@ -23,9 +23,9 @@ bool render_scenario_svg(const core::CityMeshNetwork& network,
   if (options.draw_links) {
     for (const auto& ap : aps.aps()) {
       if (!network.ap_up(ap.id)) continue;
-      for (const auto& e : aps.graph().neighbors(ap.id)) {
-        if (e.to < ap.id || !network.ap_up(e.to)) continue;
-        scene.add_line(ap.position, aps.ap(e.to).position, "#888888", 0.5, 0.5);
+      for (const graphx::VertexId to : aps.graph().neighbors(ap.id)) {
+        if (to < ap.id || !network.ap_up(to)) continue;
+        scene.add_line(ap.position, aps.ap(to).position, "#888888", 0.5, 0.5);
       }
     }
   }

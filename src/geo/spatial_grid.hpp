@@ -63,6 +63,9 @@ class SpatialGrid {
   /// std::out_of_range past the largest inserted id.
   Point position(std::uint32_t id) const { return points_.at(id); }
 
+  /// Every position by id, id_bound() entries (NaN for ids never inserted).
+  std::span<const Point> positions() const { return points_; }
+
   /// Ids of all items with distance(point, center) <= radius.
   std::vector<std::uint32_t> query_radius(Point center, double radius) const;
 

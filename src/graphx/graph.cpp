@@ -44,8 +44,8 @@ Graph GraphBuilder::build() const {
   return g;
 }
 
-bool Graph::has_edge(VertexId a, VertexId b) const {
-  for (const VertexId to : neighbors(a).ids()) {
+bool Topology::has_edge(VertexId a, VertexId b) const {
+  for (const VertexId to : neighbors(a)) {
     if (to == b) return true;
   }
   return false;

@@ -1,22 +1,24 @@
-// A compact undirected weighted graph in compressed-sparse-row form.
+// Compact undirected graphs in compressed-sparse-row form, in two kinds.
 //
-// Both of CityMesh's graphs are instances of this type: the *AP graph*
-// (vertices = access points, edges = pairs within transmission range) and
-// the *building graph* (vertices = buildings, edges = predicted inter-
-// building connectivity, weight = cubed centroid distance).
+// - `Topology`: 4-byte offsets and 4-byte neighbour ids, nothing else. The
+//   *AP graph* (vertices = access points, edges = pairs within transmission
+//   range) is one: its link length is the distance of the two APs'
+//   positions, so it is recomputed from them (mesh::ApNetwork::link_length)
+//   instead of stored, 4 bytes per directed link instead of 12.
+// - `Graph`: a Topology plus an 8-byte weight per directed entry, in a
+//   packed array parallel to the ids. The *building graph* (vertices =
+//   buildings, edges = predicted inter-building connectivity, weight =
+//   cubed centroid distance) is one, and so is every graph the shortest-
+//   path searches (Dijkstra, ALT, essential_edges) and the tests walk.
 //
-// Memory layout (metro-memory refactor): the adjacency is split into two
-// packed parallel arrays — 4-byte neighbor ids and 8-byte weights — behind
-// 4-byte offsets, instead of one array of padded 16-byte {id, weight}
-// structs. A hot loop that only needs the neighbor ids (the medium's
-// per-transmission fan-out) walks 4 bytes per edge; weight-consuming loops
-// (Dijkstra relaxation) read the second array in the same stride.
-// `neighbors()` returns a lightweight view whose iteration still yields
-// `Edge` values, so call sites are unchanged. The graph is immutable once
-// built — the AP and building graphs by LinkBuilder (link_builder.hpp),
-// which states their neighbour order, other graphs by GraphBuilder — and
-// is built once per compiled city; every consumer (medium shards, relayx
-// link tables, tile plans) indexes this one copy.
+// A Graph is a Topology, so an id-only consumer (BFS, components, the
+// medium's fan-out) takes either. `Topology::neighbors()` is the contiguous
+// id run; `Graph::neighbors()` returns a view whose iteration yields `Edge`
+// values assembled from the two arrays. Both are immutable once built: the
+// AP and building graphs by LinkBuilder (link_builder.hpp), which states
+// their neighbour order, other graphs by GraphBuilder. Each is built once
+// per compiled city, and every consumer (medium shards, relayx link tables,
+// tile plans) indexes that one copy.
 #pragma once
 
 #include <cstdint>
@@ -62,13 +64,56 @@ class GraphBuilder {
     double weight;
   };
   std::size_t vertex_count_;
-  // Chunked, not contiguous: a metro-scale AP graph has ~2M edges (30 MB),
-  // and a doubling vector would copy them on every growth and end in one
-  // allocation too large for the allocator ever to place in freed heap.
+  // Chunked, not contiguous: a doubling vector would copy every edge on each
+  // growth, and a large graph's would end in one allocation too big for the
+  // allocator ever to place in freed heap. (The city graphs come from
+  // LinkBuilder; this builds test graphs and shardx::tile_subgraph.)
   std::deque<RawEdge> edges_;
 };
 
-class Graph {
+/// Offsets and neighbour ids: the adjacency without weights.
+class Topology {
+ public:
+  Topology() = default;
+
+  std::size_t vertex_count() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  /// Number of undirected edges.
+  std::size_t edge_count() const { return targets_.size() / 2; }
+  /// Number of directed adjacency entries (2x edge_count) — the size of the
+  /// packed id array, and of any external per-directed-edge table aligned
+  /// with it via edge_offset().
+  std::size_t directed_edge_count() const { return targets_.size(); }
+
+  /// The neighbour ids of vertex v, contiguous in memory.
+  std::span<const VertexId> neighbors(VertexId v) const {
+    return {targets_.data() + offsets_[v], static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
+  }
+
+  /// Start of vertex v's slice in the packed edge arrays. Valid for
+  /// v == vertex_count() too (the one-past-the-end offset), so external
+  /// per-directed-edge state (relayx ETX rows, a Graph's weights, the
+  /// medium's link_length slot) can reuse this indexing instead of
+  /// rebuilding its own offset table.
+  EdgeOffset edge_offset(VertexId v) const { return offsets_[v]; }
+
+  std::size_t degree(VertexId v) const {
+    return offsets_[v + 1] - offsets_[v];
+  }
+
+  bool has_edge(VertexId a, VertexId b) const;
+
+ protected:
+  friend class GraphBuilder;
+  friend class LinkBuilder;  // link_builder.hpp
+  friend Graph essential_edges(const Graph& g);  // shortest_path.hpp
+  std::vector<EdgeOffset> offsets_;   // vertex_count + 1 entries
+  std::vector<VertexId> targets_;     // packed neighbor ids
+};
+
+/// A Topology with a weight per directed entry.
+class Graph : public Topology {
  public:
   /// View over one vertex's CSR slice. Iteration and indexing yield `Edge`
   /// values assembled from the split arrays; `ids()` exposes the contiguous
@@ -125,16 +170,6 @@ class Graph {
 
   Graph() = default;
 
-  std::size_t vertex_count() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
-  }
-  /// Number of undirected edges.
-  std::size_t edge_count() const { return targets_.size() / 2; }
-  /// Number of directed adjacency entries (2x edge_count) — the size of the
-  /// packed edge arrays, and of any external per-directed-edge table aligned
-  /// with them via edge_offset().
-  std::size_t directed_edge_count() const { return targets_.size(); }
-
   /// Neighbors of vertex v with weights.
   NeighborRange neighbors(VertexId v) const {
     const EdgeOffset begin = offsets_[v];
@@ -142,24 +177,13 @@ class Graph {
             static_cast<std::size_t>(offsets_[v + 1] - begin)};
   }
 
-  /// Start of vertex v's slice in the packed edge arrays. Valid for
-  /// v == vertex_count() too (the one-past-the-end offset), so external
-  /// per-directed-edge state (relayx ETX rows) can reuse this indexing
-  /// instead of rebuilding its own offset table.
-  EdgeOffset edge_offset(VertexId v) const { return offsets_[v]; }
-
-  std::size_t degree(VertexId v) const {
-    return offsets_[v + 1] - offsets_[v];
-  }
-
-  bool has_edge(VertexId a, VertexId b) const;
+  /// The weight of directed entry `slot` (edge_offset(v) + i is v's i-th).
+  double weight(EdgeOffset slot) const { return weights_[slot]; }
 
  private:
   friend class GraphBuilder;
   friend class LinkBuilder;  // link_builder.hpp
   friend Graph essential_edges(const Graph& g);  // shortest_path.hpp
-  std::vector<EdgeOffset> offsets_;   // vertex_count + 1 entries
-  std::vector<VertexId> targets_;     // packed neighbor ids
   std::vector<double> weights_;       // packed weights, parallel to targets_
 };
 

@@ -1,5 +1,7 @@
 // Proximity graphs straight into CSR: the one builder behind the AP graph
-// (mesh::ApNetwork) and the building graph (core::BuildingGraph).
+// (mesh::ApNetwork, an id-only Topology) and the building graph
+// (core::BuildingGraph, a weighted Graph). Which kind it builds follows from
+// what the link model answers; both take the same passes.
 //
 // geo::SpatialGrid::for_each_pair sweeps the grid with a half stencil,
 // testing each unordered pair of points once. It sweeps twice: the first
@@ -49,6 +51,7 @@
 #include <span>
 #include <utility>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "geo/spatial_grid.hpp"
@@ -69,9 +72,11 @@ class LinkBuilder {
   ///   points is linked (see SpatialGrid::for_each_pair).
   /// - `admit(lo, hi, d2)`: the cheap sweep-time test of a pair within reach,
   ///   lo < hi, d2 = their squared distance. Pure: it runs twice per pair.
-  /// - `link(lo, hi)`: the weight of an admitted pair's link, or nullopt for
-  ///   none. Called once per admitted pair, in ascending lo and then in grid
-  ///   order of hi, on the calling thread, so it may draw random numbers.
+  /// - `link(lo, hi)`: decides an admitted pair. Answering `bool` (link or
+  ///   not) builds a Topology; answering `std::optional<double>` (the link's
+  ///   weight, or nullopt for none) builds a Graph. Called once per admitted
+  ///   pair, in ascending lo and then in grid order of hi, on the calling
+  ///   thread, so it may draw random numbers.
   ///
   /// `reach` and `admit` run on band threads, concurrently: they must only
   /// read.
@@ -81,9 +86,15 @@ class LinkBuilder {
   /// each sweep starts; the graph is the same at every count. 0, the
   /// library's choice, takes one band per CPU of graphx::compile_cpus(), but
   /// none smaller than kMinBandItems points.
-  template <class Reach, class Admit, class Link>
-  static Graph build(const geo::SpatialGrid& grid, Reach&& reach, Admit&& admit, Link&& link,
-                     std::size_t bands = 0) {
+  template <class Reach, class Admit, class Link,
+            class Result = std::conditional_t<
+                std::is_same_v<std::invoke_result_t<Link&, std::uint32_t, std::uint32_t>, bool>,
+                Topology, Graph>>
+  static Result build(const geo::SpatialGrid& grid, Reach&& reach, Admit&& admit, Link&& link,
+                      std::size_t bands = 0) {
+    // The one difference between the two kinds: a Graph also writes each
+    // link's weight beside its id, in every pass below that moves ids.
+    constexpr bool kWeighted = std::is_same_v<Result, Graph>;
     const std::size_t n = grid.id_bound();
     const std::span<const std::uint32_t> order = grid.grid_order();
     const std::size_t m = order.size();
@@ -172,10 +183,18 @@ class LinkBuilder {
     // Decide every link in ascending lo. When the pass reaches v, every
     // lower vertex is decided, so v's lower count is final and its slice
     // can start: lower part first, then its kept candidates.
-    Graph g;
+    Result g;
+    // Sizes the edge arrays to exactly `size` entries.
+    const auto fit = [&g](std::size_t size) {
+      g.targets_.resize(size);
+      g.targets_.shrink_to_fit();
+      if constexpr (kWeighted) {
+        g.weights_.resize(size);
+        g.weights_.shrink_to_fit();
+      }
+    };
     g.offsets_.resize(n + 1);
-    g.targets_.resize(total * 2);
-    g.weights_.resize(total * 2);
+    fit(total * 2);
     std::vector<EdgeOffset> lower(n, 0);
     EdgeOffset end = 0;
     for (VertexId v = 0; v < n; ++v) {
@@ -184,12 +203,12 @@ class LinkBuilder {
       if (rank[v] == kNoRank) continue;
       for (EdgeOffset i = cand_offsets[rank[v]]; i < cand_offsets[rank[v] + 1]; ++i) {
         const VertexId hi = cand[i];
-        if (const std::optional<double> w = link(v, hi)) {
-          g.targets_[end] = hi;
-          g.weights_[end] = *w;
-          ++end;
-          ++lower[hi];
-        }
+        const auto linked = link(v, hi);
+        if (!linked) continue;
+        g.targets_[end] = hi;
+        if constexpr (kWeighted) g.weights_[end] = *linked;
+        ++end;
+        ++lower[hi];
       }
     }
     g.offsets_[n] = end;
@@ -203,15 +222,10 @@ class LinkBuilder {
       for (EdgeOffset i = lower[v]; i < g.offsets_[v + 1]; ++i) {
         const EdgeOffset at = lower[g.targets_[i]]++;
         g.targets_[at] = v;
-        g.weights_[at] = g.weights_[i];
+        if constexpr (kWeighted) g.weights_[at] = g.weights_[i];
       }
     }
-    if (end < g.targets_.size()) {  // a link model dropped candidates
-      g.targets_.resize(end);
-      g.weights_.resize(end);
-      g.targets_.shrink_to_fit();
-      g.weights_.shrink_to_fit();
-    }
+    if (end < g.targets_.size()) fit(end);  // a link model dropped candidates
     return g;
   }
 };

@@ -163,7 +163,7 @@ ShortestPaths bellman_ford(const Graph& g, VertexId source) {
   return sp;
 }
 
-ShortestPaths bfs(const Graph& g, VertexId source, std::optional<VertexId> target) {
+ShortestPaths bfs(const Topology& g, VertexId source, std::optional<VertexId> target) {
   const std::size_t n = g.vertex_count();
   ShortestPaths sp;
   sp.distance.assign(n, kInfiniteDistance);
@@ -177,11 +177,11 @@ ShortestPaths bfs(const Graph& g, VertexId source, std::optional<VertexId> targe
     const VertexId v = q.front();
     q.pop();
     if (target && v == *target) break;
-    for (const Edge& e : g.neighbors(v)) {
-      if (sp.distance[e.to] == kInfiniteDistance) {
-        sp.distance[e.to] = sp.distance[v] + 1.0;
-        sp.parent[e.to] = v;
-        q.push(e.to);
+    for (const VertexId to : g.neighbors(v)) {
+      if (sp.distance[to] == kInfiniteDistance) {
+        sp.distance[to] = sp.distance[v] + 1.0;
+        sp.parent[to] = v;
+        q.push(to);
       }
     }
   }
@@ -200,7 +200,7 @@ std::uint32_t Components::largest() const {
       std::max_element(s.begin(), s.end()) - s.begin());
 }
 
-Components connected_components(const Graph& g) {
+Components connected_components(const Topology& g) {
   const std::size_t n = g.vertex_count();
   Components comps;
   comps.component_of.assign(n, UINT32_MAX);
@@ -213,10 +213,10 @@ Components connected_components(const Graph& g) {
     while (!stack.empty()) {
       const VertexId v = stack.back();
       stack.pop_back();
-      for (const Edge& e : g.neighbors(v)) {
-        if (comps.component_of[e.to] == UINT32_MAX) {
-          comps.component_of[e.to] = id;
-          stack.push_back(e.to);
+      for (const VertexId to : g.neighbors(v)) {
+        if (comps.component_of[to] == UINT32_MAX) {
+          comps.component_of[to] = id;
+          stack.push_back(to);
         }
       }
     }

@@ -1,4 +1,5 @@
-// Shortest-path algorithms over Graph.
+// Shortest-path algorithms: weighted searches over Graph, and the hop-count
+// BFS and connected components over any Topology.
 //
 // Dijkstra defines the paper's source-route planning (cubed-distance weights
 // over the building graph); graphx/alt.hpp answers the same queries faster.
@@ -163,7 +164,7 @@ Graph essential_edges(const Graph& g);
 ShortestPaths bellman_ford(const Graph& g, VertexId source);
 
 /// Unweighted BFS; distance counts hops.
-ShortestPaths bfs(const Graph& g, VertexId source,
+ShortestPaths bfs(const Topology& g, VertexId source,
                   std::optional<VertexId> target = std::nullopt);
 
 /// Connected components; returns per-vertex component id (0-based, dense)
@@ -178,7 +179,7 @@ struct Components {
   std::uint32_t largest() const;
 };
 
-Components connected_components(const Graph& g);
+Components connected_components(const Topology& g);
 
 /// Disjoint-set union with path compression and union by size.
 class UnionFind {

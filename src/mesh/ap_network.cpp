@@ -69,9 +69,10 @@ ApNetwork::ApNetwork(std::vector<AccessPoint> aps, const PlacementConfig& config
     }
   }
 
-  // The connectivity graph: one link per admitted pair, weight = distance.
-  // The shadowed model's draws are seeded, and LinkBuilder makes them in a
-  // fixed order, so the realized topology is reproducible.
+  // The connectivity graph: one link per admitted pair, decided on its
+  // link_length(); the graph stores ids only. The shadowed model's draws
+  // are seeded, and LinkBuilder makes them in a fixed order, so the
+  // realized topology is reproducible.
   const bool disc = config.link_model == LinkModel::kDisc;
   const double reach = disc ? range_m_ : range_m_ * config.shadow_max_frac;
   const double certain = disc ? range_m_ : range_m_ * config.shadow_certain_frac;
@@ -79,11 +80,9 @@ ApNetwork::ApNetwork(std::vector<AccessPoint> aps, const PlacementConfig& config
   graph_ = graphx::LinkBuilder::build(
       grid_, [reach](std::uint32_t) { return reach; },
       [](std::uint32_t, std::uint32_t, double) { return true; },
-      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
-        const double d = geo::distance(aps_[a].position, aps_[b].position);
-        if (d <= certain) return d;
-        if (d < reach && link_rng.chance((reach - d) / (reach - certain))) return d;
-        return std::nullopt;
+      [&](std::uint32_t a, std::uint32_t b) {
+        const double d = link_length(a, b);
+        return d <= certain || (d < reach && link_rng.chance((reach - d) / (reach - certain)));
       });
   components_ = graphx::connected_components(graph_);
 }
@@ -109,8 +108,8 @@ const ApNetwork::HopBounds& ApNetwork::hop_bounds() const {
   std::call_once(hop_bounds_once_, [this] {
     HopBounds table;
     for (ApId v = 0; v < aps_.size(); ++v) {
-      for (const double w : graph_.neighbors(v).weights()) {
-        table.longest_link = std::max(table.longest_link, w);
+      for (const graphx::VertexId u : graph_.neighbors(v)) {
+        table.longest_link = std::max(table.longest_link, link_length(v, u));
       }
     }
     if (aps_.empty()) {
@@ -152,7 +151,7 @@ const ApNetwork::HopBounds& ApNetwork::hop_bounds() const {
         const auto label = static_cast<std::uint16_t>(std::min<std::uint32_t>(depth, 0xFFFE));
         next.clear();
         for (const ApId v : frontier) {
-          for (const graphx::VertexId u : graph_.neighbors(v).ids()) {
+          for (const graphx::VertexId u : graph_.neighbors(v)) {
             if (table.hops[u * stride + l] != 0xFFFF) continue;
             table.hops[u * stride + l] = label;
             next.push_back(u);
@@ -258,7 +257,7 @@ std::optional<std::size_t> ApNetwork::min_hops(ApId from,
       bucket.pop_back();
       if (e.g != label[e.v]) continue;  // stale: relabelled shorter since
       const std::uint32_t g = e.g + 1;
-      for (const graphx::VertexId u : graph_.neighbors(e.v).ids()) {
+      for (const graphx::VertexId u : graph_.neighbors(e.v)) {
         if (label[u] == kTarget) {
           if (g <= key) return g;  // no open path is shorter than the key
           best = std::min(best, g);

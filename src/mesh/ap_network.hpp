@@ -67,11 +67,25 @@ class ApNetwork {
   const AccessPoint& ap(ApId id) const { return aps_.at(id); }
   double transmission_range() const { return range_m_; }
 
-  /// Symmetric connectivity graph (edge weight = distance in meters).
-  const graphx::Graph& graph() const { return graph_; }
+  /// Symmetric connectivity graph: ids only. A link's length is
+  /// link_length() of its two ends.
+  const graphx::Topology& graph() const { return graph_; }
 
   /// Spatial index over AP positions.
   const geo::SpatialGrid& grid() const { return grid_; }
+
+  /// AP positions by id, one dense array (the grid's).
+  std::span<const geo::Point> positions() const { return grid_.positions(); }
+
+  /// The length of the link (a, b) in meters: the distance of the two APs'
+  /// positions, the one expression the link model decided the link on. It
+  /// is bit-identical for (b, a), since a - b is exactly -(b - a), so every
+  /// reader (the medium's fan-out, the tile cut, min_hops' bound) gets the
+  /// same length from either end.
+  double link_length(ApId a, ApId b) const {
+    const std::span<const geo::Point> at = positions();
+    return geo::distance(at[a], at[b]);
+  }
 
   /// APs owned by a building, ascending (empty for a building without an
   /// AP, any id past the last AP's building included). A view into one CSR
@@ -116,8 +130,8 @@ class ApNetwork {
   /// thread-safely, so every CityMeshNetwork on a CompiledCity shares it and
   /// a city that never asks for min_hops never pays for it.
   struct HopBounds {
-    /// The longest link of graph(), in meters (0 without links): no path
-    /// of k hops spans more than k times this.
+    /// The longest link_length() over graph(), in meters (0 without
+    /// links): no path of k hops spans more than k times this.
     double longest_link = 0.0;
     /// The hop landmarks' component (the largest).
     std::uint32_t component = 0;
@@ -132,7 +146,7 @@ class ApNetwork {
  private:
   std::vector<AccessPoint> aps_;
   double range_m_;
-  graphx::Graph graph_;
+  graphx::Topology graph_;
   geo::SpatialGrid grid_;
   graphx::Components components_;
   /// The building -> AP index as CSR: building b's APs are

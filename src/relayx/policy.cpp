@@ -149,8 +149,8 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
   }
 
   void observe(const Reception& rx) override {
-    const graphx::Graph& graph = aps_.graph();
-    const auto links = graph.neighbors(rx.ap).ids();
+    const graphx::Topology& graph = aps_.graph();
+    const auto links = graph.neighbors(rx.ap);
     for (std::size_t i = 0; i < links.size(); ++i) {
       if (links[i] != rx.from) continue;
       // A count per link is commutative, so the estimate never depends on
@@ -195,7 +195,7 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
   /// Saturating link-quality mass of one AP: sum of c/(c+1) over its links
   /// (read-only; observe() owns the stored values).
   double score(mesh::ApId ap) const {
-    const graphx::Graph& graph = aps_.graph();
+    const graphx::Topology& graph = aps_.graph();
     const std::size_t begin = graph.edge_offset(ap);
     const std::size_t end = graph.edge_offset(ap + 1);
     double total = 0.0;

@@ -7,7 +7,7 @@
 
 namespace citymesh::routing {
 
-RoutingResult flood_route(const graphx::Graph& g, graphx::VertexId src,
+RoutingResult flood_route(const graphx::Topology& g, graphx::VertexId src,
                           graphx::VertexId dst, std::size_t ttl) {
   RoutingResult result;
   if (src == dst) {
@@ -25,24 +25,24 @@ RoutingResult flood_route(const graphx::Graph& g, graphx::VertexId src,
     const graphx::VertexId v = q.front();
     q.pop();
     if (depth[v] >= ttl) continue;  // TTL exhausted; no rebroadcast
-    for (const graphx::Edge& e : g.neighbors(v)) {
-      if (depth[e.to] != std::numeric_limits<std::size_t>::max()) continue;
-      depth[e.to] = depth[v] + 1;
-      if (e.to == dst) {
+    for (const graphx::VertexId to : g.neighbors(v)) {
+      if (depth[to] != std::numeric_limits<std::size_t>::max()) continue;
+      depth[to] = depth[v] + 1;
+      if (to == dst) {
         result.delivered = true;
-        result.path_hops = depth[e.to];
+        result.path_hops = depth[to];
       }
       // First-time receivers rebroadcast while TTL remains.
-      if (depth[e.to] < ttl) {
+      if (depth[to] < ttl) {
         ++result.data_transmissions;
-        q.push(e.to);
+        q.push(to);
       }
     }
   }
   return result;
 }
 
-RoutingResult greedy_geo_route(const graphx::Graph& g,
+RoutingResult greedy_geo_route(const graphx::Topology& g,
                                const std::vector<geo::Point>& positions,
                                graphx::VertexId src, graphx::VertexId dst,
                                std::size_t max_hops) {
@@ -57,11 +57,11 @@ RoutingResult greedy_geo_route(const graphx::Graph& g,
     }
     graphx::VertexId best = current;
     double best_d2 = current_d2;
-    for (const graphx::Edge& e : g.neighbors(current)) {
-      const double d2 = geo::distance2(positions.at(e.to), target);
+    for (const graphx::VertexId to : g.neighbors(current)) {
+      const double d2 = geo::distance2(positions.at(to), target);
       if (d2 < best_d2) {
         best_d2 = d2;
-        best = e.to;
+        best = to;
       }
     }
     if (best == current) return result;  // local minimum: greedy dead end
@@ -73,7 +73,7 @@ RoutingResult greedy_geo_route(const graphx::Graph& g,
   return result;  // hop budget exhausted
 }
 
-RoutingResult aodv_route(const graphx::Graph& g, graphx::VertexId src,
+RoutingResult aodv_route(const graphx::Topology& g, graphx::VertexId src,
                          graphx::VertexId dst) {
   RoutingResult result;
   if (src == dst) {

@@ -41,12 +41,12 @@ struct RoutingResult {
 /// TTL-bounded flood from `src`; delivered when `dst` is reached within ttl
 /// hops. Every node that receives the packet for the first time at depth
 /// < ttl rebroadcasts once.
-RoutingResult flood_route(const graphx::Graph& g, graphx::VertexId src,
+RoutingResult flood_route(const graphx::Topology& g, graphx::VertexId src,
                           graphx::VertexId dst, std::size_t ttl);
 
 /// Greedy geographic forwarding using per-node positions. Fails (delivered =
 /// false) when no neighbor is strictly closer to the destination.
-RoutingResult greedy_geo_route(const graphx::Graph& g,
+RoutingResult greedy_geo_route(const graphx::Topology& g,
                                const std::vector<geo::Point>& positions,
                                graphx::VertexId src, graphx::VertexId dst,
                                std::size_t max_hops = 10'000);
@@ -55,7 +55,7 @@ RoutingResult greedy_geo_route(const graphx::Graph& g,
 /// until the destination is reached (all nodes at depth <= depth(dst)
 /// rebroadcast, matching AODV without expanding-ring optimization); the RREP
 /// and data retrace the discovered path.
-RoutingResult aodv_route(const graphx::Graph& g, graphx::VertexId src,
+RoutingResult aodv_route(const graphx::Topology& g, graphx::VertexId src,
                          graphx::VertexId dst);
 
 }  // namespace citymesh::routing

@@ -9,7 +9,7 @@ namespace {
 /// Expected flood cost from a uniformly random node: the size of its
 /// connected component (every member rebroadcasts once), averaged over
 /// nodes — i.e. sum(size_c^2) / N.
-double expected_flood_cost(const graphx::Graph& mesh) {
+double expected_flood_cost(const graphx::Topology& mesh) {
   const std::size_t n = mesh.vertex_count();
   if (n == 0) return 0.0;
   const auto comps = graphx::connected_components(mesh);
@@ -22,7 +22,7 @@ double expected_flood_cost(const graphx::Graph& mesh) {
 
 }  // namespace
 
-ControlLoad proactive_control_load(const graphx::Graph& mesh, const ProactiveParams& p) {
+ControlLoad proactive_control_load(const graphx::Topology& mesh, const ProactiveParams& p) {
   const auto n = static_cast<double>(mesh.vertex_count());
   ControlLoad load;
   // Each node originates one update per interval and each update is flooded
@@ -33,7 +33,7 @@ ControlLoad proactive_control_load(const graphx::Graph& mesh, const ProactivePar
   return load;
 }
 
-ControlLoad reactive_control_load(const graphx::Graph& mesh, const ReactiveParams& p) {
+ControlLoad reactive_control_load(const graphx::Topology& mesh, const ReactiveParams& p) {
   const auto n = static_cast<double>(mesh.vertex_count());
   ControlLoad load;
   const double discoveries_per_hour = n * p.discoveries_per_node_per_hour;

@@ -47,11 +47,11 @@ struct ControlLoad {
 /// Proactive (DSDV/OLSR-family) load on the realized mesh: N nodes each
 /// originate an update per interval and every connected node rebroadcasts
 /// each update once (flooding; MPR-style optimizations shave a constant).
-ControlLoad proactive_control_load(const graphx::Graph& mesh, const ProactiveParams& p);
+ControlLoad proactive_control_load(const graphx::Topology& mesh, const ProactiveParams& p);
 
 /// Reactive (AODV/DSR-family) load: each discovery floods the requester's
 /// connected component and unicasts a reply back.
-ControlLoad reactive_control_load(const graphx::Graph& mesh, const ReactiveParams& p);
+ControlLoad reactive_control_load(const graphx::Topology& mesh, const ReactiveParams& p);
 
 /// CityMesh: no control packets; state = cached building map entries
 /// (buildings, not nodes — supplied by the caller since the mesh graph does

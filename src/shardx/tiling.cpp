@@ -66,7 +66,7 @@ void assign_grid(const geo::SpatialGrid& centroid_grid, std::size_t building_cou
 void assign_adaptive(const geo::SpatialGrid& centroid_grid, std::size_t building_count,
                      const mesh::ApNetwork& net, TilePlan& plan) {
   std::vector<std::uint64_t> weight(building_count, 0);
-  const graphx::Graph& topology = net.graph();
+  const graphx::Topology& topology = net.graph();
   for (const auto& ap : net.aps()) {
     weight[ap.building] += 1 + topology.degree(ap.id);
   }
@@ -154,11 +154,10 @@ TilePlan plan_tiles(const geo::SpatialGrid& centroid_grid, std::size_t building_
   }
 
   plan.boundary_ap.assign(ap_count, false);
-  const graphx::Graph& topology = net.graph();
   for (mesh::ApId ap = 0; ap < ap_count; ++ap) {
-    for (const graphx::Edge& e : topology.neighbors(ap)) {
-      if (plan.ap_tile[ap] != plan.ap_tile[e.to]) {
-        plan.cross.push_back({ap, e.to, e.weight});
+    for (const graphx::VertexId to : net.graph().neighbors(ap)) {
+      if (plan.ap_tile[ap] != plan.ap_tile[to]) {
+        plan.cross.push_back({ap, to, net.link_length(ap, to)});
         plan.boundary_ap[ap] = true;
       }
     }
@@ -166,14 +165,15 @@ TilePlan plan_tiles(const geo::SpatialGrid& centroid_grid, std::size_t building_
   return plan;
 }
 
-graphx::Graph tile_subgraph(const graphx::Graph& topology,
-                            const std::vector<TileId>& ap_tile, TileId tile) {
+graphx::Graph tile_subgraph(const mesh::ApNetwork& net, const std::vector<TileId>& ap_tile,
+                            TileId tile) {
+  const graphx::Topology& topology = net.graph();
   graphx::GraphBuilder builder(topology.vertex_count());
   for (graphx::VertexId v = 0; v < topology.vertex_count(); ++v) {
     if (ap_tile[v] != tile) continue;
-    for (const graphx::Edge& e : topology.neighbors(v)) {
+    for (const graphx::VertexId to : topology.neighbors(v)) {
       // Each undirected edge is visited from both endpoints; add it once.
-      if (e.to > v && ap_tile[e.to] == tile) builder.add_edge(v, e.to, e.weight);
+      if (to > v && ap_tile[to] == tile) builder.add_edge(v, to, net.link_length(v, to));
     }
   }
   return builder.build();

@@ -34,6 +34,7 @@ using TileId = std::uint32_t;
 
 /// One directed topology edge the tiling cut: `from` and `to` live in
 /// different tiles. Both directions of an undirected edge appear.
+/// `length_m` is the AP network's link_length(from, to).
 struct CrossLink {
   mesh::ApId from;
   mesh::ApId to;
@@ -77,9 +78,12 @@ TilePlan plan_tiles(const geo::SpatialGrid& centroid_grid, std::size_t building_
 
 /// The tile-internal subgraph over the FULL AP id space: vertices keep their
 /// global ids (so one packet's node ids mean the same thing everywhere);
-/// vertices owned by other tiles are simply isolated.
-graphx::Graph tile_subgraph(const graphx::Graph& topology,
-                            const std::vector<TileId>& ap_tile, TileId tile);
+/// vertices owned by other tiles are simply isolated. Each link weighs its
+/// link_length(). The engine does not build it (every tile walks the one
+/// shared CSR with a tile filter); it is the reference that walk is tested
+/// against.
+graphx::Graph tile_subgraph(const mesh::ApNetwork& net, const std::vector<TileId>& ap_tile,
+                            TileId tile);
 
 /// Conservative lookahead window, seconds: the minimum over every cut edge
 /// of (min_serialization_s + prop_delay_s_per_m * length). A transmission at

@@ -1,9 +1,10 @@
 // Shared broadcast medium over a fixed radio topology.
 //
 // A transmission by node `from` is delivered to every neighbor in the
-// topology graph after transmission + propagation delay, each independently
-// subject to a loss probability. The medium is templated on the packet type
-// so the CityMesh agent and every baseline protocol reuse it.
+// topology (an id-only graphx::Topology) after transmission + propagation
+// delay, each independently subject to a loss probability. The medium is
+// templated on the packet type so the CityMesh agent and every baseline
+// protocol reuse it.
 //
 // The owner: everything the medium asks of the layer above is one type,
 // BroadcastMedium<Packet, Owner>, whose members it calls directly, so the
@@ -17,6 +18,13 @@
 //   bool node_up(NodeId)  live node filter: a down node neither transmits
 //       nor receives (reception is checked at delivery time, so a node that
 //       fails while a packet is in flight still misses it; src/faultx);
+//   double link_length(NodeId from, EdgeOffset slot, NodeId to)  the
+//       link's length in meters, which sets its propagation delay; `slot`
+//       is the directed entry (topology.edge_offset(from) + i for from's
+//       i-th neighbour `to`). Asked once per tile-local link, in
+//       neighbour order; it must answer the same for (to, from). The
+//       network answers from the AP positions (mesh::ApNetwork::
+//       link_length); the test owner from a weighted graph's slot weight;
 //   double link_loss(NodeId from, NodeId to)  extra per-link loss (0 =
 //       pristine), combined independently with the config's base loss
 //       (regional interference, degraded-link scenarios). The network
@@ -150,8 +158,9 @@ struct MediumConfig {
   /// Fixed per-packet transmission (serialization) delay, seconds. Only
   /// used when bitrate_bps == 0 (no contention model).
   SimTime tx_delay_s = 1e-3;
-  /// Propagation delay per meter of link length, seconds. Edge weights in
-  /// the topology graph are interpreted as link lengths in meters.
+  /// Propagation delay per meter of link length, seconds. The length of a
+  /// link is the owner's link_length() (the distance of the two APs'
+  /// positions in the network), so a link's delay is this times it.
   SimTime prop_delay_s_per_m = 3.34e-9;
   /// Random extra delay in [0, jitter_s) decorrelates simultaneous
   /// rebroadcasts (a stand-in for CSMA backoff).
@@ -178,7 +187,7 @@ class BroadcastMedium {
  public:
   /// `owner` supplies the hooks (see the header comment) and must outlive
   /// the medium.
-  BroadcastMedium(Simulator& simulator, const graphx::Graph& topology, MediumConfig config,
+  BroadcastMedium(Simulator& simulator, const graphx::Topology& topology, MediumConfig config,
                   Owner& owner)
       : sim_(simulator),
         topology_(topology),
@@ -478,12 +487,10 @@ class BroadcastMedium {
     // receptions keep neighbor order and the global event order is that of
     // one event per reception (skipped and lost links leave gaps).
     DeliveryBatch* batch = acquire_batch();
-    // The CSR keeps neighbor ids and weights in split packed arrays; the
-    // tile-membership check (and the common no-loss path) walks only the
-    // 4-byte id run.
-    const auto links = topology_.neighbors(from);
-    const std::span<const NodeId> link_ids = links.ids();
-    const std::span<const double> link_weights = links.weights();
+    // The topology holds neighbor ids only; each tile-local link's length
+    // comes from the owner, by its directed slot.
+    const std::span<const NodeId> link_ids = topology_.neighbors(from);
+    const graphx::EdgeOffset first_slot = topology_.edge_offset(from);
     const std::uint64_t seq_base = sim_.reserve_seqs(link_ids.size());
     const SimTime now = sim_.now();
     latency_.bind(sim_.latency_histogram());
@@ -492,7 +499,9 @@ class BroadcastMedium {
       const NodeId to = link_ids[i];
       // Cross-tile neighbors are handled by the owner's remote_fanout.
       if (tile_filter_ != nullptr && tile_filter_[to] != tile_) continue;
-      const std::optional<SimTime> delay = link_fate(from, to, link_weights[i], air, txn, pid);
+      const double length_m =
+          owner_.link_length(from, first_slot + static_cast<graphx::EdgeOffset>(i), to);
+      const std::optional<SimTime> delay = link_fate(from, to, length_m, air, txn, pid);
       if (!delay) continue;
       // Same (time, seq) key and latency recording schedule_in would have
       // produced; the entry just lives in the batch instead of the queue.
@@ -571,7 +580,7 @@ class BroadcastMedium {
   }
 
   Simulator& sim_;
-  const graphx::Graph& topology_;
+  const graphx::Topology& topology_;
   MediumConfig config_;
   Owner& owner_;
   std::vector<std::unique_ptr<DeliveryBatch>> all_batches_;  ///< owns every batch

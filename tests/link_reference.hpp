@@ -79,9 +79,26 @@ citymesh::graphx::Graph reference_graph(const Candidates& candidates, Link&& lin
   return builder.build();
 }
 
-/// Same offsets, same neighbour order, bit-identical weights.
-inline testing::AssertionResult same_graph(const citymesh::graphx::Graph& actual,
-                                           const citymesh::graphx::Graph& expected) {
+/// `weight_of(v, i, to)`, the weight of v's i-th neighbour `to`, as a
+/// Graph stores it or, for an id-only Topology such as the AP graph, as
+/// the distance of the two positions (mesh::ApNetwork::link_length).
+inline auto stored_weights(const citymesh::graphx::Graph& g) {
+  return [&g](std::uint32_t v, std::size_t i, std::uint32_t) {
+    return g.weight(g.edge_offset(v) + static_cast<citymesh::graphx::EdgeOffset>(i));
+  };
+}
+inline auto position_lengths(std::span<const citymesh::geo::Point> positions) {
+  return [positions](std::uint32_t v, std::size_t, std::uint32_t to) {
+    return citymesh::geo::distance(positions[v], positions[to]);
+  };
+}
+
+/// Same offsets, same neighbour order, bit-identical weights; `weight_of`
+/// gives the actual graph's (stored_weights or position_lengths).
+template <class WeightOf>
+testing::AssertionResult same_graph(const citymesh::graphx::Topology& actual,
+                                    WeightOf&& weight_of,
+                                    const citymesh::graphx::Graph& expected) {
   if (actual.vertex_count() != expected.vertex_count()) {
     return testing::AssertionFailure() << "vertex count " << actual.vertex_count() << " vs "
                                        << expected.vertex_count();
@@ -93,24 +110,29 @@ inline testing::AssertionResult same_graph(const citymesh::graphx::Graph& actual
                                          << expected.edge_offset(v) << " degree "
                                          << expected.degree(v);
     }
-    const auto got = actual.neighbors(v);
+    const std::span<const std::uint32_t> got = actual.neighbors(v);
     const auto want = expected.neighbors(v);
     for (std::size_t i = 0; i < got.size(); ++i) {
-      const citymesh::graphx::Edge g = got[i];
+      const double weight = weight_of(v, i, got[i]);
       const citymesh::graphx::Edge w = want[i];
-      if (g.to != w.to || std::memcmp(&g.weight, &w.weight, sizeof(double)) != 0) {
-        return testing::AssertionFailure() << "vertex " << v << " slot " << i << ": (" << g.to
-                                           << ", " << g.weight << ") vs (" << w.to << ", "
+      if (got[i] != w.to || std::memcmp(&weight, &w.weight, sizeof(double)) != 0) {
+        return testing::AssertionFailure() << "vertex " << v << " slot " << i << ": (" << got[i]
+                                           << ", " << weight << ") vs (" << w.to << ", "
                                            << w.weight << ")";
       }
     }
   }
   return testing::AssertionSuccess();
 }
+inline testing::AssertionResult same_graph(const citymesh::graphx::Graph& actual,
+                                           const citymesh::graphx::Graph& expected) {
+  return same_graph(actual, stored_weights(actual), expected);
+}
 
 /// FNV-1a over the CSR: vertex count, then per vertex its degree and each
-/// (neighbour, weight bits) in slice order.
-inline std::uint64_t fingerprint(const citymesh::graphx::Graph& g) {
+/// (neighbour, weight bits) in slice order, the weight from `weight_of`.
+template <class WeightOf>
+std::uint64_t fingerprint_by(const citymesh::graphx::Topology& g, WeightOf&& weight_of) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -121,14 +143,26 @@ inline std::uint64_t fingerprint(const citymesh::graphx::Graph& g) {
   mix(g.vertex_count());
   for (std::uint32_t v = 0; v < g.vertex_count(); ++v) {
     mix(g.degree(v));
-    for (const auto e : g.neighbors(v)) {
+    const std::span<const std::uint32_t> ids = g.neighbors(v);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const double weight = weight_of(v, i, ids[i]);
       std::uint64_t bits = 0;
-      std::memcpy(&bits, &e.weight, sizeof bits);
-      mix(e.to);
+      std::memcpy(&bits, &weight, sizeof bits);
+      mix(ids[i]);
       mix(bits);
     }
   }
   return h;
+}
+inline std::uint64_t fingerprint(const citymesh::graphx::Graph& g) {
+  return fingerprint_by(g, stored_weights(g));
+}
+/// An id-only AP graph hashed with the position-derived length where a
+/// Graph's weight bits go: equal to the weighted graph's fingerprint when
+/// every stored weight was that length.
+inline std::uint64_t fingerprint(const citymesh::graphx::Topology& g,
+                                 std::span<const citymesh::geo::Point> positions) {
+  return fingerprint_by(g, position_lengths(positions));
 }
 
 }  // namespace link_reference

@@ -1,8 +1,10 @@
 // The test owner of sim::BroadcastMedium: every hook is an optional
 // std::function a test installs with the setter of the same name, and an
 // unset hook answers as a pristine medium would (all nodes up, no extra
-// loss, no settling, nothing else attached). TestMedium<Packet> is a medium
-// that owns its hooks, so a test writes
+// loss, no settling, nothing else attached). A link's length is the weight
+// of its slot in the test's weighted graph, so a test sets delays with
+// arbitrary weights, not positions. TestMedium<Packet> is a medium that
+// owns its hooks, so a test writes
 //
 //   TestMedium<Packet> medium{sim, topology, config};
 //   medium.set_delivery_handler([&](NodeId to, NodeId from, const auto& p) {...});
@@ -25,6 +27,10 @@ namespace citymesh::testkit {
 template <typename Packet>
 class MediumHooks {
  public:
+  /// `lengths` gives each directed link's length (its slot weight) and
+  /// must outlive the hooks.
+  explicit MediumHooks(const graphx::Graph& lengths) : lengths_(&lengths) {}
+
   using NodeId = sim::NodeId;
   using DeliveryFn = std::function<void(NodeId to, NodeId from,
                                         const std::shared_ptr<const Packet>&)>;
@@ -45,6 +51,9 @@ class MediumHooks {
     if (deliver_) deliver_(to, from, packet);
   }
   bool node_up(NodeId node) const { return !node_up_ || node_up_(node); }
+  double link_length(NodeId, graphx::EdgeOffset slot, NodeId) const {
+    return lengths_->weight(slot);
+  }
   double link_loss(NodeId from, NodeId to) const { return link_loss_ ? link_loss_(from, to) : 0.0; }
   std::uint32_t packet_id(const Packet& packet) const {
     return packet_id_ ? packet_id_(packet) : 0;
@@ -63,6 +72,7 @@ class MediumHooks {
   PacketIdFn packet_id_;
 
  private:
+  const graphx::Graph* lengths_;
   DeliveryFn deliver_;
   NodeUpFn node_up_;
   LinkLossFn link_loss_;
@@ -79,7 +89,8 @@ class TestMedium : public MediumHooks<Packet>,
  public:
   TestMedium(sim::Simulator& simulator, const graphx::Graph& topology,
              sim::MediumConfig config)
-      : Medium(simulator, topology, config, static_cast<MediumHooks<Packet>&>(*this)) {}
+      : MediumHooks<Packet>(topology),
+        Medium(simulator, topology, config, static_cast<MediumHooks<Packet>&>(*this)) {}
 
   using Medium::node_up;
 

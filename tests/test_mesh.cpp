@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <span>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/building_graph.hpp"
@@ -106,10 +109,12 @@ TEST(ApNetwork, EdgesRespectRange) {
   const auto net = mesh::place_aps(city, cfg);
   std::size_t checked = 0;
   for (mesh::ApId v = 0; v < net.ap_count() && checked < 5000; ++v) {
-    for (const auto& e : net.graph().neighbors(v)) {
-      const double d = geo::distance(net.ap(v).position, net.ap(e.to).position);
+    for (const auto to : net.graph().neighbors(v)) {
+      const double d = geo::distance(net.ap(v).position, net.ap(to).position);
       EXPECT_LE(d, 50.0 + 1e-9);
-      EXPECT_NEAR(e.weight, d, 1e-9);  // edge weight is the link length
+      // The link length is the distance, the same bits from either end.
+      EXPECT_EQ(net.link_length(v, to), d);
+      EXPECT_EQ(net.link_length(to, v), d);
       ++checked;
     }
   }
@@ -500,18 +505,19 @@ TEST(LinkModel, ShadowedAdmitsLongerAndDropsSomeMidRange) {
   bool certain_zone_ok = true;  // all <= 0.6*range links must exist
   double max_len = 0.0;
   for (mesh::ApId v = 0; v < net_shadow.ap_count(); ++v) {
-    for (const auto& e : net_shadow.graph().neighbors(v)) {
-      max_len = std::max(max_len, e.weight);
-      if (e.weight > 50.0) has_long_link = true;
+    for (const auto to : net_shadow.graph().neighbors(v)) {
+      const double length = net_shadow.link_length(v, to);
+      max_len = std::max(max_len, length);
+      if (length > 50.0) has_long_link = true;
     }
   }
   // Spot-check the certain zone on the disc graph's short links.
   std::size_t checked = 0;
   for (mesh::ApId v = 0; v < net_disc.ap_count() && checked < 3000; ++v) {
-    for (const auto& e : net_disc.graph().neighbors(v)) {
-      if (e.weight <= 0.6 * 50.0) {
+    for (const auto to : net_disc.graph().neighbors(v)) {
+      if (net_disc.link_length(v, to) <= 0.6 * 50.0) {
         ++checked;
-        if (!net_shadow.graph().has_edge(v, e.to)) certain_zone_ok = false;
+        if (!net_shadow.graph().has_edge(v, to)) certain_zone_ok = false;
       }
     }
   }
@@ -593,11 +599,26 @@ graphx::Graph reference_building_graph(const core::BuildingGraph& map) {
       });
 }
 
+/// fig10's metro-xxl rung: its city and placement.
+osmx::CityProfile metro_xxl_profile() {
+  osmx::CityProfile xxl;
+  xxl.name = "metro-xxl";
+  xxl.width_m = 4200;
+  xxl.height_m = 3100;
+  xxl.seed = 101;
+  return xxl;
+}
+mesh::PlacementConfig metro_xxl_placement() {
+  mesh::PlacementConfig placement;
+  placement.seed = 7;
+  placement.density_per_m2 = 1.0 / 60.0;
+  return placement;
+}
+
 /// mesh::ApNetwork's link models replayed through LinkBuilder at an
 /// explicit band count.
-graphx::Graph banded_ap_graph(const mesh::ApNetwork& net, const mesh::PlacementConfig& cfg,
-                              std::size_t bands) {
-  const auto& aps = net.aps();
+graphx::Topology banded_ap_graph(const mesh::ApNetwork& net, const mesh::PlacementConfig& cfg,
+                                 std::size_t bands) {
   const double range = cfg.transmission_range_m;
   const bool disc = cfg.link_model == mesh::LinkModel::kDisc;
   const double reach = disc ? range : range * cfg.shadow_max_frac;
@@ -606,11 +627,9 @@ graphx::Graph banded_ap_graph(const mesh::ApNetwork& net, const mesh::PlacementC
   return graphx::LinkBuilder::build(
       net.grid(), [reach](std::uint32_t) { return reach; },
       [](std::uint32_t, std::uint32_t, double) { return true; },
-      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
-        const double d = geo::distance(aps[a].position, aps[b].position);
-        if (d <= certain) return d;
-        if (d < reach && link_rng.chance((reach - d) / (reach - certain))) return d;
-        return std::nullopt;
+      [&](std::uint32_t a, std::uint32_t b) {
+        const double d = net.link_length(a, b);
+        return d <= certain || (d < reach && link_rng.chance((reach - d) / (reach - certain)));
       },
       bands);
 }
@@ -649,8 +668,13 @@ TEST(LinkBuilder, ApGraphsMatchBruteForceOnEveryProfile) {
     for (const auto& ap : disc.aps()) positions.push_back(ap.position);
     const auto near = link_reference::candidates(positions, 50.0, 1.8 * 50.0);
     ASSERT_GT(disc.graph().edge_count(), 0u);
-    EXPECT_TRUE(link_reference::same_graph(disc.graph(), reference_ap_graph(disc, {}, near)));
+    // The reference stores each link's distance as its weight; the network
+    // stores ids and recomputes the length from either end.
+    EXPECT_TRUE(link_reference::same_graph(disc.graph(),
+                                           link_reference::position_lengths(disc.positions()),
+                                           reference_ap_graph(disc, {}, near)));
     EXPECT_TRUE(link_reference::same_graph(shadowed.graph(),
+                                           link_reference::position_lengths(shadowed.positions()),
                                            reference_ap_graph(shadowed, shadowed_config(), near)));
   }
 }
@@ -665,12 +689,14 @@ TEST(LinkBuilder, BuildingGraphMatchesBruteForceOnEveryProfile) {
 }
 
 TEST(LinkBuilder, BostonShadowedTopologyIsPinned) {
-  // Recorded from the per-vertex radius-query builder: any slip in the
-  // shadowed model's draw order or the neighbour order moves it.
+  // Recorded from the per-vertex radius-query builder, when the graph still
+  // stored each link's length as a weight: any slip in the shadowed
+  // model's draw order or the neighbour order moves it, and so does a
+  // position-derived length that differs in one bit from the stored one.
   const auto city = osmx::generate_city(osmx::profile_by_name("boston"));
   const auto net = mesh::place_aps(city, shadowed_config());
   EXPECT_EQ(net.graph().edge_count(), 154239u);
-  EXPECT_EQ(link_reference::fingerprint(net.graph()), 0xdbe96510cbea27ebULL);
+  EXPECT_EQ(link_reference::fingerprint(net.graph(), net.positions()), 0xdbe96510cbea27ebULL);
 }
 
 TEST(LinkBuilder, BandedBuildsMatchTheSequentialBuildOnEveryProfileAndMetroXxl) {
@@ -684,15 +710,7 @@ TEST(LinkBuilder, BandedBuildsMatchTheSequentialBuildOnEveryProfileAndMetroXxl) 
   };
   std::vector<Case> cases;
   for (const auto& profile : osmx::default_profiles()) cases.push_back({profile, {}});
-  osmx::CityProfile xxl;
-  xxl.name = "metro-xxl";
-  xxl.width_m = 4200;
-  xxl.height_m = 3100;
-  xxl.seed = 101;
-  mesh::PlacementConfig xxl_placement;
-  xxl_placement.seed = 7;
-  xxl_placement.density_per_m2 = 1.0 / 60.0;
-  cases.push_back({xxl, xxl_placement});
+  cases.push_back({metro_xxl_profile(), metro_xxl_placement()});
   for (const Case& c : cases) {
     SCOPED_TRACE(c.profile.name);
     const auto city = osmx::generate_city(c.profile);
@@ -701,10 +719,12 @@ TEST(LinkBuilder, BandedBuildsMatchTheSequentialBuildOnEveryProfileAndMetroXxl) 
     shadowed.density_per_m2 = c.placement.density_per_m2;
     for (const mesh::PlacementConfig& cfg : {c.placement, shadowed}) {
       const auto net = mesh::place_aps(city, cfg);
-      const std::uint64_t sequential = link_reference::fingerprint(banded_ap_graph(net, cfg, 1));
-      EXPECT_EQ(link_reference::fingerprint(net.graph()), sequential);
+      const std::uint64_t sequential =
+          link_reference::fingerprint(banded_ap_graph(net, cfg, 1), net.positions());
+      EXPECT_EQ(link_reference::fingerprint(net.graph(), net.positions()), sequential);
       for (const std::size_t bands : {2, 3, 4}) {
-        EXPECT_EQ(link_reference::fingerprint(banded_ap_graph(net, cfg, bands)), sequential)
+        EXPECT_EQ(link_reference::fingerprint(banded_ap_graph(net, cfg, bands), net.positions()),
+                  sequential)
             << (cfg.link_model == mesh::LinkModel::kDisc ? "disc" : "shadowed") << " at "
             << bands << " bands";
       }
@@ -758,4 +778,67 @@ TEST(ApNetwork, BuildingIndexEqualsAScanOnEveryProfileAndMetroXxl) {
 TEST(ApNetwork, RejectsIdsThatAreNotIndices) {
   std::vector<mesh::AccessPoint> aps{{1, {0.0, 0.0}, 0}, {0, {10.0, 0.0}, 0}};
   EXPECT_THROW(mesh::ApNetwork(aps, 50.0), std::invalid_argument);
+}
+
+TEST(LinkBuilder, PositionLengthsEqualTheStoredWeightsOnEveryProfileAndMetroXxl) {
+  // The AP graph used to store each link's distance as an 8-byte weight;
+  // it now stores ids and recomputes the length from the two positions.
+  // Pinned here, recorded from the weighted CSR: the FNV over (neighbour,
+  // weight bits) of the disc and shadowed graphs of every profile and of
+  // metro-xxl, and hop_bounds()'s longest link. The position-derived
+  // lengths, taken from each end in turn, must reproduce both bit for bit.
+  struct Pin {
+    const char* name;
+    std::uint64_t disc;
+    std::uint64_t shadowed;
+    double disc_longest;
+    double shadowed_longest;
+  };
+  constexpr Pin kPins[] = {
+      {"boston", 0x5b8568fce174ffeaULL, 0xdbe96510cbea27ebULL, 0x1.8fffd7d281b1cp+5,
+       0x1.6769a4d2f05dp+6},
+      {"cambridge", 0x93bea43090164a85ULL, 0x9a9de9e6c6250265ULL, 0x1.8ffff2632615p+5,
+       0x1.67cd5201b9f9ap+6},
+      {"washington_dc", 0xbb789a521130af85ULL, 0xcff5fba1aace47fcULL, 0x1.8fffddf5ef14p+5,
+       0x1.677f66c4ba6bcp+6},
+      {"new_york", 0xa0ed151abf59b374ULL, 0xd34174ba5f78f20aULL, 0x1.8fff4c0a19dcdp+5,
+       0x1.67b8f44a24d22p+6},
+      {"san_francisco", 0x98dc87ab3a77a5d3ULL, 0x4e3ecca57d5cae7aULL, 0x1.8ffed3f9b5633p+5,
+       0x1.67b60cc1b8145p+6},
+      {"chicago", 0xba5f3d100babb267ULL, 0x3e7be1d0ee2d65daULL, 0x1.8fffc7d34667fp+5,
+       0x1.67a5dc9e70df6p+6},
+      {"seattle", 0xc1f83b20c849a16eULL, 0xfa525b6a883b28ecULL, 0x1.8fff9c0aa00cap+5,
+       0x1.6792839972b13p+6},
+      {"austin", 0xc5706665fb84411eULL, 0xcc469dedf5155762ULL, 0x1.8fffff0fae97ap+5,
+       0x1.672dde032bc07p+6},
+      {"miami", 0x6023e9615be45631ULL, 0xa6e23ae9c9e00e4cULL, 0x1.8fff8f77b19cap+5,
+       0x1.67e38f1b9175fp+6},
+      {"minneapolis", 0xcba9a71ae9a768f2ULL, 0x06ce66519f45ae6eULL, 0x1.8fff86cfbba7fp+5,
+       0x1.6759ea7719d26p+6},
+      {"metro-xxl", 0xe3df3ec12e628aceULL, 0xc81addb08cbd4b88ULL, 0x1.8ffffe5e72ec9p+5,
+       0x1.67e5d92bed3ccp+6},
+  };
+  ASSERT_EQ(std::size(kPins), osmx::default_profiles().size() + 1);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.name);
+    const bool xxl = std::string_view{pin.name} == "metro-xxl";
+    const auto city =
+        osmx::generate_city(xxl ? metro_xxl_profile() : osmx::profile_by_name(pin.name));
+    const mesh::PlacementConfig disc = xxl ? metro_xxl_placement() : mesh::PlacementConfig{};
+    mesh::PlacementConfig shadowed = shadowed_config();
+    shadowed.seed = disc.seed;
+    shadowed.density_per_m2 = disc.density_per_m2;
+    for (const auto& [cfg, fnv, longest] :
+         {std::tuple{disc, pin.disc, pin.disc_longest},
+          std::tuple{shadowed, pin.shadowed, pin.shadowed_longest}}) {
+      const auto net = mesh::place_aps(city, cfg);
+      EXPECT_EQ(link_reference::fingerprint(net.graph(), net.positions()), fnv);
+      // The same lengths taken from the other end of each link.
+      const auto from_far_end = [&](std::uint32_t v, std::size_t, std::uint32_t to) {
+        return net.link_length(to, v);
+      };
+      EXPECT_EQ(link_reference::fingerprint_by(net.graph(), from_far_end), fnv);
+      EXPECT_EQ(net.hop_bounds().longest_link, longest);
+    }
+  }
 }

@@ -134,7 +134,7 @@ TEST(GraphCsr, TileFilteredWalkMatchesTileSubgraphExactly) {
   // walks the one shared CSR and skips cross-tile neighbors. Both views
   // must present the same edges in the same order, for both tilers.
   const auto compiled = core::compile_city(town(21), base_config(1));
-  const graphx::Graph& full = compiled->aps.graph();
+  const graphx::Topology& full = compiled->aps.graph();
   for (const shardx::TilingMode mode :
        {shardx::TilingMode::kGrid, shardx::TilingMode::kAdaptive}) {
     const shardx::TilePlan plan =
@@ -142,13 +142,15 @@ TEST(GraphCsr, TileFilteredWalkMatchesTileSubgraphExactly) {
                            compiled->map.building_count(), compiled->aps, 4, mode);
     for (shardx::TileId tile = 0; tile < plan.tile_count; ++tile) {
       const graphx::Graph sub =
-          shardx::tile_subgraph(full, plan.ap_tile, tile);
+          shardx::tile_subgraph(compiled->aps, plan.ap_tile, tile);
       for (graphx::VertexId v = 0; v < full.vertex_count(); ++v) {
         // Filtered walk of the shared CSR, exactly as the medium fans out.
         std::vector<std::pair<graphx::VertexId, double>> filtered;
         if (plan.ap_tile[v] == tile) {
-          for (const graphx::Edge& e : full.neighbors(v)) {
-            if (plan.ap_tile[e.to] == tile) filtered.push_back({e.to, e.weight});
+          for (const graphx::VertexId to : full.neighbors(v)) {
+            if (plan.ap_tile[to] == tile) {
+              filtered.push_back({to, compiled->aps.link_length(v, to)});
+            }
           }
         }
         const auto range = sub.neighbors(v);
@@ -157,7 +159,7 @@ TEST(GraphCsr, TileFilteredWalkMatchesTileSubgraphExactly) {
             << " vertex " << v;
         for (std::size_t i = 0; i < filtered.size(); ++i) {
           EXPECT_EQ(range[i].to, filtered[i].first) << "vertex " << v << " slot " << i;
-          EXPECT_DOUBLE_EQ(range[i].weight, filtered[i].second)
+          EXPECT_EQ(range[i].weight, filtered[i].second)
               << "vertex " << v << " slot " << i;
         }
       }
@@ -296,7 +298,7 @@ TEST(AdaptiveTiling, BalancesSkewedCitiesBetterThanGrid) {
         shardx::plan_tiles(compiled->map.centroid_grid(),
                            compiled->map.building_count(), compiled->aps, 4, mode);
     std::vector<std::uint64_t> weight(plan.tile_count, 0);
-    const graphx::Graph& g = compiled->aps.graph();
+    const graphx::Topology& g = compiled->aps.graph();
     for (const auto& ap : compiled->aps.aps()) {
       weight[plan.ap_tile[ap.id]] += 1 + g.degree(ap.id);
     }

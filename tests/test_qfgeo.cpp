@@ -156,8 +156,7 @@ bool greedy_walk_delivers(const core::CityMeshNetwork& net,
     const double cur_d = geo::distance(aps.ap(cur).position, dst);
     std::optional<mesh::ApId> next;
     double next_d = cur_d;
-    for (const auto& edge : aps.graph().neighbors(cur)) {
-      const auto n = static_cast<mesh::ApId>(edge.to);
+    for (const mesh::ApId n : aps.graph().neighbors(cur)) {
       if (!net.ap_up(n)) continue;
       if (!region.contains(net.map().centroid(aps.ap(n).building))) continue;
       const double d = geo::distance(aps.ap(n).position, dst);

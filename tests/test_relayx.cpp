@@ -125,7 +125,7 @@ TEST(FloodPolicy, RelaysNowNeverCancelsCountsNothing) {
   const auto& aps = dense_aps();
   const auto policy = relayx::make_policy({}, aps);
   const mesh::ApId ap = ap_with_degree(aps, 1);
-  const mesh::ApId peer = aps.graph().neighbors(ap)[0].to;
+  const mesh::ApId peer = aps.graph().neighbors(ap)[0];
   for (int i = 0; i < 8; ++i) {
     policy->observe(rx_at(ap, peer));
     const auto d = policy->elect(rx_at(ap, peer));
@@ -195,7 +195,7 @@ TEST(CounterGossipPolicy, CancelsExactlyAtTheKthOverheardCopy) {
   cfg.cancel_copies = 3;
   const auto policy = relayx::make_policy(cfg, aps);
   const mesh::ApId ap = ap_with_degree(aps, 1);
-  const mesh::ApId peer = aps.graph().neighbors(ap)[0].to;
+  const mesh::ApId peer = aps.graph().neighbors(ap)[0];
 
   const auto d = policy->elect(rx_at(ap, peer));
   EXPECT_EQ(d.kind, relayx::Decision::Kind::kDelay);
@@ -214,7 +214,7 @@ TEST(CounterGossipPolicy, ZeroGossipProbabilitySuppressesEveryElection) {
   cfg.gossip_p = 0.0;
   const auto policy = relayx::make_policy(cfg, aps);
   const mesh::ApId ap = ap_with_degree(aps, 1);
-  const mesh::ApId peer = aps.graph().neighbors(ap)[0].to;
+  const mesh::ApId peer = aps.graph().neighbors(ap)[0];
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(policy->elect(rx_at(ap, peer)).kind, relayx::Decision::Kind::kSuppress);
   }
@@ -263,15 +263,15 @@ TEST(EtxPriorityPolicy, ObservedLinksShortenTheBackoff) {
   // both policies' per-AP streams stay at the same position and the delay
   // comparison isolates the quality term.
   for (int round = 0; round < 10; ++round) {
-    for (const auto& edge : aps.graph().neighbors(ap)) {
-      warm->observe(rx_at(ap, edge.to));
+    for (const auto edge : aps.graph().neighbors(ap)) {
+      warm->observe(rx_at(ap, edge));
     }
   }
   EXPECT_GT(warm->etx_updates(), 0u);
   EXPECT_EQ(cold->etx_updates(), 0u);
 
-  const auto d_cold = cold->elect(rx_at(ap, aps.graph().neighbors(ap)[0].to));
-  const auto d_warm = warm->elect(rx_at(ap, aps.graph().neighbors(ap)[0].to));
+  const auto d_cold = cold->elect(rx_at(ap, aps.graph().neighbors(ap)[0]));
+  const auto d_warm = warm->elect(rx_at(ap, aps.graph().neighbors(ap)[0]));
   ASSERT_EQ(d_cold.kind, relayx::Decision::Kind::kDelay);
   ASSERT_EQ(d_warm.kind, relayx::Decision::Kind::kDelay);
   EXPECT_LT(d_warm.delay_s, d_cold.delay_s);
@@ -290,10 +290,10 @@ TEST(EtxPriorityPolicy, OnlyWellHeardApsCancel) {
   bool found = false;
   for (mesh::ApId cand = 0; cand < aps.ap_count() && !found; ++cand) {
     if (aps.graph().degree(cand) < 2) continue;
-    for (const auto& edge : aps.graph().neighbors(cand)) {
-      if (aps.ap(edge.to).building != aps.ap(cand).building) {
+    for (const auto edge : aps.graph().neighbors(cand)) {
+      if (aps.ap(edge).building != aps.ap(cand).building) {
         ap = cand;
-        peer = edge.to;
+        peer = edge;
         found = true;
         break;
       }
@@ -302,8 +302,8 @@ TEST(EtxPriorityPolicy, OnlyWellHeardApsCancel) {
   ASSERT_TRUE(found);
 
   for (int round = 0; round < 10; ++round) {
-    for (const auto& edge : aps.graph().neighbors(ap)) {
-      warm->observe(rx_at(ap, edge.to));
+    for (const auto edge : aps.graph().neighbors(ap)) {
+      warm->observe(rx_at(ap, edge));
     }
   }
   cold->elect(rx_at(ap, peer));
@@ -330,7 +330,7 @@ TEST(EtxPriorityPolicy, ObserveIgnoresNonNeighborTransmitters) {
   for (mesh::ApId cand = 0; cand < aps.ap_count(); ++cand) {
     const auto links = aps.graph().neighbors(ap);
     const bool linked = std::any_of(links.begin(), links.end(),
-                                    [&](const auto& e) { return e.to == cand; });
+                                    [&](const auto to) { return to == cand; });
     if (cand != ap && !linked) {
       stranger = cand;
       break;
@@ -350,12 +350,12 @@ TEST(EtxPriorityPolicy, ZeroHalfLifeIgnoresTime) {
   const auto later = relayx::make_policy(cfg, aps);
   const mesh::ApId ap = ap_with_degree(aps, 2);
   for (int round = 0; round < 10; ++round) {
-    for (const auto& edge : aps.graph().neighbors(ap)) {
-      now->observe(rx_at(ap, edge.to, 0.0));
-      later->observe(rx_at(ap, edge.to, 0.0));
+    for (const auto edge : aps.graph().neighbors(ap)) {
+      now->observe(rx_at(ap, edge, 0.0));
+      later->observe(rx_at(ap, edge, 0.0));
     }
   }
-  const mesh::ApId peer = aps.graph().neighbors(ap)[0].to;
+  const mesh::ApId peer = aps.graph().neighbors(ap)[0];
   const auto d0 = now->elect(rx_at(ap, peer, 0.0));
   const auto d1 = later->elect(rx_at(ap, peer, 1000.0));
   ASSERT_EQ(d0.kind, relayx::Decision::Kind::kDelay);
@@ -373,7 +373,7 @@ TEST(BuildingBackoffPolicy, PerApStreamsIndependentOfElectionOrder) {
   const auto fwd = relayx::make_policy(cfg, aps);
   const auto rev = relayx::make_policy(cfg, aps);
   const mesh::ApId a = ap_with_degree(aps, 2);
-  const mesh::ApId b = aps.graph().neighbors(a)[0].to;
+  const mesh::ApId b = aps.graph().neighbors(a)[0];
   ASSERT_NE(a, b);
 
   const auto fa = fwd->elect(rx_at(a, b));

@@ -359,11 +359,12 @@ TEST(ShardxTiling, BoundaryMembershipMatchesBruteForce) {
   std::vector<bool> boundary(compiled->aps.ap_count(), false);
   std::vector<shardx::CrossLink> cross;
   for (mesh::ApId ap = 0; ap < compiled->aps.ap_count(); ++ap) {
-    for (const auto& edge : graph.neighbors(ap)) {
-      if (plan.ap_tile[ap] == plan.ap_tile[edge.to]) continue;
+    for (const auto to : graph.neighbors(ap)) {
+      if (plan.ap_tile[ap] == plan.ap_tile[to]) continue;
       boundary[ap] = true;
-      boundary[edge.to] = true;
-      cross.push_back({ap, edge.to, edge.weight});
+      boundary[to] = true;
+      cross.push_back(
+          {ap, to, geo::distance(compiled->aps.ap(ap).position, compiled->aps.ap(to).position)});
     }
   }
   ASSERT_FALSE(cross.empty());
@@ -381,7 +382,7 @@ TEST(ShardxTiling, BoundaryMembershipMatchesBruteForce) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(actual[i].from, expected[i].from) << i;
     EXPECT_EQ(actual[i].to, expected[i].to) << i;
-    EXPECT_DOUBLE_EQ(actual[i].length_m, expected[i].length_m) << i;
+    EXPECT_EQ(actual[i].length_m, expected[i].length_m) << i;
   }
 
   // Every AP sits in its building's tile; every building has a tile.
@@ -430,6 +431,34 @@ TEST(ShardxTiling, LookaheadIsMinCutEdgeDelay) {
   }
   EXPECT_DOUBLE_EQ(net.lookahead_s(), expect);
   EXPECT_GT(net.lookahead_s(), 0.0);
+}
+
+TEST(ShardxTiling, MetroXxlLookaheadMatchesTheStoredWeights) {
+  // fig10's metro-xxl rung at K = 2 and 4. Recorded when the AP graph
+  // still stored each link's length as a weight; the cut edges' lengths
+  // now come from the AP positions and must give the same bits.
+  osmx::CityProfile xxl;
+  xxl.name = "metro-xxl";
+  xxl.width_m = 4200;
+  xxl.height_m = 3100;
+  xxl.seed = 101;
+  core::NetworkConfig cfg;
+  cfg.placement.seed = 7;
+  cfg.placement.density_per_m2 = 1.0 / 60.0;
+  cfg.seed = 99;
+  cfg.medium.bitrate_bps = 250e3;
+  cfg.medium.jitter_s = 0.0;
+  cfg.medium.loss_probability = 0.0;
+  const auto compiled = core::compile_city(osmx::generate_city(xxl), cfg);
+  for (const auto& [shards, cut_edges] : {std::pair{std::size_t{2}, std::size_t{24624}},
+                                          std::pair{std::size_t{4}, std::size_t{48568}}}) {
+    SCOPED_TRACE(shards);
+    cfg.shards = shards;
+    const core::CityMeshNetwork net{compiled, cfg};
+    ASSERT_NE(net.tile_plan(), nullptr);
+    EXPECT_EQ(net.tile_plan()->cross.size(), cut_edges);
+    EXPECT_EQ(net.lookahead_s(), 0x1.a36f3b431c272p-10);
+  }
 }
 
 // ------------------------------------------------------- coordination -------

@@ -21,6 +21,7 @@ exec python3 - "$1" "$2" "${repo_root}" <<'PY'
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -39,6 +40,12 @@ def key(sel):
     is_rev = subprocess.run(["git", "-C", root, "rev-parse", "--verify", "--quiet",
                              sel + "^{commit}"], capture_output=True).returncode == 0
     return source_tree(root, sel) if is_rev else sel
+
+
+def machine(row):
+    """The row's host without its trailing `commit=<sha>`: the machine and
+    build, the same for a parent and a change recorded together."""
+    return re.sub(r"\s*commit=\S*$", "", row["host"])
 
 
 def find(rows, sel):
@@ -66,7 +73,7 @@ for path in files:
     source = (f"paired, {pair['n']} pairs" if pair
               else f"unpaired rows, {a['runs']} vs {b['runs']} runs")
     print(f"{doc['workload']}: {a['tree']} ({a['head']}) -> {b['tree']} ({b['head']})  ({source})")
-    if a["host"] != b["host"]:
+    if machine(a) != machine(b):
         print("  note: the rows come from different hosts")
     print(f"  {'metric':14} {'A median':>12} {'B median':>12} {'delta':>8} {'A IQR':>10} "
           f"{'delta/IQR':>9}" + (f" {'B lower':>8}" if pair else ""))

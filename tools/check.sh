@@ -333,10 +333,9 @@ san_suites="test_obsx test_trafficx test_sim test_compiled test_relayx test_shar
   test_cryptox test_wire test_osmx test_measure test_viz"
 san_dir="${build_dir}-asan"
 if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; then
-  san_targets=""
-  for t in ${san_suites}; do san_targets="${san_targets} --target ${t}"; done
-  # shellcheck disable=SC2086  # one --target flag pair per suite
-  cmake --build "${san_dir}" -j "$(nproc 2>/dev/null || echo 4)" ${san_targets}
+  # One goal over every suite: successive --target goals would compile one
+  # test file at a time (a CMake Makefile tree runs its goals in series).
+  cmake --build "${san_dir}" -j "$(nproc 2>/dev/null || echo 4)" --target citymesh_tests
   san_count=0
   for t in ${san_suites}; do
     "${san_dir}/tests/${t}"
@@ -366,10 +365,7 @@ fi
 # there, to catch data races the determinism digest can't see.
 tsan_dir="${build_dir}-tsan"
 if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/null; then
-  tsan_targets=""
-  for t in ${san_suites}; do tsan_targets="${tsan_targets} --target ${t}"; done
-  # shellcheck disable=SC2086  # one --target flag pair per suite
-  cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" ${tsan_targets}
+  cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" --target citymesh_tests
   tsan_count=0
   for t in ${san_suites}; do
     "${tsan_dir}/tests/${t}"

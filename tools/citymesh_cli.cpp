@@ -453,9 +453,9 @@ int cmd_render(const Options& opts) {
   for (const auto& park : city->parks()) scene.add_polygon(park, "#cde6c8");
   for (const auto& b : city->buildings()) scene.add_polygon(b.footprint, "#c0392b");
   for (const auto& ap : net.aps()) {
-    for (const auto& e : net.graph().neighbors(ap.id)) {
-      if (e.to < ap.id) continue;
-      scene.add_line(ap.position, net.ap(e.to).position, "#999999", 0.4, 0.5);
+    for (const auto to : net.graph().neighbors(ap.id)) {
+      if (to < ap.id) continue;
+      scene.add_line(ap.position, net.ap(to).position, "#999999", 0.4, 0.5);
     }
   }
   for (const auto& ap : net.aps()) scene.add_circle(ap.position, 1.0, "#222222", 0.8);
