@@ -1,7 +1,10 @@
 // Shared helpers for the ablation benches.
 #pragma once
 
+#include <malloc.h>
+
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -103,6 +106,14 @@ inline MemUsage read_mem_usage() {
   }
   std::fclose(f);
   return mem;
+}
+
+/// Live heap bytes of the process: the malloc chunks in use, every arena
+/// and the mmapped ones included. Unlike VmHWM it falls when memory is
+/// freed, so a delta around a phase is what that phase still holds.
+inline std::size_t heap_in_use_bytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
 }
 
 /// Strip `--jobs N` / `--jobs=N` from argv the way ManifestEmitter strips

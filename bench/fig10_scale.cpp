@@ -22,14 +22,18 @@
 // the digest check still bites. `--quick` shrinks the ladder for smoke/CI.
 //
 // Metro-memory columns: every row also reports the process peak RSS
-// (VmHWM), the row's additional peak bytes per AP, and the cumulative
-// barrier idle time (workers waiting for the slowest tile each window).
+// (VmHWM), the live heap per AP that the row's network holds after its run
+// (B/AP: the heap in use after the run less before the network's build),
+// the live heap per AP that the rung's compiled city holds (compile B/AP,
+// measured once around the compile), and the cumulative barrier idle time
+// (workers waiting for the slowest tile each window). The two B/AP columns
+// read the heap itself, not VmHWM, so they do not depend on which row set
+// the process peak; the manifest's perf section carries both for K = 1, as
+// mem.<rung>.k1_bytes_per_ap and mem.<rung>.compile_bytes_per_ap.
 // `--tiling grid|adaptive` selects the partitioner (default adaptive);
 // behavioral digests are invariant across modes, so the choice trades
-// barrier idle and wall clock only. VmHWM is monotonic, so on the full
-// ladder only the first row that lifts the process peak shows a nonzero
-// B/AP; `--rung NAME` restricts the ladder to one rung for a clean
-// fresh-process memory measurement of that city size.
+// barrier idle and wall clock only. `--rung NAME` restricts the ladder to
+// one rung, for a fresh-process peak RSS of that city size.
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -99,6 +103,13 @@ core::NetworkConfig network_config(std::size_t shards,
   config.medium.jitter_s = 0.0;
   config.medium.loss_probability = 0.0;
   return config;
+}
+
+/// Live heap bytes gained since `before` (a heap_in_use_bytes() reading);
+/// negative when more was freed than allocated.
+double heap_growth_since(std::size_t before) {
+  return static_cast<double>(citymesh::benchutil::heap_in_use_bytes()) -
+         static_cast<double>(before);
 }
 
 trafficx::WorkloadSpec workload_spec(double duration_s) {
@@ -178,7 +189,11 @@ int main(int argc, char** argv) {
     const osmx::CityProfile profile = rung_profile(rung);
     emit.manifest().seeds[profile.name] = profile.seed;
     // The compiled city is shard-count independent; all K share one compile.
+    const std::size_t heap_before_compile = citymesh::benchutil::heap_in_use_bytes();
     const auto compiled = cache.get(profile, network_config(1, tiling));
+    const double per_ap = 1.0 / static_cast<double>(compiled->aps.ap_count());
+    const double compile_bytes_per_ap =
+        heap_growth_since(heap_before_compile) * per_ap;
     const auto schedule =
         trafficx::compile(workload_spec(duration_s), compiled->city);
 
@@ -186,24 +201,19 @@ int main(int argc, char** argv) {
     double baseline_wall_s = 0.0;
     for (const std::size_t shards : kShardCounts) {
       const core::NetworkConfig config = network_config(shards, tiling);
-      // VmHWM delta across build + run = this row's additional peak RSS.
-      // The ladder ascends, so each rung's K=1 row grows the process peak
-      // and its bytes/AP is meaningful; repeat-K rows on the same rung fit
-      // inside the already-reached peak and read ~0. Memory cells (like
-      // wall clock) stay out of the behavioral digest.
-      const auto mem_before = citymesh::benchutil::read_mem_usage();
+      // The heap the network and its run still hold once the run ends, per
+      // AP; the K = 1 row also counts the compiled city's lazily built tables
+      // (landmarks, hop bounds) its run is the first to use. Memory cells
+      // (like wall clock) stay out of the behavioral digest.
+      const std::size_t heap_before = citymesh::benchutil::heap_in_use_bytes();
       core::CityMeshNetwork network{compiled, config};
       const auto t0 = std::chrono::steady_clock::now();
       const auto run = trafficx::run_workload(network, schedule);
       const double wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
+      const double bytes_per_ap = heap_growth_since(heap_before) * per_ap;
       const auto mem_after = citymesh::benchutil::read_mem_usage();
-      const std::uint64_t hwm_delta_kib =
-          mem_after.vm_hwm_kib - mem_before.vm_hwm_kib;
-      const double bytes_per_ap =
-          static_cast<double>(hwm_delta_kib) * 1024.0 /
-          static_cast<double>(compiled->aps.ap_count());
       const core::CapacitySummary& s = run.summary;
 
       // Behavioral cells only — identical across shard counts by contract.
@@ -220,6 +230,9 @@ int main(int argc, char** argv) {
       if (shards == kShardCounts[0]) {
         baseline_digest = hex;
         baseline_wall_s = wall_s;
+        auto& perf = emit.manifest().perf;
+        perf["mem." + profile.name + ".k1_bytes_per_ap"] = bytes_per_ap;
+        perf["mem." + profile.name + ".compile_bytes_per_ap"] = compile_bytes_per_ap;
       } else if (hex != baseline_digest) {
         digest_ok = false;
         std::cerr << "fig10_scale: " << profile.name << " shards=" << shards
@@ -237,6 +250,7 @@ int main(int argc, char** argv) {
                                  : "-");
       row.push_back(viz::fmt(static_cast<double>(mem_after.vm_hwm_kib) / 1024.0, 1));
       row.push_back(viz::fmt(bytes_per_ap, 0));
+      row.push_back(viz::fmt(compile_bytes_per_ap, 0));
       row.push_back(viz::fmt(network.barrier_idle_s(), 3));
       rows.push_back(std::move(row));
     }
@@ -245,7 +259,7 @@ int main(int argc, char** argv) {
   viz::print_table(std::cout, "Figure 10: tiled parallel scaling (shardx)",
                    {"city", "aps", "shards", "offered", "deliver", "tx",
                     "p50 ms", "handoffs", "wall s", "speedup", "peak MiB",
-                    "B/AP", "idle s"},
+                    "B/AP", "compile B/AP", "idle s"},
                    rows);
 
   std::cout << "\nDeterminism digest: " << emit.digest_hex()

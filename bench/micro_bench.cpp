@@ -28,6 +28,7 @@
 #include "graphx/alt.hpp"
 #include "graphx/graph.hpp"
 #include "graphx/shortest_path.hpp"
+#include "link_reference.hpp"
 #include "medium_test_owner.hpp"
 #include "mesh/ap_network.hpp"
 #include "obsx/metrics.hpp"
@@ -116,12 +117,14 @@ static void BM_RoutePlanHotspot(benchmark::State& state) {
 BENCHMARK(BM_RoutePlanHotspot)->Unit(benchmark::kMicrosecond);
 
 // The path search alone on the same flows: /0 the targeted Dijkstra over
-// the full building graph, /1 over the planning graph (identical paths,
-// fewer relaxations), /2 the planner's ALT query over the planning graph
+// the full building graph (weighted, rebuilt once from the map: the map
+// keeps its ids only), /1 over the planning graph (identical paths, fewer
+// relaxations), /2 the planner's ALT query over the planning graph
 // (identical paths, a reused workspace, far fewer settled vertices).
 static void BM_HotspotDijkstra(benchmark::State& state) {
   const core::BuildingGraph& map = boston_map();
-  const graphx::Graph& g = state.range(0) == 0 ? map.graph() : map.planning_graph();
+  static const graphx::Graph full = link_reference::weighted_building_graph(map);
+  const graphx::Graph& g = state.range(0) == 0 ? full : map.planning_graph();
   const graphx::LandmarkTable& table = map.landmarks();  // built before timing
   graphx::AltSearch search;
   const auto& flows = boston_hotspot_flows();

@@ -10,10 +10,16 @@
 // 100 m hop cost 8x two 50 m hops, so Dijkstra prefers chains of short,
 // reliably-connected hops (§3: "Cubed-distance edge weights prioritize
 // shorter edges for connectivity between buildings through their APs").
+//
+// A weight is a function of the map, so only the graph route planning walks
+// stores it. The full graph is kept as ids alone (graphx::Topology), and its
+// weights are recomputed from the centroids on demand (edge_weight); each
+// centroid is stored once, in the centroid grid.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "geo/spatial_grid.hpp"
@@ -52,14 +58,23 @@ class BuildingGraph {
  public:
   BuildingGraph(const osmx::City& city, const BuildingGraphConfig& config);
 
-  /// The full predicted-connectivity graph: one edge per pair of buildings
-  /// predicted to hear each other.
-  const graphx::Graph& graph() const { return graph_; }
+  /// The full predicted-connectivity graph, ids only: one edge per pair of
+  /// buildings predicted to hear each other. An edge's weight is
+  /// edge_weight() of its two ends.
+  const graphx::Topology& graph() const { return graph_; }
 
-  /// The graph route planning walks: graph() minus every edge a two-hop
-  /// detour strictly beats (graphx::essential_edges). Dijkstra over it
-  /// settles the same vertices in the same order with the same parents, so
-  /// every planned route is bit-identical, at a fraction of the edges.
+  /// The weight of the edge between buildings a and b: edge_cost of their
+  /// centroid distance under config().weight. The one expression the
+  /// constructor weighs every edge with, so it is bit-identical from either
+  /// end. Throws std::out_of_range for an id past building_count().
+  double edge_weight(BuildingId a, BuildingId b) const {
+    return edge_cost(geo::distance(centroid(a), centroid(b)), config_.weight);
+  }
+
+  /// The graph route planning walks, weighted: graph() minus every edge a
+  /// two-hop detour strictly beats (graphx::essential_edges). Dijkstra over
+  /// it settles the same vertices in the same order with the same parents,
+  /// so every planned route is bit-identical, at a fraction of the edges.
   const graphx::Graph& planning_graph() const { return planning_graph_; }
 
   /// One landmark per compass and diagonal direction (graphx/alt.hpp).
@@ -82,26 +97,28 @@ class BuildingGraph {
   }
 
   const BuildingGraphConfig& config() const { return config_; }
-  std::size_t building_count() const { return centroids_.size(); }
+  std::size_t building_count() const { return centroids().size(); }
 
   /// Centroid of a building (what APs look up when reconstructing conduits).
-  geo::Point centroid(BuildingId id) const { return centroids_.at(id); }
-  const std::vector<geo::Point>& centroids() const { return centroids_; }
+  /// Throws std::out_of_range for an id past building_count().
+  geo::Point centroid(BuildingId id) const { return centroid_grid_.position(id); }
+  /// Every centroid by building id: the centroid grid's own array.
+  std::span<const geo::Point> centroids() const { return centroid_grid_.positions(); }
 
   /// Effective radius used in the connectivity prediction.
   double effective_radius(BuildingId id) const { return radii_.at(id); }
 
-  /// Spatial index over building centroids. Built once for edge discovery
-  /// and kept for message compilation (conduit bounding-box queries in
-  /// core/compiled_message) — both want cells near the transmission range.
+  /// Spatial index over building centroids, and the one copy of them. Built
+  /// once for edge discovery and kept for message compilation (conduit
+  /// bounding-box queries in core/compiled_message) — both want cells near
+  /// the transmission range.
   const geo::SpatialGrid& centroid_grid() const { return centroid_grid_; }
 
  private:
   BuildingGraphConfig config_;
-  std::vector<geo::Point> centroids_;
   std::vector<double> radii_;
   geo::SpatialGrid centroid_grid_;
-  graphx::Graph graph_;
+  graphx::Topology graph_;
   graphx::Graph planning_graph_;
   graphx::Components components_;
   mutable std::once_flag landmarks_once_;

@@ -35,7 +35,7 @@ class IdBitmap {
   /// Any id, members' range or not.
   bool contains(std::uint32_t id) const {
     const std::uint32_t i = id - first_;  // wraps past the range for id < first_
-    return i < words_.size() * 64 && ((words_[i >> 6] >> (i & 63)) & 1) != 0;
+    return (i >> 6) < words_.size() && ((words_[i >> 6] >> (i & 63)) & 1) != 0;
   }
 
   /// Keep only the words from the lowest member's to the highest's,

@@ -1,15 +1,20 @@
 // Compact undirected graphs in compressed-sparse-row form, in two kinds.
 //
 // - `Topology`: 4-byte offsets and 4-byte neighbour ids, nothing else. The
-//   *AP graph* (vertices = access points, edges = pairs within transmission
-//   range) is one: its link length is the distance of the two APs'
-//   positions, so it is recomputed from them (mesh::ApNetwork::link_length)
-//   instead of stored, 4 bytes per directed link instead of 12.
+//   two graphs a compiled city keeps whole are ids only, because each
+//   edge's weight is a function of the map and is recomputed instead of
+//   stored, 4 bytes per directed entry instead of 12:
+//   - the *AP graph* (vertices = access points, edges = pairs within
+//     transmission range): a link's length is the distance of the two APs'
+//     positions (mesh::ApNetwork::link_length);
+//   - the full *building graph* (vertices = buildings, edges = predicted
+//     inter-building connectivity): an edge's weight is the cubed centroid
+//     distance (core::BuildingGraph::edge_weight).
 // - `Graph`: a Topology plus an 8-byte weight per directed entry, in a
-//   packed array parallel to the ids. The *building graph* (vertices =
-//   buildings, edges = predicted inter-building connectivity, weight =
-//   cubed centroid distance) is one, and so is every graph the shortest-
-//   path searches (Dijkstra, ALT, essential_edges) and the tests walk.
+//   packed array parallel to the ids. The building graph is built as one
+//   and pruned to the planning graph, which is one too; so is every graph
+//   the shortest-path searches (Dijkstra, ALT, essential_edges) and the
+//   tests walk.
 //
 // A Graph is a Topology, so an id-only consumer (BFS, components, the
 // medium's fan-out) takes either. `Topology::neighbors()` is the contiguous

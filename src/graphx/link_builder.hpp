@@ -1,7 +1,8 @@
 // Proximity graphs straight into CSR: the one builder behind the AP graph
 // (mesh::ApNetwork, an id-only Topology) and the building graph
-// (core::BuildingGraph, a weighted Graph). Which kind it builds follows from
-// what the link model answers; both take the same passes.
+// (core::BuildingGraph, a weighted Graph it prunes and then keeps the ids
+// of). Which kind it builds follows from what the link model answers; both
+// take the same passes.
 //
 // geo::SpatialGrid::for_each_pair sweeps the grid with a half stencil,
 // testing each unordered pair of points once. It sweeps twice: the first

@@ -304,7 +304,7 @@ std::vector<AccessPoint> sample_aps(const osmx::City& city, const PlacementConfi
         }
       }
       if (!placed) p = building.centroid;  // degenerate footprint fallback
-      aps.push_back({static_cast<ApId>(aps.size()), p, building.id});
+      aps.push_back({static_cast<ApId>(aps.size()), building.id, p});
     }
   }
   return aps;

@@ -24,11 +24,14 @@ namespace citymesh::mesh {
 
 using ApId = std::uint32_t;
 
+/// Ids first, so the two 4-byte fields pack ahead of the point: 24 bytes,
+/// no padding.
 struct AccessPoint {
   ApId id = 0;
-  geo::Point position;
   osmx::BuildingId building = 0;  ///< footprint the AP was placed in
+  geo::Point position;
 };
+static_assert(sizeof(AccessPoint) == 24, "AccessPoint must stay unpadded");
 
 /// Radio link model used when building the AP graph.
 enum class LinkModel : std::uint8_t {

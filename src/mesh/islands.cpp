@@ -128,7 +128,7 @@ ApNetwork apply_bridges(const ApNetwork& network, const BridgePlan& plan) {
       });
       if (found) break;
     }
-    aps.push_back({static_cast<ApId>(aps.size()), p, owner});
+    aps.push_back({static_cast<ApId>(aps.size()), owner, p});
   }
   return ApNetwork{std::move(aps), network.transmission_range()};
 }

@@ -1,6 +1,7 @@
 // The brute-force reference for graphx::LinkBuilder, shared by test_graphx
 // (hostile geometry) and test_mesh (the AP and building graphs of every
-// default profile).
+// default profile), and the comparison and hashing helpers the suites that
+// check a compiled city's graphs use.
 //
 // It decides every pair (a, b), a < b, from a: for a in ascending id order,
 // b in the grid's (row, column, insertion) order, the order LinkBuilder's
@@ -18,8 +19,10 @@
 #include <span>
 #include <vector>
 
+#include "core/building_graph.hpp"
 #include "geo/point.hpp"
 #include "graphx/graph.hpp"
+#include "graphx/link_builder.hpp"
 
 namespace link_reference {
 
@@ -80,8 +83,10 @@ citymesh::graphx::Graph reference_graph(const Candidates& candidates, Link&& lin
 }
 
 /// `weight_of(v, i, to)`, the weight of v's i-th neighbour `to`, as a
-/// Graph stores it or, for an id-only Topology such as the AP graph, as
-/// the distance of the two positions (mesh::ApNetwork::link_length).
+/// Graph stores it or, for an id-only Topology, as the compiled city
+/// derives it: the distance of the two positions for the AP graph
+/// (mesh::ApNetwork::link_length), the map's edge_weight for the building
+/// graph.
 inline auto stored_weights(const citymesh::graphx::Graph& g) {
   return [&g](std::uint32_t v, std::size_t i, std::uint32_t) {
     return g.weight(g.edge_offset(v) + static_cast<citymesh::graphx::EdgeOffset>(i));
@@ -92,9 +97,38 @@ inline auto position_lengths(std::span<const citymesh::geo::Point> positions) {
     return citymesh::geo::distance(positions[v], positions[to]);
   };
 }
+inline auto building_weights(const citymesh::core::BuildingGraph& map) {
+  return [&map](std::uint32_t v, std::size_t, std::uint32_t to) { return map.edge_weight(v, to); };
+}
+
+/// The map's full building graph with its weights, for the searches and
+/// checks that walk weighted edges: rebuilt through LinkBuilder::build from
+/// the map's own radii, centroid grid and edge_weight, the link model
+/// core::BuildingGraph builds with before it keeps only the ids. `bands` as
+/// in LinkBuilder::build (0: one per CPU the caller may use).
+inline citymesh::graphx::Graph weighted_building_graph(const citymesh::core::BuildingGraph& map,
+                                                       std::size_t bands = 0) {
+  const citymesh::core::BuildingGraphConfig& cfg = map.config();
+  const double range = cfg.transmission_range_m * cfg.connect_factor;
+  double max_radius = 0.0;
+  for (std::uint32_t b = 0; b < map.building_count(); ++b) {
+    max_radius = std::max(max_radius, map.effective_radius(b));
+  }
+  return citymesh::graphx::LinkBuilder::build(
+      map.centroid_grid(),
+      [&](std::uint32_t a) { return (map.effective_radius(a) + range + max_radius) * (1.0 + 1e-9); },
+      [&](std::uint32_t a, std::uint32_t b, double d2) {
+        return std::sqrt(d2) <= range + map.effective_radius(a) + map.effective_radius(b);
+      },
+      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
+        return map.edge_weight(a, b);
+      },
+      bands);
+}
 
 /// Same offsets, same neighbour order, bit-identical weights; `weight_of`
-/// gives the actual graph's (stored_weights or position_lengths).
+/// gives the actual graph's (stored_weights, position_lengths or
+/// building_weights).
 template <class WeightOf>
 testing::AssertionResult same_graph(const citymesh::graphx::Topology& actual,
                                     WeightOf&& weight_of,

@@ -19,6 +19,7 @@
 #include "graphx/shortest_path.hpp"
 #include "osmx/citygen.hpp"
 #include "trafficx/workload.hpp"
+#include "link_reference.hpp"
 #include "lone_agent.hpp"
 
 namespace core = citymesh::core;
@@ -100,7 +101,9 @@ TEST(BuildingGraph, CubedWeightsStored) {
   const core::BuildingGraph g{city, cfg};
   ASSERT_TRUE(g.graph().has_edge(0, 1));
   const double d = geo::distance(g.centroid(0), g.centroid(1));
-  EXPECT_NEAR(g.graph().neighbors(0)[0].weight, d * d * d, 1e-6);
+  const graphx::Graph full = link_reference::weighted_building_graph(g);
+  EXPECT_NEAR(full.neighbors(0)[0].weight, d * d * d, 1e-6);
+  EXPECT_EQ(g.edge_weight(0, 1), full.neighbors(0)[0].weight);
 }
 
 TEST(BuildingGraph, CentroidsMatchCity) {
@@ -302,6 +305,7 @@ class ConduitCoverProperty : public ::testing::TestWithParam<ConduitCoverCase> {
 TEST_P(ConduitCoverProperty, CompressedConduitsCoverAllRouteBuildings) {
   const auto& city = boston();
   const core::BuildingGraph map{city, {}};
+  const graphx::Graph full = link_reference::weighted_building_graph(map);
   geo::Rng rng{GetParam().seed};
   core::ConduitConfig cfg;
   cfg.width_m = GetParam().width;
@@ -309,7 +313,7 @@ TEST_P(ConduitCoverProperty, CompressedConduitsCoverAllRouteBuildings) {
   for (int trial = 0; trial < 8; ++trial) {
     const auto a = static_cast<core::BuildingId>(rng.uniform_int(map.building_count()));
     const auto b = static_cast<core::BuildingId>(rng.uniform_int(map.building_count()));
-    const auto sp = citymesh::graphx::dijkstra(map.graph(), a, b);
+    const auto sp = citymesh::graphx::dijkstra(full, a, b);
     const auto route = sp.path_to(b);
     if (route.size() < 2) continue;
 
@@ -347,7 +351,7 @@ TEST(Conduit, WiderConduitCompressesHarder) {
   // spanning route exists.
   const auto& city = boston();
   const core::BuildingGraph map{city, {}};
-  const auto sp = citymesh::graphx::dijkstra(map.graph(), 0);
+  const auto sp = citymesh::graphx::dijkstra(link_reference::weighted_building_graph(map), 0);
   std::vector<core::BuildingId> route;
   for (auto target = static_cast<core::BuildingId>(map.building_count() - 1);
        target > 0 && route.size() < 10; --target) {
@@ -470,11 +474,12 @@ TEST(RoutePlanner, PlanningGraphMatchesFullGraphOnEveryProfile) {
       if (policy != core::EdgeWeight::kLinear) {
         EXPECT_LT(map.planning_graph().edge_count(), map.graph().edge_count()) << profile.name;
       }
+      const graphx::Graph full_graph = link_reference::weighted_building_graph(map);
       const core::RoutePlanner local{map, {}};
       const core::RoutePlanner shared{map, {}, &search};
       for (const auto& [from, to] : pairs) {
         if (from == to) continue;
-        const auto full = graphx::dijkstra(map.graph(), from, to).path_to(to);
+        const auto full = graphx::dijkstra(full_graph, from, to).path_to(to);
         for (const core::RoutePlanner* planner : {&local, &shared}) {
           const auto route = planner->plan(from, to);
           ASSERT_EQ(route.has_value(), !full.empty()) << profile.name << ' ' << from << "->" << to;

@@ -69,7 +69,7 @@ std::span<const std::uint8_t> bytes_of(std::string_view s) {
 mesh::ApNetwork grid_aps(const std::vector<geo::Point>& positions) {
   std::vector<mesh::AccessPoint> aps;
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    aps.push_back({static_cast<mesh::ApId>(i), positions[i], 0});
+    aps.push_back({static_cast<mesh::ApId>(i), 0, positions[i]});
   }
   return mesh::ApNetwork{std::move(aps), 50.0};
 }

@@ -152,7 +152,7 @@ TEST(ApNetwork, MinHopsOnKnownTopology) {
   // Hand-placed chain of APs 40 m apart: hops = index difference.
   std::vector<mesh::AccessPoint> aps;
   for (std::uint32_t i = 0; i < 5; ++i) {
-    aps.push_back({i, {i * 40.0, 0.0}, i});
+    aps.push_back({i, i, {i * 40.0, 0.0}});
   }
   const mesh::ApNetwork net{std::move(aps), 50.0};
   const mesh::ApId last = 4;
@@ -251,7 +251,7 @@ TEST(ApNetwork, HopLandmarksHoldBfsDistances) {
 TEST(ApNetwork, MinHopsOnCoincidentAps) {
   // Every link has length 0, so the geometric bound has no scale and is 0.
   std::vector<mesh::AccessPoint> aps;
-  for (std::uint32_t i = 0; i < 6; ++i) aps.push_back({i, {12.5, -3.0}, i % 3});
+  for (std::uint32_t i = 0; i < 6; ++i) aps.push_back({i, i % 3, {12.5, -3.0}});
   const mesh::ApNetwork net{std::move(aps), 50.0};
   EXPECT_EQ(net.hop_bounds().longest_link, 0.0);
   expect_min_hops_match_everywhere(net);
@@ -269,7 +269,7 @@ TEST(ApNetwork, MinHopsOnChainsWhereTheGeometricBoundIsTight) {
     SCOPED_TRACE(step.x);
     std::vector<mesh::AccessPoint> aps;
     for (std::uint32_t i = 0; i < 24; ++i) {
-      aps.push_back({i, {1000.0 + i * step.x, -700.0 + i * step.y}, i / 2});
+      aps.push_back({i, i / 2, {1000.0 + i * step.x, -700.0 + i * step.y}});
     }
     const mesh::ApNetwork net{std::move(aps), 50.0};
     EXPECT_EQ(net.hop_bounds().longest_link, geo::norm(step));
@@ -287,9 +287,9 @@ TEST(ApNetwork, MinHopsWithATargetBuildingSplitAcrossComponents) {
   // flies, but unreachable: only targets in the source's own component may
   // steer the search.
   std::vector<mesh::AccessPoint> aps;
-  for (std::uint32_t i = 0; i < 12; ++i) aps.push_back({i, {i * 45.0, 0.0}, 1});
+  for (std::uint32_t i = 0; i < 12; ++i) aps.push_back({i, 1, {i * 45.0, 0.0}});
   for (std::uint32_t i = 0; i < 4; ++i) {
-    aps.push_back({12 + i, {i * 45.0, 200.0}, 2});
+    aps.push_back({12 + i, 2, {i * 45.0, 200.0}});
   }
   aps[11].building = 9;  // far end of the long chain
   aps[12].building = 9;  // near end of the short chain, above AP 0
@@ -307,14 +307,14 @@ TEST(ApNetwork, MinHopsFromOutsideTheLandmarkComponent) {
   for (std::uint32_t r = 0; r < 6; ++r) {
     for (std::uint32_t c = 0; c < 6; ++c) {
       const auto id = static_cast<mesh::ApId>(aps.size());
-      aps.push_back({id, {c * 48.0, r * 48.0}, r});
+      aps.push_back({id, r, {c * 48.0, r * 48.0}});
     }
   }
   const double pi = 3.14159265358979323846;
   for (std::uint32_t i = 0; i < 10; ++i) {
     const auto id = static_cast<mesh::ApId>(aps.size());
     const double angle = 2.0 * pi * i / 10.0;
-    aps.push_back({id, {2000.0 + 70.0 * std::cos(angle), 70.0 * std::sin(angle)}, 10 + i % 4});
+    aps.push_back({id, 10 + i % 4, {2000.0 + 70.0 * std::cos(angle), 70.0 * std::sin(angle)}});
   }
   const mesh::ApNetwork net{std::move(aps), 50.0};
   const auto& table = net.hop_bounds();
@@ -325,7 +325,7 @@ TEST(ApNetwork, MinHopsFromOutsideTheLandmarkComponent) {
 
 TEST(ApNetwork, MinHopsOnASingleAp) {
   std::vector<mesh::AccessPoint> aps;
-  aps.push_back({0, {3.0, 4.0}, 2});
+  aps.push_back({0, 2, {3.0, 4.0}});
   const mesh::ApNetwork net{std::move(aps), 50.0};
   const mesh::ApId only = 0;
   EXPECT_EQ(net.min_hops(0, {&only, 1}), std::optional<std::size_t>{0});
@@ -370,9 +370,9 @@ TEST(ApNetwork, MinHopsEdgeCases) {
 
   // An AP out of everyone's range: reaches only itself.
   std::vector<mesh::AccessPoint> aps;
-  aps.push_back({0, {0.0, 0.0}, 0});
-  aps.push_back({1, {30.0, 0.0}, 0});
-  aps.push_back({2, {500.0, 0.0}, 1});
+  aps.push_back({0, 0, {0.0, 0.0}});
+  aps.push_back({1, 0, {30.0, 0.0}});
+  aps.push_back({2, 1, {500.0, 0.0}});
   const mesh::ApNetwork islanded{std::move(aps), 50.0};
   EXPECT_FALSE(islanded.min_hops(2, islanded.aps_of_building(0)).has_value());
   EXPECT_FALSE(islanded.min_hops(0, islanded.aps_of_building(1)).has_value());
@@ -397,7 +397,7 @@ TEST(ApNetwork, RepresentativeApNearCentroid) {
 
 TEST(ApNetwork, BuildingWithNoApsHasNoRepresentative) {
   std::vector<mesh::AccessPoint> aps;
-  aps.push_back({0, {5.0, 5.0}, 0});
+  aps.push_back({0, 0, {5.0, 5.0}});
   const mesh::ApNetwork net{std::move(aps), 50.0};
   osmx::City city{"t", {{0, 0}, {100, 40}}};
   city.add_building(geo::Polygon::rectangle({{0, 0}, {20, 20}}));
@@ -581,7 +581,7 @@ graphx::Graph reference_ap_graph(const mesh::ApNetwork& net, const mesh::Placeme
 /// The building graph by brute force: centroid distance within the range
 /// plus both effective radii.
 graphx::Graph reference_building_graph(const core::BuildingGraph& map) {
-  const auto& c = map.centroids();
+  const auto c = map.centroids();
   const core::BuildingGraphConfig& cfg = map.config();
   const double range = cfg.transmission_range_m * cfg.connect_factor;
   double max_radius = 0.0;
@@ -634,28 +634,6 @@ graphx::Topology banded_ap_graph(const mesh::ApNetwork& net, const mesh::Placeme
       bands);
 }
 
-/// core::BuildingGraph's link model replayed through LinkBuilder at an
-/// explicit band count.
-graphx::Graph banded_building_graph(const core::BuildingGraph& map, std::size_t bands) {
-  const auto& c = map.centroids();
-  const core::BuildingGraphConfig& cfg = map.config();
-  const double range = cfg.transmission_range_m * cfg.connect_factor;
-  double max_radius = 0.0;
-  for (std::uint32_t b = 0; b < c.size(); ++b) {
-    max_radius = std::max(max_radius, map.effective_radius(b));
-  }
-  return graphx::LinkBuilder::build(
-      map.centroid_grid(),
-      [&](std::uint32_t a) { return (map.effective_radius(a) + range + max_radius) * (1.0 + 1e-9); },
-      [&](std::uint32_t a, std::uint32_t b, double d2) {
-        return std::sqrt(d2) <= range + map.effective_radius(a) + map.effective_radius(b);
-      },
-      [&](std::uint32_t a, std::uint32_t b) -> std::optional<double> {
-        return core::edge_cost(geo::distance(c[a], c[b]), cfg.weight);
-      },
-      bands);
-}
-
 }  // namespace
 
 TEST(LinkBuilder, ApGraphsMatchBruteForceOnEveryProfile) {
@@ -684,7 +662,10 @@ TEST(LinkBuilder, BuildingGraphMatchesBruteForceOnEveryProfile) {
     SCOPED_TRACE(profile.name);
     const core::BuildingGraph map{osmx::generate_city(profile), core::BuildingGraphConfig{}};
     ASSERT_GT(map.graph().edge_count(), 0u);
-    EXPECT_TRUE(link_reference::same_graph(map.graph(), reference_building_graph(map)));
+    // The reference stores each edge's cubed centroid distance as its
+    // weight; the map stores ids and recomputes the weight from either end.
+    EXPECT_TRUE(link_reference::same_graph(map.graph(), link_reference::building_weights(map),
+                                           reference_building_graph(map)));
   }
 }
 
@@ -730,10 +711,13 @@ TEST(LinkBuilder, BandedBuildsMatchTheSequentialBuildOnEveryProfileAndMetroXxl) 
       }
     }
     const core::BuildingGraph map{city, core::BuildingGraphConfig{}};
-    const std::uint64_t sequential = link_reference::fingerprint(banded_building_graph(map, 1));
-    EXPECT_EQ(link_reference::fingerprint(map.graph()), sequential);
+    const std::uint64_t sequential =
+        link_reference::fingerprint(link_reference::weighted_building_graph(map, 1));
+    EXPECT_EQ(link_reference::fingerprint_by(map.graph(), link_reference::building_weights(map)),
+              sequential);
     for (const std::size_t bands : {2, 3, 4}) {
-      EXPECT_EQ(link_reference::fingerprint(banded_building_graph(map, bands)), sequential)
+      EXPECT_EQ(link_reference::fingerprint(link_reference::weighted_building_graph(map, bands)),
+                sequential)
           << "building graph at " << bands << " bands";
     }
   }
@@ -776,7 +760,7 @@ TEST(ApNetwork, BuildingIndexEqualsAScanOnEveryProfileAndMetroXxl) {
 }
 
 TEST(ApNetwork, RejectsIdsThatAreNotIndices) {
-  std::vector<mesh::AccessPoint> aps{{1, {0.0, 0.0}, 0}, {0, {10.0, 0.0}, 0}};
+  std::vector<mesh::AccessPoint> aps{{1, 0, {0.0, 0.0}}, {0, 0, {10.0, 0.0}}};
   EXPECT_THROW(mesh::ApNetwork(aps, 50.0), std::invalid_argument);
 }
 
@@ -840,5 +824,50 @@ TEST(LinkBuilder, PositionLengthsEqualTheStoredWeightsOnEveryProfileAndMetroXxl)
       EXPECT_EQ(link_reference::fingerprint_by(net.graph(), from_far_end), fnv);
       EXPECT_EQ(net.hop_bounds().longest_link, longest);
     }
+  }
+}
+
+TEST(BuildingGraph, DerivedWeightsEqualTheStoredWeightsOnEveryProfileAndMetroXxl) {
+  // The full building graph used to store each edge's cubed centroid
+  // distance as an 8-byte weight; it now stores ids and recomputes the
+  // weight with edge_weight(). Pinned here, recorded from the weighted CSR:
+  // the FNV over (neighbour, weight bits) of every profile's and metro-xxl's
+  // graph under the default config, and its edge count. The derived
+  // weights, taken from each end in turn, must reproduce it bit for bit,
+  // and so must the weighted graph the tests rebuild (weighted_building_graph).
+  struct Pin {
+    const char* name;
+    std::uint64_t fnv;
+    std::size_t edges;
+  };
+  constexpr Pin kPins[] = {
+      {"boston", 0xf2deb82400036200ULL, 122558},
+      {"cambridge", 0x6ee0ab0d45c19368ULL, 91906},
+      {"washington_dc", 0xc4b11707b3d7a72fULL, 131538},
+      {"new_york", 0x49f6dee8cba63c6fULL, 227078},
+      {"san_francisco", 0x0523d114d3190214ULL, 52493},
+      {"chicago", 0x96ef741d4197d199ULL, 146404},
+      {"seattle", 0x84b8e08a966868d3ULL, 108982},
+      {"austin", 0x570c7ed328713d26ULL, 96785},
+      {"miami", 0x072979beb690fdc2ULL, 116610},
+      {"minneapolis", 0x9ca99ba5d1897043ULL, 117202},
+      {"metro-xxl", 0x0cde90ff6c37ec3aULL, 207564},
+  };
+  ASSERT_EQ(std::size(kPins), osmx::default_profiles().size() + 1);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.name);
+    const bool xxl = std::string_view{pin.name} == "metro-xxl";
+    const core::BuildingGraph map{
+        osmx::generate_city(xxl ? metro_xxl_profile() : osmx::profile_by_name(pin.name)),
+        core::BuildingGraphConfig{}};
+    EXPECT_EQ(map.graph().edge_count(), pin.edges);
+    EXPECT_EQ(link_reference::fingerprint_by(map.graph(), link_reference::building_weights(map)),
+              pin.fnv);
+    // The same weights taken from the other end of each edge.
+    const auto from_far_end = [&](std::uint32_t v, std::size_t, std::uint32_t to) {
+      return map.edge_weight(to, v);
+    };
+    EXPECT_EQ(link_reference::fingerprint_by(map.graph(), from_far_end), pin.fnv);
+    EXPECT_EQ(link_reference::fingerprint(link_reference::weighted_building_graph(map)), pin.fnv);
   }
 }

@@ -250,6 +250,23 @@ fig10_digest() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
   exit 1; }
 echo "check.sh: tiling gate (adaptive == grid behavioral digest) OK"
 
+# Memory-cell gate: the B/AP cells read the live heap, not VmHWM, so a
+# one-rung run (the quick ladder's largest rung, in a fresh process) must
+# report a nonzero K = 1 network B/AP and compile B/AP. The manifest's perf
+# section carries both; a cell prints rounded to a whole byte, so a value
+# below 0.5 reads 0 and fails.
+"${build_dir}/bench/fig10_scale" --quick --rung metro-s \
+  --json "${smoke_dir}/fig10_rung.json" >/dev/null || {
+  echo "check.sh: fig10_scale --quick --rung metro-s failed" >&2; exit 1; }
+for cell in k1_bytes_per_ap compile_bytes_per_ap; do
+  value=$(sed -n "s/.*\"mem\.metro-s\.${cell}\": *\([-0-9.eE+]*\).*/\1/p" \
+    "${smoke_dir}/fig10_rung.json")
+  awk -v v="${value}" 'BEGIN { exit !(v != "" && v + 0 >= 0.5) }' || {
+    echo "check.sh: fig10 metro-s ${cell} reads ${value:-nothing}, not a nonzero cell" >&2
+    exit 1; }
+done
+echo "check.sh: memory-cell gate (fig10 metro-s K=1 and compile B/AP nonzero) OK"
+
 # fig8/fig9-style points (a faultx scenario and a trafficx workload) in the
 # draw-free regime (--jitter 0, zero loss): the K=1 manifest must be
 # byte-identical to the K = 2, 4 and 8 ones.
